@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 
 #include "autosched/autosched.h"
@@ -66,24 +68,21 @@ std::string calib_summary(const rt::SimReport& rep,
 
 std::string plan_summary() {
   autosched::PlanCache& cache = autosched::PlanCache::global();
-  const int64_t exact = cache.hits();
-  const int64_t fuzzy = cache.fuzzy_hits();
+  const int64_t hits = cache.hits();
   const int64_t misses = cache.misses();
-  const int64_t lookups = exact + fuzzy + misses;
+  const int64_t lookups = hits + misses;
   if (lookups == 0) return "";
   std::string out = strprintf(
-      "[plan] cache %.1f%% (%lld exact + %lld fuzzy / %lld lookups)",
-      100.0 * static_cast<double>(exact + fuzzy) /
-          static_cast<double>(lookups),
-      static_cast<long long>(exact), static_cast<long long>(fuzzy),
-      static_cast<long long>(lookups));
+      "[plan] cache %.1f%% (%lld hits / %lld lookups)",
+      100.0 * static_cast<double>(hits) / static_cast<double>(lookups),
+      static_cast<long long>(hits), static_cast<long long>(lookups));
   if (cache.loaded() > 0) {
     out += strprintf(" | store: %lld loaded",
                      static_cast<long long>(cache.loaded()));
   }
   out += strprintf(" | searches: %lld cold, %lld warm",
                    static_cast<long long>(misses),
-                   static_cast<long long>(exact + fuzzy));
+                   static_cast<long long>(hits));
   return out;
 }
 
@@ -432,17 +431,45 @@ double geomean(const std::vector<double>& xs) {
   return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
+namespace {
+
+// The configuration a BENCH_*.json was produced under: build type, the
+// compiler's optimization and assertion state, compiler version, and every
+// SPDISTAL_* variable of the environment.
+std::string bench_config_json() {
+#ifdef __OPTIMIZE__
+  const bool optimized = true;
+#else
+  const bool optimized = false;
+#endif
+#ifdef NDEBUG
+  const bool ndebug = true;
+#else
+  const bool ndebug = false;
+#endif
+  std::string env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string kv = *e;
+    const size_t eq = kv.find('=');
+    if (!starts_with(kv, "SPDISTAL_") || eq == std::string::npos) continue;
+    env += strprintf("%s\"%s\": \"%s\"", env.empty() ? "" : ", ",
+                     json_escape(kv.substr(0, eq)).c_str(),
+                     json_escape(kv.substr(eq + 1)).c_str());
+  }
+  return strprintf(
+      "{\"build_type\": \"%s\", \"optimize\": %s, \"ndebug\": %s, "
+      "\"compiler\": \"%s\", \"env\": {%s}}",
+      json_escape(SPD_BENCH_BUILD_TYPE).c_str(), optimized ? "true" : "false",
+      ndebug ? "true" : "false", json_escape(__VERSION__).c_str(),
+      env.c_str());
+}
+
+}  // namespace
+
 bool write_bench_json(const std::string& path,
                       const std::vector<BenchRow>& rows) {
-  auto escaped = [](const std::string& s) {
-    std::string out;
-    for (const char ch : s) {
-      if (ch == '"' || ch == '\\') out += '\\';
-      out += ch;
-    }
-    return out;
-  };
-  std::string out = "{\n  \"version\": 1,\n  \"benchmarks\": [";
+  std::string out = "{\n  \"version\": 1,\n  \"config\": " +
+                    bench_config_json() + ",\n  \"benchmarks\": [";
   bool first = true;
   for (const BenchRow& r : rows) {
     out += first ? "\n" : ",\n";
@@ -450,7 +477,8 @@ bool write_bench_json(const std::string& path,
     out += strprintf(
         "    {\"name\": \"%s\", \"ns_per_op\": %.17g, "
         "\"items_per_s\": %.17g, \"bytes_per_s\": %.17g}",
-        escaped(r.name).c_str(), r.ns_per_op, r.items_per_s, r.bytes_per_s);
+        json_escape(r.name).c_str(), r.ns_per_op, r.items_per_s,
+        r.bytes_per_s);
   }
   out += "\n  ]\n}\n";
   return obs::write_text_file_atomic(path, out);

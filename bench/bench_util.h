@@ -115,17 +115,20 @@ struct BenchRow {
   double bytes_per_s = 0;
 };
 
-// Persists rows as versioned JSON ({"version": 1, "benchmarks": [...]}),
-// written atomically (tmp + rename, like the calibration and plan stores)
-// so CI can diff and upload kernel trajectories without scraping stdout
-// tables. Returns false on I/O failure.
+// Persists rows as versioned JSON ({"version": 1, "config": {...},
+// "benchmarks": [...]}), where "config" records the build type,
+// __OPTIMIZE__/NDEBUG, the compiler version and the SPDISTAL_* environment
+// that produced the numbers. Written atomically (tmp + rename, like the
+// calibration and plan stores) so CI can diff and upload kernel
+// trajectories without scraping stdout tables. Returns false on I/O
+// failure.
 bool write_bench_json(const std::string& path,
                       const std::vector<BenchRow>& rows);
 
-// One-line plan-service summary: exact/fuzzy hit rate of the global
-// PlanCache, entries loaded from the persistent store, and how many
-// compiles searched cold vs were served warm ("[plan] cache 66.7% (4 exact
-// + 2 fuzzy / 9 lookups) | store: 3 loaded | searches: 3 cold, 6 warm").
+// One-line plan-service summary: hit rate of the global PlanCache, entries
+// loaded from the persistent store, and how many compiles searched cold vs
+// were served warm ("[plan] cache 66.7% (6 hits / 9 lookups) | store: 3
+// loaded | searches: 3 cold, 6 warm").
 // Empty when the cache saw no lookups. Printed alongside [obs]/[calib].
 std::string plan_summary();
 

@@ -142,8 +142,7 @@ void bm_plan_store_cold_warm(const rt::Machine& machine) {
               cold_us, rc.enumerated, rc.simulated);
   std::printf("warm process:  %9.0f us (%zu plans loaded, %s, %d enumerated)\n",
               warm_us, loaded,
-              rw.from_cache ? (rw.fuzzy ? "fuzzy hit" : "store hit")
-                            : "store MISS",
+              rw.from_cache ? "store hit" : "store MISS",
               rw.enumerated);
   std::printf("speedup: %.0fx%s | store off vs on: recipes %s, outputs %s\n",
               warm_us > 0 ? cold_us / warm_us : 0.0,

@@ -13,8 +13,8 @@ namespace spdistal::autosched {
 
 std::string Result::summary() const {
   if (from_cache) {
-    return strprintf("plan cache %shit: %s (cost %.3g s/iter)",
-                     fuzzy ? "fuzzy " : "", recipe.str().c_str(), best_cost);
+    return strprintf("plan cache hit: %s (cost %.3g s/iter)",
+                     recipe.str().c_str(), best_cost);
   }
   return strprintf("searched %d candidates (%d simulated): %s (cost %.3g "
                    "s/iter)",
@@ -41,21 +41,12 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
         result.schedule = materialize(cached->recipe, stmt);
         result.recipe = cached->recipe;
         result.from_cache = true;
-        result.fuzzy = cached->fuzzy;
-        // A fuzzy hit's stored cost was simulated for a *sibling* shape;
-        // re-price the reused recipe analytically against this statement's
-        // actual tensors so Result::best_cost and the [plan] bench lines
-        // report this data's cost, not the neighbor's.
-        result.best_cost = cached->fuzzy
-                               ? AnalyticModel(stmt, machine)
-                                     .estimate(cached->recipe)
-                               : cached->cost;
+        result.best_cost = cached->cost;
         cache_hits.add(1);
         return result;
       } catch (const ScheduleError&) {
-        // A fuzzy-matched recipe is priced for a sibling shape and may not
-        // fit this statement (e.g. its split tensor has too few levels
-        // here); fall through to a real search.
+        // A recipe read from a persisted store is outside input and may not
+        // fit this statement; fall through to a real search.
       }
     }
   }

@@ -29,7 +29,6 @@ struct Result {
   sched::Schedule schedule;  // materialized against the input statement
   Recipe recipe;
   bool from_cache = false;
-  bool fuzzy = false;    // served by the fingerprint tier, not exact match
   double best_cost = 0;  // proxy-simulated seconds/iteration of the winner
   int enumerated = 0;    // legal candidates considered this call
   int simulated = 0;     // candidates fully simulated this call (0 on a hit)

@@ -1,7 +1,6 @@
 #include "autosched/cache.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -85,12 +84,12 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
   canonical_expr(stmt.assignment.rhs, names, os);
 
   // --- format signature per tensor (dimensions and sparsity live in the
-  // fingerprint half, so the fuzzy tier can match across them) ----------------
+  // fingerprint half) ----------------------------------------------------------
+  std::vector<data::SparsityFingerprint> fps;
   for (const auto& [name, t] : stmt.bindings) {
     os << ";" << name << ":" << t.format().str() << ":ord["
        << join(t.format().ordering(), ",") << "]";
-    key.fps.push_back(
-        tensor_fingerprint(name, t, stmt.assignment.lhs.tensor));
+    fps.push_back(tensor_fingerprint(name, t, stmt.assignment.lhs.tensor));
   }
 
   // --- machine signature -------------------------------------------------------
@@ -106,7 +105,7 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
      << strprintf(":cap%g:t%g", c.capacity_scale, c.time_scale);
 
   key.structural = os.str();
-  key.sig = data::fingerprints_str(key.fps);
+  key.sig = data::fingerprints_str(fps);
   return key;
 }
 
@@ -132,47 +131,19 @@ std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key,
                                                 bool allow_store) {
   static obs::Counter& hit_metric =
       obs::Metrics::global().counter("plan_store.hits");
-  static obs::Counter& fuzzy_metric =
-      obs::Metrics::global().counter("plan_store.fuzzy_hits");
   static obs::Counter& miss_metric =
       obs::Metrics::global().counter("plan_store.misses");
   // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
   // this cache); resolve it before taking any lock.
   const bool store_ok = allow_store && plan_store_enabled();
-  const double fuzz = store_ok ? plan_fuzz() : 0.0;
 
   const auto snap = snapshot();
-
-  // Tier 1: exact key.
   auto it = snap->find(key.exact());
   if (it != snap->end() && (store_ok || !it->second.from_store)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_metric.add(1);
     it->second.used->store(tick(), std::memory_order_relaxed);
-    return Hit{it->second.recipe, it->second.cost, false};
-  }
-
-  // Tier 2: nearest fingerprint within tolerance among entries that share
-  // the structural half (a contiguous range of the ordered map).
-  if (fuzz > 0) {
-    const std::string prefix = key.structural + PlanKey::kSep;
-    const CachedPlan* best = nullptr;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (auto e = snap->lower_bound(prefix);
-         e != snap->end() && e->first.compare(0, prefix.size(), prefix) == 0;
-         ++e) {
-      const double d = data::fingerprints_distance(key.fps, e->second.fps);
-      if (d <= fuzz && d < best_d) {
-        best = &e->second;
-        best_d = d;
-      }
-    }
-    if (best != nullptr) {
-      fuzzy_hits_.fetch_add(1, std::memory_order_relaxed);
-      fuzzy_metric.add(1);
-      best->used->store(tick(), std::memory_order_relaxed);
-      return Hit{best->recipe, best->cost, true};
-    }
+    return Hit{it->second.recipe, it->second.cost};
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -186,7 +157,7 @@ int64_t PlanCache::tick() {
 
 void PlanCache::insert(const PlanKey& key, const Recipe& recipe,
                        double cost) {
-  CachedPlan plan{recipe, cost, key.fps, false};
+  CachedPlan plan{recipe, cost, false};
   plan.used->store(tick(), std::memory_order_relaxed);
   mutate([&](Map& m) { m[key.exact()] = std::move(plan); });
 }
@@ -243,7 +214,6 @@ void PlanCache::clear() {
     snap_ = std::make_shared<Map>();
   }
   hits_.store(0, std::memory_order_relaxed);
-  fuzzy_hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   loaded_.store(0, std::memory_order_relaxed);
   clock_.store(0, std::memory_order_relaxed);
@@ -253,10 +223,6 @@ size_t PlanCache::size() const { return snapshot()->size(); }
 
 int64_t PlanCache::hits() const {
   return hits_.load(std::memory_order_relaxed);
-}
-
-int64_t PlanCache::fuzzy_hits() const {
-  return fuzzy_hits_.load(std::memory_order_relaxed);
 }
 
 int64_t PlanCache::misses() const {

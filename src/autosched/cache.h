@@ -1,7 +1,6 @@
 // The plan cache: schedules found by search, keyed so that repeated
 // compiles of the same logical computation in a serving loop hit in O(1) —
-// and, with the plan service armed (plan_store.h), shared across processes
-// and served fuzzily to "similar enough" tensors.
+// and, with the plan service armed (plan_store.h), shared across processes.
 //
 // A key has two halves. The *structural* half captures everything a recipe
 // replay requires exactly: the expression (with index variables
@@ -10,8 +9,7 @@
 // format signature and mode ordering, and the machine signature (processor
 // kind, grid, hardware rates). The *sparsity* half is a per-tensor
 // data::SparsityFingerprint sequence (dimensions, nnz, mass and row-degree
-// sketches) — exact-matched in tier 1, nearest-within-tolerance in the
-// fuzzy tier 2.
+// sketches). Both halves must match exactly.
 //
 // Lookups are the hot path of a warm serving process and never take an
 // exclusive lock: the entry map is an immutable snapshot behind a
@@ -37,12 +35,11 @@ namespace spdistal::autosched {
 // Canonical cache key for (statement, machine).
 struct PlanKey {
   std::string structural;  // expr + formats + machine; must match exactly
-  std::string sig;         // canonical encoding of fps (fuzzy-matchable)
-  std::vector<data::SparsityFingerprint> fps;  // one per binding, name order
+  // Canonical encoding of the per-binding fingerprints, in name order.
+  std::string sig;
 
-  // Exact-tier map key. The separator sorts below every printable
-  // character, so all entries sharing a structural half are contiguous in
-  // the ordered map and the fuzzy tier scans exactly that range.
+  // Map key. The fingerprint encoding never contains the (control
+  // character) separator, so entries() can split a key back into halves.
   std::string exact() const { return structural + kSep + sig; }
   static constexpr char kSep = '\x1f';
 };
@@ -52,7 +49,6 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine);
 struct CachedPlan {
   Recipe recipe;
   double cost = 0;  // proxy-simulated seconds/iteration of the winner
-  std::vector<data::SparsityFingerprint> fps;
   // Loaded from a persisted store rather than searched in this process;
   // only served while plan_store_enabled() (set_plan_store(false) restores
   // bit-identical searched schedules).
@@ -82,15 +78,11 @@ class PlanCache {
   struct Hit {
     Recipe recipe;
     double cost = 0;
-    bool fuzzy = false;  // served by the fingerprint tier, not exact match
   };
 
-  // Two-tier lookup: exact key, then (when the plan store is enabled, fuzz
-  // tolerance > 0, and `allow_store`) the nearest fingerprint within
-  // tolerance among entries sharing the structural half. Counts a hit,
-  // fuzzy hit, or miss. `allow_store=false` additionally ignores entries
-  // that came from the persisted store (per-search override of the global
-  // switch).
+  // Exact-key lookup. Counts a hit or miss. Entries that came from the
+  // persisted store are served only while the plan store is enabled and
+  // `allow_store` is set (per-search override of the global switch).
   std::optional<Hit> lookup(const PlanKey& key, bool allow_store = true);
   void insert(const PlanKey& key, const Recipe& recipe, double cost);
 
@@ -106,7 +98,6 @@ class PlanCache {
 
   size_t size() const;
   int64_t hits() const;
-  int64_t fuzzy_hits() const;
   int64_t misses() const;
   int64_t loaded() const;
 
@@ -125,7 +116,6 @@ class PlanCache {
   std::shared_ptr<const Map> snap_ = std::make_shared<Map>();
   std::atomic<int64_t> clock_{0};
   std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> fuzzy_hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> loaded_{0};
 };

@@ -24,7 +24,6 @@ constexpr int kSchemaVersion = 2;
 constexpr int kOldestReadableVersion = 1;
 
 std::atomic<bool> g_enabled{true};
-std::atomic<double> g_fuzz{0.0};
 std::atomic<int64_t> g_store_max{0};  // 0 = uncapped
 std::once_flag g_env_once;
 
@@ -37,22 +36,7 @@ std::string& env_path() {
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += strprintf("\\u%04x", ch);
-        } else {
-          out += ch;
-        }
-    }
-  }
+  out += json_escape(s);
   out += '"';
 }
 
@@ -235,9 +219,9 @@ bool parse_entry(Cursor& c, StoredPlan* e) {
     break;
   }
   if (!c.ok || !have_key || !have_sig) return false;
-  auto fps = data::parse_fingerprints(e->sig);
-  if (!fps) return false;
-  e->plan.fps = std::move(*fps);
+  // The sig is outside input too: an entry whose fingerprints do not parse
+  // is skipped alone.
+  if (!data::parse_fingerprints(e->sig)) return false;
   if (!unit.empty()) {
     const auto u = sched::parse_parallel_unit(unit);
     if (!u) return false;
@@ -247,11 +231,6 @@ bool parse_entry(Cursor& c, StoredPlan* e) {
 }
 
 void init_from_env() {
-  if (const char* f = std::getenv("SPDISTAL_PLAN_FUZZ")) {
-    if (f[0] != '\0') {
-      g_fuzz.store(std::strtod(f, nullptr), std::memory_order_relaxed);
-    }
-  }
   if (const char* m = std::getenv("SPDISTAL_PLAN_STORE_MAX")) {
     if (m[0] != '\0') {
       g_store_max.store(std::strtoll(m, nullptr, 10),
@@ -281,16 +260,6 @@ bool plan_store_enabled() {
 void set_plan_store(bool on) {
   std::call_once(g_env_once, init_from_env);
   g_enabled.store(on, std::memory_order_relaxed);
-}
-
-double plan_fuzz() {
-  std::call_once(g_env_once, init_from_env);
-  return g_fuzz.load(std::memory_order_relaxed);
-}
-
-void set_plan_fuzz(double tolerance) {
-  std::call_once(g_env_once, init_from_env);
-  g_fuzz.store(tolerance, std::memory_order_relaxed);
 }
 
 int64_t plan_store_max() {

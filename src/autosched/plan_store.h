@@ -7,10 +7,6 @@
 //                             (entries marked from_store), merge + rewrite
 //                             it atomically at exit. A warm process then
 //                             compiles with zero searches.
-//   SPDISTAL_PLAN_FUZZ=tol    fuzzy-tier tolerance in [0, 1): serve the
-//                             nearest fingerprint whose distance is <= tol
-//                             when the exact key misses. Default 0 (exact
-//                             only).
 //   SPDISTAL_PLAN_STORE_MAX=N cap the file at N entries: the save-time
 //                             merge keeps the N most recently used plans
 //                             (per-entry "used" stamps) and evicts the rest
@@ -33,16 +29,12 @@
 
 namespace spdistal::autosched {
 
-// Process-wide switch for the plan service (stored entries, fuzzy tier, and
-// the exit-time save). Lazily reads the env knobs on first call.
+// Process-wide switch for the plan service (stored entries and the
+// exit-time save). Lazily reads the env knobs on first call.
 // set_plan_store(false) restores bit-identical searched schedules: only
 // plans searched in this process are served, exactly.
 bool plan_store_enabled();
 void set_plan_store(bool on);
-
-// Fuzzy-tier tolerance (see SPDISTAL_PLAN_FUZZ above).
-double plan_fuzz();
-void set_plan_fuzz(double tolerance);
 
 // Save-time entry cap (see SPDISTAL_PLAN_STORE_MAX above); 0 = uncapped.
 int64_t plan_store_max();

@@ -35,6 +35,11 @@ std::string trim(const std::string& s);
 // True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
 
+// Escapes `s` for use inside a JSON string literal (quotes not included):
+// `"` and `\` are backslash-escaped, `\n` and `\t` use their short forms,
+// and every other control character becomes `\u00XX`.
+std::string json_escape(const std::string& s);
+
 // Renders a byte count as a human-readable string ("1.5 GB").
 std::string human_bytes(double bytes);
 

@@ -98,16 +98,16 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
                   << ck.split_tensor_);
     ck.split_level_ = static_cast<int>(ck.fused_sources_.size()) - 1;
     // Blocked positions address R*C value lanes (a position range is not a
-    // value range) and hashed positions enumerate coordinates in hash order;
-    // neither supports the equal-position split contract.
+    // value range), so they do not support the equal-position split
+    // contract.
     {
       const Tensor& split_t = stmt.tensor(ck.split_tensor_);
       for (int l = 0; l <= ck.split_level_; ++l) {
         const fmt::ModeFormat mf = split_t.format().mode(l);
-        SPD_CHECK(!mf.is_blocked() && !mf.is_hashed(), ScheduleError,
+        SPD_CHECK(!mf.is_blocked(), ScheduleError,
                   "divide_pos cannot split the " << mf.str() << " level of "
                       << ck.split_tensor_
-                      << "; use divide (coordinate space) for blocked/hashed "
+                      << "; use divide (coordinate space) for blocked "
                          "formats");
       }
     }
@@ -196,18 +196,20 @@ int dim_of_var(const Statement& stmt, const std::string& name,
 // a partition of a Compressed level's crd positions: each color needs
 // exactly the coordinate values its piece stores (e.g. the halo of c in a
 // banded SpMV). This is the fine-grained data movement Legion's dependent
-// partitioning infers (§II-C).
+// partitioning infers (§II-C). A BlockedCompressed crd stores block columns,
+// each covering `block()` coordinates (clamped to the level's extent).
 Partition needed_coords_partition(const fmt::LevelStorage& sl,
                                   const Partition& crd_part,
                                   const rt::IndexSpace& vals_space,
                                   int pieces) {
+  const Coord width = sl.kind.is_blocked() ? sl.kind.block() : 1;
   std::vector<rt::IndexSubset> needed(static_cast<size_t>(pieces),
                                       rt::IndexSubset(1));
   for (int c = 0; c < pieces; ++c) {
     std::vector<Coord> vals;
     for (const auto& r : crd_part.subset(c).rects()) {
       for (Coord q = r.lo[0]; q <= r.hi[0]; ++q) {
-        vals.push_back((*sl.crd)[q]);
+        vals.push_back((*sl.crd)[q] * width);
       }
     }
     std::sort(vals.begin(), vals.end());
@@ -216,7 +218,7 @@ Partition needed_coords_partition(const fmt::LevelStorage& sl,
       Coord lo = vals[k];
       Coord hi = lo;
       while (k < vals.size() && vals[k] <= hi + 1) {
-        hi = std::max(hi, vals[k]);
+        hi = std::max(hi, std::min(vals[k] + width - 1, sl.extent - 1));
         ++k;
       }
       out.add(rt::RectN::make1(lo, hi));
@@ -316,10 +318,6 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
               ? nullptr
               : own(tp.level_parts[static_cast<size_t>(l)]),
           meta_priv});
-      if (level.hash) {
-        // Hash probes may land on any slot; ship the index whole.
-        launch.reqs.push_back(rt::RegionReq{level.hash, nullptr, meta_priv});
-      }
       if (!level.kind.has_pos()) continue;  // Singleton: crd only
       if (l == 0 || l <= whole_pos_upto) {
         launch.reqs.push_back(rt::RegionReq{level.pos, nullptr, meta_priv});
@@ -346,10 +344,6 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       if (level.kind.has_pos()) {
         launch.reqs.push_back(
             rt::RegionReq{level.pos, nullptr, Privilege::RO});
-      }
-      if (level.hash) {
-        launch.reqs.push_back(
-            rt::RegionReq{level.hash, nullptr, Privilege::RO});
       }
     }
   };

@@ -1,8 +1,7 @@
 #include "data/fingerprint.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 
@@ -14,32 +13,6 @@ namespace spdistal::data {
 using rt::Coord;
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Relative difference of two non-negative counts in [0, 1].
-double rel_diff(int64_t a, int64_t b) {
-  const int64_t hi = std::max({a, b, int64_t{1}});
-  return static_cast<double>(std::abs(a - b)) / static_cast<double>(hi);
-}
-
-// Half the L1 distance of the two mass-normalized histograms: 0 for equal
-// shapes, 1 for disjoint support. Two empty histograms are identical.
-template <size_t N>
-double shape_dist(const std::array<int64_t, N>& a,
-                  const std::array<int64_t, N>& b) {
-  int64_t ta = 0, tb = 0;
-  for (int64_t v : a) ta += v;
-  for (int64_t v : b) tb += v;
-  if (ta == 0 && tb == 0) return 0.0;
-  if (ta == 0 || tb == 0) return 1.0;
-  double l1 = 0;
-  for (size_t i = 0; i < N; ++i) {
-    l1 += std::abs(static_cast<double>(a[i]) / static_cast<double>(ta) -
-                   static_cast<double>(b[i]) / static_cast<double>(tb));
-  }
-  return l1 / 2.0;
-}
 
 // Parses "name[c0,c1,...]" at `pos`, advancing past the closing ']'.
 template <typename Push>
@@ -128,20 +101,6 @@ std::optional<SparsityFingerprint> SparsityFingerprint::parse(
   return fp;
 }
 
-double SparsityFingerprint::distance(const SparsityFingerprint& o) const {
-  if (dims.size() != o.dims.size() || has_pattern != o.has_pattern)
-    return kInf;
-  double d = 0;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    d = std::max(d, rel_diff(dims[i], o.dims[i]));
-  }
-  if (!has_pattern) return d;
-  d = std::max(d, rel_diff(nnz, o.nnz));
-  d = std::max(d, shape_dist(hist, o.hist));
-  d = std::max(d, shape_dist(degree, o.degree));
-  return d;
-}
-
 SparsityFingerprint fingerprint(const fmt::TensorStorage& st) {
   SparsityFingerprint fp;
   fp.dims = st.dims();
@@ -203,16 +162,6 @@ std::optional<std::vector<SparsityFingerprint>> parse_fingerprints(
     begin = sep + 1;
   }
   return fps;
-}
-
-double fingerprints_distance(const std::vector<SparsityFingerprint>& a,
-                             const std::vector<SparsityFingerprint>& b) {
-  if (a.size() != b.size()) return kInf;
-  double d = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, a[i].distance(b[i]));
-  }
-  return d;
 }
 
 }  // namespace spdistal::data

@@ -1,18 +1,17 @@
-// Sparsity fingerprints: the fuzzy-matchable half of a plan-cache key.
+// Sparsity fingerprints: the sparsity half of a plan-cache key.
 //
-// The structural half of a key (expression, formats, machine) must match
-// exactly for a cached recipe to be replayable at all; the *sparsity* half —
+// The structural half of a key (expression, formats, machine) decides
+// whether a cached recipe is replayable at all; the *sparsity* half —
 // dimensions, non-zero count, how mass and row degrees are distributed —
-// only changes which recipe is fastest, and nearby patterns almost always
-// share a winner. A SparsityFingerprint summarizes a packed tensor's
-// non-zero structure into a fixed-size sketch (dimension sizes, nnz, a
-// 16-bucket mass histogram over the top storage dimension, and a log2
-// row-degree histogram) with a normalized distance, so the plan service can
-// serve "similar enough" tensors from a recipe priced for a sibling.
+// decides which recipe is fastest. A SparsityFingerprint summarizes a packed
+// tensor's non-zero structure into a fixed-size sketch (dimension sizes,
+// nnz, a 16-bucket mass histogram over the top storage dimension, and a log2
+// row-degree histogram).
 //
 // Fingerprints are computed once at pack time (fmt::pack) and carried on the
-// TensorStorage; they round-trip through a canonical string so persisted
-// plan-store entries stay fuzzy-matchable across processes.
+// TensorStorage; they round-trip through a canonical string, which is how
+// plan-store entries key them across processes (and how a stored entry's
+// key is validated on load).
 #pragma once
 
 #include <array>
@@ -55,14 +54,6 @@ struct SparsityFingerprint {
   std::string str() const;
   static std::optional<SparsityFingerprint> parse(const std::string& s);
 
-  // Normalized dissimilarity: 0 for indistinguishable sketches, growing
-  // with relative differences in dims / nnz / mass and degree shape, and
-  // +infinity when the two are not comparable at all (different order, or
-  // pattern vs structural-only). Each finite component is a relative error
-  // in [0, 1], combined by max, so a tolerance t reads as "no aspect of the
-  // sparsity differs by more than a fraction t".
-  double distance(const SparsityFingerprint& o) const;
-
   bool operator==(const SparsityFingerprint&) const = default;
 };
 
@@ -78,9 +69,5 @@ SparsityFingerprint dense_fingerprint(const std::vector<rt::Coord>& dims);
 std::string fingerprints_str(const std::vector<SparsityFingerprint>& fps);
 std::optional<std::vector<SparsityFingerprint>> parse_fingerprints(
     const std::string& s);
-
-// Max pairwise distance; +infinity when the sequences differ in length.
-double fingerprints_distance(const std::vector<SparsityFingerprint>& a,
-                             const std::vector<SparsityFingerprint>& b);
 
 }  // namespace spdistal::data

@@ -150,7 +150,7 @@ void init_from_env() {
         c.merge_json(strprintf(
             "{\"version\": %d, \"rates\": {\"%s\": {\"wall_per_flop\": "
             "%.17g, \"wall_per_byte\": %.17g, \"samples\": %llu}}}",
-            kSchemaVersion, key.c_str(), delta.wall_per_flop,
+            kSchemaVersion, json_escape(key).c_str(), delta.wall_per_flop,
             delta.wall_per_byte,
             static_cast<unsigned long long>(delta.samples)));
       }
@@ -264,7 +264,8 @@ std::string Calibration::json() const {
     out += strprintf(
         "%s\n  \"%s\": {\"wall_per_flop\": %.17g, \"wall_per_byte\": %.17g, "
         "\"samples\": %llu}",
-        first ? "" : ",", key.c_str(), r.wall_per_flop, r.wall_per_byte,
+        first ? "" : ",", json_escape(key).c_str(), r.wall_per_flop,
+        r.wall_per_byte,
         static_cast<unsigned long long>(r.samples));
     first = false;
   }

@@ -12,6 +12,7 @@
 #include "data/generators.h"
 #include "kernels/coiter.h"
 #include "tensor/dense_ref.h"
+#include "verify/verify.h"
 
 namespace spdistal {
 namespace {
@@ -194,9 +195,9 @@ RunResult run_spmm(const fmt::Format& format, int exec_threads) {
       << format.str() << " x" << exec_threads;
   RunResult res;
   res.leaf = ck.leaf_kernel_name();
-  for (Coord q = 0; q < n * cols; ++q) {
-    res.out.push_back((*A.storage().vals())[q]);
-  }
+  // A is 2-D: read its values by row-major position.
+  const rt::LinearAccessor<double> vals(*A.storage().vals(), rt::Access::Read);
+  for (Coord q = 0; q < n * cols; ++q) res.out.push_back(vals.at(q));
   res.report = runtime.report();
   return res;
 }
@@ -228,6 +229,18 @@ TEST(BlockedE2E, SpmvBcsrRidesTiledLeafAndMatchesCsr) {
       EXPECT_NEAR(blocked.out[q], csr.out[q], 1e-12) << r << "x" << c;
     }
   }
+}
+
+// Each stored block column covers C coordinates of the dense vector, so
+// the vector's needed-coordinates partition must declare all of them: the
+// privilege checker rejects any leaf read outside the declared subset.
+TEST(BlockedE2E, SpmvBcsrDeclaresWholeBlockColumns) {
+  const bool prev = verify::enabled();
+  verify::set_enabled(true);
+  for (auto [r, c] : {std::pair<int, int>{4, 4}, {3, 5}}) {
+    EXPECT_NO_THROW(run_spmv(fmt::bcsr(r, c), 1)) << r << "x" << c;
+  }
+  verify::set_enabled(prev);
 }
 
 TEST(BlockedE2E, SpmvBcsrBitIdenticalAcrossWidths) {

@@ -11,7 +11,6 @@
 
 #include "compiler/lower.h"
 #include "data/generators.h"
-#include "runtime/subset_intern.h"
 #include "tensor/dense_ref.h"
 #include "tensor/tensor.h"
 
@@ -406,35 +405,6 @@ TEST(LaunchPlan, MemoCapacityKnobShrinkEvictsColdestOnly) {
   // Capacity is clamped to at least one live plan.
   rt.set_plan_memo_capacity(0);
   EXPECT_EQ(rt.plan_memo_capacity(), 1u);
-}
-
-// Identical per-point subset rows across distinct plans (a repartition with
-// the same bounds) are interned: the second plan shares the first's rows
-// and the plan.interned_bytes accounting grows.
-TEST(LaunchPlan, SubsetRowsInternedAcrossIdenticalLaunches) {
-  rt::SubsetInterner& interner = rt::SubsetInterner::global();
-  const int64_t shared0 = interner.shared_rows();
-  const int64_t bytes0 = interner.interned_bytes();
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  auto r = rt.create_region<double>(rt::IndexSpace(100), "acc");
-  r->fill(0.0);
-  // Same bounds, distinct Partition objects: new uid => fresh plan, but the
-  // captured subset rows are content-identical.
-  rt::Partition p1 = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 60), rt::RectN::make1(40, 99)});
-  rt::Partition p2 = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 60), rt::RectN::make1(40, 99)});
-  rt.execute(reduce_launch(r, &p1));
-  rt.execute(reduce_launch(r, &p2));
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_misses, 2);
-  // Both of the second plan's points reused the first plan's rows.
-  EXPECT_GE(interner.shared_rows(), shared0 + 2);
-  EXPECT_GT(interner.interned_bytes(), bytes0);
-  // Execution through shared rows stays correct: overlap saw both points
-  // of both launches.
-  EXPECT_DOUBLE_EQ((*r)[50], 4.0);
-  EXPECT_DOUBLE_EQ((*r)[0], 2.0);
 }
 
 TEST(LaunchPlan, LruHitRefreshesRecency) {

@@ -1,5 +1,6 @@
 // Tests for the observability subsystem: the simulated-timeline trace is
-// bit-identical across executor thread counts, emitted JSON is well-formed,
+// bit-identical across executor thread counts, emitted JSON is well-formed
+// (the shared json_escape round-trips quotes and control characters),
 // spans on serialized simulated tracks never overlap and host spans nest,
 // the metrics registry mirrors the SimReport totals, disabled mode records
 // nothing, the shared_ptr instantiate overload keeps the Runtime alive, and
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "compiler/lower.h"
 #include "data/generators.h"
 #include "obs/obs.h"
@@ -85,18 +87,40 @@ void skip_ws(const std::string& s, size_t& i) {
 
 bool parse_value(const std::string& s, size_t& i);
 
-bool parse_string(const std::string& s, size_t& i) {
+// Parses a string literal at `i`, decoding it into `out` when given. Raw
+// control characters are invalid JSON and rejected.
+bool parse_string(const std::string& s, size_t& i,
+                  std::string* out = nullptr) {
   if (i >= s.size() || s[i] != '"') return false;
   ++i;
+  std::string text;
   while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      ++i;
+    char c = s[i++];
+    if (static_cast<unsigned char>(c) < 0x20) return false;
+    if (c == '\\') {
       if (i >= s.size()) return false;
+      const char esc = s[i++];
+      switch (esc) {
+        case '"': case '\\': case '/': c = esc; break;
+        case 'n': c = '\n'; break;
+        case 't': c = '\t'; break;
+        case 'r': c = '\r'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
+        case 'u':
+          if (i + 4 > s.size()) return false;
+          c = static_cast<char>(std::stoi(s.substr(i, 4), nullptr, 16));
+          i += 4;
+          break;
+        default:
+          return false;
+      }
     }
-    ++i;
+    text += c;
   }
   if (i >= s.size()) return false;
   ++i;  // closing quote
+  if (out != nullptr) *out = std::move(text);
   return true;
 }
 
@@ -193,6 +217,26 @@ double field(const std::string& line, const std::string& key) {
 }
 
 // --- tests -------------------------------------------------------------------
+
+// The one JSON string escaper every writer shares: quotes, backslashes and
+// control characters survive a parse, and a registry metric named with them
+// still yields a valid snapshot.
+TEST(Obs, JsonEscapeRoundTripsHostileNames) {
+  const std::string name = "q\"b\\n\nt\tc\x01end";
+  const std::string lit = "\"" + json_escape(name) + "\"";
+  size_t i = 0;
+  std::string decoded;
+  ASSERT_TRUE(parse_string(lit, i, &decoded)) << lit;
+  EXPECT_EQ(i, lit.size());
+  EXPECT_EQ(decoded, name);
+  EXPECT_TRUE(valid_json("{" + lit + ": [" + lit + "]}"));
+
+  ObsGuard guard(true);
+  obs::Metrics::global().counter(name).add(1);
+  const std::string doc = obs::Metrics::global().json();
+  EXPECT_TRUE(valid_json(doc)) << doc;
+  EXPECT_NE(doc.find(lit), std::string::npos);
+}
 
 TEST(Obs, SimTraceBitIdenticalAcrossThreads) {
   const rt::Machine m = cpu_machine(4);

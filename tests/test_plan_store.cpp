@@ -2,19 +2,17 @@
 // src/autosched/cache.*): the versioned JSON store round-trips every recipe
 // field, corrupt or version-mismatched documents are rejected wholesale, a
 // warm process compiles with zero searches, concurrent writers sharing one
-// file lose no entries, the fuzzy fingerprint tier respects its tolerance
-// boundary exactly, concurrent Runtimes sharing one store are race-free,
-// and set_plan_store(false) restores bit-identical searched schedules.
+// file lose no entries, lookups match the key exactly, concurrent Runtimes
+// sharing one store are race-free, and set_plan_store(false) restores
+// bit-identical searched schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <thread>
 
 #include "autosched/autosched.h"
-#include "autosched/cost.h"
 #include "autosched/plan_store.h"
 #include "common/str_util.h"
 #include "compiler/lower.h"
@@ -32,20 +30,17 @@ rt::Machine cpu_machine(int nodes) {
                      rt::ProcKind::CPU);
 }
 
-// Arms the plan service for one test (clean cache, store on, fuzz off) and
-// restores the previous global state on exit.
+// Arms the plan service for one test (clean cache, store on) and restores
+// the previous global state on exit.
 struct StoreGuard {
   bool prev_on;
-  double prev_fuzz;
-  StoreGuard() : prev_on(plan_store_enabled()), prev_fuzz(plan_fuzz()) {
+  StoreGuard() : prev_on(plan_store_enabled()) {
     PlanCache::global().clear();
     set_plan_store(true);
-    set_plan_fuzz(0.0);
   }
   ~StoreGuard() {
     PlanCache::global().clear();
     set_plan_store(prev_on);
-    set_plan_fuzz(prev_fuzz);
   }
 };
 
@@ -89,7 +84,7 @@ StoredPlan make_entry(const std::string& structural, const Recipe& r,
   StoredPlan e;
   e.structural = structural;
   e.sig = data::fingerprints_str(fps);
-  e.plan = CachedPlan{r, cost, fps, false};
+  e.plan = CachedPlan{r, cost, false};
   return e;
 }
 
@@ -135,7 +130,6 @@ TEST(PlanStore, JsonRoundTripPreservesEveryRecipeField) {
     EXPECT_EQ(out[k].sig, in[k].sig) << k;
     EXPECT_EQ(out[k].plan.recipe, in[k].plan.recipe) << k;
     EXPECT_DOUBLE_EQ(out[k].plan.cost, in[k].plan.cost) << k;
-    EXPECT_EQ(out[k].plan.fps, in[k].plan.fps) << k;
   }
 }
 
@@ -222,7 +216,6 @@ TEST(PlanStore, WarmProcessCompilesWithZeroSearches) {
   BuiltStmt b = build_spmv(3);  // fresh tensors, same logical computation
   const Result warm = autoschedule_search(*b.stmt, m);
   EXPECT_TRUE(warm.from_cache);
-  EXPECT_FALSE(warm.fuzzy);
   EXPECT_EQ(warm.enumerated, 0);
   EXPECT_EQ(warm.simulated, 0);
   EXPECT_EQ(warm.recipe, cold.recipe);
@@ -282,70 +275,18 @@ TEST(PlanStore, ConcurrentWritersUnionThroughOneFile) {
   std::remove(path.c_str());
 }
 
-// --- fuzzy tier ---------------------------------------------------------------
+// --- fingerprints -------------------------------------------------------------
 
-TEST(PlanStore, FuzzyTierRespectsToleranceBoundary) {
-  StoreGuard guard;
-  PlanCache& cache = PlanCache::global();
-
-  const data::SparsityFingerprint fp_a = pattern_fp(1000);
-  const data::SparsityFingerprint fp_b = pattern_fp(1150);  // nearby nnz
-  const double d = fp_a.distance(fp_b);
-  ASSERT_GT(d, 0.0);
-  ASSERT_LT(d, 1.0);
-
-  Recipe r;
-  r.pieces = 4;
-  PlanKey key_a{"same-structural", data::fingerprints_str({fp_a}), {fp_a}};
-  PlanKey key_b{"same-structural", data::fingerprints_str({fp_b}), {fp_b}};
-  cache.insert(key_a, r, 1.0);
-
-  // Exact tier: only the identical fingerprint hits.
-  auto exact = cache.lookup(key_a);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_FALSE(exact->fuzzy);
-
-  // Fuzz off: a nearby fingerprint is a miss.
-  set_plan_fuzz(0.0);
-  EXPECT_FALSE(cache.lookup(key_b).has_value());
-
-  // Tolerance below the distance: still a miss.
-  set_plan_fuzz(d * 0.5);
-  EXPECT_FALSE(cache.lookup(key_b).has_value());
-
-  // Tolerance at/above the distance: served by the fuzzy tier.
-  set_plan_fuzz(d * 1.01);
-  auto fuzzy = cache.lookup(key_b);
-  ASSERT_TRUE(fuzzy.has_value());
-  EXPECT_TRUE(fuzzy->fuzzy);
-  EXPECT_EQ(fuzzy->recipe, r);
-  EXPECT_GE(cache.fuzzy_hits(), 1);
-
-  // A different structural half never fuzzy-matches, whatever the tolerance.
-  PlanKey other{"other-structural", key_b.sig, key_b.fps};
-  set_plan_fuzz(0.99);
-  EXPECT_FALSE(cache.lookup(other).has_value());
-
-  // The fuzzy tier is part of the plan service: disabling the store
-  // disables it too.
-  set_plan_store(false);
-  EXPECT_FALSE(cache.lookup(key_b).has_value());
-  // ... but exact hits on plans searched in this process survive.
-  EXPECT_TRUE(cache.lookup(key_a).has_value());
-}
-
-TEST(PlanStore, FingerprintDistanceSeparatesShapes) {
+TEST(PlanStore, FingerprintEncodingSeparatesShapes) {
   const auto fp = pattern_fp(1000);
-  EXPECT_EQ(fp.distance(fp), 0.0);
-  // Different dimensionality: incomparable.
-  EXPECT_TRUE(std::isinf(fp.distance(data::dense_fingerprint({100}))));
-  // Pattern vs structural-only of the same dims: incomparable.
-  EXPECT_TRUE(std::isinf(fp.distance(data::dense_fingerprint({100, 100}))));
+  // Different dimensionality, or pattern vs structural-only of the same
+  // dims, encode (and therefore key) differently.
+  EXPECT_NE(fp.str(), data::dense_fingerprint({100}).str());
+  EXPECT_NE(fp.str(), data::dense_fingerprint({100, 100}).str());
   // Round-trip through the canonical encoding is exact.
   const auto parsed = data::SparsityFingerprint::parse(fp.str());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, fp);
-  EXPECT_EQ(fp.distance(*parsed), 0.0);
 }
 
 // --- concurrency --------------------------------------------------------------
@@ -387,8 +328,7 @@ TEST(PlanStore, ConcurrentRuntimesShareOneStoreCleanly) {
         synth.pieces = 2 + t;
         PlanCache::global().insert(
             PlanKey{strprintf("synthetic-%d-%d", t, it),
-                    data::fingerprints_str({pattern_fp(100 + t)}),
-                    {pattern_fp(100 + t)}},
+                    data::fingerprints_str({pattern_fp(100 + t)})},
             synth, 1.0);
         if (t % 2 == 0) {
           save_plan_store(path);
@@ -433,7 +373,7 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   StoredPlan sp;
   sp.structural = key.structural;
   sp.sig = key.sig;
-  sp.plan = CachedPlan{poison, 123.0, key.fps, false};
+  sp.plan = CachedPlan{poison, 123.0, false};
   PlanCache::global().clear();
   ASSERT_EQ(PlanCache::global().insert_stored({sp}), 1u);
 
@@ -460,42 +400,27 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   const Result opted_out = autoschedule_search(*a.stmt, m, no_store);
   EXPECT_FALSE(opted_out.from_cache);
   EXPECT_EQ(opted_out.recipe, base.recipe);
-}
 
-// --- fuzzy re-pricing ---------------------------------------------------------
-
-// A fuzzy hit's stored cost was simulated for a *sibling* shape; the plan
-// service re-prices the served recipe with the analytic model against the
-// actual operand fingerprints before reporting it.
-TEST(PlanStore, FuzzyHitsRepriceAgainstActualFingerprints) {
-  StoreGuard guard;
-  const rt::Machine m = cpu_machine(4);
-
-  auto build = [](int64_t nnz) {
-    IndexVar i("i"), j("j");
-    const Coord n = 300;
-    Tensor a("a", {n}, fmt::dense_vector());
-    Tensor B("B", {n, n}, fmt::csr());
-    Tensor c("c", {n}, fmt::dense_vector());
-    B.from_coo(data::powerlaw_matrix(n, n, nnz, 1.3, 3));
-    c.init_dense([](const auto&) { return 1.0; });
-    BuiltStmt b;
-    b.stmt = &(a(i) = B(i, j) * c(j));
-    b.out = a;
-    return b;
-  };
-
-  BuiltStmt a = build(4000);
-  const Result cold = autoschedule_search(*a.stmt, m);
-  ASSERT_FALSE(cold.from_cache);
-
-  set_plan_fuzz(0.9);
-  BuiltStmt b = build(4400);  // nearby shape: served by the fuzzy tier
-  const Result warm = autoschedule_search(*b.stmt, m);
-  ASSERT_TRUE(warm.from_cache);
-  ASSERT_TRUE(warm.fuzzy);
-  AnalyticModel model(*b.stmt, m);
-  EXPECT_DOUBLE_EQ(warm.best_cost, model.estimate(warm.recipe));
+  // Lookups match the key exactly: a nearby fingerprint misses, a different
+  // structural half never matches, and exact hits on plans searched in this
+  // process survive set_plan_store(false).
+  PlanCache& cache = PlanCache::global();
+  cache.clear();
+  Recipe r;
+  r.pieces = 4;
+  const PlanKey key_a{"same-structural",
+                      data::fingerprints_str({pattern_fp(1000)})};
+  const PlanKey key_b{"same-structural",
+                      data::fingerprints_str({pattern_fp(1150)})};
+  const PlanKey other{"other-structural", key_a.sig};
+  cache.insert(key_a, r, 1.0);
+  auto exact = cache.lookup(key_a);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->recipe, r);
+  EXPECT_FALSE(cache.lookup(key_b).has_value());
+  EXPECT_FALSE(cache.lookup(other).has_value());
+  set_plan_store(false);
+  EXPECT_TRUE(cache.lookup(key_a).has_value());
 }
 
 // --- eviction -----------------------------------------------------------------
@@ -516,8 +441,7 @@ TEST(PlanStore, SaveEvictsLeastRecentlyUsedBeyondCap) {
     Recipe r;
     r.pieces = 1 << k;
     PlanKey key{strprintf("shape-%d", k),
-                data::fingerprints_str({pattern_fp(100 + k)}),
-                {pattern_fp(100 + k)}};
+                data::fingerprints_str({pattern_fp(100 + k)})};
     keys.push_back(key);
     PlanCache::global().insert(key, r, static_cast<double>(k));
   }
