@@ -1,18 +1,13 @@
 // google-benchmark microbenchmarks for the leaf kernels: specialized kernels
 // vs the general co-iteration engine (the specialization gap compilation
-// buys at the leaves), a CSR-vs-COO comparison on the steady-state launch
-// path (same schedule, different mode formats), and blocked-vs-CSR rows on
-// a block-structured matrix (the register-tiled bcsr micro-kernels).
+// buys at the leaves) and a CSR-vs-COO comparison on the steady-state launch
+// path (same schedule, different mode formats).
 //
 // Besides the stdout table, every finished run is recorded into
-// BENCH_kernels.json (bench_util's shared writer), and the blocked rows'
-// >= 1.5x speedup contract over their CSR twins is checked after the run —
-// fatal under SPDISTAL_BENCH_ASSERT (the CI Release smoke gate), advisory
-// otherwise.
+// BENCH_kernels.json (bench_util's shared writer).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "compiler/lower.h"
@@ -24,7 +19,6 @@
 namespace {
 
 using namespace spdistal;
-using rt::Coord;
 
 struct SpmvFixture {
   IndexVar i{"i"}, j{"j"};
@@ -114,69 +108,6 @@ void BM_SpmvSteadyState(benchmark::State& state, fmt::Format format) {
 BENCHMARK_CAPTURE(BM_SpmvSteadyState, csr, fmt::csr())->Arg(100000);
 BENCHMARK_CAPTURE(BM_SpmvSteadyState, coo, fmt::coo(2))->Arg(100000);
 
-// Blocked-vs-CSR rows: one block-structured matrix (fully dense 4x4 tiles,
-// so the bcsr pack has padding factor ~1) packed both ways, measured through
-// the leaf kernels kernel_select would pick for each format.
-struct BlockedFixture {
-  static constexpr Coord kN = 4096;
-  static constexpr Coord kCols = 32;  // SpMM dense columns
-  IndexVar i{"i"}, j{"j"}, k{"k"};
-  Tensor a, B, c;     // SpMV operands
-  Tensor A, Bk, C;    // SpMM operands (B re-indexed over (i, k))
-  explicit BlockedFixture(fmt::Format format) {
-    fmt::Coo coo = data::block_structured_matrix(kN, kN, 4, 4, 16, 11);
-    a = Tensor("a", {kN}, fmt::dense_vector());
-    B = Tensor("B", coo.dims, format);
-    c = Tensor("c", {kN}, fmt::dense_vector());
-    B.from_coo(coo);
-    c.init_dense([](const auto&) { return 1.0; });
-    A = Tensor("A", {kN, kCols}, fmt::dense_matrix());
-    Bk = Tensor("Bk", coo.dims, std::move(format));
-    C = Tensor("C", {kN, kCols}, fmt::dense_matrix());
-    Bk.from_coo(std::move(coo));
-    C.init_dense([](const auto&) { return 1.0; });
-  }
-};
-
-void run_leaf_bench(benchmark::State& state, Tensor& out,
-                    const kern::Leaf& leaf, int64_t nnz) {
-  double bytes = 0;
-  for (auto _ : state) {
-    out.zero();
-    bytes = leaf(kern::PieceBounds{}).bytes;
-  }
-  state.SetItemsProcessed(state.iterations() * nnz);
-  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
-}
-
-void BM_SpmvBlockedCsr(benchmark::State& state) {
-  BlockedFixture f(fmt::csr());
-  run_leaf_bench(state, f.a, kern::make_spmv_row(f.a, f.B, f.c),
-                 f.B.storage().nnz());
-}
-BENCHMARK(BM_SpmvBlockedCsr);
-
-void BM_SpmvBlocked(benchmark::State& state) {
-  BlockedFixture f(fmt::bcsr(4, 4));
-  run_leaf_bench(state, f.a, kern::make_spmv_bcsr(f.a, f.B, f.c),
-                 f.B.storage().nnz());
-}
-BENCHMARK(BM_SpmvBlocked);
-
-void BM_SpmmBlockedCsr(benchmark::State& state) {
-  BlockedFixture f(fmt::csr());
-  run_leaf_bench(state, f.A, kern::make_spmm_row(f.A, f.Bk, f.C),
-                 f.Bk.storage().nnz());
-}
-BENCHMARK(BM_SpmmBlockedCsr);
-
-void BM_SpmmBlocked(benchmark::State& state) {
-  BlockedFixture f(fmt::bcsr(4, 4));
-  run_leaf_bench(state, f.A, kern::make_spmm_bcsr(f.A, f.Bk, f.C),
-                 f.Bk.storage().nnz());
-}
-BENCHMARK(BM_SpmmBlocked);
-
 void BM_Spadd3Fused(benchmark::State& state) {
   IndexVar i("i"), j("j");
   fmt::Coo coo = data::powerlaw_matrix(8000, 8000, state.range(0), 1.1, 8);
@@ -242,14 +173,6 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   std::vector<spdbench::BenchRow> rows;
 };
 
-double row_ns(const std::vector<spdbench::BenchRow>& rows,
-              const std::string& name) {
-  for (const auto& r : rows) {
-    if (r.name == name) return r.ns_per_op;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,23 +186,5 @@ int main(int argc, char** argv) {
                  "micro_kernels: failed to write BENCH_kernels.json\n");
     return 1;
   }
-  // The register-tiled speedup contract, checked on the recorded rows so
-  // the JSON artifact and the gate can never disagree. Rows filtered out by
-  // --benchmark_filter are simply not checked.
-  int rc = 0;
-  auto check = [&](const char* csr, const char* blocked) {
-    const double t_csr = row_ns(reporter.rows, csr);
-    const double t_blk = row_ns(reporter.rows, blocked);
-    if (t_csr <= 0 || t_blk <= 0) return;
-    const double speedup = t_csr / t_blk;
-    std::printf("%s: %.2fx vs %s\n", blocked, speedup, csr);
-    if (speedup < 1.5 && std::getenv("SPDISTAL_BENCH_ASSERT") != nullptr) {
-      std::fprintf(stderr, "%s: expected >= 1.5x over %s, got %.2fx\n",
-                   blocked, csr, speedup);
-      rc = 1;
-    }
-  };
-  check("BM_SpmvBlockedCsr", "BM_SpmvBlocked");
-  check("BM_SpmmBlockedCsr", "BM_SpmmBlocked");
-  return rc;
+  return 0;
 }

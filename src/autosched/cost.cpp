@@ -19,48 +19,13 @@ AnalyticModel::AnalyticModel(const Statement& stmt,
   const base::Operands ops = base::classify(stmt);
   fpn_ = base::flops_per_nnz(ops);
   bpn_ = base::bytes_per_nnz(ops);
-  // A blocked operand changes that profile: every true non-zero streams
-  // `pad` >= 1 value lanes (its block's padding share), but the
-  // register-tiled leaves run the lanes at vector-unit throughput and
-  // replace the per-entry 4-byte coordinate with one per R*C-lane block.
-  // Folding the tradeoff into fpn_/bpn_ prices padding overhead against
-  // bandwidth/vectorization gain with no new terms downstream, and is what
-  // lets format_select.h rank bcsr(R, C) against CSR on equal footing.
-  std::string family = base::kernel_kind_name(ops.kind);
-  for (const Tensor& t : ops.sparse_ins) {
-    const fmt::Format& f = t.format();
-    double lanes_per_block = 1;
-    bool blocked = false;
-    for (int l = 0; l < f.order(); ++l) {
-      if (f.mode(l).is_blocked()) {
-        blocked = true;
-        lanes_per_block *= static_cast<double>(f.mode(l).block());
-      }
-    }
-    if (!blocked) continue;
-    double pad = lanes_per_block;  // unpacked: assume worst-case padding
-    if (t.has_storage() && t.storage().nnz() > 0) {
-      pad = static_cast<double>(t.storage().vals()->size_bytes()) / 8.0 /
-            static_cast<double>(t.storage().nnz());
-    }
-    fpn_ = fpn_ * pad / kBlockedVecGain;
-    bpn_ = std::max(bpn_ - 12.0, 0.0) +
-           pad * (8.0 + 4.0 / lanes_per_block);
-    if (ops.kind == base::KernelKind::SpMV) family = "spmv_bcsr";
-    if (ops.kind == base::KernelKind::SpMM) family = "spmm_bcsr";
-    break;  // the evaluation kernels have at most one blocked operand
-  }
   // Learned leaf rates for this kernel family (e.g. "SpMV" matches the
-  // profiled "spmv_row"/"spmv_nz" launches; blocked operands prefer the
-  // "spmv_bcsr"/"spmm_bcsr" rates), resolved once per model so a search
-  // prices every candidate from the same snapshot.
+  // profiled "spmv_row"/"spmv_nz" launches), resolved once per model so a
+  // search prices every candidate from the same snapshot.
   if (obs::calibration_enabled()) {
     const char* proc = rt::proc_kind_name(machine.proc(0).kind);
-    learned_ = obs::Calibration::global().lookup_family(family, proc);
-    if (!learned_.has_value()) {
-      learned_ = obs::Calibration::global().lookup_family(
-          base::kernel_kind_name(ops.kind), proc);
-    }
+    learned_ = obs::Calibration::global().lookup_family(
+        base::kernel_kind_name(ops.kind), proc);
   }
 }
 

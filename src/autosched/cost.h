@@ -35,13 +35,6 @@
 
 namespace spdistal::autosched {
 
-// Throughput multiplier of the register-tiled blocked leaves over scalar
-// CSR traversal: the unrolled R x C FMA tiles keep the (4-wide double) FMA
-// units fed where the scalar gather-dot cannot. Shared with format_select's
-// candidate pricing so both tiers agree on the blocked/CSR crossover
-// density.
-inline constexpr double kBlockedVecGain = 4.0;
-
 // Analytic estimator for one (statement, machine) pair. The per-coordinate
 // non-zero histograms it buckets universe splits with depend only on
 // (tensor, distributed dimension), so they are computed once and shared

@@ -73,43 +73,8 @@ struct Cursor {
 
   std::string string() {
     std::string out;
-    if (!eat('"')) return out;
-    while (p < s.size()) {
-      const char ch = s[p++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out += ch;
-        continue;
-      }
-      if (p >= s.size()) break;
-      const char esc = s[p++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (p + 4 > s.size()) {
-            ok = false;
-            return out;
-          }
-          const long code = std::strtol(s.substr(p, 4).c_str(), nullptr, 16);
-          p += 4;
-          // Keys only ever escape control characters; anything wider is
-          // replaced, not reconstructed.
-          out += code > 0 && code < 256 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          ok = false;
-          return out;
-      }
-    }
-    ok = false;  // unterminated
+    ws();
+    if (!json_read_string(s, &p, &out)) ok = false;
     return out;
   }
 

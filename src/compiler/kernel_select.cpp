@@ -26,15 +26,6 @@ bool is_coo2(const Tensor& t) {
   return t.format() == fmt::coo(2);
 }
 
-// BCSR: a BlockedDense row level over a BlockedCompressed column level,
-// identity ordering (any block extents).
-bool is_bcsr(const Tensor& t) {
-  const auto& m = t.format().modes();
-  return m.size() == 2 && m[0].is_blocked() && !m[0].has_pos() &&
-         m[1].is_blocked() && m[1].has_pos() &&
-         t.format().ordering() == std::vector<int>{0, 1};
-}
-
 bool is_sparse3_rowable(const Tensor& t) {
   // {Dense, Compressed, Compressed} or {Dense, Dense, Compressed}, identity
   // ordering; both have a Dense row level the row kernels iterate. The
@@ -152,22 +143,6 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
   //     handles both layouts (COO reads rows from the root crd).
   if (asg.lhs.vars.size() == 1 && accs.size() == 2 && dense(out)) {
     const IndexVar i = asg.lhs.vars[0];
-    // BCSR operand: the register-tiled micro-kernel handles row-coordinate
-    // pieces; position-space splits of a Blocked pair are rejected upstream.
-    const Access* Bb = find_access(accs, 2, [&](const Access& a) {
-      return a.vars[0] == i && is_bcsr(stmt.tensor(a.tensor));
-    });
-    if (Bb != nullptr && !position_space && !multi_axis) {
-      const IndexVar jb = Bb->vars[1];
-      const Access* cb = find_access(accs, 1, [&](const Access& a) {
-        return a.vars[0] == jb && dense(stmt.tensor(a.tensor));
-      });
-      if (cb != nullptr) {
-        return SelectedLeaf{kern::make_spmv_bcsr(out, stmt.tensor(Bb->tensor),
-                                                 stmt.tensor(cb->tensor)),
-                            "spmv_bcsr"};
-      }
-    }
     const Access* B = find_access(accs, 2, [&](const Access& a) {
       return a.vars[0] == i && (is_dc(stmt.tensor(a.tensor)) ||
                                 is_coo2(stmt.tensor(a.tensor)));
@@ -219,27 +194,6 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
   if (asg.lhs.vars.size() == 2 && accs.size() == 2 && dense(out)) {
     const IndexVar i = asg.lhs.vars[0];
     const IndexVar j = asg.lhs.vars[1];
-    // BCSR operand: register-tiled block x dense-row kernel (clamps j for a
-    // 2-D grid's axis-1 tile like spmm_row).
-    const Access* Bb = find_access(accs, 2, [&](const Access& a) {
-      return a.vars[0] == i && !(a.vars[1] == j) &&
-             is_bcsr(stmt.tensor(a.tensor));
-    });
-    if (Bb != nullptr && !position_space && grid_matches(i, j)) {
-      const IndexVar kb = Bb->vars[1];
-      const Access* Cb = find_access(accs, 2, [&](const Access& a) {
-        return a.vars[0] == kb && a.vars[1] == j &&
-               dense(stmt.tensor(a.tensor));
-      });
-      if (Cb != nullptr) {
-        return SelectedLeaf{
-            kern::make_spmm_bcsr(out, stmt.tensor(Bb->tensor),
-                                 stmt.tensor(Cb->tensor),
-                                 multi_axis ? std::optional<uint32_t>(j.id())
-                                            : std::nullopt),
-            "spmm_bcsr"};
-      }
-    }
     const Access* B = find_access(accs, 2, [&](const Access& a) {
       return a.vars[0] == i && !(a.vars[1] == j) &&
              is_dc(stmt.tensor(a.tensor));

@@ -75,34 +75,6 @@ fmt::Coo regular_matrix(Coord n, int max_degree, uint64_t seed) {
   return coo;
 }
 
-fmt::Coo block_structured_matrix(Coord n, Coord m, int block_r, int block_c,
-                                 int blocks_per_row, uint64_t seed) {
-  Rng rng(seed);
-  fmt::Coo coo;
-  coo.dims = {n, m};
-  const Coord nbr = (n + block_r - 1) / block_r;
-  const Coord nbc = std::max<Coord>((m + block_c - 1) / block_c, 1);
-  for (Coord bi = 0; bi < nbr; ++bi) {
-    // Distinct block columns per block row (resampling duplicates would
-    // bias toward low-degree rows on small nbc; combine handles collisions
-    // instead so the generator never loops).
-    for (int b = 0; b < blocks_per_row; ++b) {
-      const Coord bj = rng.next_range(0, nbc - 1);
-      for (Coord r = 0; r < static_cast<Coord>(block_r); ++r) {
-        const Coord i = bi * block_r + r;
-        if (i >= n) break;
-        for (Coord c = 0; c < static_cast<Coord>(block_c); ++c) {
-          const Coord j = bj * block_c + c;
-          if (j >= m) break;
-          coo.push({i, j}, value(rng));
-        }
-      }
-    }
-  }
-  coo.sort_and_combine({0, 1});
-  return coo;
-}
-
 fmt::Coo uniform_3tensor(Coord d0, Coord d1, Coord d2, int64_t nnz,
                          uint64_t seed) {
   Rng rng(seed);

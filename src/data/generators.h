@@ -33,15 +33,6 @@ fmt::Coo powerlaw_matrix(Coord n, Coord m, int64_t nnz, double skew,
 // [1, max_degree] (uniform), very large dimension relative to nnz.
 fmt::Coo regular_matrix(Coord n, int max_degree, uint64_t seed);
 
-// Block-structured matrix (blocked FEM operators, GNN feature graphs):
-// `blocks_per_row` fully dense block_r x block_c tiles per block row,
-// placed at uniform block columns. Every stored tile is completely filled,
-// so a bcsr(block_r, block_c) pack has padding factor 1 inside the matrix —
-// the structure whose register-tiled leaves the auto-scheduler should pick
-// blocked formats for (and scattered uniform_matrix data should not).
-fmt::Coo block_structured_matrix(Coord n, Coord m, int block_r, int block_c,
-                                 int blocks_per_row, uint64_t seed);
-
 // Uniform random 3-tensor (nell-2-like NLP tensors).
 fmt::Coo uniform_3tensor(Coord d0, Coord d1, Coord d2, int64_t nnz,
                          uint64_t seed);

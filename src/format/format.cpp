@@ -14,19 +14,11 @@ const char* level_kind_name(LevelKind k) {
       return "Compressed";
     case LevelKind::Singleton:
       return "Singleton";
-    case LevelKind::Blocked:
-      return "Blocked";
   }
   return "?";
 }
 
 std::string ModeFormat::str() const {
-  if (kind_ == LevelKind::Blocked) {
-    // The block extent is part of the format's identity (plan-cache keys
-    // embed this string), so bcsr(4,4) and bcsr(8,8) never collide.
-    return strprintf("%s[%d]", blocked_pos_ ? "Blocked" : "BlockedDense",
-                     block_);
-  }
   std::string s = level_kind_name(kind_);
   if (!unique_ && kind_ != LevelKind::Dense) s += "!u";
   return s;
@@ -80,32 +72,6 @@ void Format::validate() const {
     SPD_CHECK(m.unique() || l + 1 < order(), NotationError,
               "format: the last level must be unique (duplicates would "
               "alias one value slot)");
-    // Blocked levels come in (BlockedDense, BlockedCompressed) root pairs:
-    // the dense role's positions are block rows and the compressed role's
-    // pos region is indexed by them; splitting the pair (or nesting it
-    // below other levels) would break the block-value position arithmetic.
-    if (m.is_blocked()) {
-      SPD_CHECK(m.block() > 0, NotationError,
-                "format: a Blocked level needs a positive block extent");
-      if (!m.has_pos()) {
-        SPD_CHECK(l == 0, NotationError,
-                  "format: a BlockedDense level must be the root level");
-        SPD_CHECK(l + 1 < order() &&
-                      modes_[static_cast<size_t>(l + 1)].is_blocked() &&
-                      modes_[static_cast<size_t>(l + 1)].has_pos(),
-                  NotationError,
-                  "format: a BlockedDense level must be followed by a "
-                  "BlockedCompressed level");
-      } else {
-        SPD_CHECK(l > 0 && modes_[static_cast<size_t>(l - 1)].is_blocked() &&
-                      !modes_[static_cast<size_t>(l - 1)].has_pos(),
-                  NotationError,
-                  "format: a BlockedCompressed level must follow a "
-                  "BlockedDense level");
-        SPD_CHECK(l + 1 == order(), NotationError,
-                  "format: a Blocked pair must be the last two levels");
-      }
-    }
   }
 }
 
@@ -166,14 +132,6 @@ Format coo(int order) {
     modes.push_back(ModeFormat::Singleton(/*unique=*/l == order - 1));
   }
   return Format(std::move(modes));
-}
-
-Format bcsr(int block_r, int block_c) {
-  SPD_CHECK(block_r >= 1 && block_c >= 1, NotationError,
-            "bcsr: block extents must be positive (got " << block_r << "x"
-                                                         << block_c << ")");
-  return Format({ModeFormat::BlockedDense(block_r),
-                 ModeFormat::BlockedCompressed(block_c)});
 }
 
 }  // namespace spdistal::fmt

@@ -52,7 +52,7 @@ Partition collapse_dense(const Partition& child, Coord extent,
   return Partition(IndexSpace(parent_positions), std::move(subsets));
 }
 
-class DenseLevelFuncs : public LevelFuncs {
+class DenseLevelFuncs final : public LevelFuncs {
  public:
   LevelPartitions universe_partition(
       comp::PlanTrace& trace, const std::string& tensor, int level_idx,
@@ -127,7 +127,7 @@ class DenseLevelFuncs : public LevelFuncs {
   }
 };
 
-class CompressedLevelFuncs : public LevelFuncs {
+class CompressedLevelFuncs final : public LevelFuncs {
  public:
   LevelPartitions universe_partition(
       comp::PlanTrace& trace, const std::string& tensor, int level_idx,
@@ -311,72 +311,12 @@ class SingletonLevelFuncs final : public LevelFuncs {
   }
 };
 
-// BlockedDense: positions are *block rows*, so per-color coordinate bounds
-// scale down by the block extent before the dense bounds partition. The
-// derived directions are unreachable (the pair is always the tensor root, so
-// nothing propagates into it from above or out of it upward).
-class BlockedDenseLevelFuncs final : public DenseLevelFuncs {
- public:
-  LevelPartitions universe_partition(
-      comp::PlanTrace& trace, const std::string& tensor, int level_idx,
-      const LevelStorage& level,
-      const std::vector<rt::Rect1>& coord_bounds) const override {
-    const Coord R = level.kind.block();
-    std::vector<Rect1> block_bounds;
-    block_bounds.reserve(coord_bounds.size());
-    for (const Rect1& b : coord_bounds) {
-      block_bounds.push_back(Rect1{b.lo / R, b.hi / R});
-    }
-    trace.append(PlanOpKind::MakeUniverseColoring,
-                 strprintf("Coloring %s_coloring = universeBounds(pieces=%zu)"
-                           "  // row coords scaled to block rows (/%lld)",
-                           lvl(tensor, level_idx).c_str(), coord_bounds.size(),
-                           static_cast<long long>(R)));
-    std::vector<RectN> bounds;
-    bounds.reserve(block_bounds.size());
-    for (const Rect1& b : block_bounds) bounds.push_back(RectN(b));
-    Partition p = rt::partition_by_bounds(IndexSpace(level.positions), bounds);
-    trace.append(
-        PlanOpKind::PartitionByBounds,
-        strprintf("%s_part = partitionByBounds(%s.blockRows, %s_coloring)",
-                  lvl(tensor, level_idx).c_str(),
-                  lvl(tensor, level_idx).c_str(),
-                  lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{collapse_dense(p, std::max<Coord>(level.positions, 1),
-                                          level.parent_positions),
-                           p};
-  }
-};
-
-// BlockedCompressed: crd holds *block columns*, so universe coordinate
-// bounds scale down by the block extent; everything else (position bounds,
-// image/preimage propagation) is exactly the Compressed machinery over the
-// block position space.
-class BlockedCompressedLevelFuncs final : public CompressedLevelFuncs {
- public:
-  LevelPartitions universe_partition(
-      comp::PlanTrace& trace, const std::string& tensor, int level_idx,
-      const LevelStorage& level,
-      const std::vector<rt::Rect1>& coord_bounds) const override {
-    const Coord C = level.kind.block();
-    std::vector<Rect1> block_bounds;
-    block_bounds.reserve(coord_bounds.size());
-    for (const Rect1& b : coord_bounds) {
-      block_bounds.push_back(Rect1{b.lo / C, b.hi / C});
-    }
-    return CompressedLevelFuncs::universe_partition(trace, tensor, level_idx,
-                                                    level, block_bounds);
-  }
-};
-
 }  // namespace
 
 const LevelFuncs& LevelFuncs::get(ModeFormat mf) {
   static const DenseLevelFuncs dense;
   static const CompressedLevelFuncs compressed;
   static const SingletonLevelFuncs singleton;
-  static const BlockedDenseLevelFuncs blocked_dense;
-  static const BlockedCompressedLevelFuncs blocked_compressed;
   switch (mf.kind()) {
     case LevelKind::Dense:
       return dense;
@@ -384,9 +324,6 @@ const LevelFuncs& LevelFuncs::get(ModeFormat mf) {
       return compressed;
     case LevelKind::Singleton:
       return singleton;
-    case LevelKind::Blocked:
-      return mf.has_pos() ? static_cast<const LevelFuncs&>(blocked_compressed)
-                          : static_cast<const LevelFuncs&>(blocked_dense);
   }
   return dense;
 }
@@ -447,38 +384,13 @@ TensorPartition partition_coordinate_tree(comp::PlanTrace& trace,
     }
   }
 
-  // vals aligns 1:1 with the last level's positions — except below a Blocked
-  // pair, where each block position owns R*C contiguous value lanes, so the
-  // position partition scales by the lane count onto vals.
-  const LevelStorage& last = storage.level(order - 1);
-  if (last.kind.is_blocked()) {
-    const Coord lane = storage.level(order - 2).kind.block() *
-                       static_cast<Coord>(last.kind.block());
-    std::vector<IndexSubset> subsets;
-    const Partition& blocks = tp.level_parts.back();
-    subsets.reserve(static_cast<size_t>(blocks.num_colors()));
-    for (int c = 0; c < blocks.num_colors(); ++c) {
-      IndexSubset out(1);
-      for (const auto& r : blocks.subset(c).rects()) {
-        out.add(RectN::make1(r.lo[0] * lane, (r.hi[0] + 1) * lane - 1));
-      }
-      out.normalize();
-      subsets.push_back(std::move(out));
-    }
-    tp.vals_part = Partition(storage.vals()->space(), std::move(subsets));
-    trace.append(comp::PlanOpKind::CopyPartition,
-                 strprintf("%s_vals_part = scale(%s%d_part, %lld)  // R*C "
-                           "lanes per block",
-                           storage.name().c_str(), storage.name().c_str(),
-                           order, static_cast<long long>(lane)));
-  } else {
-    tp.vals_part = rt::copy_partition(tp.level_parts.back(),
-                                      storage.vals()->space());
-    trace.append(comp::PlanOpKind::CopyPartition,
-                 strprintf("%s_vals_part = copy(%s%d_part, %s.vals)",
-                           storage.name().c_str(), storage.name().c_str(),
-                           order, storage.name().c_str()));
-  }
+  // vals aligns 1:1 with the last level's positions.
+  tp.vals_part = rt::copy_partition(tp.level_parts.back(),
+                                    storage.vals()->space());
+  trace.append(comp::PlanOpKind::CopyPartition,
+               strprintf("%s_vals_part = copy(%s%d_part, %s.vals)",
+                         storage.name().c_str(), storage.name().c_str(),
+                         order, storage.name().c_str()));
   return tp;
 }
 

@@ -8,108 +8,11 @@
 #include "format/storage.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "data/fingerprint.h"
 #include "obs/obs.h"
 
 namespace spdistal::fmt {
-
-// BCSR pack: groups the (sorted, coalesced) entries into R x C blocks; one
-// pos segment of block columns per block row, one crd entry per stored
-// block, R*C value lanes per block (absent lanes stay exact zeros).
-TensorStorage pack_blocked(const std::string& name, const Format& format,
-                           const std::vector<Coord>& dims, const Coo& coo) {
-  const Coord R = format.mode(0).block();
-  const Coord C = format.mode(1).block();
-  const int dim0 = format.dim_of_level(0);
-  const int dim1 = format.dim_of_level(1);
-  const Coord M = dims[static_cast<size_t>(dim0)];
-  const Coord N = dims[static_cast<size_t>(dim1)];
-  const Coord nbr = (M + R - 1) / R;
-
-  // Entry order (bi, bj) from the (i, j)-sorted list; stable so lanes of
-  // one block arrive row-major.
-  std::vector<int64_t> perm(static_cast<size_t>(coo.nnz()));
-  std::iota(perm.begin(), perm.end(), 0);
-  auto block_of = [&](int64_t e) {
-    const auto& c = coo.coords[static_cast<size_t>(e)];
-    return std::pair<Coord, Coord>(c[static_cast<size_t>(dim0)] / R,
-                                   c[static_cast<size_t>(dim1)] / C);
-  };
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](int64_t a, int64_t b) { return block_of(a) < block_of(b); });
-
-  TensorStorage st;
-  st.name_ = name;
-  st.format_ = format;
-  st.dims_ = dims;
-  st.nnz_ = coo.nnz();
-
-  LevelStorage rows;
-  rows.kind = format.mode(0);
-  rows.dim = dim0;
-  rows.extent = M;
-  rows.positions = nbr;
-  rows.parent_positions = 1;
-
-  LevelStorage cols;
-  cols.kind = format.mode(1);
-  cols.dim = dim1;
-  cols.extent = N;
-  cols.parent_positions = nbr;
-  cols.pos = rt::make_region<rt::PosRange>(
-      rt::IndexSpace(std::max<Coord>(nbr, 1)), name + ".pos2");
-
-  std::vector<int32_t> crds;
-  std::vector<std::pair<int64_t, Coord>> lanes;  // (entry, value position)
-  lanes.reserve(perm.size());
-  {
-    Coord bi_at = 0;
-    Coord seg_begin = 0;
-    size_t e = 0;
-    for (Coord bi = 0; bi < nbr; ++bi) {
-      seg_begin = static_cast<Coord>(crds.size());
-      while (e < perm.size() && block_of(perm[e]).first == bi) {
-        const Coord bj = block_of(perm[e]).second;
-        const Coord q = static_cast<Coord>(crds.size());
-        crds.push_back(static_cast<int32_t>(bj));
-        while (e < perm.size() && block_of(perm[e]) ==
-                                      std::pair<Coord, Coord>(bi, bj)) {
-          const auto& c = coo.coords[static_cast<size_t>(perm[e])];
-          const Coord r = c[static_cast<size_t>(dim0)] % R;
-          const Coord cc = c[static_cast<size_t>(dim1)] % C;
-          lanes.emplace_back(perm[e], q * R * C + r * C + cc);
-          ++e;
-        }
-      }
-      (*cols.pos)[bi] = rt::PosRange{seg_begin,
-                                     static_cast<Coord>(crds.size()) - 1};
-      (void)bi_at;
-    }
-    SPD_ASSERT(e == perm.size(), "pack: blocked grouping lost entries");
-  }
-  cols.positions = static_cast<Coord>(crds.size());
-  cols.crd = rt::make_region<int32_t>(
-      rt::IndexSpace(std::max<Coord>(cols.positions, 1)), name + ".crd2");
-  for (size_t i = 0; i < crds.size(); ++i) {
-    (*cols.crd)[static_cast<Coord>(i)] = crds[i];
-  }
-  st.levels_.push_back(std::move(rows));
-  st.levels_.push_back(std::move(cols));
-
-  const Coord vals_count =
-      std::max<Coord>(st.levels_.back().positions * R * C, 1);
-  st.vals_ =
-      rt::make_region<double>(rt::IndexSpace(vals_count), name + ".vals");
-  st.vals_->fill(0.0);
-  for (const auto& [e, vp] : lanes) {
-    st.vals_->at_linear(vp) = coo.vals[static_cast<size_t>(e)];
-  }
-  st.fingerprint_ =
-      std::make_shared<const data::SparsityFingerprint>(data::fingerprint(st));
-  return st;
-}
 
 TensorStorage pack(const std::string& name, const Format& format,
                    const std::vector<Coord>& dims, Coo coo,
@@ -147,20 +50,6 @@ TensorStorage pack(const std::string& name, const Format& format,
                       << " need coalescing or a non-unique (COO) format");
       }
     }
-  }
-
-  if (format.order() == 2 && format.mode(0).is_blocked()) {
-    TensorStorage st = pack_blocked(name, format, dims, coo);
-    if (obs::enabled()) {
-      static obs::Counter& tensors =
-          obs::Metrics::global().counter("pack.tensors");
-      static obs::Counter& nnz = obs::Metrics::global().counter("pack.nnz");
-      static obs::Histogram& us = obs::Metrics::global().histogram("pack.us");
-      tensors.add(1);
-      nnz.add(st.nnz());
-      us.record(static_cast<int64_t>(obs::wall_us() - t0));
-    }
-    return st;
   }
 
   TensorStorage st;

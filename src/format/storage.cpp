@@ -66,8 +66,6 @@ void Coo::sort_and_combine(const std::vector<int>& dim_order) {
 }
 
 int64_t TensorStorage::bytes() const {
-  // vals_->size_bytes() covers the whole value region, so a Blocked
-  // tensor's padded lanes are accounted automatically.
   int64_t b = vals_ ? vals_->size_bytes() : 0;
   for (const auto& l : levels_) {
     if (l.pos) b += l.pos->size_bytes();
@@ -87,31 +85,7 @@ void walk(const TensorStorage& st, int l, Coord parent_pos,
     return;
   }
   const LevelStorage& level = st.level(l);
-  if (level.kind.is_blocked()) {
-    // The BlockedDense level walks its pair as a unit: every stored block
-    // yields R*C value lanes (including explicit-zero padding), addressed
-    // block-major, row-major within the block.
-    const LevelStorage& blk = st.level(l + 1);
-    const Coord R = level.kind.block();
-    const Coord C = blk.kind.block();
-    for (Coord bi = 0; bi < level.positions; ++bi) {
-      const rt::PosRange pr = (*blk.pos)[bi];
-      for (Coord q = pr.lo; q <= pr.hi; ++q) {
-        const Coord bj = (*blk.crd)[q];
-        for (Coord r = 0; r < R; ++r) {
-          const Coord i = bi * R + r;
-          if (i >= level.extent) break;
-          coords[static_cast<size_t>(level.dim)] = i;
-          for (Coord cc = 0; cc < C; ++cc) {
-            const Coord j = bj * C + cc;
-            if (j >= blk.extent) break;
-            coords[static_cast<size_t>(blk.dim)] = j;
-            walk(st, l + 2, q * R * C + r * C + cc, coords, fn);
-          }
-        }
-      }
-    }
-  } else if (level.kind.is_dense()) {
+  if (level.kind.is_dense()) {
     for (Coord c = 0; c < level.extent; ++c) {
       coords[static_cast<size_t>(level.dim)] = c;
       walk(st, l + 1, parent_pos * level.extent + c, coords, fn);
@@ -146,15 +120,6 @@ Coo TensorStorage::to_coo() const {
   for_each([&](const std::array<Coord, rt::kMaxDim>& c, double v) {
     if (v != 0.0) coo.push(c, v);
   });
-  // Blocked pairs emit block-major (whole blocks, not whole rows); restore
-  // the documented storage-order sort (Blocked padding was already dropped by
-  // the v != 0 filter above).
-  for (const ModeFormat& m : format_.modes()) {
-    if (m.is_blocked()) {
-      coo.sort(format_.ordering());
-      break;
-    }
-  }
   return coo;
 }
 

@@ -120,10 +120,6 @@ class TensorStorage {
   friend TensorStorage pack(const std::string& name, const Format& format,
                             const std::vector<Coord>& dims, Coo coo,
                             const PackOptions& options);
-  friend TensorStorage pack_blocked(const std::string& name,
-                                    const Format& format,
-                                    const std::vector<Coord>& dims,
-                                    const Coo& coo);
 
   std::string name_;
   Format format_;

@@ -7,7 +7,6 @@
 namespace spdistal::kern {
 
 using fmt::LevelStorage;
-using fmt::ModeFormat;
 using fmt::TensorStorage;
 using rt::Coord;
 using tin::IndexVar;
@@ -52,36 +51,6 @@ Coord locate_walk(const TensorStorage& st, int l, Coord parent,
   if (level.kind.is_dense()) {
     return locate_walk(st, l + 1, parent * level.extent + c, coords, pos_at,
                        crd_at);
-  }
-  if (level.kind.is_blocked() && !level.kind.has_pos()) {
-    // Blocked pair, handled as a unit: find the R x C block holding
-    // (i, j), then address its row-major value lane.
-    const LevelStorage& blk = st.level(l + 1);
-    const Coord R = level.kind.block();
-    const Coord C = blk.kind.block();
-    const Coord j = coords[static_cast<size_t>(blk.dim)];
-    const rt::PosRange seg = pos_at(l + 1, c / R);
-    if (seg.empty()) return -1;
-    const Coord bj = j / C;
-    Coord q = -1;
-    Coord lo = seg.lo;
-    Coord hi = seg.hi;
-    while (lo <= hi) {
-      const Coord mid = lo + (hi - lo) / 2;
-      const Coord v = crd_at(l + 1, mid);
-      if (v == bj) {
-        q = mid;
-        break;
-      }
-      if (v < bj) {
-        lo = mid + 1;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    if (q < 0) return -1;
-    return locate_walk(st, l + 2, q * R * C + (c % R) * C + (j % C), coords,
-                       pos_at, crd_at);
   }
   if (level.kind.is_singleton()) {
     // One coordinate per position; the position is the parent's.
@@ -398,22 +367,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
       const Coord c = env[order_pos];
       if (level.kind.is_dense()) {
         cur[a].parent = cur[a].parent * level.extent + c;
-      } else if (level.kind.is_blocked() && !level.kind.has_pos()) {
-        // BlockedDense: the row coordinate alone cannot address a value
-        // lane; carry it raw and let the BlockedCompressed descent below
-        // resolve (block row, block column, intra-block offsets) jointly.
-        cur[a].parent = c;
-      } else if (level.kind.is_blocked()) {
-        const size_t depth = static_cast<size_t>(cur[a].depth);
-        const Coord R = accs[a].st->level(cur[a].depth - 1).kind.block();
-        const Coord C = level.kind.block();
-        const Coord i = cur[a].parent;  // raw row coord from BlockedDense
-        const rt::PosRange seg = accs[a].lpos[depth][i / R];
-        work.segment();
-        if (seg.empty()) return false;
-        const Coord q = find_in_segment(accs[a].lcrd[depth], seg, c / C);
-        if (q < 0) return false;
-        cur[a].parent = q * R * C + (i % R) * C + (c % C);
       } else if (level.kind.is_singleton()) {
         // Coordinate-per-position: the cursor's position carries over; the
         // stored coordinate either matches or this branch is dead.
@@ -513,26 +466,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
         const Coord c = d.lcrd[ddepth][q];
         work.stream(1, 4.0);
         if (!restrict0 || (c >= rlo && c <= rhi)) visit(q, c);
-      } else if (dl.kind.is_blocked()) {
-        // BlockedCompressed driver: each stored block expands to C column
-        // coordinates (clamped to the extent); padded lanes hold exact
-        // zeros, so visiting them is numerically a no-op.
-        const Coord R = d.st->level(static_cast<int>(ddepth) - 1).kind.block();
-        const Coord C = dl.kind.block();
-        const Coord i = saved[static_cast<size_t>(driver)].parent;
-        const rt::PosRange seg = d.lpos[ddepth][i / R];
-        work.segment();
-        const Coord r = i % R;
-        for (Coord q = seg.lo; q <= seg.hi; ++q) {
-          const Coord bj = d.lcrd[ddepth][q];
-          work.stream(1, 4.0);
-          for (Coord cc = 0; cc < C; ++cc) {
-            const Coord j = bj * C + cc;
-            if (j >= dl.extent) break;
-            if (restrict0 && (j < rlo || j > rhi)) continue;
-            visit(q * R * C + r * C + cc, j);
-          }
-        }
       } else {
         const rt::PosRange seg =
             d.lpos[ddepth][saved[static_cast<size_t>(driver)].parent];
@@ -583,14 +516,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
   const int L = piece.pos_level;
   SPD_CHECK(L < static_cast<int>(sa.level_var_ids.size()), ScheduleError,
             "split level out of range");
-  for (int l = 0; l <= L; ++l) {
-    const ModeFormat mf = sa.st->level(l).kind;
-    SPD_CHECK(!mf.is_blocked(), ScheduleError,
-              "position-space iteration cannot split the "
-                  << mf.str() << " level of " << sa.st->name()
-                  << ": block positions address R*C value lanes; use divide "
-                     "(coordinate space) instead");
-  }
   // The first L+1 iteration variables must be the split tensor's leading
   // level variables.
   for (int l = 0; l <= L; ++l) {

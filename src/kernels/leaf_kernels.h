@@ -58,17 +58,6 @@ Leaf make_spmm_row(Tensor A, Tensor B, Tensor C,
 Leaf make_spmm_nz(Tensor A, Tensor B, Tensor C,
                   std::optional<uint32_t> col_var = std::nullopt);
 
-// a(i) = B(i,j) * c(j), B = bcsr(R,C). Register-tiled: each stored block
-// runs an unrolled R x C FMA tile (compile-time micro-kernels for common
-// block shapes, runtime-extent fallback otherwise); padded lanes are exact
-// zeros so tiles never branch on occupancy. Row-coordinate pieces.
-Leaf make_spmv_bcsr(Tensor a, Tensor B, Tensor c);
-// A(i,j) = B(i,k) * C(k,j), B = bcsr(R,C) over (i,k), A/C dense. Each block
-// loads into a register tile and every output column accumulates a C-deep
-// unrolled dot. `col_var` clamps j as in make_spmm_row.
-Leaf make_spmm_bcsr(Tensor A, Tensor B, Tensor C,
-                    std::optional<uint32_t> col_var = std::nullopt);
-
 // A(i,j) = B(i,j) + C(i,j) + D(i,j), all {Dense, Compressed}; A assembled.
 // Single-pass three-way union merge per row (the fused kernel whose absence
 // costs PETSc/Trilinos 11.8x/38.5x in the paper).

@@ -105,11 +105,10 @@ std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
   if (p == std::string::npos) return out;
   // Entries: "key": {"wall_per_flop": f, "wall_per_byte": b, "samples": n}
   while (true) {
-    const size_t k0 = doc.find('"', p + 1);
-    if (k0 == std::string::npos) break;
-    const size_t k1 = doc.find('"', k0 + 1);
-    if (k1 == std::string::npos) break;
-    const size_t open = doc.find('{', k1 + 1);
+    size_t k = doc.find('"', p + 1);
+    std::string key;
+    if (k == std::string::npos || !json_read_string(doc, &k, &key)) break;
+    const size_t open = doc.find('{', k);
     if (open == std::string::npos) break;
     const size_t close = doc.find('}', open + 1);
     if (close == std::string::npos) break;
@@ -120,7 +119,7 @@ std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
     if (scan_field(doc, open, close, "samples", &f) && f > 0) {
       r.samples = static_cast<uint64_t>(f);
     }
-    if (r.samples > 0) out[doc.substr(k0 + 1, k1 - k0 - 1)] = r;
+    if (r.samples > 0) out[key] = r;
     p = close;
   }
   return out;

@@ -16,7 +16,7 @@ namespace spdistal::rt {
 using Coord = int64_t;
 
 // Maximum tensor order supported by the N-D machinery. The paper evaluates
-// up to 3-tensors; 4 leaves room for fused/blocked dimensions.
+// up to 3-tensors; 4 leaves room for fused dimensions.
 inline constexpr int kMaxDim = 4;
 
 // Inclusive 1-D interval [lo, hi]. Empty iff lo > hi.

@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "common/error.h"
@@ -143,16 +142,6 @@ void Runtime::set_verify(bool on) {
   // Enabling needs the global accessor touch-logging switch; disabling
   // leaves it alone — other runtimes in the process may still verify.
   if (on) verify::set_enabled(true);
-}
-
-size_t Runtime::env_plan_capacity() {
-  static const size_t cap = [] {
-    const char* e = std::getenv("SPDISTAL_PLAN_MEMO");
-    if (e == nullptr || e[0] == '\0') return kDefaultPlanCapacity;
-    const long v = std::strtol(e, nullptr, 10);
-    return v >= 1 ? static_cast<size_t>(v) : size_t{1};
-  }();
-  return cap;
 }
 
 void Runtime::evict_to_capacity() {
@@ -778,8 +767,8 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                   strprintf("{\"kernel\": \"%s\", \"nnz\": %.0f, "
                             "\"flops\": %.0f, \"bytes\": %.0f, "
                             "\"sim_s\": %.9g, \"wall_s\": %.9g}",
-                            rec->launch.name.c_str(), w.nnz, w.flops, w.bytes,
-                            sim_s, wall_s));
+                            json_escape(rec->launch.name).c_str(), w.nnz,
+                            w.flops, w.bytes, sim_s, wall_s));
               if (rec->flow_base != 0) {
                 trec.meas_flow_end(
                     rec->flow_base + 2 * static_cast<uint64_t>(p) + 1,

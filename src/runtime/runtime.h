@@ -204,9 +204,9 @@ class Runtime {
     plan_lru_.clear();
   }
 
-  // LaunchPlan LRU capacity: defaults to SPDISTAL_PLAN_MEMO (256 when
-  // unset), clamped to >= 1. Shrinking below the current population evicts
-  // the coldest plans immediately (counted as plan.evictions).
+  // LaunchPlan LRU capacity: defaults to kDefaultPlanCapacity (256),
+  // clamped to >= 1. Shrinking below the current population evicts the
+  // coldest plans immediately (counted as plan.evictions).
   void set_plan_memo_capacity(size_t capacity);
   size_t plan_memo_capacity() const { return plan_capacity_; }
 
@@ -328,9 +328,7 @@ class Runtime {
     PlanKey key;
     std::shared_ptr<const LaunchPlan> plan;
   };
-  // SPDISTAL_PLAN_MEMO, or this default when unset.
   static constexpr size_t kDefaultPlanCapacity = 256;
-  static size_t env_plan_capacity();
   // Drops the coldest plans until size <= plan_capacity_.
   void evict_to_capacity();
 
@@ -341,7 +339,7 @@ class Runtime {
   std::map<RegionId, PlacementInfo> placements_;
   std::list<PlanEntry> plan_lru_;
   std::map<PlanKey, std::list<PlanEntry>::iterator> plan_cache_;
-  size_t plan_capacity_ = env_plan_capacity();
+  size_t plan_capacity_ = kDefaultPlanCapacity;
   bool plan_memo_ = true;
   bool verify_ = false;
   int64_t plan_hits_ = 0;

@@ -193,20 +193,6 @@ void check_divide_pos(const Statement& stmt, const sched::Schedule& schedule,
                 "carries a pos array, so there is no non-zero "
                 "position space to strip-mine");
     }
-    // Blocked positions address R*C value lanes (splitting mid-block would
-    // tear a block's lanes across pieces), so they are no legal position
-    // split target.
-    for (int l = 0; l <= split_level; ++l) {
-      if (f.mode(l).is_blocked()) {
-        error(out, "divide-pos-blocked",
-              "divide_pos(" + c.vars[0].name() + ", ..., \"" + tensor +
-                  "\") would split the " + f.mode(l).str() +
-                  " level of `" + tensor +
-                  "`: blocked positions address whole R*C value blocks "
-                  "— use divide (coordinate space) for blocked formats");
-        break;
-      }
-    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "autosched/autosched.h"
 #include "autosched/cost.h"
@@ -150,6 +152,29 @@ TEST(Calibrate, JsonPersistRoundTrip) {
                          "{\"wall_per_flop\": 1, \"samples\": 1}}}"),
             0u);
   EXPECT_EQ(c.size(), 0u);
+}
+
+// Kernel names become keys of the persisted JSON: json() escapes them and
+// the reader decodes them, so quotes, backslashes and braces survive
+// repeated save/merge cycles unchanged and lookup still finds the rates.
+TEST(Calibrate, HostileKernelNamesRoundTrip) {
+  CalibGuard guard;
+  obs::Calibration& c = obs::Calibration::global();
+  const std::vector<std::string> names = {"a\\b", "q\"x", "t\t{x}"};
+  for (const std::string& n : names) c.record(n.c_str(), "CPU", 1e6, 0, 1e-3);
+  std::string doc = c.json();
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    c.clear();
+    EXPECT_EQ(c.merge_json(doc), names.size());
+    for (const std::string& n : names) {
+      auto r = c.lookup(n, "CPU");
+      ASSERT_TRUE(r.has_value()) << n;
+      EXPECT_DOUBLE_EQ(r->wall_per_flop, 1e-9) << n;
+    }
+    const std::string again = c.json();
+    EXPECT_EQ(again, doc) << "cycle " << cycle;
+    doc = again;
+  }
 }
 
 TEST(Calibrate, LearnedRatesPriceAutoschedCandidates) {

@@ -360,12 +360,12 @@ TEST(LaunchPlan, LruEvictsColdestPlanOnly) {
   EXPECT_EQ(rep.plan_evictions, 2);
 }
 
-// The memo capacity is tunable (SPDISTAL_PLAN_MEMO reads into the same
-// setter at construction): shrinking below the live plan count evicts
-// exactly the coldest plans immediately; warm identities survive.
+// The memo capacity is tunable through set_plan_memo_capacity: shrinking
+// below the live plan count evicts exactly the coldest plans immediately;
+// warm identities survive.
 TEST(LaunchPlan, MemoCapacityKnobShrinkEvictsColdestOnly) {
   rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  EXPECT_EQ(rt.plan_memo_capacity(), 256u);  // default, env knob unset
+  EXPECT_EQ(rt.plan_memo_capacity(), 256u);  // kDefaultPlanCapacity
   rt.set_plan_memo_capacity(8);
   EXPECT_EQ(rt.plan_memo_capacity(), 8u);
   auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");

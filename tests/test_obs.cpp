@@ -87,43 +87,6 @@ void skip_ws(const std::string& s, size_t& i) {
 
 bool parse_value(const std::string& s, size_t& i);
 
-// Parses a string literal at `i`, decoding it into `out` when given. Raw
-// control characters are invalid JSON and rejected.
-bool parse_string(const std::string& s, size_t& i,
-                  std::string* out = nullptr) {
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  std::string text;
-  while (i < s.size() && s[i] != '"') {
-    char c = s[i++];
-    if (static_cast<unsigned char>(c) < 0x20) return false;
-    if (c == '\\') {
-      if (i >= s.size()) return false;
-      const char esc = s[i++];
-      switch (esc) {
-        case '"': case '\\': case '/': c = esc; break;
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        case 'b': c = '\b'; break;
-        case 'f': c = '\f'; break;
-        case 'u':
-          if (i + 4 > s.size()) return false;
-          c = static_cast<char>(std::stoi(s.substr(i, 4), nullptr, 16));
-          i += 4;
-          break;
-        default:
-          return false;
-      }
-    }
-    text += c;
-  }
-  if (i >= s.size()) return false;
-  ++i;  // closing quote
-  if (out != nullptr) *out = std::move(text);
-  return true;
-}
-
 bool parse_number(const std::string& s, size_t& i) {
   const size_t start = i;
   if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
@@ -138,7 +101,7 @@ bool parse_number(const std::string& s, size_t& i) {
 bool parse_value(const std::string& s, size_t& i) {
   skip_ws(s, i);
   if (i >= s.size()) return false;
-  if (s[i] == '"') return parse_string(s, i);
+  if (s[i] == '"') return json_read_string(s, &i, nullptr);
   if (s[i] == '{') {
     ++i;
     skip_ws(s, i);
@@ -148,7 +111,7 @@ bool parse_value(const std::string& s, size_t& i) {
     }
     while (true) {
       skip_ws(s, i);
-      if (!parse_string(s, i)) return false;
+      if (!json_read_string(s, &i, nullptr)) return false;
       skip_ws(s, i);
       if (i >= s.size() || s[i] != ':') return false;
       ++i;
@@ -226,10 +189,21 @@ TEST(Obs, JsonEscapeRoundTripsHostileNames) {
   const std::string lit = "\"" + json_escape(name) + "\"";
   size_t i = 0;
   std::string decoded;
-  ASSERT_TRUE(parse_string(lit, i, &decoded)) << lit;
+  ASSERT_TRUE(json_read_string(lit, &i, &decoded)) << lit;
   EXPECT_EQ(i, lit.size());
   EXPECT_EQ(decoded, name);
   EXPECT_TRUE(valid_json("{" + lit + ": [" + lit + "]}"));
+  // The decoder is strict: a malformed literal is rejected and leaves the
+  // position alone. \u escapes, surrogate pairs included, decode to UTF-8.
+  for (const std::string bad :
+       {"\"abc", "\"a\\qb\"", "\"\\u12g4\"", "\"\\ud800x\"", "\"a\nb\""}) {
+    size_t at = 0;
+    EXPECT_FALSE(json_read_string(bad, &at, nullptr)) << bad;
+    EXPECT_EQ(at, 0u) << bad;
+  }
+  i = 0;
+  ASSERT_TRUE(json_read_string("\"\\u00e9\\ud83d\\ude00\"", &i, &decoded));
+  EXPECT_EQ(decoded, "\xc3\xa9\xf0\x9f\x98\x80");
 
   ObsGuard guard(true);
   obs::Metrics::global().counter(name).add(1);
@@ -396,6 +370,33 @@ TEST(Obs, MeasuredSpansCarryArgsAndNestInWorkerSpans) {
     EXPECT_TRUE(nested) << "measured span on tid " << tid
                         << " not inside any worker task span";
   }
+}
+
+// The measured-leaf span's "kernel" arg carries the launch name through
+// json_escape: a name with quotes and a backslash keeps the trace valid.
+TEST(Obs, MeasuredLeafArgsEscapeLaunchName) {
+  const rt::Machine m = cpu_machine(2);
+  ObsGuard guard(true);
+  const std::string name = "read \"halves\" \\ q";
+  {
+    rt::Runtime runtime(m, 2);
+    runtime.set_observability(true);
+    auto reg = runtime.create_region<double>(rt::IndexSpace(4), "v");
+    reg->fill(0.0);
+    rt::IndexLaunch launch;
+    launch.name = name;
+    launch.domain = 2;
+    launch.reqs = {rt::RegionReq{reg, nullptr, rt::Privilege::RO}};
+    launch.body = [](const rt::TaskContext&) {
+      return rt::WorkEstimate{1, 8};
+    };
+    runtime.execute(launch);
+    runtime.flush();
+  }
+  const std::string doc = obs::TraceRecorder::global().json();
+  EXPECT_TRUE(valid_json(doc)) << doc.substr(0, 400);
+  EXPECT_NE(doc.find("\"kernel\": \"" + json_escape(name) + "\""),
+            std::string::npos);
 }
 
 TEST(Obs, FlowEventIdsResolve) {
