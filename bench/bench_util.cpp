@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "autosched/autosched.h"
+#include "common/json.h"
 #include "obs/obs.h"
 #include "obs/persist.h"
 

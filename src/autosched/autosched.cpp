@@ -35,8 +35,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
 
   const PlanKey key = plan_key(stmt, machine);
   if (options.use_cache) {
-    if (auto cached =
-            PlanCache::global().lookup(key, options.use_store)) {
+    if (auto cached = PlanCache::global().lookup(key)) {
       try {
         result.schedule = materialize(cached->recipe, stmt);
         result.recipe = cached->recipe;

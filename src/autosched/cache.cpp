@@ -1,6 +1,5 @@
 #include "autosched/cache.h"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -114,35 +113,20 @@ PlanCache& PlanCache::global() {
   return cache;
 }
 
-std::shared_ptr<const PlanCache::Map> PlanCache::snapshot() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return snap_;
-}
-
-template <typename Fn>
-void PlanCache::mutate(Fn&& fn) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto next = std::make_shared<Map>(*snap_);
-  fn(*next);
-  snap_ = std::move(next);
-}
-
-std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key,
-                                                bool allow_store) {
+std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {
   static obs::Counter& hit_metric =
       obs::Metrics::global().counter("plan_store.hits");
   static obs::Counter& miss_metric =
       obs::Metrics::global().counter("plan_store.misses");
   // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
-  // this cache); resolve it before taking any lock.
-  const bool store_ok = allow_store && plan_store_enabled();
+  // this cache); resolve it before taking the lock.
+  const bool store_ok = plan_store_enabled();
 
-  const auto snap = snapshot();
-  auto it = snap->find(key.exact());
-  if (it != snap->end() && (store_ok || !it->second.from_store)) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = plans_.find(key.exact());
+  if (it != plans_.end() && (store_ok || !it->second.from_store)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_metric.add(1);
-    it->second.used->store(tick(), std::memory_order_relaxed);
     return Hit{it->second.recipe, it->second.cost};
   }
 
@@ -151,38 +135,25 @@ std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key,
   return std::nullopt;
 }
 
-int64_t PlanCache::tick() {
-  return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 void PlanCache::insert(const PlanKey& key, const Recipe& recipe,
                        double cost) {
-  CachedPlan plan{recipe, cost, false};
-  plan.used->store(tick(), std::memory_order_relaxed);
-  mutate([&](Map& m) { m[key.exact()] = std::move(plan); });
+  std::lock_guard<std::mutex> lock(mu_);
+  plans_[key.exact()] = CachedPlan{recipe, cost, false};
 }
 
 size_t PlanCache::insert_stored(const std::vector<StoredPlan>& entries) {
   size_t merged = 0;
-  int64_t max_stamp = 0;
-  mutate([&](Map& m) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     for (const StoredPlan& e : entries) {
       CachedPlan plan = e.plan;
       plan.from_store = true;
-      max_stamp = std::max(
-          max_stamp, plan.used->load(std::memory_order_relaxed));
-      if (m.emplace(e.structural + PlanKey::kSep + e.sig, std::move(plan))
+      if (plans_.emplace(e.structural + PlanKey::kSep + e.sig,
+                         std::move(plan))
               .second) {
         ++merged;
       }
     }
-  });
-  // Seed the LRU clock past the store's history so fresh activity in this
-  // process always stamps newer than anything merely loaded.
-  int64_t cur = clock_.load(std::memory_order_relaxed);
-  while (cur < max_stamp &&
-         !clock_.compare_exchange_weak(cur, max_stamp,
-                                       std::memory_order_relaxed)) {
   }
   if (merged > 0) {
     loaded_.fetch_add(static_cast<int64_t>(merged),
@@ -194,10 +165,10 @@ size_t PlanCache::insert_stored(const std::vector<StoredPlan>& entries) {
 }
 
 std::vector<StoredPlan> PlanCache::entries() const {
-  const auto snap = snapshot();
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<StoredPlan> out;
-  out.reserve(snap->size());
-  for (const auto& [k, plan] : *snap) {
+  out.reserve(plans_.size());
+  for (const auto& [k, plan] : plans_) {
     const size_t sep = k.find(PlanKey::kSep);
     StoredPlan e;
     e.structural = k.substr(0, sep);
@@ -210,16 +181,18 @@ std::vector<StoredPlan> PlanCache::entries() const {
 
 void PlanCache::clear() {
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    snap_ = std::make_shared<Map>();
+    std::lock_guard<std::mutex> lock(mu_);
+    plans_.clear();
   }
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   loaded_.store(0, std::memory_order_relaxed);
-  clock_.store(0, std::memory_order_relaxed);
 }
 
-size_t PlanCache::size() const { return snapshot()->size(); }
+size_t PlanCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return plans_.size();
+}
 
 int64_t PlanCache::hits() const {
   return hits_.load(std::memory_order_relaxed);

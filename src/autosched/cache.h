@@ -11,18 +11,15 @@
 // data::SparsityFingerprint sequence (dimensions, nnz, mass and row-degree
 // sketches). Both halves must match exactly.
 //
-// Lookups are the hot path of a warm serving process and never take an
-// exclusive lock: the entry map is an immutable snapshot behind a
-// shared_ptr, read under a briefly-held shared lock (pointer copy only) and
-// replaced copy-on-write by the rare insert. Concurrent Runtimes and
-// autosched proxy fan-outs therefore never serialize on cache reads.
+// One mutex guards the entry map: each autoschedule_search looks up once,
+// and proxy simulations compile with explicit schedules and never look up,
+// so lookups are too rare to contend.
 #pragma once
 
 #include <atomic>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -53,14 +50,6 @@ struct CachedPlan {
   // only served while plan_store_enabled() (set_plan_store(false) restores
   // bit-identical searched schedules).
   bool from_store = false;
-  // Last-used stamp: a process-logical LRU clock, monotonic and seeded past
-  // the largest stamp loaded from the store, bumped on insert and on every
-  // lookup that serves the entry. Held behind a shared_ptr so lookups can
-  // stamp entries through the immutable map snapshot without copy-on-write.
-  // plan_store.h persists it (schema v2) and evicts oldest-first at save
-  // when SPDISTAL_PLAN_STORE_MAX caps the file.
-  std::shared_ptr<std::atomic<int64_t>> used =
-      std::make_shared<std::atomic<int64_t>>(0);
 };
 
 // One serializable entry (plan_store.h round-trips these).
@@ -81,9 +70,8 @@ class PlanCache {
   };
 
   // Exact-key lookup. Counts a hit or miss. Entries that came from the
-  // persisted store are served only while the plan store is enabled and
-  // `allow_store` is set (per-search override of the global switch).
-  std::optional<Hit> lookup(const PlanKey& key, bool allow_store = true);
+  // persisted store are served only while the plan store is enabled.
+  std::optional<Hit> lookup(const PlanKey& key);
   void insert(const PlanKey& key, const Recipe& recipe, double cost);
 
   // Bulk-inserts entries loaded from a persisted store. Entries already
@@ -102,19 +90,8 @@ class PlanCache {
   int64_t loaded() const;
 
  private:
-  using Map = std::map<std::string, CachedPlan>;
-
-  std::shared_ptr<const Map> snapshot() const;
-  template <typename Fn>
-  void mutate(Fn&& fn);  // copy-on-write under the exclusive lock
-
-  // Next CachedPlan::used stamp; advances past any stamp merged from a
-  // persisted store so process-local activity always outranks history.
-  int64_t tick();
-
-  mutable std::shared_mutex mu_;  // guards the snap_ pointer only
-  std::shared_ptr<const Map> snap_ = std::make_shared<Map>();
-  std::atomic<int64_t> clock_{0};
+  mutable std::mutex mu_;
+  std::map<std::string, CachedPlan> plans_;  // guarded by mu_
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> loaded_{0};

@@ -278,8 +278,9 @@ double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
 
   rt::Runtime scratch(machine);
   // Proxy simulations run concurrently across the pool; detached from the
-  // trace recorder and metrics mirrors, they can't perturb the application
-  // runtime's deterministic simulated timeline or the process totals.
+  // trace recorder, per-kernel rows and calibration, they can't perturb the
+  // application runtime's deterministic simulated timeline or the process
+  // totals.
   scratch.set_observability(false);
   comp::CompiledKernel ck =
       comp::CompiledKernel::compile(proxy, schedule, machine);

@@ -20,10 +20,6 @@ struct Options {
   bool allow_overdecomposition = true;
   // Consult / populate the global PlanCache.
   bool use_cache = true;
-  // Also consult persisted plan-store entries (plan_store.h). false forces
-  // this search to use only plans searched in this process — a per-search
-  // override of the global set_plan_store switch.
-  bool use_store = true;
   // Seed for proxy downsampling (kept stable so cache keys stay meaningful).
   uint64_t proxy_seed = 1;
 };

@@ -2,26 +2,21 @@
 // PlanCache, so thousands of sibling processes compiling the same handful
 // of (expression, format, machine, sparsity) shapes pay for one search.
 //
-// Env knobs:
+// Env knob:
 //   SPDISTAL_PLAN_STORE=path  load the store into the cache at first use
 //                             (entries marked from_store), merge + rewrite
 //                             it atomically at exit. A warm process then
 //                             compiles with zero searches.
-//   SPDISTAL_PLAN_STORE_MAX=N cap the file at N entries: the save-time
-//                             merge keeps the N most recently used plans
-//                             (per-entry "used" stamps) and evicts the rest
-//                             oldest-first, so a fleet-shared file stops
-//                             growing monotonically. Default 0 (uncapped).
 //
-// The on-disk document is versioned JSON (schema v2; v1 documents — which
-// predate the "used" stamp — still load, their entries stamped 0 and thus
-// first in line for eviction), modeled on the calibration store: unknown
-// schema versions and corrupt documents are rejected wholesale (never
-// partially applied), and writers re-read, union, and tmp+rename so
-// concurrent processes sharing one file lose no entries.
+// The on-disk document is versioned JSON (schema v2; v1 documents still
+// load), read through json::parse. A document that is not JSON, is not an
+// object, or has an unknown version is rejected wholesale (never partially
+// applied); an entry with a missing or mistyped field, a count outside int
+// range, an unparsable sig or an unknown unit is skipped alone; unknown
+// fields are ignored. Writers re-read, union, and tmp+rename so concurrent
+// processes sharing one file lose no entries.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,18 +25,14 @@
 namespace spdistal::autosched {
 
 // Process-wide switch for the plan service (stored entries and the
-// exit-time save). Lazily reads the env knobs on first call.
+// exit-time save). Lazily reads the env knob on first call.
 // set_plan_store(false) restores bit-identical searched schedules: only
 // plans searched in this process are served, exactly.
 bool plan_store_enabled();
 void set_plan_store(bool on);
 
-// Save-time entry cap (see SPDISTAL_PLAN_STORE_MAX above); 0 = uncapped.
-int64_t plan_store_max();
-void set_plan_store_max(int64_t cap);
-
 // Versioned JSON codec. parse_plan_store returns an empty vector for a
-// corrupt document or an unknown schema version.
+// rejected document and drops unusable entries (see above).
 std::string plan_store_json(const std::vector<StoredPlan>& entries);
 std::vector<StoredPlan> parse_plan_store(const std::string& doc);
 

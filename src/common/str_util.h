@@ -35,19 +35,6 @@ std::string trim(const std::string& s);
 // True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
 
-// Escapes `s` for use inside a JSON string literal (quotes not included):
-// `"` and `\` are backslash-escaped, `\n` and `\t` use their short forms,
-// and every other control character becomes `\u00XX`.
-std::string json_escape(const std::string& s);
-
-// Decodes the JSON string literal that starts at s[*pos] (the opening `"`),
-// the inverse of json_escape. On success stores the text in *out (when
-// non-null), moves *pos past the closing quote and returns true. Strict: a
-// raw control character, an unknown escape, a malformed `\u` escape or
-// unpaired surrogate, or a missing closing quote returns false and leaves
-// *pos and *out untouched. `\u` escapes decode to UTF-8.
-bool json_read_string(const std::string& s, size_t* pos, std::string* out);
-
 // Renders a byte count as a human-readable string ("1.5 GB").
 std::string human_bytes(double bytes);
 

@@ -249,11 +249,11 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
 
   // Per-access cursor: how many levels consumed and the current parent
   // position. The output is cursor index accs.size() when not all-dense.
-  struct Cursor {
+  struct AccessCursor {
     int depth = 0;
     Coord parent = 0;
   };
-  std::vector<Cursor> cur(accs.size());
+  std::vector<AccessCursor> cur(accs.size());
 
   // env[k] = coordinate of order_[k].
   std::vector<Coord> env(order_.size(), 0);
@@ -441,7 +441,7 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     const bool restrict0 = restricted;
     const Coord rlo = bound.lo;
     const Coord rhi = bound.hi;
-    const std::vector<Cursor> saved = cur;
+    const std::vector<AccessCursor> saved = cur;
     if (driver >= 0) {
       const auto& d = accs[static_cast<size_t>(driver)];
       const size_t ddepth =
@@ -543,7 +543,7 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     }
   }
 
-  const std::vector<Cursor> init = cur;
+  const std::vector<AccessCursor> init = cur;
   for (Coord q = piece.dist_pos->lo; q <= piece.dist_pos->hi; ++q) {
     // Reconstruct positions per level from the bottom up.
     std::array<Coord, rt::kMaxDim> pos_at{};

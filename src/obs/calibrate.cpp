@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/json.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/persist.h"
@@ -75,52 +76,33 @@ CalibRates merge_rates(const CalibRates& a, const CalibRates& b) {
   return r;
 }
 
-// --- minimal scanner for the versioned calibration JSON ----------------------
-
-// Number following `"field":` at or after `from`, restricted to [from, end).
-bool scan_field(const std::string& doc, size_t from, size_t end,
-                const char* field, double* out) {
-  const std::string needle = std::string("\"") + field + "\"";
-  size_t p = doc.find(needle, from);
-  if (p == std::string::npos || p >= end) return false;
-  p = doc.find(':', p + needle.size());
-  if (p == std::string::npos || p >= end) return false;
-  char* stop = nullptr;
-  const double v = std::strtod(doc.c_str() + p + 1, &stop);
-  if (stop == doc.c_str() + p + 1) return false;
-  *out = v;
-  return true;
-}
-
+// Reads the rates of a versioned calibration document. A document that is
+// not JSON or has another version yields nothing; an entry is skipped alone
+// if a rate is missing, mistyped or negative, or `samples` is not an integer
+// in [1, 2^53].
 std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
   std::map<std::string, CalibRates> out;
-  double version = 0;
-  if (!scan_field(doc, 0, doc.size(), "version", &version) ||
-      static_cast<int>(version) != kSchemaVersion) {
+  const std::optional<json::Value> root = json::parse(doc);
+  if (!root) return out;
+  const json::Value* version = root->find("version");
+  const json::Value* rates = root->find("rates");
+  if (version == nullptr || !version->integer(kSchemaVersion, kSchemaVersion) ||
+      rates == nullptr || rates->members() == nullptr) {
     return out;
   }
-  size_t p = doc.find("\"rates\"");
-  if (p == std::string::npos) return out;
-  p = doc.find('{', p);
-  if (p == std::string::npos) return out;
-  // Entries: "key": {"wall_per_flop": f, "wall_per_byte": b, "samples": n}
-  while (true) {
-    size_t k = doc.find('"', p + 1);
-    std::string key;
-    if (k == std::string::npos || !json_read_string(doc, &k, &key)) break;
-    const size_t open = doc.find('{', k);
-    if (open == std::string::npos) break;
-    const size_t close = doc.find('}', open + 1);
-    if (close == std::string::npos) break;
+  for (const auto& [key, v] : *rates->members()) {
+    const json::Value* wpf = v.find("wall_per_flop");
+    const json::Value* wpb = v.find("wall_per_byte");
+    const json::Value* n = v.find("samples");
+    if (wpf == nullptr || wpb == nullptr || n == nullptr) continue;
+    // A rate that is not a number reads as -1, i.e. as negative.
     CalibRates r;
-    double f = 0;
-    if (scan_field(doc, open, close, "wall_per_flop", &f)) r.wall_per_flop = f;
-    if (scan_field(doc, open, close, "wall_per_byte", &f)) r.wall_per_byte = f;
-    if (scan_field(doc, open, close, "samples", &f) && f > 0) {
-      r.samples = static_cast<uint64_t>(f);
-    }
-    if (r.samples > 0) out[key] = r;
-    p = close;
+    r.wall_per_flop = wpf->number().value_or(-1);
+    r.wall_per_byte = wpb->number().value_or(-1);
+    const auto samples = n->integer(1, int64_t{1} << 53);
+    if (r.wall_per_flop < 0 || r.wall_per_byte < 0 || !samples) continue;
+    r.samples = static_cast<uint64_t>(*samples);
+    out[key] = r;
   }
   return out;
 }
@@ -138,21 +120,16 @@ void init_from_env() {
     Calibration& c = Calibration::global();
     std::string doc;
     if (read_text_file(env_path(), &doc)) {
-      const auto current = parse_rates(doc);
       const auto& base = startup_snapshot();
-      for (const auto& [key, r] : current) {
+      std::map<std::string, CalibRates> deltas;
+      for (auto& [key, r] : parse_rates(doc)) {
         auto it = base.find(key);
         const uint64_t seen = it != base.end() ? it->second.samples : 0;
         if (r.samples <= seen) continue;
-        CalibRates delta = r;
-        delta.samples = r.samples - seen;
-        c.merge_json(strprintf(
-            "{\"version\": %d, \"rates\": {\"%s\": {\"wall_per_flop\": "
-            "%.17g, \"wall_per_byte\": %.17g, \"samples\": %llu}}}",
-            kSchemaVersion, json_escape(key).c_str(), delta.wall_per_flop,
-            delta.wall_per_byte,
-            static_cast<unsigned long long>(delta.samples)));
+        r.samples -= seen;
+        deltas.emplace(key, r);
       }
+      c.merge(deltas);
     }
     if (!c.save(env_path())) {
       std::fprintf(stderr, "spdistal: failed to write calibration to %s\n",
@@ -272,10 +249,9 @@ std::string Calibration::json() const {
   return out;
 }
 
-size_t Calibration::merge_json(const std::string& doc) {
-  const auto parsed = parse_rates(doc);
+size_t Calibration::merge(const std::map<std::string, CalibRates>& rates) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [key, r] : parsed) {
+  for (const auto& [key, r] : rates) {
     auto it = rates_.find(key);
     if (it == rates_.end()) {
       rates_[key] = r;
@@ -283,15 +259,20 @@ size_t Calibration::merge_json(const std::string& doc) {
       it->second = merge_rates(it->second, r);
     }
   }
-  return parsed.size();
+  return rates.size();
+}
+
+size_t Calibration::merge_json(const std::string& doc) {
+  return merge(parse_rates(doc));
 }
 
 bool Calibration::load(const std::string& path) {
   std::string doc;
   if (!read_text_file(path, &doc)) return false;
-  const size_t n = merge_json(doc);
+  auto rates = parse_rates(doc);
+  const size_t n = merge(rates);
   if (n > 0) {
-    startup_snapshot() = parse_rates(doc);
+    startup_snapshot() = std::move(rates);
     Metrics::global().counter("calib.loaded_rates").add(
         static_cast<int64_t>(n));
   }

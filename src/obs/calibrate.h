@@ -13,11 +13,14 @@
 // blending), so one cold-cache or preempted leaf cannot wreck the estimate.
 //
 // Persistence: $SPDISTAL_CALIB=path loads the file at startup (counting
-// calib.loaded_rates) and at process exit re-reads it, merges the two rate
-// sets samples-weighted, and atomically rewrites (tmp file + rename) — so
-// concurrent processes sharing one file lose at most one process's samples,
-// never the file's integrity. The schema is versioned; unknown versions are
-// ignored on load.
+// calib.loaded_rates) and at process exit re-reads it, merges the samples
+// concurrent writers added since startup samples-weighted, and atomically
+// rewrites (tmp file + rename) — so concurrent processes sharing one file
+// lose at most one process's samples, never the file's integrity. Documents
+// are read through json::parse: one that is not JSON (truncated, or with a
+// `nan` rate) or has another schema version merges nothing, and an entry
+// with a negative or missing rate, or a `samples` count that is not an
+// integer in [1, 2^53], is skipped alone.
 //
 // Cost contract: with calibration disabled, record() is one relaxed atomic
 // load. set_calibration(false) forces the cost model onto the static path,
@@ -76,8 +79,10 @@ class Calibration {
 
   // Versioned JSON: {"version": 1, "rates": {"kernel|KIND": {...}, ...}}.
   std::string json() const;
-  // Parses `doc` and merges its rates samples-weighted into this store.
-  // Returns the number of rate entries merged (0 on schema mismatch).
+  // Merges `rates` samples-weighted into this store; returns their count.
+  size_t merge(const std::map<std::string, CalibRates>& rates);
+  // Parses `doc` and merges its rates. Returns the number of rate entries
+  // merged (0 for a rejected document).
   size_t merge_json(const std::string& doc);
 
   // File I/O. load() merges the file into the store; save() writes

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/str_util.h"
+#include "common/json.h"
 
 namespace spdistal::obs {
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "common/json.h"
 #include "common/str_util.h"
 
 namespace spdistal::obs {

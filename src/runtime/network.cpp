@@ -11,19 +11,6 @@ namespace spdistal::rt {
 
 namespace {
 
-// net.* metrics mirrors, updated only for observed (trace-attached) networks
-// so proxy simulations don't pollute process totals.
-void count_traffic(bool inter_node, double bytes, int64_t messages = 1) {
-  static obs::CounterD& inter =
-      obs::Metrics::global().counterd("net.inter_node_bytes");
-  static obs::CounterD& intra =
-      obs::Metrics::global().counterd("net.intra_node_bytes");
-  static obs::Counter& message_count =
-      obs::Metrics::global().counter("net.messages");
-  (inter_node ? inter : intra).add(bytes);
-  message_count.add(messages);
-}
-
 std::string bytes_args(double bytes, int src_node, int dst_node) {
   return strprintf("{\"bytes\": %.0f, \"src_node\": %d, \"dst_node\": %d}",
                    bytes, src_node, dst_node);
@@ -41,14 +28,11 @@ double Network::transfer(const Mem& src, const Mem& dst, double bytes,
     stats_.messages += 1;
     const double done =
         ready_time + bytes / (config_.nvlink_bw_gbs * 1e9 / config_.time_scale);
-    if (trace_ != nullptr) {
-      count_traffic(/*inter_node=*/false, bytes);
-      if (trace_->active()) {
-        const int tid = obs::kNvlinkTidBase + src.node;
-        trace_->name_sim_track(tid, strprintf("node%d/NVLink", src.node));
-        trace_->sim_span(tid, "xfer", "nvlink copy", ready_time, done,
-                         bytes_args(bytes, src.node, dst.node));
-      }
+    if (trace_ != nullptr && trace_->active()) {
+      const int tid = obs::kNvlinkTidBase + src.node;
+      trace_->name_sim_track(tid, strprintf("node%d/NVLink", src.node));
+      trace_->sim_span(tid, "xfer", "nvlink copy", ready_time, done,
+                       bytes_args(bytes, src.node, dst.node));
     }
     return done;
   }
@@ -69,19 +53,13 @@ double Network::transfer(const Mem& src, const Mem& dst, double bytes,
     extra = bytes / (config_.nvlink_bw_gbs * 1e9 / config_.time_scale);
     stats_.intra_node_bytes += bytes;
   }
-  if (trace_ != nullptr) {
-    count_traffic(/*inter_node=*/true, bytes);
-    // The NVLink staging leg is traffic but not an extra message (mirrors
-    // how stats_ accounts it above).
-    if (extra > 0) count_traffic(/*inter_node=*/false, bytes, /*messages=*/0);
-    if (trace_->active()) {
-      // Recv-side NIC serialization guarantees non-overlapping spans on the
-      // receiver's track.
-      const int tid = obs::kNicTidBase + dst.node;
-      trace_->name_sim_track(tid, strprintf("node%d/NIC", dst.node));
-      trace_->sim_span(tid, "xfer", "net xfer", start, done,
-                       bytes_args(bytes, src.node, dst.node));
-    }
+  if (trace_ != nullptr && trace_->active()) {
+    // Recv-side NIC serialization guarantees non-overlapping spans on the
+    // receiver's track.
+    const int tid = obs::kNicTidBase + dst.node;
+    trace_->name_sim_track(tid, strprintf("node%d/NIC", dst.node));
+    trace_->sim_span(tid, "xfer", "net xfer", start, done,
+                     bytes_args(bytes, src.node, dst.node));
   }
   return done + extra;
 }
@@ -116,19 +94,15 @@ double Network::broadcast(const Mem& src, const std::vector<int>& dst_nodes,
   send_free = start + 2 * per_hop;
   const double done = start + rounds * per_hop;
   recv_free = done;
-  if (trace_ != nullptr) {
-    count_traffic(/*inter_node=*/true, bytes * static_cast<double>(dsts.size()),
-                  static_cast<int64_t>(dsts.size()));
-    if (trace_->active()) {
-      // One span on the source NIC covering the whole tree; per-destination
-      // hops are not individually modeled.
-      const int tid = obs::kNicTidBase + src.node;
-      trace_->name_sim_track(tid, strprintf("node%d/NIC", src.node));
-      trace_->sim_span(
-          tid, "xfer", strprintf("broadcast x%zu", dsts.size()), start, done,
-          strprintf("{\"bytes\": %.0f, \"src_node\": %d, \"fanout\": %zu}",
-                    bytes, src.node, dsts.size()));
-    }
+  if (trace_ != nullptr && trace_->active()) {
+    // One span on the source NIC covering the whole tree; per-destination
+    // hops are not individually modeled.
+    const int tid = obs::kNicTidBase + src.node;
+    trace_->name_sim_track(tid, strprintf("node%d/NIC", src.node));
+    trace_->sim_span(
+        tid, "xfer", strprintf("broadcast x%zu", dsts.size()), start, done,
+        strprintf("{\"bytes\": %.0f, \"src_node\": %d, \"fanout\": %zu}",
+                  bytes, src.node, dsts.size()));
   }
   return done;
 }

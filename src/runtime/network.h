@@ -51,9 +51,9 @@ class Network {
   // Resets NIC availability clocks (between benchmark trials).
   void reset_clocks();
 
-  // Attaches (or detaches with nullptr) the observability sinks: transfer
-  // spans on per-node NIC/NVLink tracks plus the net.* metrics mirrors.
-  // Proxy/scratch networks must stay detached.
+  // Attaches (or detaches with nullptr) the trace recorder: transfer spans
+  // on per-node NIC/NVLink tracks. Proxy/scratch networks must stay
+  // detached. Traffic totals live in stats() either way.
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
  private:

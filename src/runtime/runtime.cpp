@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
 #include "runtime/touch_log.h"
@@ -145,13 +146,10 @@ void Runtime::set_verify(bool on) {
 }
 
 void Runtime::evict_to_capacity() {
-  static obs::Counter& plan_evict_metric =
-      obs::Metrics::global().counter("plan.evictions");
   while (plan_cache_.size() > plan_capacity_) {
     plan_cache_.erase(plan_lru_.back().key);
     plan_lru_.pop_back();
     ++plan_evictions_;
-    if (observed_) plan_evict_metric.add(1);
   }
 }
 
@@ -562,12 +560,6 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                           req.partition ? req.partition->uid() : 0,
                           static_cast<int>(req.priv));
   }
-  static obs::Counter& plan_hit_metric =
-      obs::Metrics::global().counter("plan.hits");
-  static obs::Counter& plan_miss_metric =
-      obs::Metrics::global().counter("plan.misses");
-  static obs::Counter& plan_evict_metric =
-      obs::Metrics::global().counter("plan.evictions");
   std::shared_ptr<const LaunchPlan> plan;
   bool warm_hit = false;
   if (plan_memo_) {
@@ -577,7 +569,6 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
       plan = it->second->plan;
       warm_hit = true;
       ++plan_hits_;
-      if (observed_) plan_hit_metric.add(1);
     }
   }
   if (plan == nullptr) {
@@ -592,19 +583,13 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
       }
     }
     ++plan_misses_;
-    if (observed_) plan_miss_metric.add(1);
     if (plan_memo_) {
+      plan_lru_.push_front(PlanEntry{key, plan});
+      plan_cache_.emplace(std::move(key), plan_lru_.begin());
       // Capacity bound against programs that churn through partitions:
       // evict only the least-recently-used plans, so the handful of live
       // launch shapes a real program cycles through always stay warm.
-      if (plan_cache_.size() >= plan_capacity_) {
-        plan_cache_.erase(plan_lru_.back().key);
-        plan_lru_.pop_back();
-        ++plan_evictions_;
-        if (observed_) plan_evict_metric.add(1);
-      }
-      plan_lru_.push_front(PlanEntry{key, plan});
-      plan_cache_.emplace(std::move(key), plan_lru_.begin());
+      evict_to_capacity();
     }
   }
 

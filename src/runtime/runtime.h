@@ -206,7 +206,7 @@ class Runtime {
 
   // LaunchPlan LRU capacity: defaults to kDefaultPlanCapacity (256),
   // clamped to >= 1. Shrinking below the current population evicts the
-  // coldest plans immediately (counted as plan.evictions).
+  // coldest plans immediately (counted in SimReport::plan_evictions).
   void set_plan_memo_capacity(size_t capacity);
   size_t plan_memo_capacity() const { return plan_capacity_; }
 
@@ -256,11 +256,11 @@ class Runtime {
   SimReport report() const;
 
   // Observability attachment. On by default: the simulator and network feed
-  // the global trace recorder and the sim.*/net.*/plan.* metrics mirrors
-  // (each individually gated on obs::enabled()). Scratch runtimes used for
-  // proxy simulations (autosched cost model) must detach — they run
-  // concurrently, and their events would break the simulated track's
-  // bit-identity and pollute process metrics.
+  // the global trace recorder, and leaf tasks feed per-kernel rows and
+  // calibration. Scratch runtimes used for proxy simulations (autosched
+  // cost model) must detach — they run concurrently, and their events
+  // would break the simulated track's bit-identity and pollute process
+  // metrics.
   void set_observability(bool on);
   bool observed() const { return observed_; }
 

@@ -50,19 +50,15 @@ double Simulator::run_task(const Proc& p, const WorkEstimate& work, int threads,
   clocks_[s] = start + duration;
   busy_[s] += duration;
   ++tasks_run_;
-  if (trace_ != nullptr) {
-    static obs::Counter& tasks = obs::Metrics::global().counter("sim.tasks");
-    tasks.add(1);
-    if (name != nullptr && trace_->active()) {
-      const int tid = static_cast<int>(s);
-      trace_->name_sim_track(
-          tid, p.kind == ProcKind::CPU
-                   ? strprintf("node%d/CPU", p.node)
-                   : strprintf("node%d/GPU%d", p.node, p.index));
-      trace_->sim_span(tid, "task", name, start, clocks_[s]);
-      if (flow_id != 0) {
-        trace_->sim_flow_end(flow_id, tid, "launch", name, start);
-      }
+  if (trace_ != nullptr && name != nullptr && trace_->active()) {
+    const int tid = static_cast<int>(s);
+    trace_->name_sim_track(
+        tid, p.kind == ProcKind::CPU
+                 ? strprintf("node%d/CPU", p.node)
+                 : strprintf("node%d/GPU%d", p.node, p.index));
+    trace_->sim_span(tid, "task", name, start, clocks_[s]);
+    if (flow_id != 0) {
+      trace_->sim_flow_end(flow_id, tid, "launch", name, start);
     }
   }
   return clocks_[s];

@@ -65,10 +65,9 @@ class Simulator {
                   double ready_time, const char* name = nullptr,
                   uint64_t flow_id = 0);
 
-  // Attaches (or detaches with nullptr) the observability sinks: task spans
-  // go to `trace`, and the sim.* metrics mirrors are updated. Proxy/scratch
-  // simulators must stay detached so the recorded timeline only reflects
-  // the application's runtime.
+  // Attaches (or detaches with nullptr) the trace recorder that task spans
+  // go to. Proxy/scratch simulators must stay detached so the recorded
+  // timeline only reflects the application's runtime.
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
   obs::TraceRecorder* trace() const { return trace_; }
 

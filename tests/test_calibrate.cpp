@@ -1,12 +1,16 @@
 // Tests for the profile-guided calibration store (src/obs/calibrate.*) and
 // its feedback loop into the auto-scheduler's analytic cost model: recorded
 // leaf rates are robust (EWMA + outlier clamp), persist across processes
-// through the versioned JSON file, reach candidate pricing as calib.hits —
-// and turning calibration off reproduces searched schedules exactly.
+// through the versioned JSON file (a corrupt document merges nothing, an
+// out-of-range entry is skipped alone), reach candidate pricing as
+// calib.hits — and turning calibration off reproduces searched schedules
+// exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autosched/autosched.h"
@@ -175,6 +179,81 @@ TEST(Calibrate, HostileKernelNamesRoundTrip) {
     EXPECT_EQ(again, doc) << "cycle " << cycle;
     doc = again;
   }
+}
+
+// Two recorded kernels: "spmv_nz|CPU" is the document's first entry,
+// "spmv_row|CPU" its second.
+std::string two_entry_document() {
+  obs::Calibration& c = obs::Calibration::global();
+  c.record("spmv_nz", "CPU", 1e6, 2e6, 2e-3);
+  c.record("spmv_row", "CPU", 1e6, 2e6, 1e-3);
+  const std::string doc = c.json();
+  c.clear();
+  return doc;
+}
+
+// `doc` with the first entry's value of `field` replaced by `value`.
+std::string with_first(const std::string& doc, const std::string& field,
+                       const std::string& value) {
+  const std::string needle = "\"" + field + "\": ";
+  const size_t at = doc.find(needle) + needle.size();
+  std::string out = doc;
+  out.replace(at, doc.find_first_of(",}", at) - at, value);
+  return out;
+}
+
+// A document that is not JSON merges nothing: a file cut off inside its
+// second entry must not apply its first, and a rate JSON cannot express
+// (nan, inf) or one outside double's range rejects the document.
+TEST(Calibrate, CorruptDocumentsMergeNothing) {
+  CalibGuard guard;
+  obs::Calibration& c = obs::Calibration::global();
+  const std::string doc = two_entry_document();
+  ASSERT_EQ(c.merge_json(doc), 2u);
+  c.clear();
+
+  const std::string truncated = doc.substr(0, doc.find("spmv_row") + 20);
+  EXPECT_EQ(c.merge_json(truncated), 0u);
+  EXPECT_EQ(c.size(), 0u);
+  const std::string path = "calib_test_truncated.json";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << truncated;
+  }
+  EXPECT_TRUE(c.load(path));
+  EXPECT_EQ(c.size(), 0u);
+  std::remove(path.c_str());
+
+  for (const std::string bad : {"nan", "-nan", "inf", "1e999"}) {
+    EXPECT_EQ(c.merge_json(with_first(doc, "wall_per_flop", bad)), 0u) << bad;
+    EXPECT_EQ(c.size(), 0u) << bad;
+  }
+}
+
+// Entries are checked one by one: a negative or mistyped rate, or a
+// samples count that is not an integer in [1, 2^53], skips that entry
+// alone and the rest of the document still merges.
+TEST(Calibrate, OutOfRangeEntriesAreSkippedAlone) {
+  CalibGuard guard;
+  obs::Calibration& c = obs::Calibration::global();
+  const std::string doc = two_entry_document();
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"wall_per_flop", "-1e-9"}, {"wall_per_byte", "-1"},
+      {"wall_per_flop", "\"1e-9\""}, {"samples", "0"},
+      {"samples", "-3"},          {"samples", "2.5"},
+      {"samples", "1e30"},        {"samples", "9007199254740994"},
+      {"samples", "null"}};
+  for (const auto& [field, value] : bad) {
+    c.clear();
+    EXPECT_EQ(c.merge_json(with_first(doc, field, value)), 1u)
+        << field << ": " << value;
+    EXPECT_FALSE(c.lookup("spmv_nz", "CPU").has_value()) << value;
+    EXPECT_TRUE(c.lookup("spmv_row", "CPU").has_value()) << value;
+  }
+  // The largest count that is still exact in a double loads.
+  c.clear();
+  EXPECT_EQ(c.merge_json(with_first(doc, "samples", "9007199254740992")), 2u);
+  EXPECT_EQ(c.lookup("spmv_nz", "CPU")->samples, uint64_t{1} << 53);
 }
 
 TEST(Calibrate, LearnedRatesPriceAutoschedCandidates) {

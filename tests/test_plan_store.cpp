@@ -1,13 +1,13 @@
 // Tests for the persistent plan service (src/autosched/plan_store.*,
 // src/autosched/cache.*): the versioned JSON store round-trips every recipe
-// field, corrupt or version-mismatched documents are rejected wholesale, a
+// field, corrupt, too deeply nested or version-mismatched documents are
+// rejected wholesale, an entry with a hostile number is skipped alone, a
 // warm process compiles with zero searches, concurrent writers sharing one
 // file lose no entries, lookups match the key exactly, concurrent Runtimes
-// sharing one store are race-free, and set_plan_store(false) restores
-// bit-identical searched schedules.
+// sharing one store are race-free, set_plan_store(false) restores
+// bit-identical searched schedules, and files older builds wrote still load.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -189,6 +189,84 @@ TEST(PlanStore, LoadRejectsMissingAndCorruptFiles) {
   EXPECT_EQ(load_plan_store("definitely_missing_plan_store.json"), 0u);
   const std::string path = "test_plan_store_corrupt.json";
   write_file(path, "{\"version\": 1, \"plans\": [{\"key\": \"trunc");
+  EXPECT_EQ(load_plan_store(path), 0u);
+  EXPECT_EQ(PlanCache::global().size(), 0u);
+  std::remove(path.c_str());
+}
+
+// Each count, flag and the cost is checked per entry. A value JSON can
+// express but the recipe cannot hold — a fraction, a count outside int
+// range, a flag other than 0 or 1, a string or null, or a missing field —
+// skips that entry alone; a token JSON does not have (nan, inf, 01, +1)
+// or a number outside double's range rejects the whole document.
+TEST(PlanStore, HostileNumbersSkipTheEntryAlone) {
+  const std::string doc = plan_store_json(
+      {make_entry("k1", Recipe{}, {pattern_fp(100)}, 1.0),
+       make_entry("k2", Recipe{}, {pattern_fp(200)}, 2.0)});
+  const size_t k1 = doc.find("\"key\": \"k1\"");
+  ASSERT_NE(k1, std::string::npos);
+  // `doc` with k1's value of `field` replaced by `value`.
+  auto with = [&](const std::string& field, const std::string& value) {
+    const std::string needle = "\"" + field + "\": ";
+    const size_t at = doc.find(needle, k1) + needle.size();
+    std::string out = doc;
+    out.replace(at, doc.find_first_of(",}", at) - at, value);
+    return out;
+  };
+  auto expect_only_k2 = [&](const std::string& mutated) {
+    const auto out = parse_plan_store(mutated);
+    ASSERT_EQ(out.size(), 1u) << mutated;
+    EXPECT_EQ(out[0].structural, "k2");
+  };
+  for (const std::string field : {"pieces", "py", "pz", "fuse"}) {
+    for (const std::string value :
+         {"3.7", "1e300", "2147483648", "-2147483649", "\"4\"", "null"}) {
+      expect_only_k2(with(field, value));
+    }
+  }
+  for (const std::string field : {"pos", "comm"}) {
+    for (const std::string value : {"2", "-1", "0.5", "true"}) {
+      expect_only_k2(with(field, value));
+    }
+  }
+  expect_only_k2(with("cost", "\"1\""));
+  std::string missing = doc;
+  const std::string pieces = "\"pieces\": 1, ";
+  missing.erase(missing.find(pieces, k1), pieces.size());
+  expect_only_k2(missing);
+
+  for (const std::string value :
+       {"nan", "inf", "-inf", "01", "+1", "0x10", "1e999"}) {
+    EXPECT_TRUE(parse_plan_store(with("pieces", value)).empty()) << value;
+  }
+  // Integral spellings of a count are still counts.
+  for (const std::string value : {"4.0", "4e0", "0.4e1"}) {
+    const auto out = parse_plan_store(with("pieces", value));
+    ASSERT_EQ(out.size(), 2u) << value;
+    EXPECT_EQ(out[0].plan.recipe.pieces, 4) << value;
+  }
+}
+
+// An unknown field is ignored only while it is JSON within the nesting
+// limit: one holding 100,000 nested arrays rejects the document, without
+// recursing 100,000 levels deep.
+TEST(PlanStore, DeeplyNestedFieldRejectsTheDocument) {
+  StoreGuard guard;
+  const std::string doc =
+      plan_store_json({make_entry("k", Recipe{}, {pattern_fp(100)}, 1.0)});
+  const size_t at = doc.find("\"key\": ");
+  ASSERT_NE(at, std::string::npos);
+  std::string shallow = doc;
+  shallow.insert(at, "\"extra\": [[{\"a\": [1]}]], ");
+  EXPECT_EQ(parse_plan_store(shallow).size(), 1u);
+
+  constexpr size_t kDepth = 100000;
+  std::string deep = doc;
+  deep.insert(at, "\"extra\": " + std::string(kDepth, '[') +
+                      std::string(kDepth, ']') + ", ");
+  EXPECT_TRUE(parse_plan_store(deep).empty());
+  const std::string path = "test_plan_store_deep.json";
+  write_file(path, deep);
   EXPECT_EQ(load_plan_store(path), 0u);
   EXPECT_EQ(PlanCache::global().size(), 0u);
   std::remove(path.c_str());
@@ -390,16 +468,7 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   EXPECT_FALSE(fresh.from_cache);
   EXPECT_EQ(fresh.recipe, base.recipe);
   EXPECT_EQ(fresh.schedule.str(), base.schedule.str());
-
-  // The per-search override mirrors the global switch.
   set_plan_store(true);
-  PlanCache::global().clear();
-  PlanCache::global().insert_stored({sp});
-  Options no_store;
-  no_store.use_store = false;
-  const Result opted_out = autoschedule_search(*a.stmt, m, no_store);
-  EXPECT_FALSE(opted_out.from_cache);
-  EXPECT_EQ(opted_out.recipe, base.recipe);
 
   // Lookups match the key exactly: a nearby fingerprint misses, a different
   // structural half never matches, and exact hits on plans searched in this
@@ -423,94 +492,40 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   EXPECT_TRUE(cache.lookup(key_a).has_value());
 }
 
-// --- eviction -----------------------------------------------------------------
-
-// SPDISTAL_PLAN_STORE_MAX (set_plan_store_max) caps the saved document:
-// save keeps the most recently *used* entries and evicts the rest
-// oldest-first. Lookups refresh an entry's stamp, so a hot plan survives
-// entries inserted after it.
-TEST(PlanStore, SaveEvictsLeastRecentlyUsedBeyondCap) {
-  StoreGuard guard;
-  const int64_t prev_cap = plan_store_max();
-  const std::string path = "test_plan_store_evict.json";
-  std::remove(path.c_str());
-  set_plan_store_max(2);
-
-  std::vector<PlanKey> keys;
-  for (int k = 0; k < 4; ++k) {
-    Recipe r;
-    r.pieces = 1 << k;
-    PlanKey key{strprintf("shape-%d", k),
-                data::fingerprints_str({pattern_fp(100 + k)})};
-    keys.push_back(key);
-    PlanCache::global().insert(key, r, static_cast<double>(k));
-  }
-  // Touch 0 and 2: despite being inserted earlier, they are now the two
-  // most recently used entries.
-  ASSERT_TRUE(PlanCache::global().lookup(keys[0]).has_value());
-  ASSERT_TRUE(PlanCache::global().lookup(keys[2]).has_value());
-
-  ASSERT_TRUE(save_plan_store(path));
-  PlanCache::global().clear();
-  EXPECT_EQ(load_plan_store(path), 2u);
-  std::vector<int> survivors;
-  for (const StoredPlan& e : PlanCache::global().entries()) {
-    survivors.push_back(e.plan.recipe.pieces);
-  }
-  std::sort(survivors.begin(), survivors.end());
-  EXPECT_EQ(survivors, (std::vector<int>{1 << 0, 1 << 2}));
-
-  // Cap 0 disables eviction: everything persists.
-  set_plan_store_max(0);
-  PlanCache::global().clear();
-  for (int k = 0; k < 4; ++k) {
-    Recipe r;
-    r.pieces = 1 << k;
-    PlanCache::global().insert(keys[static_cast<size_t>(k)], r, 0.0);
-  }
-  std::remove(path.c_str());
-  ASSERT_TRUE(save_plan_store(path));
-  PlanCache::global().clear();
-  EXPECT_EQ(load_plan_store(path), 4u);
-
-  set_plan_store_max(prev_cap);
-  std::remove(path.c_str());
-}
-
 // --- schema compatibility -----------------------------------------------------
 
-// v1 documents (no per-entry "used" stamp) still load: their entries carry
-// stamp 0, making them the first candidates for eviction.
+// Files older builds wrote still load: v1 documents, and v2 documents
+// with the per-entry "used" stamps this build no longer writes (unknown
+// fields are ignored).
 TEST(PlanStore, V1DocumentsStillLoad) {
   StoreGuard guard;
   Recipe r;
   r.pieces = 4;
-  std::string doc =
-      plan_store_json({make_entry("v1-shape", r, {pattern_fp(100)}, 2.5)});
+  const std::string doc =
+      plan_store_json({make_entry("old-shape", r, {pattern_fp(100)}, 2.5)});
+  std::string v1 = doc;
   const std::string vneedle = "\"version\": 2";
-  const size_t at = doc.find(vneedle);
+  const size_t at = v1.find(vneedle);
   ASSERT_NE(at, std::string::npos);
-  doc.replace(at, vneedle.size(), "\"version\": 1");
-  // Strip the v2-only "used" stamps, turning the document into exactly
-  // what a v1 build would have written.
-  for (size_t u = doc.find("\"used\": "); u != std::string::npos;
-       u = doc.find("\"used\": ", u)) {
-    const size_t comma = doc.find(',', u);
-    ASSERT_NE(comma, std::string::npos);
-    doc.erase(u, comma + 2 - u);
-  }
-  const auto parsed = parse_plan_store(doc);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].structural, "v1-shape");
-  EXPECT_EQ(parsed[0].plan.recipe, r);
-  EXPECT_DOUBLE_EQ(parsed[0].plan.cost, 2.5);
-  EXPECT_EQ(parsed[0].plan.used->load(), 0);
+  v1.replace(at, vneedle.size(), "\"version\": 1");
+  std::string stamped = doc;
+  const size_t pos = stamped.find("\"pos\": ");
+  ASSERT_NE(pos, std::string::npos);
+  stamped.insert(pos, "\"used\": 7, ");
+  for (const std::string& old : {v1, stamped}) {
+    const auto parsed = parse_plan_store(old);
+    ASSERT_EQ(parsed.size(), 1u) << old;
+    EXPECT_EQ(parsed[0].structural, "old-shape");
+    EXPECT_EQ(parsed[0].plan.recipe, r);
+    EXPECT_DOUBLE_EQ(parsed[0].plan.cost, 2.5);
 
-  const std::string path = "test_plan_store_v1.json";
-  write_file(path, doc);
-  EXPECT_EQ(load_plan_store(path), 1u);
-  EXPECT_EQ(PlanCache::global().size(), 1u);
-  std::remove(path.c_str());
+    PlanCache::global().clear();
+    const std::string path = "test_plan_store_old.json";
+    write_file(path, old);
+    EXPECT_EQ(load_plan_store(path), 1u);
+    EXPECT_EQ(PlanCache::global().size(), 1u);
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
