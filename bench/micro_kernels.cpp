@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the leaf kernels: specialized kernels
-// vs the general co-iteration engine (the specialization gap compilation
-// buys at the leaves) and a CSR-vs-COO comparison on the steady-state launch
-// path (same schedule, different mode formats).
+// vs the general co-iteration engine for SpMV and SpMTTKRP (the
+// specialization gap compilation buys at the leaves) and a CSR-vs-COO
+// comparison on the steady-state launch path (same schedule, different mode
+// formats).
 //
 // Besides the stdout table, every finished run is recorded into
 // BENCH_kernels.json (bench_util's shared writer).
@@ -79,6 +80,57 @@ void BM_SpmvNzCoo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.B.storage().nnz());
 }
 BENCHMARK(BM_SpmvNzCoo)->Arg(100000);
+
+// SpMTTKRP at rank 16 on one power-law CSF tensor: both specialized
+// leaves against the general engine, over the whole tensor.
+struct SpmttkrpFixture {
+  IndexVar i{"i"}, j{"j"}, k{"k"}, l{"l"};
+  Tensor A, B, C, D;
+  Statement* stmt;
+  explicit SpmttkrpFixture(int64_t nnz) {
+    fmt::Coo coo =
+        data::powerlaw_3tensor(nnz / 77, nnz / 77, 160, nnz, 1.1, 7);
+    const rt::Coord L = spdbench::kRank;
+    A = Tensor("A", {coo.dims[0], L}, fmt::dense_matrix());
+    B = Tensor("B", coo.dims, fmt::csf3());
+    C = Tensor("C", {coo.dims[1], L}, fmt::dense_matrix());
+    D = Tensor("D", {coo.dims[2], L}, fmt::dense_matrix());
+    B.from_coo(std::move(coo));
+    C.init_dense([](const auto&) { return 1.0; });
+    D.init_dense([](const auto&) { return 0.5; });
+    stmt = &(A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
+  }
+};
+
+void BM_SpmttkrpLeaf(benchmark::State& state, bool nz) {
+  SpmttkrpFixture f(state.range(0));
+  kern::Leaf leaf = nz ? kern::make_spmttkrp_nz(f.A, f.B, f.C, f.D)
+                       : kern::make_spmttkrp_row(f.A, f.B, f.C, f.D);
+  for (auto _ : state) {
+    f.A.zero();
+    benchmark::DoNotOptimize(leaf(kern::PieceBounds{}).flops);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.B.storage().nnz());
+}
+
+void BM_SpmttkrpRow(benchmark::State& state) { BM_SpmttkrpLeaf(state, false); }
+BENCHMARK(BM_SpmttkrpRow)->Arg(100000);
+
+void BM_SpmttkrpNz(benchmark::State& state) { BM_SpmttkrpLeaf(state, true); }
+BENCHMARK(BM_SpmttkrpNz)->Arg(100000);
+
+void BM_SpmttkrpCoiter(benchmark::State& state) {
+  SpmttkrpFixture f(state.range(0));
+  kern::CoiterEngine engine(*f.stmt);
+  for (auto _ : state) {
+    f.A.zero();
+    benchmark::DoNotOptimize(engine.run().flops);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.B.storage().nnz());
+}
+BENCHMARK(BM_SpmttkrpCoiter)->Arg(100000);
 
 // CSR vs COO through the whole steady-state launch path: identical
 // non-zero schedule, warm LaunchPlan (the loop asserts no further plan

@@ -109,8 +109,10 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
 }
 
 PlanCache& PlanCache::global() {
-  static PlanCache cache;
-  return cache;
+  // Leaked: the plan store's exit-time save reads it, and that handler may
+  // have been registered before the cache was first constructed.
+  static PlanCache* cache = new PlanCache();
+  return *cache;
 }
 
 std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {

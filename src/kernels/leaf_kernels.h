@@ -23,7 +23,9 @@
 // output accessor addresses the point's bounding-box scratch buffer
 // transparently. Accessors must be constructed inside the leaf body (after
 // the executor installed the task's redirects), never captured across
-// invocations.
+// invocations. Dense-row inner loops (the SpMM and SpMTTKRP leaves) take
+// RegionAccessor<T, 2>::row(i, cols) once per row or fiber and index the
+// returned pointer; no leaf indexes a Region per element.
 #pragma once
 
 #include <functional>
@@ -79,8 +81,12 @@ Leaf make_spttv_row(Tensor A, Tensor B, Tensor c);
 // statically load-balanced GPU schedule of §VI-A2.
 Leaf make_spttv_nz(Tensor A, Tensor B, Tensor c);
 
-// A(i,l) = B(i,j,k) * C(j,l) * D(k,l), B as in SpTTV, A/C/D dense.
+// A(i,l) = B(i,j,k) * C(j,l) * D(k,l), B as in SpTTV, A/C/D dense. Row
+// range pieces; both leaves walk B fiber by fiber, streaming D's rows into
+// A's row i with C's row j held for the fiber.
 Leaf make_spmttkrp_row(Tensor A, Tensor B, Tensor C, Tensor D);
+// Non-zero variant over B's innermost positions (fully fused i,j,k); a
+// piece boundary may fall inside a fiber.
 Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D);
 
 // Owner maps for non-zero iteration: owners[l][q] = parent position of

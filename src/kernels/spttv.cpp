@@ -124,42 +124,4 @@ Leaf make_spttv_nz(Tensor A, Tensor B, Tensor c) {
   };
 }
 
-Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D) {
-  auto owners = build_owner_maps(B, 3);
-  return [A, B, C, D, owners](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
-    WorkCounter work;
-    const auto& l1 = B.storage().level(1);
-    const auto& l2 = B.storage().level(2);
-    const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
-    const Coord L = A.dims()[1];
-    const rt::Rect1 range = piece.dist_pos.value_or(
-        rt::Rect1{0, l2.positions - 1});
-    for (Coord q2 = range.lo; q2 <= range.hi; ++q2) {
-      const Coord q1 = (*owners)[2][static_cast<size_t>(q2)];
-      Coord i, j;
-      if (l1.kind.is_compressed()) {
-        i = (*owners)[1][static_cast<size_t>(q1)];
-        j = (*l1.crd)[q1];
-      } else {
-        i = q1 / l1.extent;
-        j = q1 % l1.extent;
-      }
-      const Coord k = l2crd[q2];
-      const double v = bv[q2];
-      for (Coord l = 0; l < L; ++l) {
-        av(i, l) += v * cv(j, l) * dv(k, l);
-      }
-      work.fma_dense_cached(2 * L);
-    }
-    return work.done();
-  };
-}
-
 }  // namespace spdistal::kern

@@ -192,6 +192,10 @@ std::vector<TensorCase> tensor_cases() {
        [] { return data::powerlaw_3tensor(30, 20, 10, 400, 1.2, 6); }},
       {"patents_ddc", fmt::ddc3(),
        [] { return data::patents_like_3tensor(6, 8, 30, 0.2, 7); }},
+      // Every (i, j) fiber of patents_ddc holds a non-zero; here 116 of the
+      // 300 fibers under the Dense middle level are empty.
+      {"uniform_ddc", fmt::ddc3(),
+       [] { return data::uniform_3tensor(20, 15, 25, 300, 5); }},
   };
 }
 
@@ -222,9 +226,22 @@ TEST_P(SpttvKernel, MatchesReference) {
   EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-10) << tc.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Structures, SpttvKernel, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(Structures, SpttvKernel, ::testing::Range(0, 4));
 
 class SpmttkrpKernel : public ::testing::TestWithParam<int> {};
+
+// The work both SpMTTKRP leaves charge: 4L flops and 16L+12 bytes per
+// stored non-zero, plus 16 bytes per pos segment the row leaf reads.
+void expect_mttkrp_work(const rt::WorkEstimate& w, Coord L, Coord nnz,
+                        Coord segments, const std::string& what) {
+  const double n = static_cast<double>(nnz);
+  const double l = static_cast<double>(L);
+  EXPECT_EQ(w.flops, 4.0 * l * n) << what;
+  EXPECT_EQ(w.bytes, (16.0 * l + 12.0) * n +
+                         16.0 * static_cast<double>(segments))
+      << what;
+  EXPECT_EQ(w.nnz, n) << what;
+}
 
 TEST_P(SpmttkrpKernel, MatchesReference) {
   const TensorCase tc = tensor_cases()[static_cast<size_t>(GetParam())];
@@ -237,20 +254,108 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
   Tensor C("C", {dims[1], L}, fmt::dense_matrix());
   Tensor D("D", {dims[2], L}, fmt::dense_matrix());
   B.from_coo(std::move(coo));
-  C.init_dense([](const auto& x) {
-    return 0.5 + 0.25 * static_cast<double>((x[0] + 2 * x[1]) % 3);
-  });
-  D.init_dense([](const auto& x) {
-    return 1.0 - 0.125 * static_cast<double>((2 * x[0] + x[1]) % 5);
-  });
+  auto c_at = [](Coord r, Coord col) {
+    return 0.5 + 0.25 * static_cast<double>((r + 2 * col) % 3);
+  };
+  auto d_at = [](Coord r, Coord col) {
+    return 1.0 - 0.125 * static_cast<double>((2 * r + col) % 5);
+  };
+  C.init_dense([&](const auto& x) { return c_at(x[0], x[1]); });
+  D.init_dense([&](const auto& x) { return d_at(x[0], x[1]); });
   Statement& stmt = (A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
-  Leaf leaf = make_spmttkrp_row(A, B, C, D);
-  A.zero();
-  leaf(PieceBounds{});
-  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-9) << tc.name;
+  const ref::DenseTensor oracle = ref::eval(stmt);
+
+  // Both leaves add a row's non-zeros in position order, one element at a
+  // time, as A(i,l) += v * C(j,l) * D(k,l): replaying that order over the
+  // stored entries reproduces their output bit for bit.
+  const fmt::Coo stored = B.storage().to_coo();
+  std::vector<double> expect(static_cast<size_t>(dims[0] * L), 0.0);
+  for (size_t e = 0; e < stored.vals.size(); ++e) {
+    const auto& x = stored.coords[e];
+    for (Coord col = 0; col < L; ++col) {
+      expect[static_cast<size_t>(x[0] * L + col)] +=
+          stored.vals[e] * c_at(x[1], col) * d_at(x[2], col);
+    }
+  }
+  auto expect_exact = [&](const std::string& what) {
+    const std::vector<double>& got = A.storage().vals()->data();
+    ASSERT_EQ(got.size(), expect.size()) << what;
+    for (size_t e = 0; e < expect.size(); ++e) {
+      EXPECT_EQ(got[e], expect[e]) << what << " at " << e;
+    }
+    EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-9) << what;
+  };
+
+  const auto& l1 = B.storage().level(1);
+  const auto& l2 = B.storage().level(2);
+  const Coord nnz = l2.positions;
+  {
+    // Two row pieces. Per piece, the row leaf reads one level-2 segment per
+    // fiber (empty ones included) and, over a Compressed middle level, one
+    // level-1 segment per row.
+    Leaf leaf = make_spmttkrp_row(A, B, C, D);
+    A.zero();
+    const Coord mid = dims[0] / 2;
+    for (const rt::Rect1 rows :
+         {rt::Rect1{0, mid}, rt::Rect1{mid + 1, dims[0] - 1}}) {
+      if (rows.empty()) continue;
+      PieceBounds piece;
+      piece.dist_coords = rows;
+      Coord fibers = 0;
+      Coord piece_nnz = 0;
+      for (Coord r = rows.lo; r <= rows.hi; ++r) {
+        const rt::PosRange seg =
+            l1.kind.is_compressed()
+                ? (*l1.pos)[r]
+                : rt::PosRange{r * l1.extent, (r + 1) * l1.extent - 1};
+        fibers += seg.size();
+        for (Coord q1 = seg.lo; q1 <= seg.hi; ++q1) {
+          piece_nnz += (*l2.pos)[q1].size();
+        }
+      }
+      const Coord segments =
+          fibers + (l1.kind.is_compressed() ? rows.size() : 0);
+      expect_mttkrp_work(leaf(piece), L, piece_nnz, segments,
+                         std::string(tc.name) + " row");
+    }
+    expect_exact(std::string(tc.name) + " row");
+  }
+  {
+    // Three position pieces whose boundaries split a fiber.
+    const auto owners = build_owner_maps(B, 3);
+    const std::vector<Coord>& fiber_of = (*owners)[2];
+    auto split_inside_fiber = [&](Coord from) {
+      Coord q = from;
+      while (q + 1 < nnz && fiber_of[static_cast<size_t>(q)] !=
+                                fiber_of[static_cast<size_t>(q + 1)]) {
+        ++q;
+      }
+      EXPECT_LT(q + 1, nnz) << tc.name << ": no fiber to split";
+      return q;
+    };
+    const Coord b1 = split_inside_fiber(nnz / 3);
+    const Coord b2 = split_inside_fiber(std::max(b1 + 1, 2 * nnz / 3));
+    Leaf leaf = make_spmttkrp_nz(A, B, C, D);
+    A.zero();
+    for (const rt::Rect1 range : {rt::Rect1{0, b1}, rt::Rect1{b1 + 1, b2},
+                                  rt::Rect1{b2 + 1, nnz - 1}}) {
+      PieceBounds piece;
+      piece.dist_pos = range;
+      expect_mttkrp_work(leaf(piece), L, range.size(), 0,
+                         std::string(tc.name) + " nz");
+    }
+    expect_exact(std::string(tc.name) + " nz");
+  }
+  if (std::string(tc.name) == "uniform_ddc") {
+    Coord empty = 0;
+    for (Coord q1 = 0; q1 < l1.positions; ++q1) {
+      empty += (*l2.pos)[q1].empty() ? 1 : 0;
+    }
+    EXPECT_GT(empty, 0) << "uniform_ddc must keep its empty fibers";
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Structures, SpmttkrpKernel, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(Structures, SpmttkrpKernel, ::testing::Range(0, 4));
 
 // Work estimates scale with the work actually performed.
 TEST(WorkEstimates, ScaleWithNnz) {

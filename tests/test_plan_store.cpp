@@ -2,13 +2,16 @@
 // src/autosched/cache.*): the versioned JSON store round-trips every recipe
 // field, corrupt, too deeply nested or version-mismatched documents are
 // rejected wholesale, an entry with a hostile number is skipped alone, a
-// warm process compiles with zero searches, concurrent writers sharing one
-// file lose no entries, lookups match the key exactly, concurrent Runtimes
-// sharing one store are race-free, set_plan_store(false) restores
-// bit-identical searched schedules, and files older builds wrote still load.
+// warm process compiles with zero searches, the exit-time save still reads
+// a live cache whichever plan-service call came first, concurrent writers
+// sharing one file lose no entries, lookups match the key exactly,
+// concurrent Runtimes sharing one store are race-free, set_plan_store(false)
+// restores bit-identical searched schedules, and files older builds wrote
+// still load.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <thread>
 
@@ -306,6 +309,53 @@ TEST(PlanStore, WarmProcessCompilesWithZeroSearches) {
   inst->run(1);
   EXPECT_LE(ref::max_abs_diff(b.out, ref::eval(*b.stmt)), 1e-10);
   std::remove(path.c_str());
+}
+
+// A process whose first plan-service call is set_plan_store(), with
+// SPDISTAL_PLAN_STORE naming a file that does not exist yet, registers the
+// exit-time save before the cache is first used. The save must still read
+// a live cache when that process exits normally. The scenario runs in a
+// child that re-executes this binary (threadsafe death-test style), so it
+// starts with fresh statics; the parent then reads the file it wrote.
+TEST(PlanStore, ExitTimeSaveOutlivesTheCache) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const rt::Machine m = cpu_machine(4);
+  const std::string path = "test_plan_store_exit_order.json";
+  std::remove(path.c_str());
+  const char* prev = std::getenv("SPDISTAL_PLAN_STORE");
+  const std::string prev_path = prev != nullptr ? prev : "";
+  setenv("SPDISTAL_PLAN_STORE", path.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        set_plan_store(true);
+        BuiltStmt a = build_spmv(13);
+        autoschedule_search(*a.stmt, m);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  if (prev != nullptr) {
+    setenv("SPDISTAL_PLAN_STORE", prev_path.c_str(), 1);
+  } else {
+    unsetenv("SPDISTAL_PLAN_STORE");
+  }
+
+  std::string doc;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "the child wrote no store";
+    doc.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::remove(path.c_str());
+  const std::vector<StoredPlan> stored = parse_plan_store(doc);
+  ASSERT_EQ(stored.size(), 1u) << doc;
+
+  // The one entry is the child's searched plan, under its real key.
+  StoreGuard guard;
+  BuiltStmt b = build_spmv(13);
+  const PlanKey key = plan_key(*b.stmt, m);
+  EXPECT_EQ(stored[0].structural, key.structural);
+  EXPECT_EQ(stored[0].sig, key.sig);
+  EXPECT_EQ(stored[0].plan.recipe, autoschedule_search(*b.stmt, m).recipe);
 }
 
 TEST(PlanStore, ConcurrentWritersUnionThroughOneFile) {
