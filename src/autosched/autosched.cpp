@@ -21,8 +21,14 @@ std::string Result::summary() const {
                    enumerated, simulated, recipe.str().c_str(), best_cost);
 }
 
-Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
-                           const Options& options) {
+namespace {
+
+// Candidates fully simulated after analytic ranking: the search budget.
+constexpr size_t kSimTopK = 8;
+
+}  // namespace
+
+Result autoschedule_search(const Statement& stmt, const rt::Machine& machine) {
   static obs::Counter& cache_hits =
       obs::Metrics::global().counter("autosched.cache_hits");
   static obs::Counter& cache_misses =
@@ -34,19 +40,17 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   Result result;
 
   const PlanKey key = plan_key(stmt, machine);
-  if (options.use_cache) {
-    if (auto cached = PlanCache::global().lookup(key)) {
-      try {
-        result.schedule = materialize(cached->recipe, stmt);
-        result.recipe = cached->recipe;
-        result.from_cache = true;
-        result.best_cost = cached->cost;
-        cache_hits.add(1);
-        return result;
-      } catch (const ScheduleError&) {
-        // A recipe read from a persisted store is outside input and may not
-        // fit this statement; fall through to a real search.
-      }
+  if (auto cached = PlanCache::global().lookup(key)) {
+    try {
+      result.schedule = materialize(cached->recipe, stmt);
+      result.recipe = cached->recipe;
+      result.from_cache = true;
+      result.best_cost = cached->cost;
+      cache_hits.add(1);
+      return result;
+    } catch (const ScheduleError&) {
+      // A recipe read from a persisted store is outside input and may not
+      // fit this statement; fall through to a real search.
     }
   }
   cache_misses.add(1);
@@ -58,7 +62,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   std::vector<Candidate> candidates;
   {
     OBS_SPAN("autosched", "enumerate");
-    candidates = enumerate_candidates(stmt, machine, options);
+    candidates = enumerate_candidates(stmt, machine);
   }
   SPD_CHECK(!candidates.empty(), ScheduleError,
             "auto-scheduler found no legal schedule for " << stmt.str());
@@ -79,11 +83,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return candidates[a].est_time < candidates[b].est_time;
   });
-  const size_t top_k = options.sim_top_k <= 0
-                           ? candidates.size()
-                           : std::min<size_t>(
-                                 static_cast<size_t>(options.sim_top_k),
-                                 candidates.size());
+  const size_t top_k = std::min(kSimTopK, candidates.size());
 
   // Proxy simulations fan out across the worker pool. The downsampled
   // proxy is built once; each candidate shares its input tensors (read-only
@@ -92,7 +92,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   // is independent of the pool size. Each simulation runs its own Runtime
   // over the shared pool, helping execute while it waits (no nested-pool
   // deadlock).
-  const Statement base_proxy = make_proxy(stmt, options);
+  const Statement base_proxy = make_proxy(stmt);
   std::vector<Statement> proxies;
   proxies.reserve(top_k);
   for (size_t k = 0; k < top_k; ++k) {
@@ -102,11 +102,9 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
     exec::Executor fan(exec::WorkerPool::shared());
     for (size_t k = 0; k < top_k; ++k) {
       Candidate& c = candidates[order[k]];
-      fan.submit("simulate " + c.recipe.str(), [&c, &proxies, &machine,
-                                               &options, k] {
+      fan.submit("simulate " + c.recipe.str(), [&c, &proxies, &machine, k] {
         try {
-          c.sim_time =
-              simulate_candidate(proxies[k], c.schedule, machine, options);
+          c.sim_time = simulate_candidate(proxies[k], c.schedule, machine);
           c.simulated = true;
         } catch (const SpdError&) {
           // Cannot be instantiated on this machine (e.g. simulated OOM):
@@ -136,15 +134,13 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   result.recipe = best->recipe;
   result.schedule = best->schedule;
   result.best_cost = best->simulated ? best->sim_time : best->est_time;
-  if (options.use_cache) {
-    PlanCache::global().insert(key, result.recipe, result.best_cost);
-  }
+  PlanCache::global().insert(key, result.recipe, result.best_cost);
   return result;
 }
 
-sched::Schedule autoschedule(const Statement& stmt, const rt::Machine& machine,
-                             const Options& options) {
-  return autoschedule_search(stmt, machine, options).schedule;
+sched::Schedule autoschedule(const Statement& stmt,
+                             const rt::Machine& machine) {
+  return autoschedule_search(stmt, machine).schedule;
 }
 
 }  // namespace spdistal::autosched

@@ -6,10 +6,12 @@
 //   sched::Schedule s = autosched::autoschedule(stmt, machine);
 //
 // Pipeline: enumerate legal candidates (enumerate.h), rank them with the
-// analytic estimator, fully simulate the top candidates on downsampled proxy
-// tensors (cost.h), pick the lowest simulated makespan, and memoize the
-// winning recipe in the global PlanCache (cache.h) so repeated compiles of
-// the same computation are served in O(1) without re-simulation.
+// analytic estimator, fully simulate the 8 best-ranked candidates on
+// downsampled proxy tensors (cost.h), pick the lowest simulated makespan,
+// and memoize the winning recipe in the global PlanCache (cache.h) so
+// repeated compiles of the same computation are served in O(1) without
+// re-simulation. The search budget is fixed; PlanCache::global().clear()
+// forces a fresh search.
 //
 // CompiledKernel::compile(stmt, machine) calls this automatically when the
 // statement's output tensor carries no distribute() command, making
@@ -20,7 +22,6 @@
 
 #include "autosched/cache.h"
 #include "autosched/enumerate.h"
-#include "autosched/options.h"
 #include "autosched/recipe.h"
 
 namespace spdistal::autosched {
@@ -36,12 +37,10 @@ struct Result {
 };
 
 // Full search with diagnostics.
-Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
-                           const Options& options = {});
+Result autoschedule_search(const Statement& stmt, const rt::Machine& machine);
 
 // Convenience: just the schedule.
 sched::Schedule autoschedule(const Statement& stmt,
-                             const rt::Machine& machine,
-                             const Options& options = {});
+                             const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

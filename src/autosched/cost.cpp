@@ -227,7 +227,7 @@ double analytic_estimate(const Statement& stmt, const Recipe& recipe,
   return AnalyticModel(stmt, machine).estimate(recipe);
 }
 
-Statement make_proxy(const Statement& stmt, const Options& options) {
+Statement make_proxy(const Statement& stmt) {
   Statement proxy;
   proxy.assignment = stmt.assignment;
   for (const auto& [name, t] : stmt.bindings) {
@@ -238,8 +238,8 @@ Statement make_proxy(const Statement& stmt, const Options& options) {
       }
     } else if (t.has_storage()) {
       fmt::Coo coo = t.storage().to_coo();
-      if (coo.nnz() > options.max_sim_nnz) {
-        coo = data::sample_coo(coo, options.max_sim_nnz, options.proxy_seed);
+      if (coo.nnz() > kMaxProxyNnz) {
+        coo = data::sample_coo(coo, kMaxProxyNnz, /*seed=*/1);
       }
       clone.from_coo(std::move(coo));
     }
@@ -269,8 +269,7 @@ Statement clone_proxy_output(const Statement& proxy) {
 }
 
 double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
-                          const rt::Machine& machine,
-                          const Options& options) {
+                          const rt::Machine& machine) {
   // Dense outputs accumulate across candidate runs; zero between candidates
   // so every simulation sees the same starting state.
   Tensor out = proxy.tensor(proxy.assignment.lhs.tensor);
@@ -287,7 +286,7 @@ double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
   auto inst = ck.instantiate(scratch);
   inst->run(1);  // warm-up: placement + first-touch communication
   scratch.reset_timing();
-  const int iters = std::max(1, options.sim_iters);
+  const int iters = 2;  // timed steady-state iterations
   inst->run(iters);
   return inst->report().sim_time / iters;
 }

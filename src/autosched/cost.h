@@ -18,17 +18,17 @@
 //
 // The simulation tier is ground truth: the candidate is compiled and
 // instantiated against a scratch rt::Runtime on proxy tensors (exact clones,
-// downsampled above Options::max_sim_nnz) and priced by SimReport::sim_time
-// over warm steady-state iterations — the same protocol the benchmark
-// harnesses use.
+// downsampled above kMaxProxyNnz) and priced by SimReport::sim_time over two
+// warm steady-state iterations — the same protocol the benchmark harnesses
+// use.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "autosched/options.h"
 #include "autosched/recipe.h"
 #include "obs/calibrate.h"
 #include "runtime/machine.h"
@@ -65,10 +65,15 @@ class AnalyticModel {
 double analytic_estimate(const Statement& stmt, const Recipe& recipe,
                          const rt::Machine& machine);
 
+// Sparse operands with more stored non-zeros than this are downsampled
+// (with a fixed seed, so proxies and cache keys stay stable) before
+// candidate simulation.
+constexpr int64_t kMaxProxyNnz = 1 << 15;
+
 // Clones every binding of `stmt` (sharing nothing), downsampling sparse
-// operands above options.max_sim_nnz. The returned statement is safe to
+// operands above kMaxProxyNnz. The returned statement is safe to
 // instantiate and run without touching the user's tensors.
-Statement make_proxy(const Statement& stmt, const Options& options);
+Statement make_proxy(const Statement& stmt);
 
 // Clones only the output binding of a proxy (fresh storage for a candidate
 // simulation to zero/assemble); input bindings are shared handles, read-only
@@ -81,6 +86,6 @@ Statement clone_proxy_output(const Statement& proxy);
 // SpdError when the candidate cannot be instantiated; callers treat that as
 // an infinite cost.
 double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
-                          const rt::Machine& machine, const Options& options);
+                          const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

@@ -12,13 +12,10 @@ using sched::ParallelUnit;
 using tin::IndexVar;
 
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
-                                            const rt::Machine& machine,
-                                            const Options& options) {
+                                            const rt::Machine& machine) {
   const int procs = std::max(1, machine.num_procs());
   std::vector<int> piece_counts{procs};
-  if (options.allow_overdecomposition && procs > 1) {
-    piece_counts.push_back(2 * procs);
-  }
+  if (procs > 1) piece_counts.push_back(2 * procs);
   std::vector<std::optional<ParallelUnit>> units;
   if (machine.kind() == rt::ProcKind::CPU) {
     units = {ParallelUnit::CPUThread, std::nullopt};

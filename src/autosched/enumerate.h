@@ -4,17 +4,17 @@
 // The space covered is the paper's own scheduling vocabulary: universe
 // (coordinate-block) distribution of the outermost variable vs non-zero
 // (position-space) distribution of each sparse operand at every legal fusion
-// depth, piece counts derived from the machine grid (with optional 2x
-// overdecomposition), communicate granularity placements, and leaf
-// parallelization per processor kind. Every emitted candidate has already
-// been validated by comp::CompiledKernel::compile — illegal combinations
-// (union co-iteration under a non-zero split, non-outermost distribution,
-// compressed top levels) are filtered here, not surfaced to the search.
+// depth, piece counts derived from the machine grid (one piece per
+// processor, and always 2x overdecomposed too), communicate granularity
+// placements, and leaf parallelization per processor kind. Every emitted
+// candidate has already been validated by comp::CompiledKernel::compile —
+// illegal combinations (union co-iteration under a non-zero split,
+// non-outermost distribution, compressed top levels) are filtered here, not
+// surfaced to the search.
 #pragma once
 
 #include <vector>
 
-#include "autosched/options.h"
 #include "autosched/recipe.h"
 #include "runtime/machine.h"
 
@@ -32,7 +32,6 @@ struct Candidate {
 // before not, piece counts ascending), then position-space candidates per
 // sparse operand in access order, fusion depth ascending.
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
-                                            const rt::Machine& machine,
-                                            const Options& options);
+                                            const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

@@ -162,15 +162,14 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
                                      : std::nullopt;
           if (!nz_split_is_last(B)) {
             // Mid-tree split: for CSR the only mid-tree level is the Dense
-            // row level (level 0), whose positions the pos_level-aware
-            // kernel iterates as a row range.
+            // row level (level 0), whose positions are rows: the row leaf
+            // iterates them.
             if (!is_dc(stmt.tensor(B->tensor)) || split_level != 0) {
               return coiter_fallback();
             }
             return SelectedLeaf{
-                kern::make_spmv_nz(out, stmt.tensor(B->tensor),
-                                   stmt.tensor(c->tensor), col_clamp,
-                                   /*pos_level=*/0),
+                kern::make_spmv_row(out, stmt.tensor(B->tensor),
+                                    stmt.tensor(c->tensor), col_clamp),
                 "spmv_nz"};
           }
           return SelectedLeaf{
@@ -178,8 +177,8 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
                                  stmt.tensor(c->tensor), col_clamp),
               "spmv_nz"};
         }
-        // spmv_row cannot clamp the reduction variable j, and needs a Dense
-        // row level; grids and COO operands use the general engine.
+        // spmv_row needs a Dense row level; universe grids and COO
+        // operands use the general engine.
         if (multi_axis || !is_dc(stmt.tensor(B->tensor))) {
           return coiter_fallback();
         }

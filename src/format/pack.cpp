@@ -15,8 +15,7 @@
 namespace spdistal::fmt {
 
 TensorStorage pack(const std::string& name, const Format& format,
-                   const std::vector<Coord>& dims, Coo coo,
-                   const PackOptions& options) {
+                   const std::vector<Coord>& dims, Coo coo) {
   obs::Span pack_span("format", obs::TraceRecorder::global().active()
                                     ? "pack " + name
                                     : std::string());
@@ -31,26 +30,7 @@ TensorStorage pack(const std::string& name, const Format& format,
                 "pack: coordinate out of bounds in " << name);
     }
   }
-  if (options.coalesce) {
-    coo.sort_and_combine(format.ordering());
-  } else {
-    // Keep duplicates as distinct stored entries (stable sort, so their
-    // input order is preserved). Only formats with a non-unique level give
-    // each duplicate its own position; reject otherwise up front.
-    bool has_nonunique = false;
-    for (const ModeFormat& m : format.modes()) {
-      if (!m.unique()) has_nonunique = true;
-    }
-    coo.sort(format.ordering());
-    if (!has_nonunique) {
-      for (size_t e = 1; e < coo.coords.size(); ++e) {
-        SPD_CHECK(coo.coords[e] != coo.coords[e - 1], NotationError,
-                  "pack: duplicate coordinates in "
-                      << name
-                      << " need coalescing or a non-unique (COO) format");
-      }
-    }
-  }
+  coo.sort_and_combine(format.ordering());
 
   TensorStorage st;
   st.name_ = name;

@@ -25,8 +25,8 @@ void Coo::sort(const std::vector<int>& dim_order) {
   std::vector<size_t> perm(coords.size());
   std::iota(perm.begin(), perm.end(), 0);
   // Stable: duplicate coordinates keep input order, so unordered inputs
-  // (and duplicate-preserving packs) are deterministic functions of the
-  // entry list.
+  // (and the sums of duplicates) are deterministic functions of the entry
+  // list.
   std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
     for (int d : dim_order) {
       const Coord ca = coords[a][static_cast<size_t>(d)];

@@ -56,8 +56,6 @@ struct Coo {
   void sort_and_combine(const std::vector<int>& dim_order);
 };
 
-struct PackOptions;
-
 // One stored level of the coordinate tree.
 struct LevelStorage {
   ModeFormat kind = ModeFormat::Dense();
@@ -118,8 +116,7 @@ class TensorStorage {
 
  private:
   friend TensorStorage pack(const std::string& name, const Format& format,
-                            const std::vector<Coord>& dims, Coo coo,
-                            const PackOptions& options);
+                            const std::vector<Coord>& dims, Coo coo);
 
   std::string name_;
   Format format_;
@@ -130,22 +127,12 @@ class TensorStorage {
   std::shared_ptr<const data::SparsityFingerprint> fingerprint_;
 };
 
-// Pack behavior knobs.
-struct PackOptions {
-  // Sum duplicate coordinates into one stored entry (the default). With
-  // coalescing off, duplicates survive as distinct stored entries — legal
-  // only for formats whose root level is non-unique (COO chains), where
-  // each entry gets its own position; unique formats reject duplicates.
-  bool coalesce = true;
-};
-
 // Packs a coordinate list into the given format. Input entries may arrive
 // in any order (pack stable-sorts coordinate-lexicographically in storage
-// order first); duplicates are summed unless options.coalesce is off.
+// order first); duplicate coordinates are summed into one stored entry.
 // `dims` are logical dimension sizes.
 TensorStorage pack(const std::string& name, const Format& format,
-                   const std::vector<Coord>& dims, Coo coo,
-                   const PackOptions& options = {});
+                   const std::vector<Coord>& dims, Coo coo);
 
 // Exact structural and numerical equality of the stored non-zeros
 // (independent of format).

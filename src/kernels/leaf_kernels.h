@@ -37,18 +37,19 @@ namespace spdistal::kern {
 
 using Leaf = std::function<rt::WorkEstimate(const PieceBounds&)>;
 
-// a(i) = B(i,j) * c(j), B = {Dense, Compressed}. Row range pieces.
-Leaf make_spmv_row(Tensor a, Tensor B, Tensor c);
-// Same computation over stored position ranges of B. B may be CSR or COO
-// ({Compressed!u, Singleton}; rows read from the root crd). With `col_var`,
-// stored columns outside the piece's bound for that variable are skipped
-// (the inner universe axis of a non-zero x universe grid). `pos_level`
-// names the split level the piece's positions index: the last level (fused
-// i,j — the default) or a CSR's level 0, where positions are rows and the
-// kernel iterates the row range directly (a mid-tree position split).
+// a(i) = B(i,j) * c(j), B = {Dense, Compressed}. Row range pieces: the
+// rows are the piece's `dist_pos` when set (a position split at the Dense
+// row level, whose positions are rows) and its `dist_coords` otherwise.
+// With `col_var`, stored columns outside the piece's bound for that
+// variable are skipped (the inner universe axis of a non-zero x universe
+// grid).
+Leaf make_spmv_row(Tensor a, Tensor B, Tensor c,
+                   std::optional<uint32_t> col_var = std::nullopt);
+// Same computation over stored position ranges of B's last level (fused
+// i,j). B may be CSR or COO ({Compressed!u, Singleton}; rows read from the
+// root crd). `col_var` as in make_spmv_row.
 Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
-                  std::optional<uint32_t> col_var = std::nullopt,
-                  int pos_level = -1);
+                  std::optional<uint32_t> col_var = std::nullopt);
 
 // A(i,j) = B(i,k) * C(k,j), A/C dense matrices, B = {Dense, Compressed}.
 // With `col_var`, the dense j loop clamps to the piece's bound for that

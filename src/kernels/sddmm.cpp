@@ -42,25 +42,12 @@ rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
   return work.done();
 }
 
-std::shared_ptr<std::vector<Coord>> build_row_of(const Tensor& B) {
-  auto row_of = std::make_shared<std::vector<Coord>>();
-  const auto& Bl = B.storage().level(1);
-  row_of->assign(static_cast<size_t>(Bl.positions), 0);
-  for (Coord i = 0; i < Bl.parent_positions; ++i) {
-    const rt::PosRange seg = (*Bl.pos)[i];
-    for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      (*row_of)[static_cast<size_t>(q)] = i;
-    }
-  }
-  return row_of;
-}
-
 }  // namespace
 
 Leaf make_sddmm_nz(Tensor A, Tensor B, Tensor C, Tensor D,
                    std::optional<uint32_t> col_var) {
-  auto row_of = build_row_of(B);
-  return [A, B, C, D, row_of, col_var](const PieceBounds& piece) mutable {
+  auto owners = build_owner_maps(B, 2);
+  return [A, B, C, D, owners, col_var](const PieceBounds& piece) mutable {
     const rt::Rect1 range = piece.dist_pos.value_or(
         rt::Rect1{0, B.storage().level(1).positions - 1});
     const std::optional<rt::Rect1> cols =
@@ -68,14 +55,14 @@ Leaf make_sddmm_nz(Tensor A, Tensor B, Tensor C, Tensor D,
             ? std::optional<rt::Rect1>(piece.var_bound(
                   *col_var, rt::Rect1{0, B.dims()[1] - 1}))
             : std::nullopt;
-    return sddmm_positions(A, B, C, D, range, *row_of, cols);
+    return sddmm_positions(A, B, C, D, range, (*owners)[1], cols);
   };
 }
 
 Leaf make_sddmm_row(Tensor A, Tensor B, Tensor C, Tensor D,
                     std::optional<uint32_t> col_var) {
-  auto row_of = build_row_of(B);
-  return [A, B, C, D, row_of, col_var](const PieceBounds& piece) mutable {
+  auto owners = build_owner_maps(B, 2);
+  return [A, B, C, D, owners, col_var](const PieceBounds& piece) mutable {
     const rt::Rect1 rows = piece.dist_coords.value_or(
         rt::Rect1{0, B.dims()[0] - 1});
     const std::optional<rt::Rect1> cols =
@@ -97,7 +84,7 @@ Leaf make_sddmm_row(Tensor A, Tensor B, Tensor C, Tensor D,
       }
     }
     if (range.empty()) return rt::WorkEstimate{};
-    return sddmm_positions(A, B, C, D, range, *row_of, cols);
+    return sddmm_positions(A, B, C, D, range, (*owners)[1], cols);
   };
 }
 

@@ -5,8 +5,10 @@ namespace spdistal::kern {
 
 using rt::Coord;
 
-Leaf make_spmv_row(Tensor a, Tensor B, Tensor c) {
-  return [a, B, c](const PieceBounds& piece) mutable -> rt::WorkEstimate {
+Leaf make_spmv_row(Tensor a, Tensor B, Tensor c,
+                   std::optional<uint32_t> col_var) {
+  return [a, B, c, col_var](const PieceBounds& piece) mutable
+             -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
     // Accessors resolve the reduction-redirect indirection once per leaf
@@ -16,16 +18,29 @@ Leaf make_spmv_row(Tensor a, Tensor B, Tensor c) {
     const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
     const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
     const rt::RegionAccessor<double> av(*a.storage().vals());
-    const rt::Rect1 rows = piece.dist_coords.value_or(
-        rt::Rect1{0, B.dims()[0] - 1});
+    // A position split at the Dense row level hands over level-0
+    // positions, which are rows.
+    const rt::Rect1 rows = piece.dist_pos.value_or(
+        piece.dist_coords.value_or(rt::Rect1{0, B.dims()[0] - 1}));
+    const rt::Rect1 cols =
+        col_var.has_value()
+            ? piece.var_bound(*col_var, rt::Rect1{0, B.dims()[1] - 1})
+            : rt::Rect1{0, B.dims()[1] - 1};
+    const bool clamp = col_var.has_value();
     for (Coord i = rows.lo; i <= rows.hi; ++i) {
       const rt::PosRange seg = pos[i];
       work.segment();
       double sum = 0;
+      int64_t computed = 0;
       for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        sum += bv[q] * cv[crd[q]];
+        const Coord j = crd[q];
+        if (clamp && (j < cols.lo || j > cols.hi)) continue;
+        sum += bv[q] * cv[j];
+        ++computed;
       }
-      work.fma_sparse(seg.size());
+      work.fma_sparse(computed);
+      // Clamped-out entries only stream their crd during the scan.
+      if (clamp) work.stream(seg.size() - computed, 4.0);
       av[i] += sum;
       work.stream(1);
     }
@@ -34,50 +49,7 @@ Leaf make_spmv_row(Tensor a, Tensor B, Tensor c) {
 }
 
 Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
-                  std::optional<uint32_t> col_var, int pos_level) {
-  // Mid-tree split: the piece's positions are level-0 (row) positions of a
-  // CSR matrix. Iterate that row range with the specialized row loop,
-  // clamping stored columns to any piece bound instead of falling back to
-  // general co-iteration.
-  if (pos_level == 0 && !B.storage().level(0).kind.has_crd()) {
-    return [a, B, c, col_var](const PieceBounds& piece) mutable
-               -> rt::WorkEstimate {
-      WorkCounter work;
-      const auto& Bl = B.storage().level(1);
-      const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
-      const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-      const rt::RegionAccessor<double> bv(*B.storage().vals(),
-                                          rt::Access::Read);
-      const rt::RegionAccessor<double> cv(*c.storage().vals(),
-                                          rt::Access::Read);
-      const rt::RegionAccessor<double> av(*a.storage().vals());
-      const rt::Rect1 rows = piece.dist_pos.value_or(
-          rt::Rect1{0, B.dims()[0] - 1});
-      const rt::Rect1 cols =
-          col_var.has_value()
-              ? piece.var_bound(*col_var, rt::Rect1{0, B.dims()[1] - 1})
-              : rt::Rect1{0, B.dims()[1] - 1};
-      const bool clamp = col_var.has_value();
-      for (Coord i = rows.lo; i <= rows.hi; ++i) {
-        const rt::PosRange seg = pos[i];
-        work.segment();
-        double sum = 0;
-        int64_t computed = 0;
-        for (Coord q = seg.lo; q <= seg.hi; ++q) {
-          const Coord j = crd[q];
-          if (clamp && (j < cols.lo || j > cols.hi)) continue;
-          sum += bv[q] * cv[j];
-          ++computed;
-        }
-        // Clamped-out entries only stream their crd during the scan.
-        work.fma_sparse(computed);
-        if (clamp) work.stream(seg.size() - computed, 4.0);
-        av[i] += sum;
-        work.stream(1);
-      }
-      return work.done();
-    };
-  }
+                  std::optional<uint32_t> col_var) {
   // B is CSR ({Dense, Compressed}) or COO ({Compressed!u, Singleton}). For
   // CSR, precompute the owning row of every non-zero position once (the
   // runtime analysis the generated code amortizes across iterations); COO
@@ -89,18 +61,8 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
                  B.storage().level(0).kind.is_dense(),
              "make_spmv_nz requires CSR or COO storage, got "
                  << B.storage().str());
-  auto row_of = std::make_shared<std::vector<Coord>>();
-  if (!coo) {
-    const auto& Bl = B.storage().level(1);
-    row_of->assign(static_cast<size_t>(Bl.positions), 0);
-    for (Coord i = 0; i < Bl.parent_positions; ++i) {
-      const rt::PosRange seg = (*Bl.pos)[i];
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        (*row_of)[static_cast<size_t>(q)] = i;
-      }
-    }
-  }
-  return [a, B, c, row_of, coo, col_var](const PieceBounds& piece) mutable
+  const auto owners = coo ? nullptr : build_owner_maps(B, 2);
+  return [a, B, c, owners, coo, col_var](const PieceBounds& piece) mutable
              -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
@@ -127,7 +89,7 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
       const Coord j = crd[q];
       if (clamp && (j < cols.lo || j > cols.hi)) continue;
       const Coord i = coo ? Coord{row_crd[q]}
-                          : (*row_of)[static_cast<size_t>(q)];
+                          : (*owners)[1][static_cast<size_t>(q)];
       av[i] += bv[q] * cv[j];
       ++computed;
     }

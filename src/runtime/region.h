@@ -77,11 +77,6 @@ class RegionBase {
     return space_.volume() * static_cast<int64_t>(elem_size_);
   }
 
-  // Version counter, bumped on every write launch; used by the Runtime to
-  // invalidate cached instances in remote memories.
-  uint64_t version() const { return version_; }
-  void bump_version() { ++version_; }
-
   // --- reduction privatization (deferred executor) ---------------------------
   // Concurrent REDUCE point tasks with overlapping subsets each accumulate
   // into a private scratch buffer (installed as a thread-local redirect for
@@ -165,7 +160,6 @@ class RegionBase {
   IndexSpace space_;
   size_t elem_size_;
   std::string name_;
-  uint64_t version_ = 0;
   std::atomic<int> redirect_epochs_{0};
 };
 

@@ -146,16 +146,11 @@ void Runtime::set_verify(bool on) {
 }
 
 void Runtime::evict_to_capacity() {
-  while (plan_cache_.size() > plan_capacity_) {
+  while (plan_cache_.size() > kPlanCapacity) {
     plan_cache_.erase(plan_lru_.back().key);
     plan_lru_.pop_back();
     ++plan_evictions_;
   }
-}
-
-void Runtime::set_plan_memo_capacity(size_t capacity) {
-  plan_capacity_ = std::max<size_t>(capacity, 1);
-  evict_to_capacity();
 }
 
 bool Runtime::inject_plan_fault(PlanFault fault) {
@@ -593,17 +588,12 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
     }
   }
 
-  // Audit sampling: with SPDISTAL_VERIFY_SAMPLE=N only every Nth launch
-  // pays for the dynamic checks (race audit, touch checking, RO hashing);
-  // schedule linting is cheap and stays always-on at its own call sites.
-  const bool audit = verify_ && verify::should_audit();
-
   // Dependence-race audit (verify mode): diff the plan's memoized conflict
   // edges against the brute-force oracle, and — on warm memo hits — the
   // memoized per-point subsets against the live partitions, before the
   // borrowed partition pointers are dropped below. Throws VerifyError at
   // the enqueue site on a race or a stale cache entry.
-  if (audit) {
+  if (verify_) {
     verify::AuditInput in;
     in.launch_name = launch.name;
     in.points = P;
@@ -653,7 +643,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   // region the launch never writes get hashed before any point runs and
   // re-hashed at retirement; a changed fingerprint is a write under RO.
   exec::TaskId prehash = 0;
-  if (audit) {
+  if (verify_) {
     auto vs = std::make_unique<LaunchRecord::VerifyState>();
     for (size_t r = 0; r < R; ++r) {
       if (launch.reqs[r].priv != Privilege::RO) continue;
@@ -690,7 +680,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
 
   // Mint the point tasks and the retirement task.
   std::vector<exec::TaskId> ids(static_cast<size_t>(P));
-  const bool verifying = audit;
+  const bool verifying = verify_;
   for (int p = 0; p < P; ++p) {
     ids[static_cast<size_t>(p)] = ex_->create(
         strprintf("%s[%d]", launch.name.c_str(), p), [this, rec, p, verifying] {
@@ -956,7 +946,6 @@ void Runtime::account_launch(LaunchRecord& rec) {
     const RegionReq& req = launch.reqs[r];
     if (req.priv == Privilege::RO) continue;
     RegionBase& region = *req.region;
-    region.bump_version();
     drop_placement(region);
     PlacementInfo& pl = placement(region);
     const double elem = static_cast<double>(region.elem_size());

@@ -204,12 +204,6 @@ class Runtime {
     plan_lru_.clear();
   }
 
-  // LaunchPlan LRU capacity: defaults to kDefaultPlanCapacity (256),
-  // clamped to >= 1. Shrinking below the current population evicts the
-  // coldest plans immediately (counted in SimReport::plan_evictions).
-  void set_plan_memo_capacity(size_t capacity);
-  size_t plan_memo_capacity() const { return plan_capacity_; }
-
   // Verification mode (ISSUE 7). When on, every execute() runs the
   // dependence-race auditor over the (possibly cached) plan, leaf tasks
   // record touched bounds for the privilege checker, and read-only operands
@@ -322,14 +316,15 @@ class Runtime {
   }
 
   // LRU-ordered plan store: most-recently-used entries at the front, the
-  // index map points into the list. Capacity-bounded with true LRU
-  // eviction (only the coldest plan is dropped, never the whole cache).
+  // index map points into the list. Bounded at kPlanCapacity plans with
+  // true LRU eviction (only the coldest plan is dropped, never the whole
+  // cache; counted in SimReport::plan_evictions).
   struct PlanEntry {
     PlanKey key;
     std::shared_ptr<const LaunchPlan> plan;
   };
-  static constexpr size_t kDefaultPlanCapacity = 256;
-  // Drops the coldest plans until size <= plan_capacity_.
+  static constexpr size_t kPlanCapacity = 256;
+  // Drops the coldest plans until size <= kPlanCapacity.
   void evict_to_capacity();
 
   Machine machine_;
@@ -339,7 +334,6 @@ class Runtime {
   std::map<RegionId, PlacementInfo> placements_;
   std::list<PlanEntry> plan_lru_;
   std::map<PlanKey, std::list<PlanEntry>::iterator> plan_cache_;
-  size_t plan_capacity_ = kDefaultPlanCapacity;
   bool plan_memo_ = true;
   bool verify_ = false;
   int64_t plan_hits_ = 0;

@@ -31,14 +31,6 @@ Schedule& Schedule::divide(IndexVar i, IndexVar outer, IndexVar inner,
   return *this;
 }
 
-Schedule& Schedule::split(IndexVar i, IndexVar outer, IndexVar inner,
-                          int factor) {
-  SPD_CHECK(factor >= 1, ScheduleError, "split: factor must be >= 1");
-  commands_.push_back(Command{CommandKind::Split, {i, outer, inner}, {},
-                              factor, ParallelUnit::CPUThread});
-  return *this;
-}
-
 Schedule& Schedule::divide_pos(IndexVar i, IndexVar outer, IndexVar inner,
                                int pieces, const std::string& tensor) {
   SPD_CHECK(pieces >= 1, ScheduleError, "divide_pos: pieces must be >= 1");
@@ -49,12 +41,6 @@ Schedule& Schedule::divide_pos(IndexVar i, IndexVar outer, IndexVar inner,
 
 Schedule& Schedule::fuse(IndexVar i, IndexVar j, IndexVar fused) {
   commands_.push_back(Command{CommandKind::Fuse, {i, j, fused}, {}, 0,
-                              ParallelUnit::CPUThread});
-  return *this;
-}
-
-Schedule& Schedule::reorder(std::vector<IndexVar> order) {
-  commands_.push_back(Command{CommandKind::Reorder, std::move(order), {}, 0,
                               ParallelUnit::CPUThread});
   return *this;
 }
@@ -78,12 +64,6 @@ Schedule& Schedule::parallelize(IndexVar v, ParallelUnit unit) {
   return *this;
 }
 
-Schedule& Schedule::precompute(IndexVar v, IndexVar workspace_var) {
-  commands_.push_back(Command{CommandKind::Precompute, {v, workspace_var}, {},
-                              0, ParallelUnit::CPUThread});
-  return *this;
-}
-
 Schedule& Schedule::suppress_lint(std::string rule) {
   if (!is_lint_suppressed(rule)) suppressed_.push_back(std::move(rule));
   return *this;
@@ -96,8 +76,7 @@ bool Schedule::is_lint_suppressed(const std::string& rule) const {
 
 const Command* Schedule::producer_of(const IndexVar& v) const {
   for (const auto& c : commands_) {
-    if ((c.kind == CommandKind::Divide || c.kind == CommandKind::Split ||
-         c.kind == CommandKind::DividePos) &&
+    if ((c.kind == CommandKind::Divide || c.kind == CommandKind::DividePos) &&
         c.vars.size() == 3 && c.vars[1] == v) {
       return &c;
     }
@@ -193,39 +172,12 @@ std::optional<ParallelUnit> Schedule::leaf_parallel_unit() const {
   return std::nullopt;
 }
 
-std::vector<std::string> Schedule::communicated_tensors() const {
-  std::vector<std::string> out;
-  for (const auto& c : commands_) {
-    if (c.kind != CommandKind::Communicate) continue;
-    for (const auto& t : c.tensors) {
-      if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> Schedule::communicated_tensors_at(
-    const IndexVar& at) const {
-  for (const auto& c : commands_) {
-    if (c.kind == CommandKind::Communicate && c.vars[0] == at) {
-      return c.tensors;
-    }
-  }
-  return {};
-}
-
 std::string Schedule::str() const {
   std::vector<std::string> lines;
   for (const auto& c : commands_) {
     switch (c.kind) {
       case CommandKind::Divide:
         lines.push_back(strprintf("divide(%s, %s, %s, %d)",
-                                  c.vars[0].name().c_str(),
-                                  c.vars[1].name().c_str(),
-                                  c.vars[2].name().c_str(), c.pieces));
-        break;
-      case CommandKind::Split:
-        lines.push_back(strprintf("split(%s, %s, %s, %d)",
                                   c.vars[0].name().c_str(),
                                   c.vars[1].name().c_str(),
                                   c.vars[2].name().c_str(), c.pieces));
@@ -243,12 +195,6 @@ std::string Schedule::str() const {
                                   c.vars[1].name().c_str(),
                                   c.vars[2].name().c_str()));
         break;
-      case CommandKind::Reorder: {
-        std::vector<std::string> names;
-        for (const auto& v : c.vars) names.push_back(v.name());
-        lines.push_back("reorder(" + join(names, ", ") + ")");
-        break;
-      }
       case CommandKind::Distribute:
         lines.push_back(strprintf("distribute(%s)", c.vars[0].name().c_str()));
         break;
@@ -261,11 +207,6 @@ std::string Schedule::str() const {
         lines.push_back(strprintf("parallelize(%s, %s)",
                                   c.vars[0].name().c_str(),
                                   parallel_unit_name(c.unit)));
-        break;
-      case CommandKind::Precompute:
-        lines.push_back(strprintf("precompute(%s, %s)",
-                                  c.vars[0].name().c_str(),
-                                  c.vars[1].name().c_str()));
         break;
     }
   }

@@ -1,7 +1,10 @@
 // The scheduling language (paper §II-C): loop transformations recorded as an
 // ordered command list, combining TACO's sparse iteration-space
-// transformations (split/divide/fuse + their position-space variants) with
-// DISTAL's distributed commands (distribute/communicate).
+// transformations (divide/fuse + the position-space divide_pos) with
+// DISTAL's distributed commands (distribute/communicate). Lowering reads
+// every command except communicate(), which stays as the paper's Figure 1
+// spelling and is checked by the linter: lowering derives every transfer
+// from the partitions.
 //
 // The compiler consumes a Schedule to decide (a) which index variables are
 // distributed and over how many pieces each — repeated distribute() commands
@@ -32,38 +35,32 @@ std::optional<ParallelUnit> parse_parallel_unit(const std::string& name);
 
 enum class CommandKind {
   Divide,       // divide(i, io, ii, pieces): i -> pieces equal coordinate blocks
-  Split,        // split(i, io, ii, factor): blocks of `factor` coordinates
   DividePos,    // position-space divide: equal blocks of *non-zeros* of a tensor
   Fuse,         // fuse(i, j, f): collapse two loops (coordinate fusion)
-  Reorder,      // reorder(vars): new loop order
   Distribute,   // distribute(io): run iterations on different processors
   Communicate,  // communicate({tensors}, io): granularity of data movement
   Parallelize,  // parallelize(ii, unit): intra-leaf parallelism
-  Precompute,   // precompute(expr, i, iw): workspace hoisting (metadata)
 };
 
 struct Command {
   CommandKind kind;
   std::vector<IndexVar> vars;     // command-specific variable operands
   std::vector<std::string> tensors;  // Communicate / DividePos target
-  int pieces = 0;                 // Divide / DividePos / Split factor
+  int pieces = 0;                 // Divide / DividePos
   ParallelUnit unit = ParallelUnit::CPUThread;
 };
 
 class Schedule {
  public:
   Schedule& divide(IndexVar i, IndexVar outer, IndexVar inner, int pieces);
-  Schedule& split(IndexVar i, IndexVar outer, IndexVar inner, int factor);
   // The non-zero variant of divide (Senanayake et al.): strip-mines the
   // positions of `tensor`'s non-zeros along fused variable `i`.
   Schedule& divide_pos(IndexVar i, IndexVar outer, IndexVar inner, int pieces,
                        const std::string& tensor);
   Schedule& fuse(IndexVar i, IndexVar j, IndexVar fused);
-  Schedule& reorder(std::vector<IndexVar> order);
   Schedule& distribute(IndexVar v);
   Schedule& communicate(std::vector<std::string> tensors, IndexVar v);
   Schedule& parallelize(IndexVar v, ParallelUnit unit);
-  Schedule& precompute(IndexVar v, IndexVar workspace_var);
 
   // Silence one lint rule (by its id from docs/verify_rules.md) for this
   // schedule. Suppression is per-rule, not per-finding: every finding the
@@ -79,6 +76,9 @@ class Schedule {
   const std::vector<Command>& commands() const { return commands_; }
 
   // --- queries used by lowering ---------------------------------------------
+
+  // The divide/divide_pos command whose outer result is `v`, else nullptr.
+  const Command* producer_of(const IndexVar& v) const;
 
   // All variables named by distribute() commands, in command order. Each is
   // one axis of the distributed piece grid: two distribute() commands map the
@@ -111,21 +111,10 @@ class Schedule {
   std::vector<IndexVar> fused_sources(const IndexVar& v) const;
   // Leaf parallelization unit & implied hardware thread count.
   std::optional<ParallelUnit> leaf_parallel_unit() const;
-  // Tensors requested at any distributed loop by communicate(); the union
-  // over all communicate commands, empty if none was given.
-  std::vector<std::string> communicated_tensors() const;
-  // Tensors whose movement granularity is placed at distributed variable
-  // `at` (communicate({...}, at)); empty if no such command exists. With a
-  // 2-D grid, communicate at the outer axis moves whole row-blocks while the
-  // inner axis moves per-tile pieces.
-  std::vector<std::string> communicated_tensors_at(const IndexVar& at) const;
 
   std::string str() const;
 
  private:
-  // Finds the divide-ish command producing var `v` as its outer result.
-  const Command* producer_of(const IndexVar& v) const;
-
   std::vector<Command> commands_;
   std::vector<std::string> suppressed_;
 };

@@ -26,18 +26,6 @@ void warn(std::vector<Violation>& out, const char* rule, std::string msg) {
   out.push_back({Severity::Warning, "lint", std::move(msg), rule});
 }
 
-// The Divide/DividePos command whose outer result is `v`, else nullptr.
-const Command* producer_of(const sched::Schedule& s, const IndexVar& v) {
-  for (const Command& c : s.commands()) {
-    if ((c.kind == CommandKind::Divide || c.kind == CommandKind::DividePos ||
-         c.kind == CommandKind::Split) &&
-        c.vars.size() >= 2 && c.vars[1] == v) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
-
 bool stmt_uses_var(const Statement& stmt, const IndexVar& v) {
   for (const IndexVar& lv : stmt.assignment.lhs.vars) {
     if (lv == v) return true;
@@ -85,7 +73,7 @@ void check_distributed_vars(const Statement& stmt,
                             const sched::Schedule& schedule,
                             std::vector<Violation>& out) {
   for (const IndexVar& dv : schedule.distributed_vars()) {
-    const Command* p = producer_of(schedule, dv);
+    const Command* p = schedule.producer_of(dv);
     if (p == nullptr) {
       error(out, "distribute-unproduced",
             "distribute(" + dv.name() +

@@ -22,20 +22,12 @@ std::atomic<uint64_t> g_tasks_checked{0};
 std::atomic<uint64_t> g_violations{0};
 std::atomic<uint64_t> g_warnings{0};
 
-std::atomic<uint64_t> g_audit_every{1};
-std::atomic<uint64_t> g_audit_seq{0};
-
 void init_from_env() {
   const char* v = std::getenv("SPDISTAL_VERIFY");
   const bool on = v != nullptr && v[0] != '\0' && std::string(v) != "0";
   if (on) {
     g_enabled.store(true, std::memory_order_relaxed);
     rt::set_touch_logging(true);
-  }
-  if (const char* s = std::getenv("SPDISTAL_VERIFY_SAMPLE")) {
-    const long n = std::atol(s);
-    if (n > 1) g_audit_every.store(static_cast<uint64_t>(n),
-                                   std::memory_order_relaxed);
   }
 }
 
@@ -66,23 +58,6 @@ void set_enabled(bool on) {
   std::call_once(g_env_once, init_from_env);
   g_enabled.store(on, std::memory_order_relaxed);
   rt::set_touch_logging(on);
-}
-
-uint64_t verify_sample() {
-  std::call_once(g_env_once, init_from_env);
-  return g_audit_every.load(std::memory_order_relaxed);
-}
-
-void set_verify_sample(uint64_t every) {
-  std::call_once(g_env_once, init_from_env);
-  g_audit_every.store(every == 0 ? 1 : every, std::memory_order_relaxed);
-  g_audit_seq.store(0, std::memory_order_relaxed);
-}
-
-bool should_audit() {
-  const uint64_t every = verify_sample();
-  if (every <= 1) return true;
-  return g_audit_seq.fetch_add(1, std::memory_order_relaxed) % every == 0;
 }
 
 Stats stats() {

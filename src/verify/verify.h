@@ -1,7 +1,8 @@
 // Verification subsystem entry points (ISSUE 7).
 //
 // Three cooperating analyses, all gated behind SPDISTAL_VERIFY=1 (or
-// Runtime::set_verify(true)) so the production hot path stays zero-cost:
+// Runtime::set_verify(true)) so the production hot path stays zero-cost.
+// When armed, they run on every compile and every launch:
 //
 //  1. Schedule linter (lint.h): runs over sched::Schedule + the statement
 //     before lowering and rejects illegal combinations with a message that
@@ -34,15 +35,6 @@ namespace spdistal::verify {
 // also toggles rt::set_touch_logging so accessors start/stop recording.
 bool enabled();
 void set_enabled(bool on);
-
-// Audit sampling (SPDISTAL_VERIFY_SAMPLE=N, default 1): every Nth launch
-// pays for the dynamic analyses (race audit, touch checking, RO hashing);
-// lint stays always-on. should_audit() counts the launch and returns true
-// for launches 0, N, 2N, ... — L launches yield ceil(L/N) audits.
-// set_verify_sample resets the launch counter so tests start at a boundary.
-uint64_t verify_sample();
-void set_verify_sample(uint64_t every);
-bool should_audit();
 
 enum class Severity { Warning, Error };
 

@@ -107,7 +107,7 @@ TEST(Enumerate, OnlyEmitsCompilableSchedules) {
   for (const rt::Machine& m : {cpu_machine(4), gpu_machine(1, 4)}) {
     for (auto* build : {&build_spmv, &build_sddmm, &build_spmttkrp}) {
       BuiltStmt b = build(1);
-      const auto cands = enumerate_candidates(*b.stmt, m, Options{});
+      const auto cands = enumerate_candidates(*b.stmt, m);
       ASSERT_FALSE(cands.empty());
       for (const auto& c : cands) {
         EXPECT_NO_THROW(comp::CompiledKernel::compile(*b.stmt, c.schedule, m))
@@ -125,7 +125,7 @@ TEST(Enumerate, OnlyEmitsCompilableSchedules) {
 
 TEST(Enumerate, CoversUniverseAndNonZeroFamilies) {
   BuiltStmt b = build_spmv(2);
-  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(4), Options{});
+  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(4));
   bool universe = false, nonzero = false;
   for (const auto& c : cands) {
     (c.recipe.position_space ? nonzero : universe) = true;
@@ -142,7 +142,7 @@ TEST(EnumerateGrid3, EmitsRank3FactorizationsOnLargeMachines) {
   // 8 processors factor as 2x2x2: statements with >= 3 index variables get
   // rank-3 machine-grid recipes (lowering already handles them).
   BuiltStmt b = build_sddmm(5);
-  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(8), Options{});
+  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(8));
   bool rank3 = false;
   for (const auto& c : cands) {
     if (c.recipe.pieces_z > 1) {
@@ -155,8 +155,7 @@ TEST(EnumerateGrid3, EmitsRank3FactorizationsOnLargeMachines) {
   EXPECT_TRUE(rank3);
   // Statements with only two variables never get a z axis.
   BuiltStmt spmv = build_spmv(6);
-  for (const auto& c :
-       enumerate_candidates(*spmv.stmt, cpu_machine(8), Options{})) {
+  for (const auto& c : enumerate_candidates(*spmv.stmt, cpu_machine(8))) {
     EXPECT_EQ(c.recipe.pieces_z, 1);
   }
 }
@@ -192,9 +191,8 @@ TEST(Autoschedule, SearchedSchedulesMatchDenseOracle) {
   for (const rt::Machine& m : {cpu_machine(4), gpu_machine(1, 4)}) {
     for (auto* build : {&build_spmv, &build_sddmm, &build_spmttkrp}) {
       BuiltStmt b = build(3);
-      Options opt;
-      opt.use_cache = false;
-      b.out.schedule() = autoschedule(*b.stmt, m, opt);
+      PlanCache::global().clear();  // search, not a cached plan
+      b.out.schedule() = autoschedule(*b.stmt, m);
       rt::Runtime runtime(m);
       auto inst =
           comp::CompiledKernel::compile(*b.stmt, m).instantiate(runtime);
@@ -327,9 +325,8 @@ TEST(Autoschedule, WithinElevenTenthsOfHandWrittenSchedules) {
       const double t_hand = measure(*hand.stmt, hand.out.schedule(), m);
 
       BuiltStmt searched = c.build(8);
-      Options opt;
-      opt.use_cache = false;
-      Result r = autoschedule_search(*searched.stmt, m, opt);
+      PlanCache::global().clear();  // search, not a cached plan
+      Result r = autoschedule_search(*searched.stmt, m);
       const double t_search = measure(*searched.stmt, r.schedule, m);
 
       EXPECT_LE(t_search, 1.1 * t_hand)
@@ -365,10 +362,7 @@ BuiltStmt build_skewed_spmm(uint64_t seed) {
 TEST(EnumerateGrid, MultiAxisRecipeBeatsBest1dOnSkewedSpmm) {
   BuiltStmt b = build_skewed_spmm(31);
   const rt::Machine m = cpu_machine(8);
-  Options opt;
-  opt.use_cache = false;
-  opt.sim_top_k = 0;  // simulate everything: compare true simulated times
-  const auto cands = enumerate_candidates(*b.stmt, m, opt);
+  const auto cands = enumerate_candidates(*b.stmt, m);
 
   bool any_grid = false, any_nz_grid = false;
   for (const auto& c : cands) {
@@ -382,12 +376,13 @@ TEST(EnumerateGrid, MultiAxisRecipeBeatsBest1dOnSkewedSpmm) {
   // Cross-products of non-zero and universe splits are searched too.
   EXPECT_TRUE(any_nz_grid);
 
-  Statement proxy = make_proxy(*b.stmt, opt);
+  // Simulate every universe candidate: compare true simulated times.
+  Statement proxy = make_proxy(*b.stmt);
   double best_grid = std::numeric_limits<double>::infinity();
   double best_1d = std::numeric_limits<double>::infinity();
   for (const auto& c : cands) {
     if (c.recipe.position_space) continue;
-    const double t = simulate_candidate(proxy, c.schedule, m, opt);
+    const double t = simulate_candidate(proxy, c.schedule, m);
     auto& best = c.recipe.pieces_y > 1 ? best_grid : best_1d;
     best = std::min(best, t);
   }
@@ -400,9 +395,7 @@ TEST(EnumerateGrid, SearchedGridScheduleMatchesOracleAndCaches) {
   PlanCache::global().clear();
   BuiltStmt b = build_skewed_spmm(32);
   const rt::Machine m = cpu_machine(8);
-  Options opt;
-  opt.sim_top_k = 0;
-  Result r = autoschedule_search(*b.stmt, m, opt);
+  Result r = autoschedule_search(*b.stmt, m);
   b.out.schedule() = r.schedule;
   rt::Runtime runtime(m);
   auto inst = comp::CompiledKernel::compile(*b.stmt, m).instantiate(runtime);
@@ -412,7 +405,7 @@ TEST(EnumerateGrid, SearchedGridScheduleMatchesOracleAndCaches) {
   // A fresh structurally identical statement hits the cache and rehydrates
   // the same recipe (including any grid shape).
   BuiltStmt b2 = build_skewed_spmm(32);
-  Result r2 = autoschedule_search(*b2.stmt, m, opt);
+  Result r2 = autoschedule_search(*b2.stmt, m);
   EXPECT_TRUE(r2.from_cache);
   EXPECT_TRUE(r2.recipe == r.recipe);
   EXPECT_NO_THROW(comp::CompiledKernel::compile(*b2.stmt, r2.schedule, m));
@@ -432,16 +425,22 @@ TEST(Proxy, SampleCooIsDeterministicAndStructurePreserving) {
 }
 
 TEST(Proxy, MakeProxyClonesWithoutSharing) {
-  BuiltStmt b = build_spmv(10);
-  Options opt;
-  opt.max_sim_nnz = 1000;  // force downsampling
-  Statement proxy = make_proxy(*b.stmt, opt);
-  EXPECT_LE(proxy.tensor("B").storage().nnz(), 1000);
+  // A matrix above the proxy cap, so make_proxy downsamples it.
+  IndexVar i("i"), j("j");
+  const Coord n = 4000;
+  Tensor a("a", {n}, fmt::dense_vector());
+  Tensor B("B", {n, n}, fmt::csr());
+  Tensor c("c", {n}, fmt::dense_vector());
+  B.from_coo(data::powerlaw_matrix(n, n, 4 * kMaxProxyNnz, 1.3, 10));
+  ASSERT_GT(B.storage().nnz(), kMaxProxyNnz);
+  Statement& stmt = (a(i) = B(i, j) * c(j));
+  Statement proxy = make_proxy(stmt);
+  EXPECT_LE(proxy.tensor("B").storage().nnz(), kMaxProxyNnz);
   EXPECT_GT(proxy.tensor("B").storage().nnz(), 0);
   // Proxy tensors are fresh handles: running candidates on them must not
   // touch the user's data.
-  EXPECT_FALSE(proxy.tensor("a").same_as(b.stmt->tensor("a")));
-  EXPECT_FALSE(proxy.tensor("B").same_as(b.stmt->tensor("B")));
+  EXPECT_FALSE(proxy.tensor("a").same_as(a));
+  EXPECT_FALSE(proxy.tensor("B").same_as(B));
 }
 
 }  // namespace

@@ -285,20 +285,22 @@ TEST(Calibrate, LearnedRatesPriceAutoschedCandidates) {
 
 TEST(Calibrate, SearchIsDeterministicWithCalibrationOff) {
   CalibGuard guard;
-  autosched::Options opts;
-  opts.use_cache = false;  // force a real search both times
   BuiltStmt b1 = build_spmv(23);
   obs::set_calibration(false);
+  autosched::PlanCache::global().clear();  // force a real search both times
   const autosched::Result r1 =
-      autosched::autoschedule_search(*b1.stmt, cpu_machine(2), opts);
+      autosched::autoschedule_search(*b1.stmt, cpu_machine(2));
   // Populate learned rates in between; with calibration forced off they must
   // not leak into the second search.
   obs::set_calibration(true);
   obs::Calibration::global().record("spmv_row", "CPU", 1e6, 2e6, 1e-3);
   obs::set_calibration(false);
   BuiltStmt b2 = build_spmv(23);
+  autosched::PlanCache::global().clear();
   const autosched::Result r2 =
-      autosched::autoschedule_search(*b2.stmt, cpu_machine(2), opts);
+      autosched::autoschedule_search(*b2.stmt, cpu_machine(2));
+  EXPECT_FALSE(r1.from_cache);
+  EXPECT_FALSE(r2.from_cache);
   EXPECT_EQ(r1.schedule.str(), r2.schedule.str());
   EXPECT_EQ(r1.recipe, r2.recipe);
   EXPECT_DOUBLE_EQ(r1.best_cost, r2.best_cost);

@@ -336,7 +336,8 @@ TEST(Storage, RoundTripToCoo) {
 }
 
 // Pack sorts: an arbitrarily shuffled coordinate list produces the same
-// storage as its canonically ordered twin, for every format family.
+// storage as its canonically ordered twin, for every format family. It
+// also coalesces duplicate coordinates.
 TEST(Pack, SortsUnorderedInputOnPack) {
   Coo ordered = paper_coo();
   Coo shuffled;
@@ -360,53 +361,18 @@ TEST(Pack, SortsUnorderedInputOnPack) {
       EXPECT_EQ((*a.vals())[q], (*b.vals())[q]) << f.str();
     }
   }
-}
-
-// With coalescing off, duplicates survive as distinct stored entries on
-// non-unique (COO) chains — each gets its own position — and round-trip
-// to the same combined values.
-TEST(Pack, CoalesceOffKeepsDuplicatesOnCooChains) {
+  // Duplicate coordinates are summed into one stored entry, also on a COO
+  // chain whose non-unique root could have held them apart.
   Coo dup;
   dup.dims = {3, 3};
   dup.push({2, 2}, 1.0);
   dup.push({0, 1}, 2.0);
   dup.push({2, 2}, 3.0);
   dup.push({0, 1}, -0.5);
-  PackOptions raw;
-  raw.coalesce = false;
-  TensorStorage st = pack("D", coo(2), {3, 3}, dup, raw);
-  EXPECT_EQ(st.nnz(), 4);
-  EXPECT_EQ(st.level(0).positions, 4);  // one position per stored entry
-  // Stable sort: equal coordinates keep their input order.
-  EXPECT_EQ((*st.vals())[0], 2.0);
-  EXPECT_EQ((*st.vals())[1], -0.5);
-  EXPECT_EQ((*st.vals())[2], 1.0);
-  EXPECT_EQ((*st.vals())[3], 3.0);
-  Coo back = st.to_coo();
-  back.sort_and_combine({0, 1});
-  ASSERT_EQ(back.nnz(), 2);
-  EXPECT_EQ(back.vals[0], 1.5);
-  EXPECT_EQ(back.vals[1], 4.0);
-  // The default coalescing pack combines up front to the same values.
   TensorStorage combined = pack("C", coo(2), {3, 3}, dup);
   EXPECT_EQ(combined.nnz(), 2);
   EXPECT_EQ((*combined.vals())[0], 1.5);
   EXPECT_EQ((*combined.vals())[1], 4.0);
-}
-
-TEST(Pack, CoalesceOffRejectsDuplicatesOnUniqueFormats) {
-  Coo dup;
-  dup.dims = {4, 4};
-  dup.push({1, 1}, 1.0);
-  dup.push({1, 1}, 2.0);
-  PackOptions raw;
-  raw.coalesce = false;
-  for (const Format& f : {csr(), dcsr()}) {
-    EXPECT_THROW(pack("X", f, {4, 4}, dup, raw), NotationError) << f.str();
-  }
-  // Duplicate-free input is fine without coalescing, on any format.
-  TensorStorage st = pack("Y", csr(), {4, 4}, paper_coo(), raw);
-  EXPECT_EQ(st.nnz(), 8);
 }
 
 // Property: packing the same random tensor into different formats preserves

@@ -58,16 +58,45 @@ TEST_P(SpmvKernels, RowAndNzMatchReference) {
   Statement& stmt = (a(i) = B(i, j) * c(j));
   const ref::DenseTensor expect = ref::eval(stmt);
 
+  // Two row pieces, to exercise the boundary.
+  const std::vector<rt::Rect1> rows = {rt::Rect1{0, n / 2},
+                                       rt::Rect1{n / 2 + 1, n - 1}};
+  std::vector<double> row_out;
+  std::vector<rt::WorkEstimate> row_work;
   {
     Leaf leaf = make_spmv_row(a, B, c);
     a.zero();
-    // Run as two pieces to exercise the boundary.
-    PieceBounds p1, p2;
-    p1.dist_coords = rt::Rect1{0, n / 2};
-    p2.dist_coords = rt::Rect1{n / 2 + 1, n - 1};
-    leaf(p1);
-    if (!p2.dist_coords->empty()) leaf(p2);
+    for (const rt::Rect1& r : rows) {
+      if (r.empty()) continue;
+      PieceBounds p;
+      p.dist_coords = r;
+      row_work.push_back(leaf(p));
+    }
     EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12) << mc.name << " row";
+    row_out = a.storage().vals()->data();
+  }
+  {
+    // A position split at CSR's Dense row level (level 0) hands the leaf
+    // the same rows as positions: outputs and work charges equal the row
+    // pieces' exactly.
+    Leaf leaf = make_spmv_row(a, B, c);
+    a.zero();
+    std::vector<rt::WorkEstimate> work;
+    for (const rt::Rect1& r : rows) {
+      if (r.empty()) continue;
+      PieceBounds p;
+      p.dist_pos = r;
+      p.pos_tensor = "B";
+      p.pos_level = 0;
+      work.push_back(leaf(p));
+    }
+    EXPECT_EQ(a.storage().vals()->data(), row_out) << mc.name << " level 0";
+    ASSERT_EQ(work.size(), row_work.size());
+    for (size_t k = 0; k < work.size(); ++k) {
+      EXPECT_EQ(work[k].flops, row_work[k].flops) << mc.name << " piece " << k;
+      EXPECT_EQ(work[k].bytes, row_work[k].bytes) << mc.name << " piece " << k;
+      EXPECT_EQ(work[k].nnz, row_work[k].nnz) << mc.name << " piece " << k;
+    }
   }
   {
     Leaf leaf = make_spmv_nz(a, B, c);

@@ -318,7 +318,7 @@ TEST(LaunchPlan, ExplicitInvalidationForcesRebuild) {
 // plans, recently-used identities stay warm, and SimReport surfaces the
 // eviction count next to hits/misses.
 TEST(LaunchPlan, LruEvictsColdestPlanOnly) {
-  constexpr int kCapacity = 256;  // Runtime::kDefaultPlanCapacity
+  constexpr int kCapacity = 256;  // Runtime::kPlanCapacity
   rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
   auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");
   r->fill(0.0);
@@ -358,53 +358,6 @@ TEST(LaunchPlan, LruEvictsColdestPlanOnly) {
   EXPECT_EQ(rep.plan_misses, 2 + kCapacity);
   // Re-inserting B at capacity evicted the then-coldest entry.
   EXPECT_EQ(rep.plan_evictions, 2);
-}
-
-// The memo capacity is tunable through set_plan_memo_capacity: shrinking
-// below the live plan count evicts exactly the coldest plans immediately;
-// warm identities survive.
-TEST(LaunchPlan, MemoCapacityKnobShrinkEvictsColdestOnly) {
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  EXPECT_EQ(rt.plan_memo_capacity(), 256u);  // kDefaultPlanCapacity
-  rt.set_plan_memo_capacity(8);
-  EXPECT_EQ(rt.plan_memo_capacity(), 8u);
-  auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");
-  r->fill(0.0);
-  auto fresh_partition = [&](Coord mid) {
-    return rt::partition_by_bounds(
-        r->space(),
-        {rt::RectN::make1(0, mid), rt::RectN::make1(mid - 10, 199)});
-  };
-  rt::Partition pa = fresh_partition(100);
-  rt::Partition pb = fresh_partition(110);
-  rt::Partition pc = fresh_partition(120);
-  rt::Partition pd = fresh_partition(130);
-  for (auto* p : {&pa, &pb, &pc, &pd}) rt.execute(reduce_launch(r, p));
-  rt.execute(reduce_launch(r, &pa));  // recency: coldest -> B, C, D, A
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_misses, 4);
-  EXPECT_EQ(rt.report().plan_hits, 1);
-  EXPECT_EQ(rt.report().plan_evictions, 0);
-  // Shrink to 2: the two coldest (B, C) are evicted on the spot.
-  rt.set_plan_memo_capacity(2);
-  EXPECT_EQ(rt.plan_memo_capacity(), 2u);
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_evictions, 2);
-  rt.execute(reduce_launch(r, &pd));  // survived the shrink
-  rt.execute(reduce_launch(r, &pa));  // survived the shrink
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 3);
-  rt.execute(reduce_launch(r, &pb));  // evicted: rebuilds, displacing D
-  rt.flush();
-  rt::SimReport rep = rt.report();
-  EXPECT_EQ(rep.plan_misses, 5);
-  EXPECT_EQ(rep.plan_evictions, 3);
-  rt.execute(reduce_launch(r, &pa));  // still warm at capacity 2
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 4);
-  // Capacity is clamped to at least one live plan.
-  rt.set_plan_memo_capacity(0);
-  EXPECT_EQ(rt.plan_memo_capacity(), 1u);
 }
 
 TEST(LaunchPlan, LruHitRefreshesRecency) {

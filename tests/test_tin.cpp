@@ -85,8 +85,15 @@ TEST(Schedule, RecordsAndQueriesCommands) {
   EXPECT_EQ(*s.distributed_var(), io);
   EXPECT_EQ(s.distributed_pieces(), 4);
   EXPECT_FALSE(s.distributed_is_position_space());
-  EXPECT_EQ(s.communicated_tensors().size(), 3u);
+  const sched::Command& comm = s.commands()[2];
+  EXPECT_EQ(comm.kind, sched::CommandKind::Communicate);
+  EXPECT_EQ(comm.tensors, (std::vector<std::string>{"a", "B", "c"}));
+  EXPECT_EQ(comm.vars[0], io);
   EXPECT_TRUE(s.leaf_parallel_unit().has_value());
+  EXPECT_EQ(s.str(),
+            "divide(i, io, ii, 4)\n  .distribute(io)\n"
+            "  .communicate({a, B, c}, io)\n"
+            "  .parallelize(ii, CPUThread)");
 }
 
 TEST(Schedule, MultiAxisDistributionQueries) {
@@ -110,12 +117,15 @@ TEST(Schedule, MultiAxisDistributionQueries) {
   // The single-var API delegates to axis 0.
   EXPECT_EQ(*s.distributed_var(), io);
   EXPECT_EQ(s.distributed_pieces(), 4);
-  // Per-axis communicate placement; the legacy query unions both.
-  EXPECT_EQ(s.communicated_tensors_at(io),
-            (std::vector<std::string>{"B"}));
-  EXPECT_EQ(s.communicated_tensors_at(jo),
-            (std::vector<std::string>{"C"}));
-  EXPECT_EQ(s.communicated_tensors().size(), 2u);
+  // Per-axis communicate placement, recorded in command order.
+  const auto& cmds = s.commands();
+  ASSERT_EQ(cmds.size(), 6u);
+  EXPECT_EQ(cmds[4].kind, sched::CommandKind::Communicate);
+  EXPECT_EQ(cmds[4].tensors, (std::vector<std::string>{"B"}));
+  EXPECT_EQ(cmds[4].vars[0], io);
+  EXPECT_EQ(cmds[5].kind, sched::CommandKind::Communicate);
+  EXPECT_EQ(cmds[5].tensors, (std::vector<std::string>{"C"}));
+  EXPECT_EQ(cmds[5].vars[0], jo);
 }
 
 TEST(Schedule, PositionSpaceDistribution) {
