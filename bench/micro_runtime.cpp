@@ -5,6 +5,9 @@
 // worker pool while simulated accounting replays serially).
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
+#include "common/rng.h"
 #include "compiler/lower.h"
 #include "data/generators.h"
 #include "format/storage.h"
@@ -26,17 +29,50 @@ fmt::TensorStorage make_csr(int64_t nnz) {
   return fmt::pack("B", fmt::csr(), dims, std::move(coo));
 }
 
-void BM_PackCsr(benchmark::State& state) {
-  fmt::Coo coo = data::powerlaw_matrix(state.range(0) / 12,
-                                       state.range(0) / 12, state.range(0),
-                                       1.1, 3);
+// The entries of `coo` in a random order (values move with their
+// coordinates).
+fmt::Coo shuffled(fmt::Coo coo) {
+  Rng rng(7);
+  for (size_t k = coo.coords.size(); k > 1; --k) {
+    const size_t j = rng.next_below(k);
+    std::swap(coo.coords[k - 1], coo.coords[j]);
+    std::swap(coo.vals[k - 1], coo.vals[j]);
+  }
+  return coo;
+}
+
+// Packs `coo` into `format`. range(1) == 0 packs it as generated, already in
+// storage order, which pack's ordering pass accepts in one scan; 1 packs a
+// shuffled twin, which it radix-sorts.
+void pack_rows(benchmark::State& state, fmt::Coo coo,
+               const fmt::Format& format) {
+  if (state.range(1) != 0) coo = shuffled(std::move(coo));
   for (auto _ : state) {
-    auto st = fmt::pack("B", fmt::csr(), coo.dims, coo);
+    auto st = fmt::pack("B", format, coo.dims, coo);
     benchmark::DoNotOptimize(st.nnz());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * coo.nnz());
 }
-BENCHMARK(BM_PackCsr)->Arg(10000)->Arg(100000);
+
+void BM_PackCsr(benchmark::State& state) {
+  pack_rows(state,
+            data::powerlaw_matrix(state.range(0) / 12, state.range(0) / 12,
+                                  state.range(0), 1.1, 3),
+            fmt::csr());
+}
+BENCHMARK(BM_PackCsr)
+    ->ArgsProduct({{10000, 100000, 1000000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// The mttkrp_nz_reduce workload's tensor shape, packed as CSF.
+void BM_PackCsf3(benchmark::State& state) {
+  pack_rows(state,
+            data::powerlaw_3tensor(13000, 13000, 160, state.range(0), 1.1, 3),
+            fmt::csf3());
+}
+BENCHMARK(BM_PackCsf3)
+    ->ArgsProduct({{1000000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionEqual(benchmark::State& state) {
   rt::IndexSpace space(1 << 20);

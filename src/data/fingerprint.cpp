@@ -1,12 +1,9 @@
 #include "data/fingerprint.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/str_util.h"
-#include "format/storage.h"
 
 namespace spdistal::data {
 
@@ -98,35 +95,6 @@ std::optional<SparsityFingerprint> SparsityFingerprint::parse(
     return std::nullopt;
   }
   fp.has_pattern = true;
-  return fp;
-}
-
-SparsityFingerprint fingerprint(const fmt::TensorStorage& st) {
-  SparsityFingerprint fp;
-  fp.dims = st.dims();
-  if (st.format().all_dense()) return fp;
-  fp.has_pattern = true;
-  fp.nnz = st.nnz();
-  const int top_dim = st.format().dim_of_level(0);
-  const Coord extent =
-      std::max<Coord>(st.dims()[static_cast<size_t>(top_dim)], 1);
-  std::unordered_map<Coord, int64_t> row_degree;
-  st.for_each([&](const std::array<Coord, rt::kMaxDim>& c, double) {
-    const Coord top = c[static_cast<size_t>(top_dim)];
-    const size_t b = static_cast<size_t>(
-        top * SparsityFingerprint::kHistBuckets / extent);
-    fp.hist[std::min<size_t>(b, SparsityFingerprint::kHistBuckets - 1)]++;
-    row_degree[top]++;
-  });
-  for (const auto& [row, deg] : row_degree) {
-    (void)row;
-    int b = 0;
-    while ((int64_t{1} << (b + 1)) <= deg &&
-           b + 1 < SparsityFingerprint::kDegreeBuckets) {
-      ++b;
-    }
-    fp.degree[static_cast<size_t>(b)]++;
-  }
   return fp;
 }
 

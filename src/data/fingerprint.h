@@ -8,10 +8,11 @@
 // nnz, a 16-bucket mass histogram over the top storage dimension, and a log2
 // row-degree histogram).
 //
-// Fingerprints are computed once at pack time (fmt::pack) and carried on the
-// TensorStorage; they round-trip through a canonical string, which is how
-// plan-store entries key them across processes (and how a stored entry's
-// key is validated on load).
+// fmt::pack computes a storage's fingerprint in the walk that assembles its
+// levels, one histogram update per run of equal top coordinates, and
+// carries it on the TensorStorage. Fingerprints round-trip through a
+// canonical string, which is how plan-store entries key them across
+// processes (and how a stored entry's key is validated on load).
 #pragma once
 
 #include <array>
@@ -21,10 +22,6 @@
 #include <vector>
 
 #include "runtime/index_space.h"
-
-namespace spdistal::fmt {
-class TensorStorage;
-}
 
 namespace spdistal::data {
 
@@ -41,10 +38,12 @@ struct SparsityFingerprint {
   int64_t nnz = 0;
   // Non-zero mass over kHistBuckets equal slices of the top storage
   // dimension: separates banded from power-law from uniform without hashing
-  // every coordinate.
+  // every coordinate. Mass counts the values TensorStorage::for_each
+  // visits, so explicit zeros of a Dense level below a sparse one count.
   std::array<int64_t, kHistBuckets> hist{};
   // Row-degree sketch: bucket b counts top-dimension coordinates whose
-  // stored degree d has floor(log2(d)) == b (last bucket open-ended).
+  // stored degree d (values visited, as above) has floor(log2(d)) == b
+  // (last bucket open-ended).
   std::array<int64_t, kDegreeBuckets> degree{};
 
   // Canonical exact encoding, e.g. "d[4096,4096];n163840;h[...];g[...]"
@@ -56,10 +55,6 @@ struct SparsityFingerprint {
 
   bool operator==(const SparsityFingerprint&) const = default;
 };
-
-// O(nnz) sketch of a packed storage. All-dense storages (whose "pattern" is
-// the whole box) get a structural-only fingerprint.
-SparsityFingerprint fingerprint(const fmt::TensorStorage& st);
 
 // Structural-only fingerprint: dimensions, no pattern.
 SparsityFingerprint dense_fingerprint(const std::vector<rt::Coord>& dims);

@@ -13,6 +13,13 @@
 // the pos region of a Compressed level d is indexed by the *parent's*
 // position space (P_{d-1} entries). The vals region aligns 1:1 with the last
 // level's positions.
+//
+// pack builds this storage from a coordinate list (Chou et al.'s per-level
+// assembly): an ordering pass puts the entries in storage order, and one
+// walk in that order gives each entry a position at every level and writes
+// it into regions sized exactly in advance. The ordering pass is shared
+// with Coo::sort_and_combine, so generators and samplers order their output
+// the same way pack does.
 #pragma once
 
 #include <array>
@@ -46,15 +53,60 @@ struct Coo {
   void push(std::initializer_list<Coord> coord, double v);
   void push(const std::array<Coord, rt::kMaxDim>& coord, double v);
 
-  // Stable coordinate-lexicographic sort by the given dimension order
-  // (storage order): entries with equal coordinates keep their input order,
-  // so unordered input lists round-trip deterministically.
-  void sort(const std::vector<int>& dim_order);
-
-  // Sorts lexicographically by the given dimension order (storage order) and
-  // combines duplicate coordinates by summing their values.
+  // Sorts stably and coordinate-lexicographically by the given dimension
+  // order (storage order), then sums the values of equal coordinates left
+  // to right in input order into one entry.
   void sort_and_combine(const std::vector<int>& dim_order);
 };
+
+// The ordering pass that pack and Coo::sort_and_combine share: the stable
+// coordinate-lexicographic order of a coordinate list's entries over a
+// dimension order (level l compares dimension dims[l]), in which entries
+// with equal coordinates keep their input order.
+struct EntryOrder {
+  int levels = 0;
+  std::array<int, rt::kMaxDim> dims{};
+  size_t size = 0;  // entries
+  // perm[k] is the input index of the k-th entry in order; empty when the
+  // input already is in order.
+  std::vector<uint32_t> perm;
+  // The least and greatest coordinate at each level (0 and -1 when empty).
+  std::array<Coord, rt::kMaxDim> lo{}, hi{};
+  // breaks[l] counts the adjacent entries, in order, whose coordinates first
+  // differ at level l; breaks[levels] counts equal neighbours (duplicates).
+  std::array<int64_t, rt::kMaxDim + 1> breaks{};
+
+  size_t operator[](size_t k) const { return perm.empty() ? k : perm[k]; }
+
+  // Number of distinct coordinate prefixes over levels 0..l.
+  int64_t distinct(int l) const {
+    if (size == 0) return 0;
+    int64_t n = 1;
+    for (int m = 0; m <= l; ++m) n += breaks[static_cast<size_t>(m)];
+    return n;
+  }
+
+  // The first level at which the k-th entry in order differs from the
+  // (k-1)-th: 0 for k == 0, `levels` when their coordinates are equal.
+  int split(const Coo& coo, size_t k) const {
+    if (k == 0) return 0;
+    const auto& a = coo.coords[(*this)[k - 1]];
+    const auto& b = coo.coords[(*this)[k]];
+    int l = 0;
+    for (; l < levels; ++l) {
+      const size_t d = static_cast<size_t>(dims[static_cast<size_t>(l)]);
+      if (a[d] != b[d]) break;
+    }
+    return l;
+  }
+};
+
+// O(nnz) when `coo` already is in order (every generator, to_coo and
+// sample_coo output is): one scan finds that and counts the breaks.
+// Otherwise a stable LSD radix sort builds the permutation over 11-bit
+// digits of each level's coordinate offset by its minimum, skipping digits
+// that are constant across entries, and one more scan counts the breaks.
+EntryOrder order_entries(const Coo& coo, const std::vector<int>& dim_order);
 
 // One stored level of the coordinate tree.
 struct LevelStorage {
@@ -104,9 +156,9 @@ class TensorStorage {
   // explicit zeros.
   Coo to_coo() const;
 
-  // Sparsity sketch computed once at pack time; null for storages assembled
-  // outside pack(). Shared so plan-cache keys reuse one immutable copy
-  // instead of re-scanning coordinates per compile.
+  // Sparsity sketch computed by pack while it assembles the levels (every
+  // storage with data comes from pack). Shared so plan-cache keys reuse one
+  // immutable copy instead of re-scanning coordinates per compile.
   const std::shared_ptr<const data::SparsityFingerprint>& fingerprint()
       const {
     return fingerprint_;
@@ -116,7 +168,7 @@ class TensorStorage {
 
  private:
   friend TensorStorage pack(const std::string& name, const Format& format,
-                            const std::vector<Coord>& dims, Coo coo);
+                            const std::vector<Coord>& dims, const Coo& coo);
 
   std::string name_;
   Format format_;
@@ -127,12 +179,15 @@ class TensorStorage {
   std::shared_ptr<const data::SparsityFingerprint> fingerprint_;
 };
 
-// Packs a coordinate list into the given format. Input entries may arrive
-// in any order (pack stable-sorts coordinate-lexicographically in storage
-// order first); duplicate coordinates are summed into one stored entry.
-// `dims` are logical dimension sizes.
+// Packs a coordinate list into the given format in two linear passes and
+// without copying it: order_entries, then one assembly walk that writes
+// pos/crd/vals into exactly sized regions and sketches the fingerprint.
+// Entries may arrive in any order; duplicate coordinates are summed, left
+// to right in input order, into one stored entry. `dims` are logical
+// dimension sizes. A level that stores coordinates (crd) holds them as
+// int32, so its extent must not exceed INT32_MAX.
 TensorStorage pack(const std::string& name, const Format& format,
-                   const std::vector<Coord>& dims, Coo coo);
+                   const std::vector<Coord>& dims, const Coo& coo);
 
 // Exact structural and numerical equality of the stored non-zeros
 // (independent of format).

@@ -1,7 +1,8 @@
 #include "kernels/assembly.h"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
+#include <numeric>
 
 #include "kernels/work.h"
 
@@ -17,10 +18,11 @@ namespace {
 
 using CoordKey = std::array<Coord, rt::kMaxDim>;
 
-// Projects the stored coordinates of `acc` onto the output variables.
+// Appends the stored coordinates of `acc`, projected onto the output
+// variables, to `into` (duplicates included).
 void project_pattern(const Statement& stmt, const tin::Access& acc,
                      const std::vector<tin::IndexVar>& out_vars,
-                     std::set<CoordKey>& into, WorkCounter& work) {
+                     fmt::Coo& into, WorkCounter& work) {
   const Tensor& t = stmt.tensor(acc.tensor);
   // out position of each access var (or -1).
   std::vector<int> proj(acc.vars.size(), -1);
@@ -34,9 +36,24 @@ void project_pattern(const Statement& stmt, const tin::Access& acc,
     for (size_t d = 0; d < acc.vars.size(); ++d) {
       if (proj[d] >= 0) key[static_cast<size_t>(proj[d])] = c[d];
     }
-    into.insert(key);
+    into.push(key, 0.0);
     work.stream(1, 12.0);
   });
+}
+
+// The projected pattern of `acc` as a sorted list of distinct coordinates.
+std::vector<CoordKey> sorted_pattern(const Statement& stmt,
+                                     const tin::Access& acc,
+                                     const std::vector<tin::IndexVar>& out_vars,
+                                     const std::vector<Coord>& out_dims,
+                                     WorkCounter& work) {
+  fmt::Coo coo;
+  coo.dims = out_dims;
+  project_pattern(stmt, acc, out_vars, coo, work);
+  std::vector<int> identity(out_dims.size());
+  std::iota(identity.begin(), identity.end(), 0);
+  coo.sort_and_combine(identity);
+  return std::move(coo.coords);
 }
 
 }  // namespace
@@ -49,7 +66,10 @@ AssemblyResult assemble_output(Statement& stmt) {
   const std::vector<tin::IndexVar>& out_vars = stmt.assignment.lhs.vars;
   Tensor out = stmt.tensor(stmt.assignment.lhs.tensor);
 
-  std::set<CoordKey> pattern;
+  // The union of the term patterns, duplicates included: pack orders and
+  // combines them.
+  fmt::Coo pattern;
+  pattern.dims = out.dims();
   int sparse_terms_with_same_vars = 0;
   const auto terms = tin::sum_of_products(stmt.assignment.rhs);
   for (const auto& term : terms) {
@@ -80,40 +100,33 @@ AssemblyResult assemble_output(Statement& stmt) {
       continue;
     }
     // Multiple sparse accesses: require identical variable lists and
-    // intersect their patterns.
+    // intersect their sorted patterns.
     for (const auto& s : sparse) {
       SPD_CHECK(s.vars == sparse[0].vars, NotationError,
                 "assembly of products of sparse tensors requires identical "
                 "access variables: "
                     << stmt.str());
     }
-    std::set<CoordKey> inter;
-    project_pattern(stmt, sparse[0], out_vars, inter, work);
+    std::vector<CoordKey> inter =
+        sorted_pattern(stmt, sparse[0], out_vars, out.dims(), work);
     for (size_t s = 1; s < sparse.size(); ++s) {
-      std::set<CoordKey> other;
-      project_pattern(stmt, sparse[s], out_vars, other, work);
-      std::set<CoordKey> next;
+      const std::vector<CoordKey> other =
+          sorted_pattern(stmt, sparse[s], out_vars, out.dims(), work);
+      std::vector<CoordKey> next;
       std::set_intersection(inter.begin(), inter.end(), other.begin(),
-                            other.end(), std::inserter(next, next.begin()));
+                            other.end(), std::back_inserter(next));
       inter = std::move(next);
     }
-    pattern.insert(inter.begin(), inter.end());
+    for (const CoordKey& key : inter) pattern.push(key, 0.0);
   }
 
   res.pattern_preserved =
       terms.size() == 1 && sparse_terms_with_same_vars == 1;
 
   // Phase 2: pack zero-valued storage with the assembled pattern.
-  fmt::Coo coo;
-  coo.dims = out.dims();
-  for (const auto& key : pattern) {
-    coo.coords.push_back(key);
-    coo.vals.push_back(0.0);
-  }
-  work.stream(static_cast<int64_t>(pattern.size()), 24.0);
-  out.set_storage(
-      fmt::pack(out.name(), out.format(), out.dims(), std::move(coo)));
-  res.output_nnz = static_cast<int64_t>(pattern.size());
+  out.from_coo(pattern);
+  res.output_nnz = out.storage().nnz();
+  work.stream(res.output_nnz, 24.0);
   res.symbolic_work = work.done();
   return res;
 }

@@ -13,6 +13,10 @@
 //   * a term whose sparse accesses all use identical variable lists:
 //     the intersection of their patterns (element-wise products);
 //   * across terms: the union of term patterns (SpAdd3).
+// Projected coordinates go into one coordinate list, duplicates and all, and
+// fmt::pack orders and combines them while it builds the output's levels; a
+// product's operands are each ordered and deduplicated first
+// (Coo::sort_and_combine) so their patterns intersect as sorted lists.
 // Statements that preserve the input pattern exactly (single sparse input,
 // same variables, e.g. SpTTV) are detected so callers can skip re-assembly,
 // matching the paper's metadata-copying fast path.

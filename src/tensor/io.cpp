@@ -1,6 +1,7 @@
 #include "tensor/io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -10,6 +11,10 @@ namespace spdistal::io {
 
 using fmt::Coo;
 using rt::Coord;
+
+namespace {
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+}  // namespace
 
 Coo read_matrix_market(const std::string& path) {
   std::ifstream in(path);
@@ -80,13 +85,24 @@ Coo read_tns(const std::string& path) {
     std::vector<double> nums;
     double x;
     while (ls >> x) nums.push_back(x);
+    SPD_CHECK(ls.eof(), SpdError, "malformed line in " << path << ": " << line);
     if (nums.size() < 2) continue;
     if (order < 0) order = static_cast<int>(nums.size()) - 1;
     SPD_CHECK(static_cast<int>(nums.size()) == order + 1, SpdError,
               "inconsistent arity in " << path);
+    SPD_CHECK(order <= rt::kMaxDim, SpdError,
+              path << " has " << order << " modes; at most " << rt::kMaxDim
+                   << " are supported");
     std::array<Coord, rt::kMaxDim> c{};
     for (int d = 0; d < order; ++d) {
-      c[static_cast<size_t>(d)] = static_cast<Coord>(nums[static_cast<size_t>(d)]) - 1;
+      // 1-based integers a double holds exactly: anything else (1.5, 0,
+      // 1e300) would be a wrong or undefined cast to Coord.
+      const double v = nums[static_cast<size_t>(d)];
+      SPD_CHECK(v >= 1 && v <= kMaxExactInteger && std::floor(v) == v,
+                SpdError,
+                "coordinate " << v << " in " << path
+                              << " is not an integer in [1, 2^53]");
+      c[static_cast<size_t>(d)] = static_cast<Coord>(v) - 1;
     }
     if (max_coord.empty()) max_coord.assign(static_cast<size_t>(order), 0);
     for (int d = 0; d < order; ++d) {

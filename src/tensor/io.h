@@ -15,7 +15,9 @@ void write_matrix_market(const std::string& path, const fmt::Coo& coo);
 
 // FROSTT .tns: one line per non-zero, 1-based coordinates then the value.
 // The first non-comment line may declare dimensions; otherwise they are
-// inferred from the data.
+// inferred from the data. A token that is not a number (`nan`, `inf`), a
+// line with more than rt::kMaxDim coordinates, or a coordinate that is not
+// an integer in [1, 2^53] throws SpdError.
 fmt::Coo read_tns(const std::string& path);
 void write_tns(const std::string& path, const fmt::Coo& coo);
 

@@ -124,12 +124,9 @@ Tensor::Tensor(std::string name, std::vector<Coord> dims, fmt::Format format,
   data_->distribution = std::move(distribution);
   if (data_->format.all_dense()) {
     // Dense tensors always have storage (zero-initialized).
-    data_->storage =
-        fmt::pack(data_->name, data_->format, data_->dims, [&] {
-          fmt::Coo coo;
-          coo.dims = data_->dims;
-          return coo;
-        }());
+    fmt::Coo empty;
+    empty.dims = data_->dims;
+    data_->storage = fmt::pack(data_->name, data_->format, data_->dims, empty);
     data_->has_storage = true;
   }
 }
@@ -144,9 +141,8 @@ void Tensor::set_distribution(tdn::Distribution d) {
   data_->distribution = std::move(d);
 }
 
-void Tensor::from_coo(fmt::Coo coo) {
-  data_->storage = fmt::pack(data_->name, data_->format, data_->dims,
-                             std::move(coo));
+void Tensor::from_coo(const fmt::Coo& coo) {
+  data_->storage = fmt::pack(data_->name, data_->format, data_->dims, coo);
   data_->has_storage = true;
 }
 
@@ -154,23 +150,18 @@ void Tensor::init_dense(
     const std::function<double(const std::array<Coord, rt::kMaxDim>&)>& fn) {
   SPD_CHECK(data_->format.all_dense(), NotationError,
             "init_dense on sparse tensor " << data_->name);
-  // Walk every coordinate of the dense space.
-  auto& vals = *data_->storage.vals();
+  // Row-major odometer over the levels: position p holds the coordinates
+  // whose storage-order digits spell p.
+  std::vector<double>& vals = data_->storage.vals()->data();
   std::array<Coord, rt::kMaxDim> c{};
-  const int order = data_->format.order();
-  Coord pos = 0;
-  std::function<void(int)> rec = [&](int level) {
-    if (level == order) {
-      vals.at_linear(pos++) = fn(c);
-      return;
+  for (double& v : vals) {
+    v = fn(c);
+    for (int l = data_->format.order() - 1; l >= 0; --l) {
+      const size_t dim = static_cast<size_t>(data_->format.dim_of_level(l));
+      if (++c[dim] < data_->dims[dim]) break;
+      c[dim] = 0;
     }
-    const int dim = data_->format.dim_of_level(level);
-    for (Coord v = 0; v < data_->dims[static_cast<size_t>(dim)]; ++v) {
-      c[static_cast<size_t>(dim)] = v;
-      rec(level + 1);
-    }
-  };
-  rec(0);
+  }
 }
 
 void Tensor::zero() {

@@ -106,8 +106,9 @@ class Tensor {
 
   // --- data ------------------------------------------------------------------
 
-  // Packs a coordinate list into this tensor's format.
-  void from_coo(fmt::Coo coo);
+  // Packs a coordinate list into this tensor's format (fmt::pack; the list
+  // is read, not copied).
+  void from_coo(const fmt::Coo& coo);
   // Initializes an all-dense tensor with fn(coords) (or zero).
   void init_dense(
       const std::function<double(const std::array<Coord, rt::kMaxDim>&)>& fn);

@@ -315,6 +315,28 @@ TEST(Pack, RejectsOutOfBounds) {
   EXPECT_THROW(pack("X", csr(), {2, 2}, std::move(coo)), NotationError);
 }
 
+// crd regions hold int32 coordinates: a level that stores coordinates of a
+// dimension longer than INT32_MAX is rejected, not silently truncated (row
+// 2,999,999,999 would read back as -1,294,967,297).
+TEST(Pack, RejectsExtentsBeyondInt32Crd) {
+  Coo coo;
+  coo.dims = {3000000000, 4};
+  coo.push({2999999999, 1}, 1.0);
+  EXPECT_THROW(pack("X", dcsr(), coo.dims, coo), NotationError);
+  Coo wide;
+  wide.dims = {4, 3000000000};
+  wide.push({1, 2999999999}, 1.0);
+  EXPECT_THROW(pack("X", csr(), wide.dims, wide), NotationError);
+  EXPECT_THROW(pack("X", fmt::coo(2), wide.dims, wide), NotationError);
+  // INT32_MAX itself still fits.
+  Coo edge;
+  edge.dims = {2147483647, 4};
+  edge.push({2147483646, 3}, 2.0);
+  const Coo back = pack("X", dcsr(), edge.dims, edge).to_coo();
+  ASSERT_EQ(back.nnz(), 1);
+  EXPECT_EQ(back.coords[0][0], 2147483646);
+}
+
 TEST(Storage, ForEachVisitsAllNonZeros) {
   TensorStorage st = pack("B", csr(), {4, 4}, paper_coo());
   int count = 0;

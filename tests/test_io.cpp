@@ -96,5 +96,45 @@ TEST(Tns, SkipsComments) {
   std::remove(path.c_str());
 }
 
+// Writes `text` to a temporary .tns file and reads it back.
+Coo read_tns_text(const std::string& name, const std::string& text) {
+  const std::string path = temp_path(name);
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  struct Remove {
+    std::string path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return read_tns(path);
+}
+
+TEST(Tns, RejectsMoreModesThanMaxDim) {
+  // Six coordinates and a value: more modes than a coordinate array holds.
+  EXPECT_THROW(read_tns_text("spd_test_6modes.tns", "1 2 3 4 5 6 1.5\n"),
+               SpdError);
+  // kMaxDim modes still read.
+  const Coo coo = read_tns_text("spd_test_4modes.tns", "1 2 3 4 1.5\n");
+  EXPECT_EQ(coo.order(), rt::kMaxDim);
+  EXPECT_EQ(coo.coords[0][3], 3);
+}
+
+TEST(Tns, RejectsNonIntegralCoordinates) {
+  // Each bad line follows a good one, so skipping it would not throw.
+  for (const char* line : {"1.5 2 3.0\n", "nan 1 2\n", "1 inf 2\n",
+                           "0 1 2\n", "-3 1 2\n", "1e300 1 2\n"}) {
+    EXPECT_THROW(read_tns_text("spd_test_badcoord.tns",
+                               std::string("1 1 1.0\n") + line),
+                 SpdError)
+        << line;
+  }
+  // Integral coordinates written with a fraction or exponent are fine.
+  const Coo coo = read_tns_text("spd_test_intcoord.tns", "2.0 1e1 -0.5\n");
+  EXPECT_EQ(coo.coords[0][0], 1);
+  EXPECT_EQ(coo.coords[0][1], 9);
+  EXPECT_EQ(coo.vals[0], -0.5);
+}
+
 }  // namespace
 }  // namespace spdistal::io

@@ -225,6 +225,40 @@ std::vector<std::string> doc_lines(const std::string& doc) {
   return lines;
 }
 
+// pack's two passes are visible in the trace: `order` then `assemble`, both
+// nested in `pack <name>` on the packing thread.
+TEST(Obs, PackSpansNestOrderAndAssemble) {
+  ObsGuard guard(true);
+  const fmt::Coo coo = data::powerlaw_matrix(500, 500, 5000, 1.1, 2);
+  fmt::pack("P", fmt::csr(), coo.dims, coo);
+  const auto doc = json::parse(obs::TraceRecorder::global().json());
+  ASSERT_TRUE(doc.has_value());
+  struct Span {
+    double ts = 0, end = 0, tid = 0;
+  };
+  std::map<std::string, std::vector<Span>> spans;
+  for (const json::Value& ev : *doc->find("traceEvents")->array()) {
+    const json::Value* cat = ev.find("cat");
+    if (cat == nullptr || *cat->string() != "format") continue;
+    const double ts = *ev.find("ts")->number();
+    spans[*ev.find("name")->string()].push_back(
+        Span{ts, ts + *ev.find("dur")->number(), *ev.find("tid")->number()});
+  }
+  ASSERT_EQ(spans["pack P"].size(), 1u);
+  ASSERT_EQ(spans["order"].size(), 1u);
+  ASSERT_EQ(spans["assemble"].size(), 1u);
+  const Span pack = spans["pack P"][0];
+  const Span order = spans["order"][0];
+  const Span assemble = spans["assemble"][0];
+  constexpr double kEps = 0.002;  // two %.3f rounding quanta, microseconds
+  for (const Span& child : {order, assemble}) {
+    EXPECT_EQ(child.tid, pack.tid);
+    EXPECT_GE(child.ts, pack.ts - kEps);
+    EXPECT_LE(child.end, pack.end + kEps);
+  }
+  EXPECT_LE(order.end, assemble.ts + kEps);
+}
+
 TEST(Obs, MeasuredSpansCarryArgsAndNestInWorkerSpans) {
   const rt::Machine m = cpu_machine(4);
   ObsGuard guard(true);
