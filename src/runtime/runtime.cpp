@@ -58,9 +58,10 @@ IndexSubset TaskContext::subset(size_t req) const {
 
 // The memoized launch analysis: everything Runtime::execute derives from
 // the launch's structure (subsets, partitions, privileges) and nothing it
-// derives from accounting state. Immutable once built, shared by every
-// execution that hits the cache, so warm and cold executions are
-// bit-identical by construction.
+// derives from accounting state. The analysis fields are immutable once
+// built and shared by every execution that hits the cache, so warm and
+// cold executions are bit-identical by construction; the residency memo at
+// the end is the plan's only mutable state.
 struct Runtime::LaunchPlan {
   std::vector<Proc> procs;  // per point
   // [point] -> per-requirement subset row.
@@ -93,6 +94,12 @@ struct Runtime::LaunchPlan {
   std::vector<std::vector<exec::RegionAccess>> accesses;
   std::vector<size_t> direct_reqs;
   std::vector<size_t> folded_reqs;
+  // Residency memo, [point * R + requirement]: the placement epoch of the
+  // requirement's region when a retire's fetch last left the point's
+  // subset valid in the point's memory (0 = never). Owned by the retire
+  // chain, which serializes every read and write; point tasks and the
+  // enqueue path never touch it.
+  mutable std::vector<uint64_t> resident;
 };
 
 // Everything one deferred launch needs after submission. Point tasks fill
@@ -110,6 +117,8 @@ struct Runtime::LaunchRecord {
   bool sampled = false;
   bool calibrate = false;
   uint64_t flow_base = 0;
+  // Verify mode: points check their touches, retire audits residency hits.
+  bool verify = false;
   // Reduction privatization, per requirement: scratch[r][p] is point p's
   // private accumulator (empty when the requirement is not privatized).
   std::vector<std::vector<std::shared_ptr<ScratchHeader>>> scratch;
@@ -155,10 +164,11 @@ void Runtime::evict_to_capacity() {
 
 bool Runtime::inject_plan_fault(PlanFault fault) {
   if (plan_lru_.empty()) return false;
+  flush();  // in-flight retires read the plan; they own its residency memo
   // Deliberately break the most-recently-used cached plan so the verify
-  // fault-injection tests can prove the race auditor catches it. The
-  // const_cast is confined to this test hook; no production path mutates
-  // a memoized plan.
+  // fault-injection tests can prove the verifiers catch it. The const_cast
+  // is confined to this test hook; no production path mutates a memoized
+  // plan's analysis fields.
   auto plan = std::const_pointer_cast<LaunchPlan>(plan_lru_.front().plan);
   switch (fault) {
     case PlanFault::DropConflictEdge:
@@ -179,6 +189,14 @@ bool Runtime::inject_plan_fault(PlanFault fault) {
         }
       }
       return false;
+    }
+    case PlanFault::StaleResidency: {
+      const auto& reqs = plan_lru_.front().key.reqs;
+      for (size_t i = 0; i < plan->resident.size(); ++i) {
+        plan->resident[i] =
+            placements_[std::get<0>(reqs[i % reqs.size()])].epoch;
+      }
+      return true;
     }
   }
   return false;
@@ -227,6 +245,7 @@ void Runtime::drop_placement(RegionBase& region) {
   pl.valid.clear();
   pl.alloc_bytes.clear();
   pl.ready.clear();
+  pl.epoch = ++placement_epoch_;
 }
 
 void Runtime::set_placement(RegionBase& region, const Partition& part,
@@ -447,6 +466,7 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
   for (size_t r = 0; r < R; ++r) {
     (plan->privatized[r] ? plan->folded_reqs : plan->direct_reqs).push_back(r);
   }
+  plan->resident.assign(static_cast<size_t>(P) * R, 0);
 
   // Intra-launch conflict edges by pairwise privilege analysis in color
   // order (WO/RW serialize per overlapping subset; RO/RO and privatized
@@ -629,6 +649,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   rec->sampled = sampled;
   rec->flow_base = flow_base;
   rec->calibrate = observed_ && obs::calibration_enabled();
+  rec->verify = verify_;
   for (size_t r = 0; r < R; ++r) {
     // Subsets are captured in the plan; the borrowed partition pointer need
     // not outlive the submission.
@@ -680,10 +701,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
 
   // Mint the point tasks and the retirement task.
   std::vector<exec::TaskId> ids(static_cast<size_t>(P));
-  const bool verifying = verify_;
   for (int p = 0; p < P; ++p) {
     ids[static_cast<size_t>(p)] = ex_->create(
-        strprintf("%s[%d]", launch.name.c_str(), p), [this, rec, p, verifying] {
+        strprintf("%s[%d]", launch.name.c_str(), p), [this, rec, p] {
           // Allocate this point's reduction scratches (zeroing a private
           // buffer is per-point work; doing it here parallelizes it) and
           // install the redirects for the body's duration. Each task only
@@ -713,7 +733,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           const double wall0 = measure ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
           TouchLog tlog;
-          if (!verifying) {
+          if (!rec->verify) {
             rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
             if (measure) wall1 = obs::wall_us();
           } else {
@@ -751,7 +771,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
               }
             }
           }
-          if (!verifying) return;
+          if (!rec->verify) return;
           // Validate the recorded footprint against the declared subsets.
           std::vector<verify::ReqCheckView> views;
           views.reserve(rec->launch.reqs.size());
@@ -898,18 +918,41 @@ void Runtime::account_launch(LaunchRecord& rec) {
   obs::KernelStats* row = observed_ ? &kernel_rows_[launch.name] : nullptr;
   std::string pt_name;
 
+  const size_t R = launch.reqs.size();
   for (int p = 0; p < launch.domain; ++p) {
     const Proc proc = plan.procs[static_cast<size_t>(p)];
     const Mem target = machine_.proc_mem(proc);
     double data_ready = 0;
-    for (size_t r = 0; r < launch.reqs.size(); ++r) {
+    for (size_t r = 0; r < R; ++r) {
       const RegionReq& req = launch.reqs[r];
       const IndexSubset& s = plan.subsets[static_cast<size_t>(p)][r];
       switch (req.priv) {
         case Privilege::RO:
-        case Privilege::RW:
-          data_ready = std::max(data_ready, fetch(*req.region, s, target, 0.0));
+        case Privilege::RW: {
+          // Residency memo: while the slot equals the region's epoch,
+          // nothing has dropped a point of `s` from `target` since a fetch
+          // left it valid there, so fetch would find `s \ valid` empty and
+          // return max(0, ready[target]).
+          PlacementInfo& pl = placement(*req.region);
+          uint64_t& slot = plan.resident[static_cast<size_t>(p) * R + r];
+          if (slot != pl.epoch) {
+            data_ready =
+                std::max(data_ready, fetch(*req.region, s, target, 0.0));
+            if (!s.empty()) slot = pl.epoch;
+            break;
+          }
+          if (rec.verify) {
+            const auto it = pl.valid.find(target);
+            const IndexSubset missing =
+                it == pl.valid.end() ? s : s.subtract(it->second);
+            if (!missing.empty()) {
+              verify::report_stale_residency(launch.name, p,
+                                             req.region->name(), missing);
+            }
+          }
+          data_ready = std::max(data_ready, std::max(0.0, pl.ready[target]));
           break;
+        }
         case Privilege::WO:
         case Privilege::REDUCE: {
           // Output instance in the target memory; no data motion inbound.
@@ -942,7 +985,7 @@ void Runtime::account_launch(LaunchRecord& rec) {
   }
 
   // Write-back pass: writes re-home the region to the writers' memories.
-  for (size_t r = 0; r < launch.reqs.size(); ++r) {
+  for (size_t r = 0; r < R; ++r) {
     const RegionReq& req = launch.reqs[r];
     if (req.priv == Privilege::RO) continue;
     RegionBase& region = *req.region;

@@ -192,7 +192,12 @@ class Runtime {
   // every iteration) walks the cached plan; repartitioning or swapping a
   // region's backing storage changes the key, so a fresh plan is built
   // automatically. Warm and cold paths are bit-identical by construction:
-  // the plan stores the analysis *results*, never accounting state.
+  // the analysis fields hold *results*, never accounting state. The plan's
+  // one piece of mutable state is its residency memo: per (point, read
+  // requirement), the placement epoch at which a retire left that subset
+  // valid in the point's memory. Only the serialized retire chain reads or
+  // writes it; a slot that still equals its region's epoch lets the retire
+  // skip fetch, which would find nothing missing.
   exec::Future execute(const IndexLaunch& launch);
 
   // LaunchPlan memo control: disabling forces every execute() onto the
@@ -214,12 +219,14 @@ class Runtime {
   void set_verify(bool on);
   bool verify() const { return verify_; }
 
-  // Fault injection for the verify fault-injection tests: corrupts the
-  // most-recently-used cached plan in place. Returns false when there is
-  // no cached plan (or no edge) to corrupt.
+  // Fault injection for the verify fault-injection tests: drains in-flight
+  // launches, then corrupts the most-recently-used cached plan in place.
+  // Returns false when there is no cached plan (or no edge) to corrupt.
   enum class PlanFault {
     DropConflictEdge,  // delete one memoized happens-before edge (a race)
     AddSpuriousEdge,   // add an unjustified edge (lost parallelism)
+    StaleResidency,    // stamp every residency slot with the current
+                       // epochs, whatever is valid (drains first)
   };
   bool inject_plan_fault(PlanFault fault);
 
@@ -268,14 +275,22 @@ class Runtime {
  private:
   struct PlacementInfo {
     // Valid subsets per memory and bytes allocated there for this region.
+    // Valid sets shrink only in drop_placement (set_placement,
+    // replicate_sys, place_whole, invalidate and the write-back all go
+    // through it); everything else only unites into them.
     std::map<Mem, IndexSubset> valid;
     std::map<Mem, double> alloc_bytes;
     // Simulated time at which the instance in a memory becomes usable.
     std::map<Mem, double> ready;
+    // Set by drop_placement from the runtime-wide placement_epoch_, so a
+    // LaunchPlan residency slot equal to it proves no valid set of this
+    // region lost a point since the slot was stamped. Never 0: a slot of 0
+    // means "not known resident".
+    uint64_t epoch = 1;
   };
 
-  // The memoized launch analysis (immutable once built; shared by every
-  // execution that hits it).
+  // The memoized launch analysis (shared by every execution that hits it;
+  // immutable once built except for the retire chain's residency memo).
   struct LaunchPlan;
   // Identity of a launch for plan lookup.
   struct PlanKey {
@@ -302,7 +317,10 @@ class Runtime {
   void account_launch(LaunchRecord& rec);
 
   // Ensures `subset` of `region` is valid in `mem` by `ready_time`;
-  // returns the time all data has arrived.
+  // returns the time all data has arrived. Leaves a non-empty `subset`
+  // valid in `mem`; when `subset \ valid[mem]` is already empty it moves
+  // nothing and returns max(ready_time, ready[mem]), which is what a
+  // residency-memo hit in account_launch uses instead of calling it.
   double fetch(RegionBase& region, const IndexSubset& subset, const Mem& mem,
                double ready_time);
 
@@ -310,6 +328,8 @@ class Runtime {
   // tasks).
   void install_whole(RegionBase& region, Mem mem);
 
+  // Releases every instance of `region` and stamps it with a new placement
+  // epoch: the one place a valid set loses points.
   void drop_placement(RegionBase& region);
   PlacementInfo& placement(const RegionBase& region) {
     return placements_[region.id()];  // creates lazily for foreign regions
@@ -332,6 +352,7 @@ class Runtime {
   Network net_;
   MemorySystem mems_;
   std::map<RegionId, PlacementInfo> placements_;
+  uint64_t placement_epoch_ = 1;  // the last epoch drop_placement handed out
   std::list<PlanEntry> plan_lru_;
   std::map<PlanKey, std::list<PlanEntry>::iterator> plan_cache_;
   bool plan_memo_ = true;

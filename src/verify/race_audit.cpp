@@ -4,6 +4,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/str_util.h"
+
 namespace spdistal::verify {
 
 namespace {
@@ -132,6 +134,21 @@ void audit_launch(const AuditInput& in) {
     v.message = os.str();
     report(v);
   }
+}
+
+void report_stale_residency(const std::string& launch_name, int point,
+                            const std::string& region_name,
+                            const rt::IndexSubset& missing) {
+  const std::string gap = missing.str();
+  Violation v;
+  v.analysis = "race_audit";
+  v.message = strprintf(
+      "launch `%s` point %d: the plan's residency memo holds region %s "
+      "resident in the point's memory, but %s is not valid there — the "
+      "retire would skip a needed transfer",
+      launch_name.c_str(), point, region_name.c_str(), gap.c_str());
+  report(v);  // Severity::Error always throws
+  throw VerifyError("unreachable");
 }
 
 }  // namespace spdistal::verify

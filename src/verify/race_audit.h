@@ -14,6 +14,9 @@
 // The audit also cross-checks memoized per-point subsets against freshly
 // recomputed ones, so a warm plan-memo hit whose partitions drifted (LRU
 // staleness, PR 4/5) is caught before the stale plan launches anything.
+// The plan's residency memo is certified the same way: on every memo hit
+// the Runtime's retire still diffs the point's subset against the valid
+// set and raises report_stale_residency if anything is missing.
 #pragma once
 
 #include <cstdint>
@@ -60,5 +63,14 @@ std::vector<std::pair<int, int>> oracle_edges(const AuditInput& in);
 // edge-set diff. Throws VerifyError on races/staleness; warnings are
 // counted. Bumps verify.plans_checked.
 void audit_launch(const AuditInput& in);
+
+// Raises the stale-residency violation: a warm plan's residency memo
+// claimed point `point`'s subset of `region_name` valid in the point's
+// memory, but `missing` is not valid there, so retire would have skipped
+// a transfer the point needs.
+[[noreturn]] void report_stale_residency(const std::string& launch_name,
+                                         int point,
+                                         const std::string& region_name,
+                                         const rt::IndexSubset& missing);
 
 }  // namespace spdistal::verify

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "common/rng.h"
@@ -451,91 +452,94 @@ struct StressResult {
   rt::SimReport report;
 };
 
-StressResult run_stress(int threads) {
-  const rt::Machine m = cpu_machine(2, rt::Grid(2));
-  rt::Runtime rt(m, threads);
-  constexpr int kRegions = 4;
-  constexpr Coord kSize = 160;
+constexpr Coord kStressSize = 160;
+
+std::vector<rt::RegionRef<double>> stress_regions(rt::Runtime& rt) {
   std::vector<rt::RegionRef<double>> regions;
-  for (int k = 0; k < kRegions; ++k) {
+  for (int k = 0; k < 4; ++k) {
     regions.push_back(rt.create_region<double>(
-        rt::IndexSpace(kSize), "stress" + std::to_string(k)));
+        rt::IndexSpace(kStressSize), "stress" + std::to_string(k)));
     regions.back()->fill(0.0);
   }
-  // Partitions referenced by in-flight launches must survive submission
-  // only (subsets are captured), but keep them alive for clarity.
-  std::vector<std::unique_ptr<rt::Partition>> parts;
+  return regions;
+}
 
-  Rng rng(0xD15EA5E);
-  for (int launch_no = 0; launch_no < 100; ++launch_no) {
-    rt::IndexLaunch launch;
-    launch.name = "stress" + std::to_string(launch_no);
-    launch.domain = 1 + static_cast<int>(rng.next_below(4));
-    const int nreqs = 1 + static_cast<int>(rng.next_below(2));
-    std::vector<rt::Privilege> privs;
-    for (int r = 0; r < nreqs; ++r) {
-      auto& region = regions[rng.next_below(kRegions)];
-      const rt::Privilege priv = static_cast<rt::Privilege>(rng.next_below(4));
-      // Random, possibly overlapping, possibly empty per-color intervals.
-      std::vector<rt::IndexSubset> subs;
-      for (int c = 0; c < launch.domain; ++c) {
-        rt::IndexSubset s(1);
-        const int rects = static_cast<int>(rng.next_below(3));
-        for (int x = 0; x < rects; ++x) {
-          const Coord lo = static_cast<Coord>(rng.next_below(kSize));
-          const Coord hi =
-              std::min<Coord>(kSize - 1,
-                              lo + static_cast<Coord>(rng.next_below(40)));
-          s.add(rt::RectN::make1(lo, hi));
-        }
-        s.normalize();
-        subs.push_back(std::move(s));
+// A launch of 1-4 points with 1-2 requirements, each on a random region
+// under a random privilege, with random, possibly overlapping, possibly
+// empty per-point intervals. `parts` keeps the partitions alive.
+rt::IndexLaunch random_launch(
+    Rng& rng, std::string name,
+    const std::vector<rt::RegionRef<double>>& regions,
+    std::vector<std::unique_ptr<rt::Partition>>& parts) {
+  rt::IndexLaunch launch;
+  launch.name = std::move(name);
+  launch.domain = 1 + static_cast<int>(rng.next_below(4));
+  const int nreqs = 1 + static_cast<int>(rng.next_below(2));
+  std::vector<rt::Privilege> privs;
+  for (int r = 0; r < nreqs; ++r) {
+    const auto& region = regions[rng.next_below(regions.size())];
+    const rt::Privilege priv = static_cast<rt::Privilege>(rng.next_below(4));
+    std::vector<rt::IndexSubset> subs;
+    for (int c = 0; c < launch.domain; ++c) {
+      rt::IndexSubset s(1);
+      const int rects = static_cast<int>(rng.next_below(3));
+      for (int x = 0; x < rects; ++x) {
+        const Coord lo = static_cast<Coord>(rng.next_below(kStressSize));
+        const Coord hi =
+            std::min<Coord>(kStressSize - 1,
+                            lo + static_cast<Coord>(rng.next_below(40)));
+        s.add(rt::RectN::make1(lo, hi));
       }
-      parts.push_back(std::make_unique<rt::Partition>(region->space(),
-                                                      std::move(subs)));
-      launch.reqs.push_back(
-          rt::RegionReq{region, parts.back().get(), priv});
-      privs.push_back(priv);
+      s.normalize();
+      subs.push_back(std::move(s));
     }
-    const uint64_t salt = rng.next_u64() % 1000;
-    // The body captures its region handles by value and touches each
-    // requirement's subset with privilege-appropriate operations.
-    std::vector<rt::RegionRef<double>> regs;
-    for (const auto& req : launch.reqs) {
-      regs.push_back(std::static_pointer_cast<rt::Region<double>>(req.region));
-    }
-    launch.body = [privs, salt, regs](const rt::TaskContext& ctx) {
-      for (size_t r = 0; r < privs.size(); ++r) {
-        const rt::IndexSubset s = ctx.subset(r);
-        rt::Region<double>& region = *regs[r];
-        for (const auto& rect : s.rects()) {
-          for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
-            const double v =
-                static_cast<double>((salt + static_cast<uint64_t>(i)) % 17) +
-                0.5 * ctx.color();
-            switch (privs[r]) {
-              case rt::Privilege::RO: {
-                volatile double sink = region[i];
-                (void)sink;
-                break;
-              }
-              case rt::Privilege::WO:
-                region[i] = v;
-                break;
-              case rt::Privilege::RW:
-                region[i] = region[i] * 0.5 + v;
-                break;
-              case rt::Privilege::REDUCE:
-                region[i] += v;
-                break;
+    parts.push_back(
+        std::make_unique<rt::Partition>(region->space(), std::move(subs)));
+    launch.reqs.push_back(rt::RegionReq{region, parts.back().get(), priv});
+    privs.push_back(priv);
+  }
+  const uint64_t salt = rng.next_u64() % 1000;
+  // The body captures its region handles by value and touches each
+  // requirement's subset with privilege-appropriate operations.
+  std::vector<rt::RegionRef<double>> regs;
+  for (const auto& req : launch.reqs) {
+    regs.push_back(std::static_pointer_cast<rt::Region<double>>(req.region));
+  }
+  launch.body = [privs, salt, regs](const rt::TaskContext& ctx) {
+    for (size_t r = 0; r < privs.size(); ++r) {
+      const rt::IndexSubset s = ctx.subset(r);
+      rt::Region<double>& region = *regs[r];
+      for (const auto& rect : s.rects()) {
+        for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
+          const double v =
+              static_cast<double>((salt + static_cast<uint64_t>(i)) % 17) +
+              0.5 * ctx.color();
+          switch (privs[r]) {
+            case rt::Privilege::RO: {
+              volatile double sink = region[i];
+              (void)sink;
+              break;
             }
+            case rt::Privilege::WO:
+              region[i] = v;
+              break;
+            case rt::Privilege::RW:
+              region[i] = region[i] * 0.5 + v;
+              break;
+            case rt::Privilege::REDUCE:
+              region[i] += v;
+              break;
           }
         }
       }
-      return rt::WorkEstimate{100, 800};
-    };
-    rt.execute(launch);
-  }
+    }
+    return rt::WorkEstimate{100, 800};
+  };
+  return launch;
+}
+
+StressResult stress_result(rt::Runtime& rt,
+                           const std::vector<rt::RegionRef<double>>& regions) {
   rt.flush();
   StressResult res;
   for (const auto& r : regions) res.regions.push_back(r->data());
@@ -543,19 +547,101 @@ StressResult run_stress(int threads) {
   return res;
 }
 
-TEST(ExecStress, RandomLaunchSequenceBitIdenticalAcrossThreadCounts) {
-  const StressResult serial = run_stress(1);
-  const StressResult parallel = run_stress(4);
-  ASSERT_EQ(serial.regions.size(), parallel.regions.size());
-  for (size_t k = 0; k < serial.regions.size(); ++k) {
-    ASSERT_EQ(serial.regions[k].size(), parallel.regions[k].size());
-    EXPECT_EQ(std::memcmp(serial.regions[k].data(),
-                          parallel.regions[k].data(),
-                          serial.regions[k].size() * sizeof(double)),
+void expect_stress_identical(const StressResult& a, const StressResult& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.regions.size(), b.regions.size()) << what;
+  for (size_t k = 0; k < a.regions.size(); ++k) {
+    ASSERT_EQ(a.regions[k].size(), b.regions[k].size()) << what;
+    EXPECT_EQ(std::memcmp(a.regions[k].data(), b.regions[k].data(),
+                          a.regions[k].size() * sizeof(double)),
               0)
-        << "region " << k << " diverged";
+        << what << ": region " << k << " diverged";
   }
-  expect_report_identical(serial.report, parallel.report, "stress");
+  expect_report_identical(a.report, b.report, what);
+}
+
+StressResult run_stress(int threads) {
+  const rt::Machine m = cpu_machine(2, rt::Grid(2));
+  rt::Runtime rt(m, threads);
+  const std::vector<rt::RegionRef<double>> regions = stress_regions(rt);
+  // Partitions referenced by in-flight launches must survive submission
+  // only (subsets are captured), but keep them alive for clarity.
+  std::vector<std::unique_ptr<rt::Partition>> parts;
+  Rng rng(0xD15EA5E);
+  for (int launch_no = 0; launch_no < 100; ++launch_no) {
+    rt.execute(random_launch(rng, "stress" + std::to_string(launch_no),
+                             regions, parts));
+  }
+  return stress_result(rt, regions);
+}
+
+TEST(ExecStress, RandomLaunchSequenceBitIdenticalAcrossThreadCounts) {
+  expect_stress_identical(run_stress(1), run_stress(4), "stress");
+}
+
+// A seeded 200-step sequence over a fixed pool of launches (fixed
+// partitions, so every re-execution hits its warm plan and residency memo),
+// interleaved with the placement calls that drop valid sets.
+StressResult run_reuse_stress(int threads, bool memo) {
+  const rt::Machine m = cpu_machine(2, rt::Grid(2));
+  rt::Runtime rt(m, threads);
+  rt.set_plan_memo(memo);
+  const std::vector<rt::RegionRef<double>> regions = stress_regions(rt);
+  std::vector<std::unique_ptr<rt::Partition>> parts;
+  Rng rng(0x5EED5);
+  // At least 6 launches, drawn until the pool holds all four privileges.
+  std::vector<rt::IndexLaunch> pool;
+  std::set<rt::Privilege> privs;
+  while (pool.size() < 6 || privs.size() < 4) {
+    pool.push_back(random_launch(rng, "reuse" + std::to_string(pool.size()),
+                                 regions, parts));
+    for (const auto& req : pool.back().reqs) privs.insert(req.priv);
+  }
+  const int nodes = m.config().nodes;
+  for (int step = 0; step < 200; ++step) {
+    if (rng.next_below(4) != 0) {
+      rt.execute(pool[rng.next_below(pool.size())]);
+      continue;
+    }
+    rt::RegionBase& region = *regions[rng.next_below(regions.size())];
+    switch (rng.next_below(4)) {
+      case 0:
+        rt.invalidate(region);
+        break;
+      case 1: {
+        const int pieces = 1 + static_cast<int>(rng.next_below(4));
+        const rt::Partition part = rt::partition_equal(region.space(), pieces);
+        std::vector<rt::Mem> mems;
+        for (int c = 0; c < pieces; ++c) {
+          mems.push_back(m.sys_mem(static_cast<int>(rng.next_below(nodes))));
+        }
+        rt.set_placement(region, part, mems);
+        break;
+      }
+      case 2:
+        rt.replicate_sys(region);
+        break;
+      default:
+        rt.place_whole(region,
+                       m.sys_mem(static_cast<int>(rng.next_below(nodes))));
+        break;
+    }
+  }
+  return stress_result(rt, regions);
+}
+
+TEST(ExecStress, ReusedPlansWithPlacementChurnBitIdentical) {
+  const StressResult base = run_reuse_stress(1, true);
+  EXPECT_GT(base.report.plan_hits, 0);
+  for (int threads : {1, 4}) {
+    for (bool memo : {true, false}) {
+      if (threads == 1 && memo) continue;
+      expect_stress_identical(
+          base, run_reuse_stress(threads, memo),
+          "reuse @" + std::to_string(threads) + " ctx, memo " +
+              (memo ? "on" : "off"));
+    }
+  }
 }
 
 // Back-to-back launches with disjoint requirements share the pool without

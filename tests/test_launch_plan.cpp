@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstring>
+#include <functional>
 
 #include "compiler/lower.h"
 #include "data/generators.h"
@@ -191,6 +192,151 @@ TEST(LaunchPlan, SpttvNzWarmMatchesCold) {
     return std::make_pair(A, stmt);
   };
   expect_warm_matches_cold(build, cpu_machine(4, rt::Grid(4)), "spttv_nz");
+}
+
+// --- residency memo: warm retires skip fetch only while nothing dropped ------
+
+// The e2ebench spmv_nz_fetch shape at test scale: SpMV split by non-zeros
+// over 4 nodes with c block-distributed, so the first iteration moves each
+// piece's scattered column footprint and later ones find it resident.
+std::pair<Tensor, Statement*> block_c_spmv_nz() {
+  IndexVar i("i"), j("j"), f("f"), fo("fo"), fi("fi");
+  Tensor a("a", {96}, fmt::dense_vector());
+  Tensor B("B", {96, 96}, fmt::csr(),
+           tdn::parse_tdn("B(x, y) fuse(x, y -> g) -> M(~g)"));
+  Tensor c("c", {96}, fmt::dense_vector(), tdn::parse_tdn("c(x) -> M(x)"));
+  B.from_coo(data::powerlaw_matrix(96, 96, 700, 1.2, 11));
+  c.init_dense([](const auto& x) {
+    return 1.0 + 0.01 * static_cast<double>(x[0] % 13);
+  });
+  Statement* stmt = &(a(i) = B(i, j) * c(j));
+  a.schedule().fuse(i, j, f).divide_pos(f, fo, fi, 4, "B").distribute(fo);
+  return std::make_pair(a, stmt);
+}
+
+TEST(LaunchPlan, BlockDistributedFetchWarmMatchesCold) {
+  expect_warm_matches_cold(block_c_spmv_nz, cpu_machine(4, rt::Grid(4)),
+                           "spmv_nz block-distributed c");
+}
+
+double moved_bytes(const rt::SimReport& r) {
+  return r.inter_node_bytes + r.intra_node_bytes;
+}
+
+// Every call that can drop a valid point of c bumps c's placement epoch, so
+// the next warm retire runs fetch again. Each iteration's report diff must
+// match the memo-off run's bit for bit, and each change but replicate_sys
+// (which leaves c valid everywhere) must move more bytes than a steady
+// iteration, whose only traffic is the reduction combines.
+TEST(LaunchPlan, PlacementChangesForceRefetch) {
+  using Change =
+      std::function<void(rt::Runtime&, const rt::RegionRef<double>&)>;
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"invalidate",
+       [](rt::Runtime& rt, const rt::RegionRef<double>& c) {
+         rt.invalidate(*c);
+       }},
+      {"set_placement",
+       [](rt::Runtime& rt, const rt::RegionRef<double>& c) {
+         // c's blocks on the nodes in reverse order.
+         const rt::Partition part = rt::partition_equal(c->space(), 4);
+         std::vector<rt::Mem> mems;
+         for (int n = 3; n >= 0; --n) mems.push_back(rt.machine().sys_mem(n));
+         rt.set_placement(*c, part, mems);
+       }},
+      {"place_whole",
+       [](rt::Runtime& rt, const rt::RegionRef<double>& c) {
+         rt.place_whole(*c, rt.machine().sys_mem(3));
+       }},
+      {"replicate_sys",
+       [](rt::Runtime& rt, const rt::RegionRef<double>& c) {
+         rt.replicate_sys(*c);
+       }},
+      {"write",
+       [](rt::Runtime& rt, const rt::RegionRef<double>& c) {
+         // Rewrites c's values in two halves; the write-back re-homes c to
+         // the writers' memories.
+         const rt::Partition part = rt::partition_equal(c->space(), 2);
+         rt::IndexLaunch launch;
+         launch.name = "write c";
+         launch.domain = 2;
+         launch.reqs = {rt::RegionReq{c, &part, rt::Privilege::WO}};
+         launch.body = [c](const rt::TaskContext& ctx) {
+           const rt::IndexSubset s = ctx.subset(0);
+           for (const auto& rect : s.rects()) {
+             for (Coord x = rect.lo[0]; x <= rect.hi[0]; ++x) {
+               (*c)[x] = 1.0 + 0.01 * static_cast<double>(x % 13);
+             }
+           }
+           return rt::WorkEstimate{48, 384};
+         };
+         rt.execute(launch);
+       }},
+  };
+  const rt::Machine m = cpu_machine(4, rt::Grid(4));
+  // Per-iteration report diffs: first, steady, then (changed, steady) per
+  // change; plus the final output values.
+  auto run_sequence = [&](int threads, bool memo) {
+    auto [out, stmt] = block_c_spmv_nz();
+    rt::Runtime runtime(m, threads);
+    runtime.set_plan_memo(memo);
+    auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
+    const rt::RegionRef<double> c = stmt->tensor("c").storage().vals();
+    std::vector<rt::SimReport> diffs;
+    auto iterate = [&] {
+      const rt::SimReport before = runtime.report();
+      inst->run(1);
+      diffs.push_back(runtime.report().diff(before));
+    };
+    iterate();
+    iterate();
+    for (const auto& [name, change] : changes) {
+      change(runtime, c);
+      iterate();
+      iterate();
+    }
+    EXPECT_LE(ref::max_abs_diff(out, ref::eval(*stmt)), 1e-10);
+    return std::make_pair(diffs, out.storage().vals()->data());
+  };
+  for (int threads : {1, 4}) {
+    const std::string cfg = " @" + std::to_string(threads) + " ctx";
+    const auto [warm, warm_out] = run_sequence(threads, true);
+    const auto [cold, cold_out] = run_sequence(threads, false);
+    ASSERT_EQ(warm.size(), 2 + 2 * changes.size());
+    ASSERT_EQ(cold.size(), warm.size());
+    ASSERT_EQ(warm_out.size(), cold_out.size());
+    EXPECT_EQ(std::memcmp(warm_out.data(), cold_out.data(),
+                          warm_out.size() * sizeof(double)),
+              0)
+        << "output values differ" << cfg;
+    const std::vector<std::string> labels = [&] {
+      std::vector<std::string> l = {"first", "steady"};
+      for (const auto& [name, change] : changes) {
+        l.push_back(name);
+        l.push_back("steady after " + name);
+      }
+      return l;
+    }();
+    for (size_t k = 0; k < warm.size(); ++k) {
+      expect_sim_identical(warm[k], cold[k], labels[k] + cfg);
+      // Only the first iteration builds the warm run's plan.
+      EXPECT_EQ(warm[k].plan_misses, k == 0 ? 1 : 0) << labels[k] + cfg;
+    }
+    const double steady = moved_bytes(warm[1]);
+    EXPECT_GT(moved_bytes(warm[0]), steady) << "first" << cfg;
+    for (size_t k = 0; k < changes.size(); ++k) {
+      const std::string& name = changes[k].first;
+      const double changed = moved_bytes(warm[2 + 2 * k]);
+      if (name == "replicate_sys") {
+        EXPECT_EQ(bits(changed), bits(steady)) << name << cfg;
+      } else {
+        EXPECT_GT(changed, steady) << name << cfg;
+      }
+      // The first retire after a change re-arms the memo.
+      EXPECT_EQ(bits(moved_bytes(warm[3 + 2 * k])), bits(steady))
+          << "steady after " << name << cfg;
+    }
+  }
 }
 
 // --- invalidation: launch identity changes must build fresh plans -------------

@@ -362,6 +362,65 @@ TEST(VerifyRace, WarnsOnSpuriousConflictEdge) {
   EXPECT_EQ(after.violations, before.violations);
 }
 
+// --- residency memo audit ----------------------------------------------------
+
+// Two points reading the halves of `c`.
+IndexLaunch halves_reader(std::shared_ptr<rt::Region<double>> c,
+                          Partition& p) {
+  IndexLaunch launch;
+  launch.name = "halves_reader";
+  launch.domain = 2;
+  launch.reqs = {RegionReq{c, &p, Privilege::RO}};
+  launch.body = [c](const TaskContext& ctx) {
+    const rt::IndexSubset s = ctx.subset(0);
+    const rt::RegionAccessor<double> acc(*c, rt::Access::Read);
+    double sum = 0;
+    for (const auto& rect : s.rects()) {
+      for (Coord x = rect.lo[0]; x <= rect.hi[0]; ++x) sum += acc[x];
+    }
+    return WorkEstimate{sum, 400};
+  };
+  return launch;
+}
+
+// invalidate(c) bumps c's placement epoch, so the warm plan's residency
+// slots no longer match and the next retire fetches again. A fault that
+// re-stamps the slots with the current epochs makes the retire trust a
+// residency that is gone: the audit must name the launch, point and region.
+TEST(VerifyResidency, CatchesStaleResidencySlot) {
+  VerifyGuard guard;
+  Machine m = cpu_machine(2);
+  auto run = [&](bool inject) {
+    Runtime rt(m, 1);
+    auto c = rt.create_region<double>(IndexSpace(100), "c_vec");
+    c->fill(1.0);
+    Partition p = rt::partition_equal(c->space(), 2);
+    IndexLaunch launch = halves_reader(c, p);
+    rt.execute(launch);  // stamps both points' residency slots
+    rt.flush();
+    rt.invalidate(*c);
+    if (inject) {
+      EXPECT_TRUE(rt.inject_plan_fault(Runtime::PlanFault::StaleResidency));
+    }
+    rt.execute(launch);  // warm plan hit
+    rt.flush();
+  };
+  // Control: without the fault the dropped placement misses the memo.
+  const verify::Stats before = verify::stats();
+  EXPECT_NO_THROW(run(false));
+  EXPECT_EQ(verify::stats().violations, before.violations);
+  try {
+    run(true);
+    FAIL() << "residency audit missed a stale memo slot";
+  } catch (const VerifyError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("residency memo"), std::string::npos) << what;
+    EXPECT_NE(what.find("halves_reader"), std::string::npos) << what;
+    EXPECT_NE(what.find("point 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("c_vec"), std::string::npos) << what;
+  }
+}
+
 // --- clean programs and the off switch ---------------------------------------
 
 TEST(Verify, CleanLaunchesStaySilent) {
