@@ -81,8 +81,8 @@ void BM_SpmvNzCoo(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvNzCoo)->Arg(100000);
 
-// SpMTTKRP at rank 16 on one power-law CSF tensor: both specialized
-// leaves against the general engine, over the whole tensor.
+// SpMTTKRP at rank 16 on one power-law CSF tensor: both piece kinds of the
+// specialized leaf against the general engine, over the whole tensor.
 struct SpmttkrpFixture {
   IndexVar i{"i"}, j{"j"}, k{"k"}, l{"l"};
   Tensor A, B, C, D;
@@ -102,13 +102,16 @@ struct SpmttkrpFixture {
   }
 };
 
+// One piece over the whole tensor, as a row piece (every row) or as a
+// non-zero piece (the window of every stored position).
 void BM_SpmttkrpLeaf(benchmark::State& state, bool nz) {
   SpmttkrpFixture f(state.range(0));
-  kern::Leaf leaf = nz ? kern::make_spmttkrp_nz(f.A, f.B, f.C, f.D)
-                       : kern::make_spmttkrp_row(f.A, f.B, f.C, f.D);
+  kern::Leaf leaf = kern::make_spmttkrp(f.A, f.B, f.C, f.D);
+  kern::PieceBounds piece;
+  if (nz) piece.dist_pos = rt::Rect1{0, f.B.storage().level(2).positions - 1};
   for (auto _ : state) {
     f.A.zero();
-    benchmark::DoNotOptimize(leaf(kern::PieceBounds{}).flops);
+    benchmark::DoNotOptimize(leaf(piece).flops);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * f.B.storage().nnz());

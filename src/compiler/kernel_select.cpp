@@ -91,9 +91,9 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
         [engine](const kern::PieceBounds& piece) { return engine->run(piece); },
         "coiter"};
   };
-  // The specialized _nz leaves interpret the piece's position range as
-  // positions of the split tensor's last level; a mid-tree split must use
-  // the general engine (which honors pos_level). Singleton levels are
+  // The specialized leaves interpret a piece's position range as positions
+  // of the split tensor's last level; a mid-tree split must use the general
+  // engine (which honors pos_level). Singleton levels are
   // position-split-transparent: a split above a trailing Singleton chain
   // shares the last level's position space 1:1, so it still counts as
   // "last" (COO chains split anywhere are the same split).
@@ -104,6 +104,11 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
       if (!f.mode(l).is_singleton()) return false;
     }
     return true;
+  };
+  // One leaf serves both piece kinds of a family; the launch keeps the
+  // kind in its name (calibration keys, traces and SimReport rows).
+  auto family = [&](const char* kernel) {
+    return std::string(kernel) + (position_space ? "_nz" : "_row");
   };
 
   std::vector<tin::Expr> terms;
@@ -204,28 +209,19 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
                dense(stmt.tensor(a.tensor));
       });
       if (C != nullptr) {
-        if (position_space) {
-          if (!nz_split_is_last(B) || !inner_axes_ok(j)) {
-            return coiter_fallback();
-          }
-          // Non-zero x universe grid: spmm_nz clamps its dense j loop to
-          // the piece's inner-axis block.
-          return SelectedLeaf{
-              kern::make_spmm_nz(out, stmt.tensor(B->tensor),
-                                 stmt.tensor(C->tensor),
-                                 multi_axis ? std::optional<uint32_t>(j.id())
-                                            : std::nullopt),
-              "spmm_nz"};
+        // A 2-D grid over (i, j) tiles rows x output columns; a non-zero x
+        // universe grid splits B's non-zeros x output columns. Either way
+        // the leaf clamps its dense j loop to the piece's axis-1 block.
+        if (position_space ? !nz_split_is_last(B) || !inner_axes_ok(j)
+                           : !grid_matches(i, j)) {
+          return coiter_fallback();
         }
-        // A 2-D grid over (i, j) tiles rows x output columns: spmm_row
-        // clamps its dense j loop to the piece's axis-1 block.
-        if (!grid_matches(i, j)) return coiter_fallback();
         return SelectedLeaf{
-            kern::make_spmm_row(out, stmt.tensor(B->tensor),
-                                stmt.tensor(C->tensor),
-                                multi_axis ? std::optional<uint32_t>(j.id())
-                                           : std::nullopt),
-            "spmm_row"};
+            kern::make_spmm(out, stmt.tensor(B->tensor),
+                            stmt.tensor(C->tensor),
+                            multi_axis ? std::optional<uint32_t>(j.id())
+                                       : std::nullopt),
+            family("spmm")};
       }
     }
   }
@@ -249,28 +245,18 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
                dense(stmt.tensor(a.tensor));
       });
       if (D != nullptr) {
-        if (position_space) {
-          if (!nz_split_is_last(B) || !inner_axes_ok(j)) {
-            return coiter_fallback();
-          }
-          return SelectedLeaf{
-              kern::make_sddmm_nz(out, stmt.tensor(B->tensor),
-                                  stmt.tensor(C->tensor),
-                                  stmt.tensor(D->tensor),
-                                  multi_axis ? std::optional<uint32_t>(j.id())
-                                             : std::nullopt),
-              "sddmm_nz"};
-        }
-        // A 2-D grid over (i, j) tiles rows x sparse columns: sddmm_row
+        // A 2-D grid over (i, j) tiles rows x sparse columns: the leaf
         // filters B's stored columns to the piece's axis-1 block.
-        if (!grid_matches(i, j)) return coiter_fallback();
+        if (position_space ? !nz_split_is_last(B) || !inner_axes_ok(j)
+                           : !grid_matches(i, j)) {
+          return coiter_fallback();
+        }
         return SelectedLeaf{
-            kern::make_sddmm_row(out, stmt.tensor(B->tensor),
-                                 stmt.tensor(C->tensor),
-                                 stmt.tensor(D->tensor),
-                                 multi_axis ? std::optional<uint32_t>(j.id())
-                                            : std::nullopt),
-            "sddmm_row"};
+            kern::make_sddmm(out, stmt.tensor(B->tensor),
+                             stmt.tensor(C->tensor), stmt.tensor(D->tensor),
+                             multi_axis ? std::optional<uint32_t>(j.id())
+                                        : std::nullopt),
+            family("sddmm")};
       }
     }
   }
@@ -287,16 +273,12 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
         return a.vars[0] == k && dense(stmt.tensor(a.tensor));
       });
       if (c != nullptr) {
-        if (position_space) {
-          if (!nz_split_is_last(B) || multi_axis) return coiter_fallback();
-          return SelectedLeaf{kern::make_spttv_nz(out, stmt.tensor(B->tensor),
-                                                  stmt.tensor(c->tensor)),
-                              "spttv_nz"};
+        if (multi_axis || (position_space && !nz_split_is_last(B))) {
+          return coiter_fallback();
         }
-        if (multi_axis) return coiter_fallback();
-        return SelectedLeaf{kern::make_spttv_row(out, stmt.tensor(B->tensor),
-                                                 stmt.tensor(c->tensor)),
-                            "spttv_row"};
+        return SelectedLeaf{kern::make_spttv(out, stmt.tensor(B->tensor),
+                                             stmt.tensor(c->tensor)),
+                            family("spttv")};
       }
     }
   }
@@ -320,20 +302,14 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
                dense(stmt.tensor(a.tensor));
       });
       if (C != nullptr && D != nullptr) {
-        if (position_space) {
-          if (!nz_split_is_last(B) || multi_axis) return coiter_fallback();
-          return SelectedLeaf{
-              kern::make_spmttkrp_nz(out, stmt.tensor(B->tensor),
-                                     stmt.tensor(C->tensor),
-                                     stmt.tensor(D->tensor)),
-              "spmttkrp_nz"};
+        if (multi_axis || (position_space && !nz_split_is_last(B))) {
+          return coiter_fallback();
         }
-        if (multi_axis) return coiter_fallback();
         return SelectedLeaf{
-            kern::make_spmttkrp_row(out, stmt.tensor(B->tensor),
-                                    stmt.tensor(C->tensor),
-                                    stmt.tensor(D->tensor)),
-            "spmttkrp_row"};
+            kern::make_spmttkrp(out, stmt.tensor(B->tensor),
+                                stmt.tensor(C->tensor),
+                                stmt.tensor(D->tensor)),
+            family("spmttkrp")};
       }
     }
   }

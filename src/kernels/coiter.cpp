@@ -98,7 +98,7 @@ Coord locate_position(const TensorStorage& st,
                       const std::array<Coord, rt::kMaxDim>& coords) {
   // Accessors resolve the reduction-redirect once per level up front, so
   // the walk's binary-search probes index raw pointers (the kernel ABI
-  // contract; spttv_nz calls this once per fiber).
+  // contract).
   std::array<rt::RegionAccessor<rt::PosRange>, rt::kMaxDim> lpos;
   std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> lcrd;
   for (int l = 0; l < st.num_levels(); ++l) {

@@ -1,7 +1,17 @@
 // Specialized leaf kernels for the six expressions of the paper's
 // evaluation (§VI-A). Each maker captures the operand tensors and returns a
-// leaf that evaluates one piece (row range or non-zero position range),
-// accumulating into the (pre-zeroed) output and reporting measured work.
+// leaf that evaluates one piece, accumulating into the (pre-zeroed) output
+// and reporting measured work.
+//
+// One leaf per kernel family: a piece is a window over B's last-level
+// positions (see Window below). A row piece takes its rows' whole segments;
+// a non-zero piece binary-searches `pos` for the rows and fibers that store
+// its first and last position and clamps the two edge segments, so both
+// piece kinds run the same row-walk inner loops. Only the work each leaf
+// charges depends on the kind, because it models the schedule's generated
+// code: a row loop reads one pos segment per row, a non-zero loop does not.
+// SpMV keeps two leaves: its non-zero leaf's per-position owner lookup is
+// branch-free and measured faster than a windowed row walk.
 //
 // All kernels are validated against the general co-iteration engine and the
 // dense reference oracle in tests; the compiler selects them by pattern
@@ -9,7 +19,7 @@
 //
 // Leaves are executor-agnostic and must be safe to invoke concurrently for
 // different pieces: captured tensors are read-only during a launch, shared
-// precomputed state (the *_nz owner maps) is immutable after construction,
+// precomputed state (spmv_nz's owner map) is immutable after construction,
 // work measurement is local to each invocation (see work.h), and output
 // writes either target disjoint subsets or accumulate under a REDUCE
 // privilege — which the runtime redirects into per-task scratch buffers
@@ -28,6 +38,7 @@
 // returned pointer; no leaf indexes a Region per element.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 
 #include "kernels/coiter.h"
@@ -36,6 +47,34 @@
 namespace spdistal::kern {
 
 using Leaf = std::function<rt::WorkEstimate(const PieceBounds&)>;
+
+// The first of `pos`'s `n` parents whose segment ends at or after child
+// position `q`: the parent storing q. Pack writes an empty segment as
+// {q, q - 1}, q being where the next stored child goes, so segment ends
+// never decrease and an empty parent is never returned for a stored q.
+rt::Coord owner_of(const rt::RegionAccessor<rt::PosRange>& pos, rt::Coord n,
+                   rt::Coord q);
+
+// What one piece covers of a {Dense, Compressed} matrix or a
+// {Dense, Compressed|Dense, Compressed} 3-tensor B. A row piece takes its
+// rows (`dist_coords`, or all) with their whole segments: `fibers` and `pos`
+// span every position. A non-zero piece covers its `dist_pos` window of the
+// last level; its fibers (level-1 positions of a 3-tensor) and rows run
+// from the one storing the window's first position to the one storing its
+// last, and clamp() trims the two edge segments to the window.
+struct Window {
+  bool nz = false;
+  rt::Rect1 rows;
+  rt::Rect1 fibers;
+  rt::Rect1 pos;
+
+  Window(const PieceBounds& piece, const fmt::TensorStorage& B);
+
+  // The part of `seg` inside `to`.
+  static rt::Rect1 clamp(rt::PosRange seg, rt::Rect1 to) {
+    return rt::Rect1{std::max(seg.lo, to.lo), std::min(seg.hi, to.hi)};
+  }
+};
 
 // a(i) = B(i,j) * c(j), B = {Dense, Compressed}. Row range pieces: the
 // rows are the piece's `dist_pos` when set (a position split at the Dense
@@ -52,14 +91,12 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
                   std::optional<uint32_t> col_var = std::nullopt);
 
 // A(i,j) = B(i,k) * C(k,j), A/C dense matrices, B = {Dense, Compressed}.
-// With `col_var`, the dense j loop clamps to the piece's bound for that
-// variable (the axis-1 tile of a 2-D grid distribution).
-Leaf make_spmm_row(Tensor A, Tensor B, Tensor C,
-                   std::optional<uint32_t> col_var = std::nullopt);
-// Non-zero variant (fused i,k over B): the load-balanced GPU schedule that
-// replicates C (§VI-A2). `col_var` as in make_spmm_row.
-Leaf make_spmm_nz(Tensor A, Tensor B, Tensor C,
-                  std::optional<uint32_t> col_var = std::nullopt);
+// Row pieces are the Senanayake et al. schedule; non-zero pieces (fused i,k)
+// the load-balanced GPU schedule that replicates C (§VI-A2). With
+// `col_var`, the dense j loop clamps to the piece's bound for that variable
+// (the axis-1 tile of a 2-D grid distribution).
+Leaf make_spmm(Tensor A, Tensor B, Tensor C,
+               std::optional<uint32_t> col_var = std::nullopt);
 
 // A(i,j) = B(i,j) + C(i,j) + D(i,j), all {Dense, Compressed}; A assembled.
 // Single-pass three-way union merge per row (the fused kernel whose absence
@@ -70,30 +107,18 @@ Leaf make_spadd3_row(Tensor A, Tensor B, Tensor C, Tensor D);
 // B's pattern (positions align 1:1). With `col_var`, only B's stored columns
 // inside the piece's bound for that variable are evaluated (axis-1 tile of
 // a 2-D grid distribution).
-Leaf make_sddmm_row(Tensor A, Tensor B, Tensor C, Tensor D,
-                    std::optional<uint32_t> col_var = std::nullopt);
-Leaf make_sddmm_nz(Tensor A, Tensor B, Tensor C, Tensor D,
-                   std::optional<uint32_t> col_var = std::nullopt);
+Leaf make_sddmm(Tensor A, Tensor B, Tensor C, Tensor D,
+                std::optional<uint32_t> col_var = std::nullopt);
 
 // A(i,j) = B(i,j,k) * c(k), B = {Dense, Compressed, Compressed} or
-// {Dense, Dense, Compressed}; A = {Dense, Compressed} assembled.
-Leaf make_spttv_row(Tensor A, Tensor B, Tensor c);
-// Non-zero variant over B's innermost positions (fully fused i,j,k): the
-// statically load-balanced GPU schedule of §VI-A2.
-Leaf make_spttv_nz(Tensor A, Tensor B, Tensor c);
+// {Dense, Dense, Compressed}; A = {Dense, Compressed} assembled. Non-zero
+// pieces (fully fused i,j,k) are the statically load-balanced GPU schedule
+// of §VI-A2.
+Leaf make_spttv(Tensor A, Tensor B, Tensor c);
 
-// A(i,l) = B(i,j,k) * C(j,l) * D(k,l), B as in SpTTV, A/C/D dense. Row
-// range pieces; both leaves walk B fiber by fiber, streaming D's rows into
-// A's row i with C's row j held for the fiber.
-Leaf make_spmttkrp_row(Tensor A, Tensor B, Tensor C, Tensor D);
-// Non-zero variant over B's innermost positions (fully fused i,j,k); a
-// piece boundary may fall inside a fiber.
-Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D);
-
-// Owner maps for non-zero iteration: owners[l][q] = parent position of
-// position q at level l (Dense levels use division, so their entry stays
-// empty). Shared by the *_nz kernels.
-std::shared_ptr<std::vector<std::vector<rt::Coord>>> build_owner_maps(
-    const Tensor& B, int levels);
+// A(i,l) = B(i,j,k) * C(j,l) * D(k,l), B as in SpTTV, A/C/D dense. The leaf
+// walks B fiber by fiber, streaming D's rows into A's row i with C's row j
+// held for the fiber; a non-zero piece's boundary may fall inside a fiber.
+Leaf make_spmttkrp(Tensor A, Tensor B, Tensor C, Tensor D);
 
 }  // namespace spdistal::kern

@@ -5,40 +5,8 @@ namespace spdistal::kern {
 
 using rt::Coord;
 
-Leaf make_spmm_nz(Tensor A, Tensor B, Tensor C,
-                  std::optional<uint32_t> col_var) {
-  auto owners = build_owner_maps(B, 2);
-  return [A, B, C, owners, col_var](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
-    WorkCounter work;
-    const auto& Bl = B.storage().level(1);
-    const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
-    const Coord J = A.dims()[1];
-    const rt::Rect1 range = piece.dist_pos.value_or(
-        rt::Rect1{0, Bl.positions - 1});
-    const rt::Rect1 cols = col_var.has_value()
-                               ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
-                               : rt::Rect1{0, J - 1};
-    if (cols.empty()) return work.done();
-    const Coord n = cols.size();
-    for (Coord q = range.lo; q <= range.hi; ++q) {
-      const Coord i = (*owners)[1][static_cast<size_t>(q)];
-      const double v = bv[q];
-      double* a = av.row(i, cols);
-      const double* c = cv.row(crd[q], cols);
-      for (Coord j = 0; j < n; ++j) a[j] += v * c[j];
-      work.fma_dense_cached(n);
-    }
-    return work.done();
-  };
-}
-
-Leaf make_spmm_row(Tensor A, Tensor B, Tensor C,
-                   std::optional<uint32_t> col_var) {
+Leaf make_spmm(Tensor A, Tensor B, Tensor C,
+               std::optional<uint32_t> col_var) {
   return [A, B, C, col_var](const PieceBounds& piece) mutable
              -> rt::WorkEstimate {
     WorkCounter work;
@@ -50,20 +18,19 @@ Leaf make_spmm_row(Tensor A, Tensor B, Tensor C,
                                            rt::Access::Read);
     const rt::RegionAccessor<double, 2> av(*A.storage().vals());
     const Coord J = A.dims()[1];
-    const rt::Rect1 rows = piece.dist_coords.value_or(
-        rt::Rect1{0, B.dims()[0] - 1});
     // Axis-1 tile of a grid distribution: this piece owns only a block of
     // the dense output columns.
     const rt::Rect1 cols = col_var.has_value()
                                ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
                                : rt::Rect1{0, J - 1};
     if (cols.empty()) return work.done();
+    const Window w(piece, B.storage());
     // The Senanayake et al. schedule: loop non-zeros of the row, stream the
     // dense row of C into the dense row of A.
     const Coord n = cols.size();
-    for (Coord i = rows.lo; i <= rows.hi; ++i) {
-      const rt::PosRange seg = pos[i];
-      work.segment();
+    for (Coord i = w.rows.lo; i <= w.rows.hi; ++i) {
+      const rt::Rect1 seg = Window::clamp(pos[i], w.pos);
+      if (!w.nz) work.segment();
       if (seg.lo > seg.hi) continue;
       double* a = av.row(i, cols);
       for (Coord q = seg.lo; q <= seg.hi; ++q) {

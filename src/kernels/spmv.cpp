@@ -5,6 +5,25 @@ namespace spdistal::kern {
 
 using rt::Coord;
 
+namespace {
+
+// The row of every stored position of a CSR matrix: row_of[q] = i for each
+// q in pos[i].
+std::shared_ptr<const std::vector<Coord>> build_owner_map(const Tensor& B) {
+  const auto& level = B.storage().level(1);
+  auto row_of = std::make_shared<std::vector<Coord>>(
+      static_cast<size_t>(level.positions), 0);
+  for (Coord i = 0; i < level.parent_positions; ++i) {
+    const rt::PosRange seg = (*level.pos)[i];
+    for (Coord q = seg.lo; q <= seg.hi; ++q) {
+      (*row_of)[static_cast<size_t>(q)] = i;
+    }
+  }
+  return row_of;
+}
+
+}  // namespace
+
 Leaf make_spmv_row(Tensor a, Tensor B, Tensor c,
                    std::optional<uint32_t> col_var) {
   return [a, B, c, col_var](const PieceBounds& piece) mutable
@@ -61,8 +80,8 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
                  B.storage().level(0).kind.is_dense(),
              "make_spmv_nz requires CSR or COO storage, got "
                  << B.storage().str());
-  const auto owners = coo ? nullptr : build_owner_maps(B, 2);
-  return [a, B, c, owners, coo, col_var](const PieceBounds& piece) mutable
+  const auto row_of = coo ? nullptr : build_owner_map(B);
+  return [a, B, c, row_of, coo, col_var](const PieceBounds& piece) mutable
              -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
@@ -89,7 +108,7 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
       const Coord j = crd[q];
       if (clamp && (j < cols.lo || j > cols.hi)) continue;
       const Coord i = coo ? Coord{row_crd[q]}
-                          : (*owners)[1][static_cast<size_t>(q)];
+                          : (*row_of)[static_cast<size_t>(q)];
       av[i] += bv[q] * cv[j];
       ++computed;
     }

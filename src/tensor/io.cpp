@@ -33,25 +33,38 @@ Coo read_matrix_market(const std::string& path) {
   const bool symmetric = symmetry == "symmetric" || symmetry == "skew-symmetric";
   const double skew = symmetry == "skew-symmetric" ? -1.0 : 1.0;
 
+  int64_t line_no = 1;
   while (std::getline(in, line)) {
+    ++line_no;
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream sizes(line);
   Coord rows = 0, cols = 0;
   int64_t entries = 0;
-  sizes >> rows >> cols >> entries;
-  SPD_CHECK(rows > 0 && cols > 0, SpdError, "bad size line in " << path);
+  std::string rest;
+  SPD_CHECK((sizes >> rows >> cols >> entries) && !(sizes >> rest) &&
+                rows > 0 && cols > 0 && entries >= 0,
+            SpdError, path << ":" << line_no << ": bad size line '" << line
+                           << "'");
 
+  // Each entry is two indices in [1, rows] x [1, cols], then one value
+  // unless the field is pattern, and nothing after.
   Coo coo;
   coo.dims = {rows, cols};
   for (int64_t e = 0; e < entries; ++e) {
     SPD_CHECK(static_cast<bool>(std::getline(in, line)), SpdError,
               "truncated MatrixMarket file " << path);
+    ++line_no;
     std::istringstream ls(line);
     Coord i = 0, j = 0;
     double v = 1.0;
-    ls >> i >> j;
-    if (!pattern) ls >> v;
+    SPD_CHECK((ls >> i >> j) && (pattern || (ls >> v)) && !(ls >> rest) &&
+                  i >= 1 && i <= rows && j >= 1 && j <= cols,
+              SpdError,
+              path << ":" << line_no << ": bad entry '" << line
+                   << "': expected two indices in [1, " << rows
+                   << "] x [1, " << cols << "]"
+                   << (pattern ? "" : " and a value"));
     coo.push({i - 1, j - 1}, v);
     if (symmetric && i != j) coo.push({j - 1, i - 1}, skew * v);
   }

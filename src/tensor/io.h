@@ -10,6 +10,10 @@ namespace spdistal::io {
 
 // Reads a MatrixMarket coordinate file (general/symmetric, real/pattern/
 // integer). Pattern entries get value 1.0; symmetric entries are mirrored.
+// A size line that is not three integers (rows, cols >= 1, count >= 0), or
+// an entry that is not two indices in [1, rows] x [1, cols] followed by one
+// number (none for pattern) and nothing else, throws SpdError naming the
+// file and line.
 fmt::Coo read_matrix_market(const std::string& path);
 void write_matrix_market(const std::string& path, const fmt::Coo& coo);
 

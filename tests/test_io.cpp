@@ -67,6 +67,89 @@ TEST(MatrixMarket, RejectsMissingHeader) {
   std::remove(path.c_str());
 }
 
+// Writes `text` to a temporary file `name` and reads it back with `read`.
+template <typename Read>
+Coo read_text(const std::string& name, const std::string& text, Read read) {
+  const std::string path = temp_path(name);
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  struct Remove {
+    std::string path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return read(path);
+}
+
+// One file per test: ctest runs the tests of this binary in parallel.
+std::string mtx_name() {
+  return std::string("spd_test_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".mtx";
+}
+
+Coo read_mtx_text(const std::string& text) {
+  return read_text(mtx_name(), text, read_matrix_market);
+}
+
+// Expects reading `text` to throw SpdError naming the file and `line`.
+void expect_rejected_at(const std::string& text, int line) {
+  try {
+    read_mtx_text(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const SpdError& e) {
+    const std::string where = mtx_name() + ":" + std::to_string(line);
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MatrixMarket, RejectsMalformedEntries) {
+  // Each bad entry follows a good one, so skipping it would not throw.
+  const std::string real =
+      "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.5\n";
+  for (const char* entry :
+       {"1 2\n", "1 2 abc\n", "1 2 nan\n", "1.5 2 3\n", "x 2 3\n", "\n"}) {
+    expect_rejected_at(real + entry, 4);
+  }
+  // A pattern entry has two indices and nothing else.
+  const std::string pattern =
+      "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 1\n";
+  expect_rejected_at(pattern + "1\n", 4);
+  const Coo coo = read_mtx_text(pattern + "3 2\n");
+  EXPECT_EQ(coo.coords[1][0], 2);
+  EXPECT_EQ(coo.coords[1][1], 1);
+}
+
+TEST(MatrixMarket, RejectsIndicesOutsideTheSizeLine) {
+  const std::string real =
+      "%%MatrixMarket matrix coordinate real general\n% comment\n3 3 2\n"
+      "3 3 1.5\n";
+  for (const char* entry : {"0 1 5\n", "1 0 5\n", "4 1 5\n", "1 4 5\n",
+                            "-1 1 5\n"}) {
+    expect_rejected_at(real + entry, 5);
+  }
+}
+
+TEST(MatrixMarket, RejectsTrailingTokens) {
+  const std::string header =
+      "%%MatrixMarket matrix coordinate real general\n3 3 1\n";
+  expect_rejected_at(header + "1 2 5 7\n", 3);
+  expect_rejected_at(header + "1 2 5 %\n", 3);
+  // Trailing whitespace is not a token.
+  EXPECT_EQ(read_mtx_text(header + "1 2 5 \r\n").vals[0], 5.0);
+}
+
+TEST(MatrixMarket, RejectsBadSizeLines) {
+  const std::string header = "%%MatrixMarket matrix coordinate real general\n";
+  for (const char* sizes : {"3 3 -1\n", "0 3 1\n", "3 3\n", "3 3 1 1\n",
+                            "3 x 1\n"}) {
+    expect_rejected_at(header + sizes, 2);
+  }
+  EXPECT_EQ(read_mtx_text(header + "3 3 0\n").nnz(), 0);
+}
+
 TEST(Tns, RoundTrip3Tensor) {
   Coo coo;
   coo.dims = {4, 5, 6};
@@ -96,18 +179,8 @@ TEST(Tns, SkipsComments) {
   std::remove(path.c_str());
 }
 
-// Writes `text` to a temporary .tns file and reads it back.
 Coo read_tns_text(const std::string& name, const std::string& text) {
-  const std::string path = temp_path(name);
-  {
-    std::ofstream out(path);
-    out << text;
-  }
-  struct Remove {
-    std::string path;
-    ~Remove() { std::remove(path.c_str()); }
-  } remove{path};
-  return read_tns(path);
+  return read_text(name, text, read_tns);
 }
 
 TEST(Tns, RejectsMoreModesThanMaxDim) {

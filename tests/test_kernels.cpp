@@ -2,6 +2,10 @@
 // co-iteration engine, on realistic synthetic structures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "data/generators.h"
 #include "kernels/assembly.h"
 #include "kernels/leaf_kernels.h"
@@ -130,7 +134,7 @@ TEST_P(SpmmKernel, MatchesReference) {
     return 0.5 + static_cast<double>((x[0] * 3 + x[1]) % 5);
   });
   Statement& stmt = (A(i, j) = B(i, k) * C(k, j));
-  Leaf leaf = make_spmm_row(A, B, C);
+  Leaf leaf = make_spmm(A, B, C);
   A.zero();
   leaf(PieceBounds{});
   EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-10) << mc.name;
@@ -187,13 +191,13 @@ TEST_P(SddmmKernel, RowAndNzMatchReference) {
   assemble_output(stmt);
   const ref::DenseTensor expect = ref::eval(stmt);
   {
-    Leaf leaf = make_sddmm_row(A, B, C, D);
+    Leaf leaf = make_sddmm(A, B, C, D);
     A.zero();
     leaf(PieceBounds{});
     EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << mc.name << " row";
   }
   {
-    Leaf leaf = make_sddmm_nz(A, B, C, D);
+    Leaf leaf = make_sddmm(A, B, C, D);
     A.zero();
     const Coord nnz = B.storage().level(1).positions;
     PieceBounds p1, p2;
@@ -228,6 +232,19 @@ std::vector<TensorCase> tensor_cases() {
   };
 }
 
+// parent[q] for every position q of a Compressed level, from its pos
+// segments.
+std::vector<Coord> parents_of(const fmt::LevelStorage& level) {
+  std::vector<Coord> parent(static_cast<size_t>(level.positions), -1);
+  for (Coord p = 0; p < level.parent_positions; ++p) {
+    const rt::PosRange seg = (*level.pos)[p];
+    for (Coord q = seg.lo; q <= seg.hi; ++q) {
+      parent[static_cast<size_t>(q)] = p;
+    }
+  }
+  return parent;
+}
+
 class SpttvKernel : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpttvKernel, MatchesReference) {
@@ -244,7 +261,7 @@ TEST_P(SpttvKernel, MatchesReference) {
   });
   Statement& stmt = (A(i, j) = B(i, j, k) * c(k));
   assemble_output(stmt);
-  Leaf leaf = make_spttv_row(A, B, c);
+  Leaf leaf = make_spttv(A, B, c);
   A.zero();
   // Two row pieces.
   PieceBounds p1, p2;
@@ -259,8 +276,8 @@ INSTANTIATE_TEST_SUITE_P(Structures, SpttvKernel, ::testing::Range(0, 4));
 
 class SpmttkrpKernel : public ::testing::TestWithParam<int> {};
 
-// The work both SpMTTKRP leaves charge: 4L flops and 16L+12 bytes per
-// stored non-zero, plus 16 bytes per pos segment the row leaf reads.
+// The work the SpMTTKRP leaf charges: 4L flops and 16L+12 bytes per stored
+// non-zero, plus 16 bytes per pos segment a row piece reads.
 void expect_mttkrp_work(const rt::WorkEstimate& w, Coord L, Coord nnz,
                         Coord segments, const std::string& what) {
   const double n = static_cast<double>(nnz);
@@ -294,9 +311,9 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
   Statement& stmt = (A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
   const ref::DenseTensor oracle = ref::eval(stmt);
 
-  // Both leaves add a row's non-zeros in position order, one element at a
-  // time, as A(i,l) += v * C(j,l) * D(k,l): replaying that order over the
-  // stored entries reproduces their output bit for bit.
+  // Both piece kinds add a row's non-zeros in position order, one element
+  // at a time, as A(i,l) += v * C(j,l) * D(k,l): replaying that order over
+  // the stored entries reproduces their output bit for bit.
   const fmt::Coo stored = B.storage().to_coo();
   std::vector<double> expect(static_cast<size_t>(dims[0] * L), 0.0);
   for (size_t e = 0; e < stored.vals.size(); ++e) {
@@ -319,10 +336,10 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
   const auto& l2 = B.storage().level(2);
   const Coord nnz = l2.positions;
   {
-    // Two row pieces. Per piece, the row leaf reads one level-2 segment per
+    // Two row pieces. Per piece, a row piece reads one level-2 segment per
     // fiber (empty ones included) and, over a Compressed middle level, one
     // level-1 segment per row.
-    Leaf leaf = make_spmttkrp_row(A, B, C, D);
+    Leaf leaf = make_spmttkrp(A, B, C, D);
     A.zero();
     const Coord mid = dims[0] / 2;
     for (const rt::Rect1 rows :
@@ -351,8 +368,7 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
   }
   {
     // Three position pieces whose boundaries split a fiber.
-    const auto owners = build_owner_maps(B, 3);
-    const std::vector<Coord>& fiber_of = (*owners)[2];
+    const std::vector<Coord> fiber_of = parents_of(l2);
     auto split_inside_fiber = [&](Coord from) {
       Coord q = from;
       while (q + 1 < nnz && fiber_of[static_cast<size_t>(q)] !=
@@ -364,7 +380,7 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
     };
     const Coord b1 = split_inside_fiber(nnz / 3);
     const Coord b2 = split_inside_fiber(std::max(b1 + 1, 2 * nnz / 3));
-    Leaf leaf = make_spmttkrp_nz(A, B, C, D);
+    Leaf leaf = make_spmttkrp(A, B, C, D);
     A.zero();
     for (const rt::Rect1 range : {rt::Rect1{0, b1}, rt::Rect1{b1 + 1, b2},
                                   rt::Rect1{b2 + 1, nnz - 1}}) {
@@ -385,6 +401,396 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, SpmttkrpKernel, ::testing::Range(0, 4));
+
+// --- Position windows of the merged leaves -----------------------------------
+//
+// Every piece of the SpMM, SDDMM, SpTTV and SpMTTKRP leaves is a window over
+// B's last-level positions. These suites cut each structure into seeded
+// non-zero windows (boundaries inside a row or fiber, single positions,
+// edges next to empty rows or fibers) and, separately, into seeded row
+// pieces. They run the leaf on every piece in turn and compare the output
+// bit for bit with a per-position replay in the leaf's order, and each
+// piece's work with the closed form for its kind.
+
+// Consecutive windows covering [0, n). A window ends at every position
+// followed by an empty parent at any level of `owners` (owners[l][q] is q's
+// parent at level l), at up to four positions inside a segment of
+// owners[0], around three single positions, and at three random positions.
+std::vector<rt::Rect1> cut_windows(
+    Coord n, const std::vector<std::vector<Coord>>& owners, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::set<Coord> ends{n - 1};
+  std::vector<Coord> inside;
+  for (Coord q = 0; q + 1 < n; ++q) {
+    const size_t k = static_cast<size_t>(q);
+    for (const auto& o : owners) {
+      if (o[k + 1] > o[k] + 1) ends.insert(q);
+    }
+    if (!owners.empty() && owners[0][k] == owners[0][k + 1]) {
+      inside.push_back(q);
+    }
+  }
+  std::shuffle(inside.begin(), inside.end(), rng);
+  for (size_t k = 0; k < std::min<size_t>(4, inside.size()); ++k) {
+    ends.insert(inside[k]);
+  }
+  std::uniform_int_distribution<Coord> any(0, n - 1);
+  for (int k = 0; k < 3; ++k) {
+    const Coord single = any(rng);
+    if (single > 0) ends.insert(single - 1);
+    ends.insert(single);
+    ends.insert(any(rng));
+  }
+  std::vector<rt::Rect1> windows;
+  Coord lo = 0;
+  for (const Coord end : ends) {
+    windows.push_back(rt::Rect1{lo, end});
+    lo = end + 1;
+  }
+  return windows;
+}
+
+// One piece of a cut, with the B positions it covers.
+struct Cut {
+  PieceBounds piece;
+  rt::Rect1 pos;
+  rt::Rect1 rows;  // row pieces only
+};
+
+// The non-zero windows (nz) or row pieces of one structure. `row_of[q]` is
+// the row storing position q; `owners` as in cut_windows.
+std::vector<Cut> cut_pieces(bool nz, Coord rows,
+                            const std::vector<Coord>& row_of,
+                            const std::vector<std::vector<Coord>>& owners,
+                            uint64_t seed) {
+  const Coord n = static_cast<Coord>(row_of.size());
+  std::vector<Cut> cuts;
+  if (nz) {
+    const std::vector<Coord>& parent = owners[0];
+    const bool splittable =
+        std::adjacent_find(parent.begin(), parent.end()) != parent.end();
+    bool single = false;
+    bool split = false;
+    for (const rt::Rect1& w : cut_windows(n, owners, seed)) {
+      Cut c;
+      c.piece.dist_pos = w;
+      c.pos = w;
+      cuts.push_back(c);
+      single |= w.size() == 1;
+      split |= w.hi + 1 < n && parent[static_cast<size_t>(w.hi)] ==
+                                   parent[static_cast<size_t>(w.hi + 1)];
+    }
+    EXPECT_TRUE(single) << "no single-position window";
+    EXPECT_EQ(split, splittable) << "no window boundary inside a segment";
+    return cuts;
+  }
+  for (const rt::Rect1& r : cut_windows(rows, {}, seed)) {
+    Cut c;
+    c.piece.dist_coords = r;
+    c.rows = r;
+    const Coord lo = std::lower_bound(row_of.begin(), row_of.end(), r.lo) -
+                     row_of.begin();
+    const Coord hi = std::upper_bound(row_of.begin(), row_of.end(), r.hi) -
+                     row_of.begin();
+    c.pos = rt::Rect1{lo, hi - 1};
+    cuts.push_back(c);
+  }
+  return cuts;
+}
+
+// Whether some window starts or ends next to an empty parent of `owner`.
+bool borders_empty(const std::vector<Cut>& cuts,
+                   const std::vector<Coord>& owner) {
+  for (const Cut& c : cuts) {
+    if (c.pos.empty()) continue;
+    const Coord first = owner[static_cast<size_t>(c.pos.lo)];
+    const Coord last = owner[static_cast<size_t>(c.pos.hi)];
+    if (c.pos.lo > 0 && owner[static_cast<size_t>(c.pos.lo - 1)] < first - 1) {
+      return true;
+    }
+    if (c.pos.hi + 1 < static_cast<Coord>(owner.size()) &&
+        owner[static_cast<size_t>(c.pos.hi + 1)] > last + 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void expect_work(const rt::WorkEstimate& w, double flops, double bytes,
+                 double nnz, const std::string& what) {
+  EXPECT_EQ(w.flops, flops) << what;
+  EXPECT_EQ(w.bytes, bytes) << what;
+  EXPECT_EQ(w.nnz, nnz) << what;
+}
+
+// An empty window, and one past B's last position, do nothing.
+void expect_empty_windows(Leaf& leaf, const Tensor& A, size_t positions,
+                          const std::string& what) {
+  const std::vector<double> before = A.storage().vals()->data();
+  const Coord past = static_cast<Coord>(positions);
+  for (const rt::Rect1 w : {rt::Rect1{1, 0}, rt::Rect1{past, past}}) {
+    PieceBounds piece;
+    piece.dist_pos = w;
+    expect_work(leaf(piece), 0, 0, 0, what + " empty window");
+  }
+  EXPECT_EQ(A.storage().vals()->data(), before) << what;
+}
+
+class MatrixLeafWindows : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    mc = matrix_cases()[static_cast<size_t>(GetParam())];
+    fmt::Coo coo = mc.make();
+    n = coo.dims[0];
+    m = coo.dims[1];
+    B = Tensor("B", {n, m}, fmt::csr());
+    B.from_coo(std::move(coo));
+    row_of = parents_of(B.storage().level(1));
+    crd = B.storage().level(1).crd->data();
+    bvals = B.storage().vals()->data();
+  }
+  std::vector<Cut> cuts(bool nz) const {
+    const std::vector<Cut> c =
+        cut_pieces(nz, n, row_of, {row_of}, 100 + GetParam());
+    if (nz && (std::string(mc.name) == "empty_rows")) {
+      EXPECT_TRUE(borders_empty(c, row_of)) << mc.name;
+    }
+    return c;
+  }
+
+  MatrixCase mc;
+  Coord n = 0, m = 0;
+  Tensor B;
+  std::vector<Coord> row_of;
+  std::vector<int32_t> crd;
+  std::vector<double> bvals;
+};
+
+TEST_P(MatrixLeafWindows, Spmm) {
+  IndexVar i("i"), j("j"), k("k");
+  const Coord J = 8;
+  Tensor A("A", {n, J}, fmt::dense_matrix());
+  Tensor C("C", {m, J}, fmt::dense_matrix());
+  C.init_dense([](const auto& x) {
+    return 0.5 + 0.125 * static_cast<double>((x[0] * 3 + x[1]) % 7);
+  });
+  Statement& stmt = (A(i, j) = B(i, k) * C(k, j));
+  const ref::DenseTensor oracle = ref::eval(stmt);
+  const std::vector<double>& cvals = C.storage().vals()->data();
+  Leaf leaf = make_spmm(A, B, C);
+  for (const bool nz : {true, false}) {
+    const std::string what = std::string(mc.name) + (nz ? " nz" : " row");
+    A.zero();
+    std::vector<double> expect(static_cast<size_t>(n * J), 0.0);
+    for (const Cut& c : cuts(nz)) {
+      // nnz non-zeros: 2J flops and 8J+12 bytes each; a row piece also
+      // reads one 16-byte pos segment per row.
+      const double s = static_cast<double>(c.pos.size());
+      expect_work(leaf(c.piece), 2.0 * J * s,
+                  (8.0 * J + 12.0) * s + 16.0 * static_cast<double>(c.rows.size()),
+                  s, what);
+      for (Coord q = c.pos.lo; q <= c.pos.hi; ++q) {
+        const size_t e = static_cast<size_t>(q);
+        for (Coord col = 0; col < J; ++col) {
+          expect[static_cast<size_t>(row_of[e] * J + col)] +=
+              bvals[e] * cvals[static_cast<size_t>(crd[e] * J + col)];
+        }
+      }
+    }
+    EXPECT_EQ(A.storage().vals()->data(), expect) << what;
+    EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
+  }
+  expect_empty_windows(leaf, A, bvals.size(), mc.name);
+}
+
+TEST_P(MatrixLeafWindows, Sddmm) {
+  IndexVar i("i"), j("j"), k("k");
+  const Coord K = 6;
+  Tensor A("A", {n, m}, fmt::csr());
+  Tensor C("C", {n, K}, fmt::dense_matrix());
+  Tensor D("D", {K, m}, fmt::dense_matrix());
+  C.init_dense([](const auto& x) {
+    return 1.0 + 0.1 * static_cast<double>((x[0] + x[1]) % 4);
+  });
+  D.init_dense([](const auto& x) {
+    return 0.5 - 0.2 * static_cast<double>((x[0] * 2 + x[1]) % 3);
+  });
+  Statement& stmt = (A(i, j) = B(i, j) * C(i, k) * D(k, j));
+  assemble_output(stmt);
+  const ref::DenseTensor oracle = ref::eval(stmt);
+  const std::vector<double>& cvals = C.storage().vals()->data();
+  const std::vector<double>& dvals = D.storage().vals()->data();
+  Leaf leaf = make_sddmm(A, B, C, D);
+  for (const bool nz : {true, false}) {
+    const std::string what = std::string(mc.name) + (nz ? " nz" : " row");
+    A.zero();
+    std::vector<double> expect(bvals.size(), 0.0);
+    for (const Cut& c : cuts(nz)) {
+      // Both kinds: a K-long dot product and one sparse multiply-add per
+      // non-zero, no pos reads.
+      const double s = static_cast<double>(c.pos.size());
+      expect_work(leaf(c.piece), (2.0 * K + 2.0) * s, (16.0 * K + 20.0) * s,
+                  s, what);
+      for (Coord q = c.pos.lo; q <= c.pos.hi; ++q) {
+        const size_t e = static_cast<size_t>(q);
+        double dot = 0;
+        for (Coord x = 0; x < K; ++x) {
+          dot += cvals[static_cast<size_t>(row_of[e] * K + x)] *
+                 dvals[static_cast<size_t>(x * m + crd[e])];
+        }
+        expect[e] += bvals[e] * dot;
+      }
+    }
+    EXPECT_EQ(A.storage().vals()->data(), expect) << what;
+    EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
+  }
+  expect_empty_windows(leaf, A, bvals.size(), mc.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Structures, MatrixLeafWindows,
+                         ::testing::Range(0, 6));
+
+class TensorLeafWindows : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    tc = tensor_cases()[static_cast<size_t>(GetParam())];
+    fmt::Coo coo = tc.make();
+    dims = coo.dims;
+    B = Tensor("B", dims, tc.format);
+    B.from_coo(std::move(coo));
+    const auto& l1 = B.storage().level(1);
+    fiber_of = parents_of(B.storage().level(2));
+    const std::vector<Coord> row_of_fiber =
+        l1.kind.is_compressed() ? parents_of(l1) : std::vector<Coord>{};
+    for (const Coord f : fiber_of) {
+      row_of.push_back(l1.kind.is_compressed()
+                           ? row_of_fiber[static_cast<size_t>(f)]
+                           : f / l1.extent);
+      col_of.push_back(l1.kind.is_compressed()
+                           ? Coord{(*l1.crd)[f]}
+                           : f % l1.extent);
+    }
+    crd = B.storage().level(2).crd->data();
+    bvals = B.storage().vals()->data();
+  }
+  std::vector<Cut> cuts(bool nz) const {
+    const std::vector<Cut> c =
+        cut_pieces(nz, dims[0], row_of, {fiber_of, row_of}, 200 + GetParam());
+    if (nz && std::string(tc.name) == "uniform_ddc") {
+      EXPECT_TRUE(borders_empty(c, fiber_of)) << tc.name;
+    }
+    return c;
+  }
+
+  TensorCase tc;
+  std::vector<Coord> dims;
+  Tensor B;
+  std::vector<Coord> fiber_of, row_of, col_of;
+  std::vector<int32_t> crd;
+  std::vector<double> bvals;
+};
+
+TEST_P(TensorLeafWindows, Spttv) {
+  IndexVar i("i"), j("j"), k("k");
+  Tensor A("A", {dims[0], dims[1]}, fmt::csr());
+  Tensor c("c", {dims[2]}, fmt::dense_vector());
+  c.init_dense([](const auto& x) {
+    return 1.0 + 0.3 * static_cast<double>(x[0] % 5);
+  });
+  Statement& stmt = (A(i, j) = B(i, j, k) * c(k));
+  assemble_output(stmt);
+  const ref::DenseTensor oracle = ref::eval(stmt);
+  const std::vector<double>& cvals = c.storage().vals()->data();
+  Leaf leaf = make_spttv(A, B, c);
+  for (const bool nz : {true, false}) {
+    const std::string what = std::string(tc.name) + (nz ? " nz" : " row");
+    A.zero();
+    std::vector<double> expect(A.storage().vals()->data().size(), 0.0);
+    for (const Cut& cut : cuts(nz)) {
+      // The leaf sums each fiber's part of the piece, then adds the sum to
+      // the fiber's output entry.
+      Coord fibers = 0;
+      for (Coord lo = cut.pos.lo; lo <= cut.pos.hi;) {
+        const Coord f = fiber_of[static_cast<size_t>(lo)];
+        double sum = 0;
+        Coord q = lo;
+        for (; q <= cut.pos.hi && fiber_of[static_cast<size_t>(q)] == f; ++q) {
+          sum += bvals[static_cast<size_t>(q)] *
+                 cvals[static_cast<size_t>(crd[static_cast<size_t>(q)])];
+        }
+        const Coord out = locate_position(
+            A.storage(), {row_of[static_cast<size_t>(lo)],
+                          col_of[static_cast<size_t>(lo)]});
+        ASSERT_GE(out, 0) << what;
+        expect[static_cast<size_t>(out)] += sum;
+        ++fibers;
+        lo = q;
+      }
+      // 2 flops and 20 bytes per non-zero and 16 bytes per fiber (its pos
+      // read in a non-zero piece, its output write in a row piece); a row
+      // piece also reads one pos segment per row.
+      const double s = static_cast<double>(cut.pos.size());
+      expect_work(leaf(cut.piece), 2.0 * s,
+                  20.0 * s + 16.0 * static_cast<double>(fibers) +
+                      16.0 * static_cast<double>(cut.rows.size()),
+                  s, what);
+    }
+    EXPECT_EQ(A.storage().vals()->data(), expect) << what;
+    EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
+  }
+  expect_empty_windows(leaf, A, bvals.size(), tc.name);
+}
+
+TEST_P(TensorLeafWindows, Spmttkrp) {
+  IndexVar i("i"), j("j"), k("k"), l("l");
+  const Coord L = 5;
+  Tensor A("A", {dims[0], L}, fmt::dense_matrix());
+  Tensor C("C", {dims[1], L}, fmt::dense_matrix());
+  Tensor D("D", {dims[2], L}, fmt::dense_matrix());
+  C.init_dense([](const auto& x) {
+    return 0.5 + 0.25 * static_cast<double>((x[0] + 2 * x[1]) % 3);
+  });
+  D.init_dense([](const auto& x) {
+    return 1.0 - 0.125 * static_cast<double>((2 * x[0] + x[1]) % 5);
+  });
+  Statement& stmt = (A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
+  const ref::DenseTensor oracle = ref::eval(stmt);
+  const std::vector<double>& cvals = C.storage().vals()->data();
+  const std::vector<double>& dvals = D.storage().vals()->data();
+  const auto& l1 = B.storage().level(1);
+  Leaf leaf = make_spmttkrp(A, B, C, D);
+  for (const bool nz : {true, false}) {
+    const std::string what = std::string(tc.name) + (nz ? " nz" : " row");
+    A.zero();
+    std::vector<double> expect(static_cast<size_t>(dims[0] * L), 0.0);
+    for (const Cut& cut : cuts(nz)) {
+      // A row piece reads the pos segment of every fiber of its rows (empty
+      // ones included) and, over a Compressed middle level, of every row.
+      Coord segments = 0;
+      if (!l1.kind.is_compressed()) {
+        segments = cut.rows.size() * l1.extent;
+      } else if (!cut.rows.empty()) {
+        segments = (*l1.pos)[cut.rows.hi].hi - (*l1.pos)[cut.rows.lo].lo + 1 +
+                   cut.rows.size();
+      }
+      expect_mttkrp_work(leaf(cut.piece), L, cut.pos.size(), segments, what);
+      for (Coord q = cut.pos.lo; q <= cut.pos.hi; ++q) {
+        const size_t e = static_cast<size_t>(q);
+        for (Coord col = 0; col < L; ++col) {
+          expect[static_cast<size_t>(row_of[e] * L + col)] +=
+              bvals[e] * cvals[static_cast<size_t>(col_of[e] * L + col)] *
+              dvals[static_cast<size_t>(crd[e] * L + col)];
+        }
+      }
+    }
+    EXPECT_EQ(A.storage().vals()->data(), expect) << what;
+    EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-9) << what;
+  }
+  expect_empty_windows(leaf, A, bvals.size(), tc.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Structures, TensorLeafWindows,
+                         ::testing::Range(0, 4));
 
 // Work estimates scale with the work actually performed.
 TEST(WorkEstimates, ScaleWithNnz) {
