@@ -124,9 +124,9 @@ void BM_PartitionByValueRanges(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionByValueRanges)->Arg(10000)->Arg(100000);
 
-// Guard for the O(nnz log pieces) binary-search path: many sorted-disjoint
-// ranges must not reintroduce the O(nnz x pieces) per-color probe (items/s
-// should be flat in the piece count, not inversely proportional).
+// Guard for the one-pass bucketing: many ranges must not reintroduce an
+// O(nnz x pieces) per-color probe (items/s should be flat in the piece
+// count, not inversely proportional).
 void BM_PartitionByValueRangesManyPieces(benchmark::State& state) {
   fmt::TensorStorage st = make_csr(100000);
   const auto& level = st.level(1);
@@ -144,8 +144,9 @@ void BM_PartitionByValueRangesManyPieces(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionByValueRangesManyPieces)->Arg(16)->Arg(256)->Arg(1024);
 
-// Same guard for preimage's per-entry rect probe (binary search over the
-// sorted-disjoint rects of each colored crd subset).
+// Same guard for preimage: one walk over the pos entries against the
+// colors' segments, not one per color (items/s should stay flat from 16
+// colors to 256).
 void BM_PreimageManyColors(benchmark::State& state) {
   fmt::TensorStorage st = make_csr(100000);
   const auto& level = st.level(1);
@@ -158,6 +159,25 @@ void BM_PreimageManyColors(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * st.dims()[0]);
 }
 BENCHMARK(BM_PreimageManyColors)->Arg(16)->Arg(256);
+
+// The point-valued image over crd: the coordinates of c each non-zero
+// piece of a CSR SpMV needs. Each color marks its values in one bitmap and
+// reads the runs off in order, so the cost is the non-zeros plus the
+// output; 256 smaller pieces store sparser column sets than 16, so they
+// emit more, shorter runs.
+void BM_CrdImage(benchmark::State& state) {
+  fmt::TensorStorage st = make_csr(100000);
+  const auto& level = st.level(1);
+  rt::Partition nz = rt::partition_equal(rt::IndexSpace(level.positions),
+                                         static_cast<int>(state.range(0)));
+  const rt::IndexSpace cols(st.dims()[1]);
+  for (auto _ : state) {
+    auto p = rt::image(*level.crd, nz, cols);
+    benchmark::DoNotOptimize(p.num_colors());
+  }
+  state.SetItemsProcessed(state.iterations() * st.nnz());
+}
+BENCHMARK(BM_CrdImage)->Arg(16)->Arg(256);
 
 // Wall-clock scaling of the deferred executor: an 8-piece row-distributed
 // SpMM whose leaves run concurrently on `threads` execution contexts
@@ -427,17 +447,22 @@ void BM_CalibOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_CalibOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// 1-D interval algebra on two n-interval subsets that alternate along the
+// Interval algebra on two subsets of n intervals that alternate along the
 // line. For subtract/unite/intersect each interval of one overlaps one of
 // the other; for overlaps they only touch, so the answer (false) needs the
-// whole sweep. The operations are linear sweeps: time per interval should
-// stay flat as n grows.
+// whole sweep. With `cols` > 0 the intervals are the rows of 2-D slabs
+// `cols` wide, as lift_to_dim makes them. The operations are sweeps: time
+// per interval (or slab) should stay flat as n grows.
 template <typename Op>
-void subset_op(benchmark::State& state, Coord b_lo, Op op) {
-  rt::IndexSubset a(1), b(1);
+void subset_op(benchmark::State& state, Coord b_lo, Op op, Coord cols = 0) {
+  const auto rect = [cols](Coord lo, Coord hi) {
+    return cols == 0 ? rt::RectN::make1(lo, hi)
+                     : rt::RectN::make2(lo, hi, 0, cols - 1);
+  };
+  rt::IndexSubset a(cols == 0 ? 1 : 2), b(cols == 0 ? 1 : 2);
   for (Coord k = 0; k < state.range(0); ++k) {
-    a.add(rt::RectN::make1(k * 10, k * 10 + 6));
-    b.add(rt::RectN::make1(k * 10 + b_lo, k * 10 + 8));
+    a.add(rect(k * 10, k * 10 + 6));
+    b.add(rect(k * 10 + b_lo, k * 10 + 8));
   }
   a.normalize();
   b.normalize();
@@ -462,10 +487,25 @@ void BM_SubsetOverlaps(benchmark::State& state) {
   subset_op(state, 7,
             [](const auto& a, const auto& b) { return a.overlaps(b); });
 }
+// The N-D pair build_plan tests for every two points of a REDUCE
+// requirement lifted to row slabs.
+void BM_SubsetIntersectSlabs(benchmark::State& state) {
+  subset_op(
+      state, 3,
+      [](const auto& a, const auto& b) { return a.intersect(b).volume(); },
+      32);
+}
+void BM_SubsetOverlapsSlabs(benchmark::State& state) {
+  subset_op(
+      state, 7, [](const auto& a, const auto& b) { return a.overlaps(b); },
+      32);
+}
 BENCHMARK(BM_SubsetSubtract)->Arg(100)->Arg(1000)->Arg(4096);
 BENCHMARK(BM_SubsetUnite)->Arg(100)->Arg(1000)->Arg(4096);
 BENCHMARK(BM_SubsetIntersect)->Arg(100)->Arg(1000)->Arg(4096);
 BENCHMARK(BM_SubsetOverlaps)->Arg(100)->Arg(1000)->Arg(4096);
+BENCHMARK(BM_SubsetIntersectSlabs)->Arg(100)->Arg(1000)->Arg(4096);
+BENCHMARK(BM_SubsetOverlapsSlabs)->Arg(100)->Arg(1000)->Arg(4096);
 
 }  // namespace
 

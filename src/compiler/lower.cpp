@@ -21,8 +21,34 @@ using rt::Partition;
 using rt::Privilege;
 using tin::IndexVar;
 
+namespace {
+
+// Every use of an index variable must span the same extent. Lowering sizes
+// a variable by its first use (var_extent), and the leaves and the
+// partitions index every other operand by that size.
+void check_var_extents(const Statement& stmt) {
+  std::map<uint32_t, std::pair<std::string, Coord>> first;  // var id -> use
+  auto check = [&](const tin::Access& a) {
+    const std::vector<Coord>& dims = stmt.tensor(a.tensor).dims();
+    for (size_t d = 0; d < a.vars.size() && d < dims.size(); ++d) {
+      const auto [it, fresh] =
+          first.try_emplace(a.vars[d].id(), a.tensor, dims[d]);
+      SPD_CHECK(fresh || it->second.second == dims[d], NotationError,
+                "index variable " << a.vars[d].name() << " spans extent "
+                                  << it->second.second << " in "
+                                  << it->second.first << " but " << dims[d]
+                                  << " in " << a.tensor);
+    }
+  };
+  check(stmt.assignment.lhs);
+  for (const auto& a : tin::expr_accesses(stmt.assignment.rhs)) check(a);
+}
+
+}  // namespace
+
 CompiledKernel CompiledKernel::compile(const Statement& stmt,
                                        const rt::Machine& machine) {
+  check_var_extents(stmt);
   const Tensor& out = stmt.tensor(stmt.assignment.lhs.tensor);
   if (out.schedule().commands().empty()) {
     // No schedule was recorded: compile with a searched one. The plan is
@@ -40,6 +66,7 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
 CompiledKernel CompiledKernel::compile(const Statement& stmt,
                                        const sched::Schedule& schedule,
                                        const rt::Machine& machine) {
+  check_var_extents(stmt);
   // Verify mode: lint the schedule against the statement and machine
   // before any lowering analysis, so illegal combinations are rejected
   // with a message naming the offending directive rather than a failure
@@ -178,40 +205,6 @@ int dim_of_var(const Statement& stmt, const std::string& name,
   return -1;
 }
 
-// Builds per-color "needed coordinate" subsets of a 1-D dense operand from
-// a partition of a Compressed level's crd positions: each color needs
-// exactly the coordinate values its piece stores (e.g. the halo of c in a
-// banded SpMV). This is the fine-grained data movement Legion's dependent
-// partitioning infers (§II-C).
-Partition needed_coords_partition(const fmt::LevelStorage& sl,
-                                  const Partition& crd_part,
-                                  const rt::IndexSpace& vals_space,
-                                  int pieces) {
-  std::vector<rt::IndexSubset> needed(static_cast<size_t>(pieces),
-                                      rt::IndexSubset(1));
-  for (int c = 0; c < pieces; ++c) {
-    std::vector<Coord> vals;
-    for (const auto& r : crd_part.subset(c).rects()) {
-      for (Coord q = r.lo[0]; q <= r.hi[0]; ++q) {
-        vals.push_back((*sl.crd)[q]);
-      }
-    }
-    std::sort(vals.begin(), vals.end());
-    auto& out = needed[static_cast<size_t>(c)];
-    for (size_t k = 0; k < vals.size();) {
-      Coord lo = vals[k];
-      Coord hi = lo;
-      while (k < vals.size() && vals[k] <= hi + 1) {
-        hi = std::max(hi, vals[k]);
-        ++k;
-      }
-      out.add(rt::RectN::make1(lo, hi));
-    }
-    out.normalize();
-  }
-  return Partition(vals_space, std::move(needed));
-}
-
 }  // namespace
 
 std::unique_ptr<Instance> CompiledKernel::instantiate(
@@ -246,6 +239,7 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // costs: drain in-flight launches so accounting stays in submission
     // order and nothing still reads the old pattern.
     runtime.flush();
+    OBS_SPAN("compiler", "assemble");
     kern::AssemblyResult res = kern::assemble_output(stmt);
     pattern_preserved = res.pattern_preserved;
     trace.append(PlanOpKind::LeafKernel,
@@ -269,6 +263,8 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
   }
 
   // --- Partitioning phase (Figure 9a) ----------------------------------------
+  std::optional<obs::Span> partition_span;
+  partition_span.emplace("compiler", "partition");
   auto own = [&](Partition p) -> Partition* {
     inst->parts_.push_back(std::make_unique<Partition>(std::move(p)));
     return inst->parts_.back().get();
@@ -482,8 +478,10 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // Second pass: tensors not indexed by the distributed variable. A 1-D
     // dense operand indexed by a Compressed level's variable of some
     // partitioned sparse tensor only needs the coordinates that level's
-    // pieces actually store (e.g. the halo of c in a banded SpMV) — derived
-    // by bucketing each piece's crd values. Everything else is replicated.
+    // pieces actually store (e.g. the halo of c in a banded SpMV) — the
+    // point-valued image of the level's crd partition, the fine-grained
+    // data movement Legion's dependent partitioning infers (§II-C).
+    // Everything else is replicated.
     for (const auto& [name, tensor] : stmt.bindings) {
       const bool is_output = name == stmt.assignment.lhs.tensor;
       bool indexed = false;
@@ -512,9 +510,9 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
             const int slevel = s.format().level_of_dim(sdim);
             const fmt::LevelStorage& sl = s.storage().level(slevel);
             if (!sl.kind.has_crd()) continue;
-            Partition p = needed_coords_partition(
-                sl, tp.level_parts[static_cast<size_t>(slevel)],
-                st.vals()->space(), pieces_);
+            Partition p = rt::image(
+                *sl.crd, tp.level_parts[static_cast<size_t>(slevel)],
+                st.vals()->space());
             trace.append(PlanOpKind::Image,
                          strprintf("%s_part = neededCoordinates(%s%d_crd)",
                                    name.c_str(), sname.c_str(), slevel + 1));
@@ -574,8 +572,8 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       top = rt::copy_partition(ttp.level_parts[0],
                                rt::IndexSpace(v0_extent));
     } else {
-      top = needed_coords_partition(tst.level(0), ttp.level_parts[0],
-                                    rt::IndexSpace(v0_extent), pieces_);
+      top = rt::image(*tst.level(0).crd, ttp.level_parts[0],
+                      rt::IndexSpace(v0_extent));
       trace.append(PlanOpKind::Image,
                    strprintf("%s_top_coords = neededCoordinates(%s1_crd)",
                              split_tensor_.c_str(), split_tensor_.c_str()));
@@ -675,10 +673,10 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
         const IndexVar inner = fused_sources_.back();
         if (dim_of_var(stmt, name, inner) == 0 &&
             tst.level(split_level_).kind.has_crd()) {
-          Partition p = needed_coords_partition(
-              tst.level(split_level_),
+          Partition p = rt::image(
+              *tst.level(split_level_).crd,
               ttp.level_parts[static_cast<size_t>(split_level_)],
-              st.vals()->space(), pieces_);
+              st.vals()->space());
           trace.append(PlanOpKind::Image,
                        strprintf("%s_part = neededCoordinates(%s%d_crd)",
                                  name.c_str(), split_tensor_.c_str(),
@@ -726,14 +724,19 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     }
   }
 
+  partition_span.reset();
+
   // --- Install data distributions (TDN statements) ---------------------------
   // Deferred to the end of setup: set_placement drains in-flight launches,
   // so everything above it (the expensive partition construction) already
   // overlapped their execution.
-  for (const auto& [name, tensor] : stmt.bindings) {
-    if (tensor.distribution().has_value() && tensor.has_storage()) {
-      tdn::distribute_tensor(trace, runtime, tensor.storage(),
-                             *tensor.distribution(), machine_);
+  {
+    OBS_SPAN("compiler", "place");
+    for (const auto& [name, tensor] : stmt.bindings) {
+      if (tensor.distribution().has_value() && tensor.has_storage()) {
+        tdn::distribute_tensor(trace, runtime, tensor.storage(),
+                               *tensor.distribution(), machine_);
+      }
     }
   }
 

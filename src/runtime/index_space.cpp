@@ -1,6 +1,7 @@
 #include "runtime/index_space.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/str_util.h"
@@ -95,6 +96,60 @@ std::string RectN::str() const {
   return s + "]";
 }
 
+namespace {
+
+// Indices of `rects` in ascending order of their dimension-0 lo; equal
+// starts keep their stored order.
+std::vector<uint32_t> by_lo0(const std::vector<RectN>& rects) {
+  std::vector<uint32_t> order(rects.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const auto lo0 = [&rects](uint32_t a, uint32_t b) {
+    return rects[a].lo[0] < rects[b].lo[0];
+  };
+  if (!std::is_sorted(order.begin(), order.end(), lo0)) {
+    std::stable_sort(order.begin(), order.end(), lo0);
+  }
+  return order;
+}
+
+// Calls visit(i, j) for every overlapping pair (a[i], b[j]), found by one
+// sweep over dimension 0: each rectangle is tested only against the other
+// list's rectangles whose dim-0 intervals are live where it starts. On
+// slab sets (disjoint dim-0 intervals) that is O(n + m) plus the sort of
+// an unsorted operand. Stops, and returns true, as soon as visit does.
+template <typename Visit>
+bool sweep_pairs(const std::vector<RectN>& a, const std::vector<RectN>& b,
+                 Visit visit) {
+  const std::vector<uint32_t> oa = by_lo0(a);
+  const std::vector<uint32_t> ob = by_lo0(b);
+  std::vector<uint32_t> live_a, live_b;
+  size_t i = 0, j = 0;
+  while (i < oa.size() || j < ob.size()) {
+    const bool from_a =
+        j == ob.size() || (i < oa.size() && a[oa[i]].lo[0] <= b[ob[j]].lo[0]);
+    if (from_a) {
+      const uint32_t k = oa[i++];
+      std::erase_if(live_b,
+                    [&](uint32_t t) { return b[t].hi[0] < a[k].lo[0]; });
+      for (uint32_t t : live_b) {
+        if (a[k].overlaps(b[t]) && visit(k, t)) return true;
+      }
+      live_a.push_back(k);
+    } else {
+      const uint32_t k = ob[j++];
+      std::erase_if(live_a,
+                    [&](uint32_t t) { return a[t].hi[0] < b[k].lo[0]; });
+      for (uint32_t t : live_a) {
+        if (a[t].overlaps(b[k]) && visit(t, k)) return true;
+      }
+      live_b.push_back(k);
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool IndexSubset::empty() const {
   for (const auto& r : rects_) {
     if (!r.empty()) return false;
@@ -120,9 +175,11 @@ void IndexSubset::add(const RectN& r) {
 }
 
 void IndexSubset::normalize() {
-  if (rects_.empty()) return;
+  // A canonical subset needs nothing: in 1-D that is the normal form, and
+  // in N-D it means the rectangles are ascending and separated on
+  // dimension 0, so none can contain or repeat another.
+  if (rects_.empty() || canonical_) return;
   if (dim_ == 1) {
-    if (canonical_) return;
     std::sort(rects_.begin(), rects_.end(),
               [](const RectN& a, const RectN& b) { return a.lo[0] < b.lo[0]; });
     std::vector<RectN> out;
@@ -138,28 +195,40 @@ void IndexSubset::normalize() {
     canonical_ = true;
     return;
   }
-  // N-D: drop rectangles fully contained in another; exact disjointness is
-  // not required by any N-D client (dense partitions are disjoint rects by
-  // construction), so containment pruning suffices.
-  std::vector<RectN> out;
-  for (const auto& r : rects_) {
-    bool contained = false;
-    for (const auto& o : rects_) {
-      if (&o != &r && o.contains(r) && !(o == r)) {
-        contained = true;
-        break;
-      }
-    }
-    if (!contained) {
-      bool dup = false;
-      for (const auto& o : out) {
-        if (o == r) {
-          dup = true;
+  // N-D: drop every rectangle strictly contained in another, and every
+  // repeat of an earlier one; the survivors keep their order. Exact
+  // disjointness is not required by any N-D client (dense partitions are
+  // disjoint rects by construction), so containment pruning suffices.
+  // A container starts no later and ends no earlier on dimension 0, so a
+  // sweep over dimension 0 compares each rectangle only with those whose
+  // dim-0 intervals are live where it starts.
+  const std::vector<uint32_t> order = by_lo0(rects_);
+  std::vector<char> drop(rects_.size(), 0);
+  std::vector<uint32_t> live;
+  for (size_t g = 0; g < order.size();) {
+    // Every rectangle starting at x joins the live set before any of them
+    // is tested, so equal starts see each other.
+    const Coord x = rects_[order[g]].lo[0];
+    size_t e = g;
+    while (e < order.size() && rects_[order[e]].lo[0] == x) ++e;
+    std::erase_if(live, [&](uint32_t k) { return rects_[k].hi[0] < x; });
+    live.insert(live.end(), order.begin() + static_cast<ptrdiff_t>(g),
+                order.begin() + static_cast<ptrdiff_t>(e));
+    for (; g < e; ++g) {
+      const uint32_t i = order[g];
+      for (uint32_t k : live) {
+        if (k == i) continue;
+        const RectN& o = rects_[k];
+        if (o == rects_[i] ? k < i : o.contains(rects_[i])) {
+          drop[i] = 1;
           break;
         }
       }
-      if (!dup) out.push_back(r);
     }
+  }
+  std::vector<RectN> out;
+  for (size_t i = 0; i < rects_.size(); ++i) {
+    if (!drop[i]) out.push_back(rects_[i]);
   }
   rects_ = std::move(out);
 }
@@ -239,12 +308,17 @@ IndexSubset IndexSubset::intersect(const IndexSubset& o) const {
     }
     return out;
   }
-  for (const auto& r : o.rects_) {
-    for (const auto& s : rects_) {
-      RectN i = s.intersect(r);
-      if (!i.empty()) out.add(i);
-    }
+  // N-D: the overlapping pairs, emitted in the order of the all-pairs scan
+  // (o's rectangles outer, this subset's inner), then pruned.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (o index, this index)
+  sweep_pairs(rects_, o.rects_, [&pairs](uint32_t i, uint32_t j) {
+    pairs.emplace_back(j, i);
+    return false;
+  });
+  if (!std::is_sorted(pairs.begin(), pairs.end())) {
+    std::sort(pairs.begin(), pairs.end());
   }
+  for (const auto& [j, i] : pairs) out.add(rects_[i].intersect(o.rects_[j]));
   out.normalize();
   return out;
 }
@@ -364,12 +438,8 @@ bool IndexSubset::overlaps(const IndexSubset& o) const {
     }
     return false;
   }
-  for (const auto& r : o.rects()) {
-    for (const auto& s : rects_) {
-      if (s.overlaps(r)) return true;
-    }
-  }
-  return false;
+  return sweep_pairs(rects_, o.rects_,
+                     [](uint32_t, uint32_t) { return true; });
 }
 
 bool IndexSubset::contains(const IndexSubset& o) const {

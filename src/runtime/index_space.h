@@ -71,17 +71,23 @@ struct RectN {
 
 // A set of coordinates represented as a union of rectangles.
 //
-// Invariant after normalize(): rectangles are pairwise disjoint; in 1-D they
-// are additionally sorted by lo and maximally coalesced (no two intervals
-// touch). That 1-D form is canonical (one representation per point set),
-// and every 1-D operation below that returns a subset returns it in
-// canonical form.
+// Invariant after normalize(): in 1-D, rectangles are sorted by lo,
+// disjoint and maximally coalesced (no two intervals touch). That 1-D form
+// is canonical (one representation per point set), and every 1-D operation
+// below that returns a subset returns it in canonical form. In N-D,
+// normalize() drops rectangles contained in another and repeats, keeping
+// the survivors' order; a subset whose rectangles were added ascending and
+// separated on dimension 0 (row slabs) is already normalized.
 //
 // Cost, for operands of n and m rectangles: in 1-D, intersect/unite/
 // subtract/overlaps/contains are two-cursor sweeps, O(n + m), and
 // intersect(RectN) is a binary search plus the output. A 1-D operand built
 // with add() out of order is normalized into a copy first, O(n log n). In
-// N-D they are pairwise slab algebra, O(n * m).
+// N-D, intersect/overlaps/normalize sweep dimension 0, testing only
+// rectangles whose dim-0 intervals are live together: O(n + m) plus the
+// output on slab sets (plus a sort of an operand not ascending on dimension
+// 0), degrading to O(n * m) only when every dim-0 interval overlaps every
+// other. N-D subtract is pairwise slab algebra, O(n * m).
 class IndexSubset {
  public:
   IndexSubset() = default;
@@ -97,8 +103,10 @@ class IndexSubset {
   // batch of adds before relying on set semantics. In 1-D, adds in
   // ascending, non-touching order keep the subset canonical.
   void add(const RectN& r);
+  // Room for n rectangles, so a known number of adds allocates once.
+  void reserve(size_t n) { rects_.reserve(n); }
   // Sorts, merges adjacent/overlapping rectangles (1-D); deduplicates and
-  // removes contained rectangles (N-D).
+  // removes contained rectangles, keeping the order (N-D).
   void normalize();
 
   bool contains_point(const std::array<Coord, kMaxDim>& p) const;
@@ -119,6 +127,10 @@ class IndexSubset {
   // Tight bounding rectangle (undefined on empty subsets).
   RectN bounds() const;
 
+  // This subset normalized: itself when already canonical, else a
+  // normalized copy kept in `tmp`.
+  const IndexSubset& canonical(IndexSubset& tmp) const;
+
   std::string str() const;
 
  private:
@@ -126,12 +138,10 @@ class IndexSubset {
   bool sweepable(const IndexSubset& o) const {
     return dim_ == 1 && o.dim_ == 1;
   }
-  // This subset in canonical 1-D form: itself, or a normalized copy kept
-  // in `tmp`.
-  const IndexSubset& canonical(IndexSubset& tmp) const;
 
   int dim_ = 1;
-  // 1-D only: rects_ is in canonical form (sorted, disjoint, non-adjacent).
+  // rects_ ascend on dimension 0 with a gap between consecutive ones. In
+  // 1-D that is the canonical form; in N-D it implies pairwise disjoint.
   bool canonical_ = true;
   std::vector<RectN> rects_;
 };

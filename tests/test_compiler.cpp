@@ -71,6 +71,37 @@ TEST(Compile, RequiresDistribute) {
                ScheduleError);
 }
 
+// An index variable must span one extent. With B 4x6 and c of length 3,
+// every leaf would index c past its end through j. Under a row schedule
+// and under divide_pos alike, compile rejects the statement and names the
+// variable, both tensors and both extents.
+TEST(Compile, RejectsVariableSpanningTwoExtents) {
+  for (bool nonzero : {false, true}) {
+    IndexVar i("i"), j("j"), io("io"), ii("ii"), f("f"), fo("fo"), fi("fi");
+    Tensor a("a", {4}, fmt::dense_vector());
+    Tensor B("B", {4, 6}, fmt::csr());
+    Tensor c("c", {3}, fmt::dense_vector());
+    B.from_coo(data::uniform_matrix(4, 6, 12, 2));
+    c.init_dense([](const auto&) { return 1.0; });
+    Statement& stmt = (a(i) = B(i, j) * c(j));
+    if (nonzero) {
+      a.schedule().fuse(i, j, f).divide_pos(f, fo, fi, 2, "B").distribute(fo);
+    } else {
+      a.schedule().divide(i, io, ii, 2).distribute(io);
+    }
+    SCOPED_TRACE(nonzero ? "divide_pos" : "row");
+    try {
+      CompiledKernel::compile(stmt, cpu_machine(2));
+      ADD_FAILURE() << "compiled a statement whose j spans 6 in B, 3 in c";
+    } catch (const NotationError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "index variable j spans extent 6 in B but 3 in c"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Execute, SpmvMatchesReferenceAndTraceMatchesFigure9b) {
   SpmvProgram prog(4, data::powerlaw_matrix(96, 96, 600, 1.1, 3));
   rt::Machine m = cpu_machine(4);
