@@ -12,9 +12,6 @@
 
 namespace spdistal::comp {
 
-using fmt::LevelFuncs;
-using fmt::LevelPartitions;
-using fmt::ModeFormat;
 using fmt::TensorPartition;
 using rt::Coord;
 using rt::Partition;
@@ -270,14 +267,18 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     return inst->parts_.back().get();
   };
 
+  // One builder for the launch's coordinate trees and then the placements:
+  // a TDN statement that matches a tree built here installs it.
+  fmt::TreeBuilder trees(trace);
   rt::IndexLaunch& launch = inst->launch_;
   launch.name = leaf_name_;
   launch.domain = pieces_;
   launch.leaf_threads = leaf_threads_;
 
-  // Adds requirements for a sparse tensor partitioned by `tp`. When the
-  // distributed (seed) level of a universe distribution stores coordinates,
-  // the leaf scans that level's entire crd array and filters by the piece's
+  // Adds requirements for a sparse tensor partitioned by `tp`, through its
+  // region mapping, with two whole-region overrides. When the distributed
+  // (seed) level of a universe distribution stores coordinates, the leaf
+  // scans that level's entire crd array and filters by the piece's
   // coordinate block (coiter's non-unique/driver loop), so `scan_level`
   // declares its crd whole-region — the partitioned subset would
   // under-declare what every point actually reads. Position-split leaves
@@ -288,28 +289,14 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
                              const TensorPartition& tp, Privilege vals_priv,
                              Privilege meta_priv, int scan_level = -1,
                              int whole_pos_upto = -1) {
-    launch.reqs.push_back(
-        rt::RegionReq{st.vals(), own(tp.vals_part), vals_priv});
-    for (int l = 0; l < st.num_levels(); ++l) {
-      const auto& level = st.level(l);
-      if (!level.kind.has_crd()) continue;
+    using Role = fmt::RegionPart::Role;
+    for (fmt::RegionPart& r : tp.regions(st)) {
+      const bool whole =
+          !r.part || (r.role == Role::Crd && r.level == scan_level) ||
+          (r.role == Role::Pos && r.level <= whole_pos_upto);
       launch.reqs.push_back(rt::RegionReq{
-          level.crd,
-          l == scan_level
-              ? nullptr
-              : own(tp.level_parts[static_cast<size_t>(l)]),
-          meta_priv});
-      if (!level.kind.has_pos()) continue;  // Singleton: crd only
-      if (l == 0 || l <= whole_pos_upto) {
-        launch.reqs.push_back(rt::RegionReq{level.pos, nullptr, meta_priv});
-      } else {
-        launch.reqs.push_back(rt::RegionReq{
-            level.pos,
-            own(rt::copy_partition(
-                tp.level_parts[static_cast<size_t>(l - 1)],
-                level.pos->space())),
-            meta_priv});
-      }
+          r.region, whole ? nullptr : own(std::move(*r.part)),
+          r.role == Role::Vals ? vals_priv : meta_priv});
     }
   };
   // Adds whole-region (replicated) requirements for a tensor.
@@ -331,32 +318,43 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
 
   inst->piece_bounds_.resize(static_cast<size_t>(pieces_));
 
-  // Per-axis equal coordinate blocks of each universe-distributed source
-  // variable; piece colors enumerate the axis blocks row-major (the 2-D
-  // grid of the paper's Machine(Grid(x, y)) schedules when two variables
-  // distribute). A position-space axis 0 uses non-zero ranges instead,
-  // computed in its branch below.
+  // Per-color blocks of each distributed axis: equal coordinate blocks of
+  // its source variable, or, for a position-space axis 0, equal non-zero
+  // blocks of the split level. Piece colors enumerate the axis blocks
+  // row-major (the 2-D grid of the paper's Machine(Grid(x, y)) schedules
+  // when two variables distribute).
   const int axes = static_cast<int>(dist_source_vars_.size());
   std::vector<std::vector<rt::Rect1>> axis_bounds(static_cast<size_t>(axes));
-  for (int a = position_space_ ? 1 : 0; a < axes; ++a) {
+  for (int a = 0; a < axes; ++a) {
     const IndexVar& v = dist_source_vars_[static_cast<size_t>(a)];
-    const Coord extent = var_extent(stmt, v);
-    SPD_ASSERT(extent >= 0,
-               "variable " << v.name() << " not used in statement");
-    axis_bounds[static_cast<size_t>(a)] =
-        tdn::equal_bounds(extent, grid_pieces_[static_cast<size_t>(a)]);
+    const Coord n =
+        a == 0 && position_space_
+            ? std::max<Coord>(stmt.tensor(split_tensor_)
+                                  .storage().level(split_level_).positions,
+                              1)
+            : var_extent(stmt, v);
+    SPD_ASSERT(n >= 0, "variable " << v.name() << " not used in statement");
+    axis_bounds[static_cast<size_t>(a)] = fmt::color_blocks(
+        grid_pieces_, a,
+        rt::equal_bounds(n, grid_pieces_[static_cast<size_t>(a)]));
   }
-  // Block index of color `c` along axis `a` (row-major decomposition).
-  auto axis_index = [&](int c, int a) {
-    int rest = c;
-    for (int b = axes - 1; b > a; --b) {
-      rest /= grid_pieces_[static_cast<size_t>(b)];
-    }
-    return rest % grid_pieces_[static_cast<size_t>(a)];
-  };
   auto block_of = [&](int c, int a) {
-    return axis_bounds[static_cast<size_t>(a)]
-                      [static_cast<size_t>(axis_index(c, a))];
+    return axis_bounds[static_cast<size_t>(a)][static_cast<size_t>(c)];
+  };
+  // The cuts of dense tensor `name` for fmt::dense_tiles: each distributed
+  // axis from `first_axis` on that indexes it cuts its level to the axis's
+  // blocks.
+  auto level_cuts = [&](const std::string& name, const Tensor& tensor,
+                        int first_axis) {
+    std::vector<fmt::LevelCut> cuts;
+    for (int a = first_axis; a < axes; ++a) {
+      const int d =
+          dim_of_var(stmt, name, dist_source_vars_[static_cast<size_t>(a)]);
+      if (d < 0) continue;
+      cuts.push_back(fmt::LevelCut{tensor.format().level_of_dim(d),
+                                   axis_bounds[static_cast<size_t>(a)]});
+    }
+    return cuts;
   };
   // Inner universe axes restrict their variable per piece in both
   // iteration styles.
@@ -398,7 +396,7 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // tensor's coordinate-tree partition so the second pass can derive the
     // data other operands actually need (the "infers what data to
     // communicate" behavior of §II-C).
-    std::map<std::string, TensorPartition> sparse_tps;
+    std::map<std::string, const TensorPartition*> sparse_tps;
     for (const auto& [name, tensor] : stmt.bindings) {
       const bool is_output = name == stmt.assignment.lhs.tensor;
       // Which tensor dimension (if any) each distribution axis indexes.
@@ -412,37 +410,12 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       const fmt::TensorStorage& st = tensor.storage();
       if (indexed_axes == 0) continue;  // second pass
       if (tensor.format().all_dense()) {
-        if (axes == 2 && indexed_axes == 2 &&
-            st.vals()->space().dim() == 2 &&
-            tensor.format().level_of_dim(axis_dim[0]) == 0 &&
-            tensor.format().level_of_dim(axis_dim[1]) == 1) {
-          // The exact Figure 4c case — px x py tiles of a matrix, colors
-          // row-major — is the runtime's 2-D grid tiler.
-          Partition grid = rt::partition_grid2(
-              st.vals()->space(), grid_pieces_[0], grid_pieces_[1]);
-          launch.reqs.push_back(rt::RegionReq{
-              st.vals(), own(std::move(grid)),
-              is_output ? Privilege::WO : Privilege::RO});
-          continue;
-        }
         // Cross-product of the axis blocks: a true grid partition when every
         // axis indexes the tensor (Figure 4c tiles), a row/column-block
         // partition replicated across the remaining axes otherwise.
-        std::vector<rt::RectN> tiles;
-        tiles.reserve(static_cast<size_t>(pieces_));
-        for (int c = 0; c < pieces_; ++c) {
-          rt::RectN t = st.vals()->space().bounds();
-          for (int a = 0; a < axes; ++a) {
-            const int dim = axis_dim[static_cast<size_t>(a)];
-            if (dim < 0) continue;
-            const int level = tensor.format().level_of_dim(dim);
-            const rt::Rect1 b = block_of(c, a);
-            t.lo[level] = std::max(t.lo[level], b.lo);
-            t.hi[level] = std::min(t.hi[level], b.hi);
-          }
-          tiles.push_back(t);
-        }
-        Partition grid = rt::partition_by_bounds(st.vals()->space(), tiles);
+        Partition grid = rt::partition_by_bounds(
+            st.vals()->space(),
+            fmt::dense_tiles(st, pieces_, level_cuts(name, tensor, 0)));
         // Pieces replicated across an axis that does not index the output
         // write overlapping subsets, which must merge by reduction.
         const Privilege out_priv =
@@ -457,23 +430,16 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       // (their pieces read overlapping subsets of this tree).
       int part_axis = 0;
       while (axis_dim[static_cast<size_t>(part_axis)] < 0) ++part_axis;
-      const int dim = axis_dim[static_cast<size_t>(part_axis)];
-      const int level = tensor.format().level_of_dim(dim);
-      std::vector<rt::Rect1> bounds;
-      bounds.reserve(static_cast<size_t>(pieces_));
-      for (int c = 0; c < pieces_; ++c) {
-        bounds.push_back(block_of(c, part_axis));
-      }
-      const fmt::LevelStorage& ls = st.level(level);
-      LevelPartitions init = LevelFuncs::get(ls.kind).universe_partition(
-          trace, name, level, ls, bounds);
-      TensorPartition tp =
-          fmt::partition_coordinate_tree(trace, st, level, init);
+      const int level = tensor.format().level_of_dim(
+          axis_dim[static_cast<size_t>(part_axis)]);
+      const TensorPartition& tp = trees.build(
+          st, fmt::TreeSpec{level, false,
+                            axis_bounds[static_cast<size_t>(part_axis)]});
       const Privilege vals_priv =
           !is_output ? Privilege::RO
                      : (axes == 1 ? Privilege::WO : Privilege::REDUCE);
       add_sparse_reqs(st, tp, vals_priv, Privilege::RO, level);
-      sparse_tps.emplace(name, std::move(tp));
+      sparse_tps.emplace(name, &tp);
     }
     // Second pass: tensors not indexed by the distributed variable. A 1-D
     // dense operand indexed by a Compressed level's variable of some
@@ -511,7 +477,7 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
             const fmt::LevelStorage& sl = s.storage().level(slevel);
             if (!sl.kind.has_crd()) continue;
             Partition p = rt::image(
-                *sl.crd, tp.level_parts[static_cast<size_t>(slevel)],
+                *sl.crd, tp->level_parts[static_cast<size_t>(slevel)],
                 st.vals()->space());
             trace.append(PlanOpKind::Image,
                          strprintf("%s_part = neededCoordinates(%s%d_crd)",
@@ -532,17 +498,10 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // === Coordinate-position iteration: non-zero partitions ==================
     // Axis 0 iterates equal non-zero blocks; inner universe axes (a non-zero
     // x universe grid) clamp their variable through var_coords above.
-    const Tensor& T = stmt.tensor(split_tensor_);
-    const fmt::TensorStorage& tst = T.storage();
-    const fmt::LevelStorage& sl = tst.level(split_level_);
-    const std::vector<rt::Rect1> nz_axis = tdn::equal_bounds(
-        std::max<Coord>(sl.positions, 1), grid_pieces_[0]);
-    std::vector<rt::Rect1> bounds;
-    bounds.reserve(static_cast<size_t>(pieces_));
+    const fmt::TensorStorage& tst = stmt.tensor(split_tensor_).storage();
     for (int c = 0; c < pieces_; ++c) {
-      bounds.push_back(nz_axis[static_cast<size_t>(axis_index(c, 0))]);
       auto& pb = inst->piece_bounds_[static_cast<size_t>(c)];
-      pb.dist_pos = bounds.back();
+      pb.dist_pos = block_of(c, 0);
       pb.pos_tensor = split_tensor_;
       pb.pos_level = split_level_;
     }
@@ -552,10 +511,8 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
                   grid_pieces_[0], split_tensor_.c_str(),
                   axes > 1 ? " x universe grid axes" : ""));
 
-    LevelPartitions init = LevelFuncs::get(sl.kind).nonzero_partition(
-        trace, split_tensor_, split_level_, sl, bounds);
-    TensorPartition ttp =
-        fmt::partition_coordinate_tree(trace, tst, split_level_, init);
+    const TensorPartition& ttp =
+        trees.build(tst, fmt::TreeSpec{split_level_, true, axis_bounds[0]});
     add_sparse_reqs(tst, ttp, Privilege::RO, Privilege::RO,
                     /*scan_level=*/-1, /*whole_pos_upto=*/split_level_);
 
@@ -618,21 +575,13 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
                 top, rt::IndexSpace(tensor.dims()[static_cast<size_t>(dim)])),
             st.vals()->space(), level);
         if (axes > 1) {
+          const std::vector<rt::RectN> clamps =
+              fmt::dense_tiles(st, pieces_, level_cuts(name, tensor, 1));
           std::vector<rt::IndexSubset> subs;
           subs.reserve(static_cast<size_t>(pieces_));
           for (int c = 0; c < pieces_; ++c) {
-            rt::RectN clamp = st.vals()->space().bounds();
-            for (int a = 1; a < axes; ++a) {
-              const int d2 =
-                  dim_of_var(stmt, name,
-                             dist_source_vars_[static_cast<size_t>(a)]);
-              if (d2 < 0) continue;
-              const int l2 = tensor.format().level_of_dim(d2);
-              const rt::Rect1 b = block_of(c, a);
-              clamp.lo[l2] = std::max(clamp.lo[l2], b.lo);
-              clamp.hi[l2] = std::min(clamp.hi[l2], b.hi);
-            }
-            subs.push_back(lifted.subset(c).intersect(clamp));
+            subs.push_back(
+                lifted.subset(c).intersect(clamps[static_cast<size_t>(c)]));
           }
           lifted = Partition(st.vals()->space(), std::move(subs));
         }
@@ -655,11 +604,8 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
             row_bounds.push_back(rt::Rect1{b.lo[0], b.hi[0]});
           }
         }
-        const fmt::LevelStorage& ls = st.level(level);
-        LevelPartitions oinit = LevelFuncs::get(ls.kind).universe_partition(
-            trace, name, level, ls, row_bounds);
-        TensorPartition otp =
-            fmt::partition_coordinate_tree(trace, st, level, oinit);
+        const TensorPartition& otp =
+            trees.build(st, fmt::TreeSpec{level, false, row_bounds});
         // Overlapping row ranges => reduction privilege for outputs.
         add_sparse_reqs(st, otp,
                         is_output ? Privilege::REDUCE : Privilege::RO,
@@ -689,28 +635,11 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       // Dense tensors indexed by an inner universe axis of a non-zero x
       // universe grid need only their axis block per piece (replicated
       // across the non-zero axis) — e.g. C's column blocks in 2-D SpMM.
-      if (tensor.format().all_dense() && axes > 1) {
-        std::vector<rt::RectN> tiles;
-        tiles.reserve(static_cast<size_t>(pieces_));
-        bool any_axis = false;
-        for (int c = 0; c < pieces_; ++c) {
-          rt::RectN t = st.vals()->space().bounds();
-          for (int a = 1; a < axes; ++a) {
-            const int d =
-                dim_of_var(stmt, name,
-                           dist_source_vars_[static_cast<size_t>(a)]);
-            if (d < 0) continue;
-            any_axis = true;
-            const int level = tensor.format().level_of_dim(d);
-            const rt::Rect1 b = block_of(c, a);
-            t.lo[level] = std::max(t.lo[level], b.lo);
-            t.hi[level] = std::min(t.hi[level], b.hi);
-          }
-          tiles.push_back(t);
-        }
-        if (any_axis) {
-          Partition grid =
-              rt::partition_by_bounds(st.vals()->space(), tiles);
+      if (tensor.format().all_dense()) {
+        const std::vector<fmt::LevelCut> cuts = level_cuts(name, tensor, 1);
+        if (!cuts.empty()) {
+          Partition grid = rt::partition_by_bounds(
+              st.vals()->space(), fmt::dense_tiles(st, pieces_, cuts));
           launch.reqs.push_back(rt::RegionReq{
               st.vals(), own(std::move(grid)),
               is_output ? Privilege::REDUCE : Privilege::RO});
@@ -734,7 +663,7 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     OBS_SPAN("compiler", "place");
     for (const auto& [name, tensor] : stmt.bindings) {
       if (tensor.distribution().has_value() && tensor.has_storage()) {
-        tdn::distribute_tensor(trace, runtime, tensor.storage(),
+        tdn::distribute_tensor(trees, runtime, tensor.storage(),
                                *tensor.distribution(), machine_);
       }
     }

@@ -13,6 +13,10 @@
 // sparse output assembly (§V-B), and finally constructs the distributed loop
 // (an IndexLaunch whose leaves run the selected kernel). Every partitioning
 // operation is recorded in a PlanTrace — the printable Figure 9b program.
+// Placements ride the launch's partitions: the launch's coordinate trees
+// and the TDN placements go through one fmt::TreeBuilder, so a statement
+// that resolves to a tree the launch built installs it, and the trace
+// records each partitioning op once.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,7 @@
 #include "format/level_format.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace spdistal::fmt {
@@ -52,6 +54,14 @@ Partition collapse_dense(const Partition& child, Coord extent,
   return Partition(IndexSpace(parent_positions), std::move(subsets));
 }
 
+// The per-color bounds as rects of a 1-D space.
+std::vector<RectN> rects_of(const std::vector<Rect1>& bounds) {
+  std::vector<RectN> out;
+  out.reserve(bounds.size());
+  for (const Rect1& b : bounds) out.push_back(RectN(b));
+  return out;
+}
+
 class DenseLevelFuncs final : public LevelFuncs {
  public:
   LevelPartitions universe_partition(
@@ -63,47 +73,24 @@ class DenseLevelFuncs final : public LevelFuncs {
               "levels is unsupported (distribute an outer variable instead) "
               "for tensor "
                   << tensor);
+    const std::string l = lvl(tensor, level_idx);
     trace.append(PlanOpKind::MakeUniverseColoring,
                  strprintf("Coloring %s_coloring = "
                            "universeBounds(pieces=%zu)  // %s.init/create/"
                            "finalizeUniversePartition",
-                           lvl(tensor, level_idx).c_str(), coord_bounds.size(),
-                           lvl(tensor, level_idx).c_str()));
-    std::vector<RectN> bounds;
-    bounds.reserve(coord_bounds.size());
-    for (const Rect1& b : coord_bounds) bounds.push_back(RectN(b));
-    Partition p = rt::partition_by_bounds(IndexSpace(level.positions), bounds);
-    trace.append(
-        PlanOpKind::PartitionByBounds,
-        strprintf("%s_part = partitionByBounds(%s.dom, %s_coloring)",
-                  lvl(tensor, level_idx).c_str(), lvl(tensor, level_idx).c_str(),
-                  lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{collapse_dense(p, level.extent,
-                                          level.parent_positions),
-                           p};
+                           l.c_str(), coord_bounds.size(), l.c_str()));
+    return cut(trace, l, level, coord_bounds);
   }
 
   LevelPartitions nonzero_partition(
       comp::PlanTrace& trace, const std::string& tensor, int level_idx,
       const LevelStorage& level,
       const std::vector<rt::Rect1>& pos_bounds) const override {
-    // For Dense levels positions and coordinates coincide, so the non-zero
-    // partition is the universe partition over position bounds (Table I).
+    const std::string l = lvl(tensor, level_idx);
     trace.append(PlanOpKind::MakeNonZeroColoring,
                  strprintf("Coloring %s_coloring = nonZeroBounds(pieces=%zu)",
-                           lvl(tensor, level_idx).c_str(), pos_bounds.size()));
-    std::vector<RectN> bounds;
-    bounds.reserve(pos_bounds.size());
-    for (const Rect1& b : pos_bounds) bounds.push_back(RectN(b));
-    Partition p = rt::partition_by_bounds(IndexSpace(level.positions), bounds);
-    trace.append(
-        PlanOpKind::PartitionByBounds,
-        strprintf("%s_part = partitionByBounds(%s.dom, %s_coloring)",
-                  lvl(tensor, level_idx).c_str(), lvl(tensor, level_idx).c_str(),
-                  lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{collapse_dense(p, level.extent,
-                                          level.parent_positions),
-                           p};
+                           l.c_str(), pos_bounds.size()));
+    return cut(trace, l, level, pos_bounds);
   }
 
   Partition partition_from_parent(comp::PlanTrace& trace,
@@ -125,83 +112,91 @@ class DenseLevelFuncs final : public LevelFuncs {
                            lvl(tensor, level_idx).c_str()));
     return collapse_dense(child, level.extent, level.parent_positions);
   }
+
+ private:
+  // Positions and coordinates coincide on a Dense level, so both initial
+  // partitions cut its positions by the bounds (Table I).
+  static LevelPartitions cut(comp::PlanTrace& trace, const std::string& l,
+                             const LevelStorage& level,
+                             const std::vector<Rect1>& bounds) {
+    Partition p = rt::partition_by_bounds(IndexSpace(level.positions),
+                                          rects_of(bounds));
+    trace.append(PlanOpKind::PartitionByBounds,
+                 strprintf("%s_part = partitionByBounds(%s.dom, %s_coloring)",
+                           l.c_str(), l.c_str(), l.c_str()));
+    return LevelPartitions{
+        collapse_dense(p, level.extent, level.parent_positions), p};
+  }
 };
 
-class CompressedLevelFuncs final : public LevelFuncs {
+// Compressed and Singleton levels store crd: an initial partition cuts the
+// crd positions, by stored value (universe) or by position (non-zero), and
+// the level derives the parent-facing partition from it with parent_of.
+class CrdLevelFuncs : public LevelFuncs {
  public:
   LevelPartitions universe_partition(
       comp::PlanTrace& trace, const std::string& tensor, int level_idx,
       const LevelStorage& level,
-      const std::vector<rt::Rect1>& coord_bounds) const override {
+      const std::vector<rt::Rect1>& coord_bounds) const final {
+    const std::string l = lvl(tensor, level_idx);
     trace.append(PlanOpKind::MakeUniverseColoring,
                  strprintf("Coloring %s_crd_coloring = "
                            "universeBounds(pieces=%zu)",
-                           lvl(tensor, level_idx).c_str(),
-                           coord_bounds.size()));
-    Partition p_crd =
-        rt::partition_by_value_ranges(*level.crd, coord_bounds);
+                           l.c_str(), coord_bounds.size()));
+    Partition p_crd = rt::partition_by_value_ranges(*level.crd, coord_bounds);
     trace.append(PlanOpKind::PartitionByValueRanges,
                  strprintf("%s_crd_part = partitionByValueRanges(%s_crd_"
                            "coloring, %s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    Partition p_pos = rt::preimage(*level.pos, p_crd);
-    trace.append(PlanOpKind::Preimage,
-                 strprintf("%s_pos_part = preimage(%s.pos, %s_crd_part)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{std::move(p_pos), std::move(p_crd)};
+                           l.c_str(), l.c_str(), l.c_str()));
+    return LevelPartitions{parent_of(trace, l, level, p_crd),
+                           std::move(p_crd)};
   }
 
   LevelPartitions nonzero_partition(
       comp::PlanTrace& trace, const std::string& tensor, int level_idx,
       const LevelStorage& level,
-      const std::vector<rt::Rect1>& pos_bounds) const override {
+      const std::vector<rt::Rect1>& pos_bounds) const final {
+    const std::string l = lvl(tensor, level_idx);
     trace.append(PlanOpKind::MakeNonZeroColoring,
                  strprintf("Coloring %s_crd_coloring = nonZeroBounds("
                            "pieces=%zu)",
-                           lvl(tensor, level_idx).c_str(), pos_bounds.size()));
-    std::vector<RectN> bounds;
-    bounds.reserve(pos_bounds.size());
-    for (const Rect1& b : pos_bounds) bounds.push_back(RectN(b));
+                           l.c_str(), pos_bounds.size()));
     Partition p_crd = rt::partition_by_bounds(
-        IndexSpace(std::max<Coord>(level.positions, 1)), bounds);
+        IndexSpace(std::max<Coord>(level.positions, 1)), rects_of(pos_bounds));
     trace.append(PlanOpKind::PartitionByBounds,
                  strprintf("%s_crd_part = partitionByBounds(%s_crd_coloring, "
                            "%s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    Partition p_pos = rt::preimage(*level.pos, p_crd);
-    trace.append(PlanOpKind::Preimage,
-                 strprintf("%s_pos_part = preimage(%s.pos, %s_crd_part)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{std::move(p_pos), std::move(p_crd)};
+                           l.c_str(), l.c_str(), l.c_str()));
+    return LevelPartitions{parent_of(trace, l, level, p_crd),
+                           std::move(p_crd)};
   }
 
+ protected:
+  // The parent-facing partition of a partition of this level's positions;
+  // `l` names the level in plan ops.
+  virtual Partition parent_of(comp::PlanTrace& trace, const std::string& l,
+                              const LevelStorage& level,
+                              const Partition& p_crd) const = 0;
+};
+
+class CompressedLevelFuncs final : public CrdLevelFuncs {
+ public:
   Partition partition_from_parent(comp::PlanTrace& trace,
                                   const std::string& tensor, int level_idx,
                                   const LevelStorage& level,
                                   const rt::Partition& parent) const override {
     // P_pos = copy(parentPart); P_crd = image(pos, P_pos, crd).
+    const std::string l = lvl(tensor, level_idx);
     Partition p_pos = rt::copy_partition(parent, level.pos->space());
     trace.append(PlanOpKind::CopyPartition,
-                 strprintf("%s_pos_part = copy(parentPart, %s.pos)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
+                 strprintf("%s_pos_part = copy(parentPart, %s.pos)", l.c_str(),
+                           l.c_str()));
     Partition p_crd = rt::image(
         *level.pos, p_pos,
         IndexSpace(std::max<Coord>(level.positions, 1)));
     trace.append(PlanOpKind::Image,
                  strprintf("%s_crd_part = image(%s.pos, %s_pos_part, %s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
+                           l.c_str(), l.c_str(), l.c_str(), l.c_str()));
     return p_crd;
   }
 
@@ -210,16 +205,21 @@ class CompressedLevelFuncs final : public LevelFuncs {
                                  const LevelStorage& level,
                                  const rt::Partition& child) const override {
     // P_crd = copy(childPart); P_pos = preimage(pos, P_crd, crd).
+    const std::string l = lvl(tensor, level_idx);
     trace.append(PlanOpKind::CopyPartition,
-                 strprintf("%s_crd_part = copy(childPart, %s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    Partition p_pos = rt::preimage(*level.pos, child);
+                 strprintf("%s_crd_part = copy(childPart, %s.crd)", l.c_str(),
+                           l.c_str()));
+    return parent_of(trace, l, level, child);
+  }
+
+ protected:
+  Partition parent_of(comp::PlanTrace& trace, const std::string& l,
+                      const LevelStorage& level,
+                      const Partition& p_crd) const override {
+    Partition p_pos = rt::preimage(*level.pos, p_crd);
     trace.append(PlanOpKind::Preimage,
                  strprintf("%s_pos_part = preimage(%s.pos, %s_crd_part)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
+                           l.c_str(), l.c_str(), l.c_str()));
     return p_pos;
   }
 };
@@ -229,63 +229,8 @@ class CompressedLevelFuncs final : public LevelFuncs {
 // child's) position partition unchanged — a whole Singleton chain moves as
 // one unit under position splits, which is what makes COO's fused non-zero
 // distribution legal.
-class SingletonLevelFuncs final : public LevelFuncs {
+class SingletonLevelFuncs final : public CrdLevelFuncs {
  public:
-  LevelPartitions universe_partition(
-      comp::PlanTrace& trace, const std::string& tensor, int level_idx,
-      const LevelStorage& level,
-      const std::vector<rt::Rect1>& coord_bounds) const override {
-    trace.append(PlanOpKind::MakeUniverseColoring,
-                 strprintf("Coloring %s_crd_coloring = "
-                           "universeBounds(pieces=%zu)",
-                           lvl(tensor, level_idx).c_str(),
-                           coord_bounds.size()));
-    Partition p_crd =
-        rt::partition_by_value_ranges(*level.crd, coord_bounds);
-    trace.append(PlanOpKind::PartitionByValueRanges,
-                 strprintf("%s_crd_part = partitionByValueRanges(%s_crd_"
-                           "coloring, %s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    // Positions are the parent's: the parent-facing partition is a copy.
-    Partition p_pos = rt::copy_partition(
-        p_crd, IndexSpace(std::max<Coord>(level.parent_positions, 1)));
-    trace.append(PlanOpKind::CopyPartition,
-                 strprintf("%s_pos_part = copy(%s_crd_part)  // singleton",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{std::move(p_pos), std::move(p_crd)};
-  }
-
-  LevelPartitions nonzero_partition(
-      comp::PlanTrace& trace, const std::string& tensor, int level_idx,
-      const LevelStorage& level,
-      const std::vector<rt::Rect1>& pos_bounds) const override {
-    trace.append(PlanOpKind::MakeNonZeroColoring,
-                 strprintf("Coloring %s_crd_coloring = nonZeroBounds("
-                           "pieces=%zu)",
-                           lvl(tensor, level_idx).c_str(), pos_bounds.size()));
-    std::vector<RectN> bounds;
-    bounds.reserve(pos_bounds.size());
-    for (const Rect1& b : pos_bounds) bounds.push_back(RectN(b));
-    Partition p_crd = rt::partition_by_bounds(
-        IndexSpace(std::max<Coord>(level.positions, 1)), bounds);
-    trace.append(PlanOpKind::PartitionByBounds,
-                 strprintf("%s_crd_part = partitionByBounds(%s_crd_coloring, "
-                           "%s.crd)",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    Partition p_pos = rt::copy_partition(
-        p_crd, IndexSpace(std::max<Coord>(level.parent_positions, 1)));
-    trace.append(PlanOpKind::CopyPartition,
-                 strprintf("%s_pos_part = copy(%s_crd_part)  // singleton",
-                           lvl(tensor, level_idx).c_str(),
-                           lvl(tensor, level_idx).c_str()));
-    return LevelPartitions{std::move(p_pos), std::move(p_crd)};
-  }
-
   Partition partition_from_parent(comp::PlanTrace& trace,
                                   const std::string& tensor, int level_idx,
                                   const LevelStorage& level,
@@ -309,6 +254,19 @@ class SingletonLevelFuncs final : public LevelFuncs {
     return rt::copy_partition(
         child, IndexSpace(std::max<Coord>(level.parent_positions, 1)));
   }
+
+ protected:
+  // Positions are the parent's: the parent-facing partition is a copy.
+  Partition parent_of(comp::PlanTrace& trace, const std::string& l,
+                      const LevelStorage& level,
+                      const Partition& p_crd) const override {
+    Partition p_pos = rt::copy_partition(
+        p_crd, IndexSpace(std::max<Coord>(level.parent_positions, 1)));
+    trace.append(PlanOpKind::CopyPartition,
+                 strprintf("%s_pos_part = copy(%s_crd_part)  // singleton",
+                           l.c_str(), l.c_str()));
+    return p_pos;
+  }
 };
 
 }  // namespace
@@ -328,26 +286,34 @@ const LevelFuncs& LevelFuncs::get(ModeFormat mf) {
   return dense;
 }
 
-int64_t TensorPartition::color_bytes(const TensorStorage& storage,
-                                     int color) const {
-  int64_t bytes = vals_part.subset(color).volume() *
-                  static_cast<int64_t>(sizeof(double));
+std::vector<RegionPart> TensorPartition::regions(
+    const TensorStorage& storage) const {
+  std::vector<RegionPart> out;
+  out.push_back(RegionPart{RegionPart::Role::Vals, -1, storage.vals(),
+                           vals_part});
   for (int l = 0; l < storage.num_levels(); ++l) {
     const LevelStorage& level = storage.level(l);
-    if (level.kind.has_crd()) {
-      // crd bytes for this level's positions.
-      bytes += level_parts[static_cast<size_t>(l)].subset(color).volume() *
-               static_cast<int64_t>(sizeof(int32_t));
+    if (!level.kind.has_crd()) continue;
+    out.push_back(RegionPart{RegionPart::Role::Crd, l, level.crd,
+                             level_parts[static_cast<size_t>(l)]});
+    if (!level.kind.has_pos()) continue;  // Singleton: crd only
+    RegionPart pos{RegionPart::Role::Pos, l, level.pos, std::nullopt};
+    if (l > 0) {
+      pos.part = rt::copy_partition(level_parts[static_cast<size_t>(l - 1)],
+                                    level.pos->space());
     }
-    if (level.kind.has_pos()) {
-      // pos bytes follow the parent level's partition, which is
-      // level_parts[l-1] (or whole for l==0).
-      const int64_t pos_entries =
-          l == 0 ? level.parent_positions
-                 : level_parts[static_cast<size_t>(l - 1)].subset(color)
-                       .volume();
-      bytes += pos_entries * static_cast<int64_t>(sizeof(rt::PosRange));
-    }
+    out.push_back(std::move(pos));
+  }
+  return out;
+}
+
+int64_t TensorPartition::color_bytes(const TensorStorage& storage,
+                                     int color) const {
+  int64_t bytes = 0;
+  for (const RegionPart& r : regions(storage)) {
+    const int64_t elems = r.part ? r.part->subset(color).volume()
+                                 : r.region->space().volume();
+    bytes += elems * static_cast<int64_t>(r.region->elem_size());
   }
   return bytes;
 }
@@ -392,6 +358,56 @@ TensorPartition partition_coordinate_tree(comp::PlanTrace& trace,
                          storage.name().c_str(), storage.name().c_str(),
                          order, storage.name().c_str()));
   return tp;
+}
+
+std::vector<Rect1> color_blocks(const std::vector<int>& shape, int axis,
+                                const std::vector<Rect1>& axis_blocks) {
+  int colors = 1;
+  int stride = 1;  // colors between consecutive blocks of `axis`
+  for (size_t a = 0; a < shape.size(); ++a) {
+    colors *= shape[a];
+    if (static_cast<int>(a) > axis) stride *= shape[a];
+  }
+  const int n = shape[static_cast<size_t>(axis)];
+  std::vector<Rect1> out;
+  out.reserve(static_cast<size_t>(colors));
+  for (int c = 0; c < colors; ++c) {
+    out.push_back(axis_blocks[static_cast<size_t>(c / stride % n)]);
+  }
+  return out;
+}
+
+std::vector<RectN> dense_tiles(const TensorStorage& storage, int colors,
+                               const std::vector<LevelCut>& cuts) {
+  std::vector<RectN> tiles(static_cast<size_t>(colors),
+                           storage.vals()->space().bounds());
+  for (int c = 0; c < colors; ++c) {
+    RectN& t = tiles[static_cast<size_t>(c)];
+    for (const LevelCut& cut : cuts) {
+      const Rect1 b = cut.bounds[static_cast<size_t>(c)];
+      t.lo[cut.level] = std::max(t.lo[cut.level], b.lo);
+      t.hi[cut.level] = std::min(t.hi[cut.level], b.hi);
+    }
+  }
+  return tiles;
+}
+
+const TensorPartition& TreeBuilder::build(const TensorStorage& storage,
+                                          const TreeSpec& spec) {
+  for (const Built& b : built_) {
+    if (b.storage == &storage && b.spec == spec) return b.tree;
+  }
+  const LevelStorage& ls = storage.level(spec.level);
+  const LevelFuncs& funcs = LevelFuncs::get(ls.kind);
+  const LevelPartitions init =
+      spec.nonzero ? funcs.nonzero_partition(trace_, storage.name(),
+                                             spec.level, ls, spec.bounds)
+                   : funcs.universe_partition(trace_, storage.name(),
+                                              spec.level, ls, spec.bounds);
+  built_.push_back(Built{
+      &storage, spec,
+      partition_coordinate_tree(trace_, storage, spec.level, init)});
+  return built_.back().tree;
 }
 
 }  // namespace spdistal::fmt

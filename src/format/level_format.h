@@ -25,8 +25,17 @@
 //
 // Every function appends the operations it generates to a PlanTrace — the
 // Figure 9b-style "generated code" that compiler tests inspect.
+//
+// Lowering and TDN placement cut tensors through the same helpers, below:
+// TreeBuilder (level function + partition_coordinate_tree, built once per
+// storage and spec within an instantiate), dense_tiles over color_blocks'
+// row-major grid, and TensorPartition::regions, the one mapping from a
+// tree to the regions of a tensor's storage.
 #pragma once
 
+#include <deque>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +82,16 @@ class LevelFuncs {
       const LevelStorage& level, const rt::Partition& child) const = 0;
 };
 
+// One region of a tensor's storage and its share of a TensorPartition.
+struct RegionPart {
+  enum class Role { Vals, Crd, Pos };
+  Role role = Role::Vals;
+  int level = -1;  // the storage level of a crd or pos region
+  std::shared_ptr<rt::RegionBase> region;
+  // Empty when every color takes the whole region.
+  std::optional<rt::Partition> part;
+};
+
 // A full coordinate-tree partition of one tensor: a partition of every
 // level's position space plus the aligned vals partition (Figures 8 & 9c/d).
 struct TensorPartition {
@@ -81,10 +100,14 @@ struct TensorPartition {
   std::vector<rt::Partition> level_parts;
   rt::Partition vals_part;
 
-  int num_colors() const {
-    return vals_part.num_colors();
-  }
-  // Bytes of tensor data assigned to `color` across pos/crd/vals regions.
+  // The region mapping, the one walk that launch requirements, placements
+  // and byte counts share. In storage order: vals takes vals_part, then
+  // each level's crd takes level_parts[l] and its pos, indexed by the
+  // parent level's positions, a copy of level_parts[l - 1]. The root's pos,
+  // indexed by the single root position, is whole. Singleton levels store
+  // crd only and Dense levels neither.
+  std::vector<RegionPart> regions(const TensorStorage& storage) const;
+  // Bytes of tensor data the region mapping assigns to `color`.
   int64_t color_bytes(const TensorStorage& storage, int color) const;
 };
 
@@ -96,5 +119,55 @@ TensorPartition partition_coordinate_tree(comp::PlanTrace& trace,
                                           const TensorStorage& storage,
                                           int initial_level,
                                           const LevelPartitions& initial);
+
+// The per-color blocks of one axis of a row-major color grid of `shape`:
+// color c takes axis_blocks[c's coordinate along `axis`].
+std::vector<rt::Rect1> color_blocks(const std::vector<int>& shape, int axis,
+                                    const std::vector<rt::Rect1>& axis_blocks);
+
+// One level of a dense tensor cut by per-color bounds.
+struct LevelCut {
+  int level = 0;
+  std::vector<rt::Rect1> bounds;  // one per color
+};
+
+// The dense tiler: per color, the box of the storage's vals space with every
+// cut level clamped to that color's bound. A level no cut names stays whole,
+// so a tile is replicated across the grid axes that do not cut the tensor.
+std::vector<rt::RectN> dense_tiles(const TensorStorage& storage, int colors,
+                                   const std::vector<LevelCut>& cuts);
+
+// What a coordinate-tree partition is built from: the initial level, whether
+// its bounds are coordinates (universe) or positions (non-zero), and one
+// bound per color.
+struct TreeSpec {
+  int level = 0;
+  bool nonzero = false;
+  std::vector<rt::Rect1> bounds;
+  bool operator==(const TreeSpec&) const = default;
+};
+
+// The coordinate-tree builder. build() calls spec.level's universe or
+// non-zero level function and then partition_coordinate_tree, and keeps
+// the tree, so a second request for the same storage and spec returns the
+// tree already built with no new plan ops. One builder serves one
+// instantiate: the launch's partitions first, then the TDN placements, so a
+// placement that matches the launch installs the launch's tree.
+class TreeBuilder {
+ public:
+  explicit TreeBuilder(comp::PlanTrace& trace) : trace_(trace) {}
+  comp::PlanTrace& trace() { return trace_; }
+  const TensorPartition& build(const TensorStorage& storage,
+                               const TreeSpec& spec);
+
+ private:
+  struct Built {
+    const TensorStorage* storage;
+    TreeSpec spec;
+    TensorPartition tree;
+  };
+  comp::PlanTrace& trace_;
+  std::deque<Built> built_;  // stable addresses for build()'s references
+};
 
 }  // namespace spdistal::fmt

@@ -68,23 +68,31 @@ Partition partition_by_bounds(const IndexSpace& space,
   return Partition(space, std::move(subsets));
 }
 
-Partition partition_equal(const IndexSpace& space, int pieces, int dim) {
-  SPD_ASSERT(pieces >= 1, "partition_equal: pieces < 1");
-  SPD_ASSERT(dim >= 0 && dim < space.dim(), "partition_equal: bad dim");
-  const Rect1 d = space.bounds().dim_rect(dim);
-  const Coord n = d.size();
+std::vector<Rect1> equal_bounds(Coord n, int pieces) {
+  SPD_ASSERT(pieces >= 1, "equal_bounds: pieces < 1");
+  std::vector<Rect1> out;
+  out.reserve(static_cast<size_t>(pieces));
   const Coord base = n / pieces;
   const Coord rem = n % pieces;
-  std::vector<RectN> bounds;
-  bounds.reserve(static_cast<size_t>(pieces));
-  Coord at = d.lo;
+  Coord at = 0;
   for (int c = 0; c < pieces; ++c) {
-    // Trailing `rem` pieces take one extra coordinate.
     const Coord len = base + (c >= pieces - rem ? 1 : 0);
-    RectN r = space.bounds();
-    r.lo[dim] = at;
-    r.hi[dim] = at + len - 1;
+    out.push_back(Rect1{at, at + len - 1});
     at += len;
+  }
+  return out;
+}
+
+Partition partition_equal(const IndexSpace& space, int pieces, int dim) {
+  SPD_ASSERT(dim >= 0 && dim < space.dim(), "partition_equal: bad dim");
+  const Rect1 d = space.bounds().dim_rect(dim);
+  const std::vector<Rect1> blocks = equal_bounds(d.size(), pieces);
+  std::vector<RectN> bounds;
+  bounds.reserve(blocks.size());
+  for (const Rect1& b : blocks) {
+    RectN r = space.bounds();
+    r.lo[dim] = d.lo + b.lo;
+    r.hi[dim] = d.lo + b.hi;
     bounds.push_back(r);
   }
   return partition_by_bounds(space, bounds);
@@ -407,38 +415,6 @@ Partition lift_to_dim(const Partition& part1d, const IndexSpace& nd_space,
     subsets.push_back(std::move(out));
   }
   return Partition(nd_space, std::move(subsets));
-}
-
-Partition partition_grid2(const IndexSpace& space, int pieces_x, int pieces_y) {
-  SPD_ASSERT(space.dim() == 2, "partition_grid2 requires a 2-D space");
-  const Partition px = partition_equal(space, pieces_x, 0);
-  std::vector<RectN> tiles;
-  tiles.reserve(static_cast<size_t>(pieces_x * pieces_y));
-  // An empty row block (pieces_x > row extent) must still contribute
-  // dim-2 rects: a default RectN is 1-D and would trip the dimension
-  // check in partition_by_bounds.
-  RectN empty_row;
-  empty_row.dim = 2;
-  for (int x = 0; x < pieces_x; ++x) {
-    const RectN row = px.subset(x).rects().empty()
-                          ? empty_row
-                          : px.subset(x).rects()[0];
-    // Split the row block along dimension 1.
-    const Rect1 cols = space.bounds().dim_rect(1);
-    const Coord n = cols.size();
-    const Coord base = n / pieces_y;
-    const Coord rem = n % pieces_y;
-    Coord at = cols.lo;
-    for (int y = 0; y < pieces_y; ++y) {
-      const Coord len = base + (y >= pieces_y - rem ? 1 : 0);
-      RectN t = row;
-      t.lo[1] = at;
-      t.hi[1] = at + len - 1;
-      at += len;
-      tiles.push_back(t);
-    }
-  }
-  return partition_by_bounds(space, tiles);
 }
 
 }  // namespace spdistal::rt

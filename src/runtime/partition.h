@@ -5,7 +5,9 @@
 // blocks / value ranges) or *dependently* from existing partitions through
 // image and preimage over index-space-valued regions — here, the PosRange
 // entries of Compressed-level pos arrays (Figure 6) — and through the
-// point-valued image over crd arrays.
+// point-valued image over crd arrays. Equal blocks have one rule,
+// equal_bounds; grid tiles of dense tensors (Figure 4c) are
+// partition_by_bounds over fmt::dense_tiles (format/level_format.h).
 #pragma once
 
 #include <cstdint>
@@ -80,8 +82,14 @@ class Partition {
 Partition partition_by_bounds(const IndexSpace& space,
                               const std::vector<RectN>& bounds);
 
-// Equal block partition of dimension `dim` into `pieces` colors; remainder
-// coordinates go to the trailing pieces one extra each (balanced blocking).
+// The one blocking rule: [0, n) in `pieces` equal blocks, the trailing
+// n % pieces blocks one coordinate longer (balanced blocking). A block past
+// the end is empty. partition_equal, every distributed loop of a schedule
+// and every TDN split block by it.
+std::vector<Rect1> equal_bounds(Coord n, int pieces);
+
+// Equal block partition of dimension `dim` into `pieces` colors, blocked by
+// equal_bounds.
 Partition partition_equal(const IndexSpace& space, int pieces, int dim = 0);
 
 // Partition of the crd region's index space that colors position p with
@@ -140,8 +148,5 @@ Partition copy_partition(const Partition& part, const IndexSpace& new_parent);
 // become disjoint slabs, O(rects), with no N-D normalize.
 Partition lift_to_dim(const Partition& part1d, const IndexSpace& nd_space,
                       int dim);
-
-// 2-D grid partition: pieces_x × pieces_y tiles (Figure 4c).
-Partition partition_grid2(const IndexSpace& space, int pieces_x, int pieces_y);
 
 }  // namespace spdistal::rt

@@ -1,20 +1,15 @@
 #include "tdn/tdn.h"
 
-#include <algorithm>
 #include <map>
 
 #include "common/str_util.h"
 
 namespace spdistal::tdn {
 
-using fmt::LevelFuncs;
-using fmt::LevelPartitions;
-using fmt::ModeFormat;
 using fmt::TensorPartition;
 using fmt::TensorStorage;
 using rt::Coord;
 using rt::Mem;
-using rt::Rect1;
 
 Distribution::Distribution(std::vector<DistVar> tensor_vars,
                            std::vector<DistVar> machine_vars)
@@ -126,20 +121,6 @@ Distribution parse_tdn(const std::string& stmt) {
   return d;
 }
 
-std::vector<Rect1> equal_bounds(Coord n, int pieces) {
-  std::vector<Rect1> out;
-  out.reserve(static_cast<size_t>(pieces));
-  const Coord base = n / pieces;
-  const Coord rem = n % pieces;
-  Coord at = 0;
-  for (int c = 0; c < pieces; ++c) {
-    const Coord len = base + (c >= pieces - rem ? 1 : 0);
-    out.push_back(Rect1{at, at + len - 1});
-    at += len;
-  }
-  return out;
-}
-
 namespace {
 
 // Mapping color -> the memory of the machine's processor with that flat id.
@@ -152,17 +133,18 @@ std::vector<Mem> color_mems(const rt::Machine& machine, int colors) {
   return mems;
 }
 
-// Coordinate of flat grid index `flat` along grid dimension `d` (row-major).
-int grid_coord(const rt::Grid& g, int flat, int d) {
-  for (int k = g.ndims() - 1; k > d; --k) flat /= g.dim(k);
-  return flat % g.dim(d);
-}
+// What a statement asks of one tensor's storage, before anything is built:
+// replication, the coordinate-tree spec of a sparse tensor, or the tiles of
+// a dense one (a vals-only partition). `colors` counts the grid's points.
+struct Resolved {
+  bool replicated = false;
+  int colors = 0;
+  std::optional<fmt::TreeSpec> tree;
+  TensorPartition tiles;
+};
 
-}  // namespace
-
-Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
-                         const Distribution& dist,
-                         const rt::Machine& machine) {
+Resolved resolve(const TensorStorage& storage, const Distribution& dist,
+                 const rt::Machine& machine) {
   SPD_CHECK(static_cast<int>(dist.tensor_vars().size()) == storage.order(),
             NotationError,
             "TDN statement names " << dist.tensor_vars().size()
@@ -230,19 +212,24 @@ Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
       }
     }
   }
-  const int colors = grid.total();
+  Resolved r;
+  r.colors = grid.total();
+  // Each matched axis splits its dimension (or non-zeros) in equal blocks;
+  // a color takes the block of its grid coordinate on that axis, so each
+  // block is replicated onto every processor sharing that coordinate.
+  auto blocks = [&](int axis, Coord n) {
+    return fmt::color_blocks(grid.dims(), axis,
+                             rt::equal_bounds(n, grid.dim(axis)));
+  };
 
   if (storage.format().all_dense()) {
-    Materialized m;
     if (num_matches == 0) {
-      m.replicated = true;
-      return m;
+      r.replicated = true;
+      return r;
     }
-    // One color per grid point; each tile restricts the matched dimensions
-    // to their axis blocks and is replicated across unmatched axes.
-    std::vector<rt::RectN> tiles;
-    tiles.reserve(static_cast<size_t>(colors));
-    std::vector<std::vector<rt::Rect1>> axis_blocks(matches.size());
+    // One tile per grid point: the matched dimensions cut to their axis
+    // blocks, whole across unmatched axes.
+    std::vector<fmt::LevelCut> cuts;
     for (size_t k = 0; k < matches.size(); ++k) {
       if (matches[k] == nullptr) continue;
       SPD_CHECK(matches[k]->dims.size() == 1, NotationError,
@@ -250,37 +237,23 @@ Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
       SPD_CHECK(!dist.is_nonzero(matches[k]->var), NotationError,
                 "non-zero partitions of dense tensors are meaningless: "
                     << dist.str(storage.name()));
-      axis_blocks[k] = equal_bounds(
-          storage.dims()[static_cast<size_t>(matches[k]->dims[0])],
-          grid.dim(static_cast<int>(k)));
+      const int d = matches[k]->dims[0];
+      cuts.push_back(fmt::LevelCut{
+          storage.format().level_of_dim(d),
+          blocks(static_cast<int>(k),
+                 storage.dims()[static_cast<size_t>(d)])});
     }
-    for (int c = 0; c < colors; ++c) {
-      rt::RectN t = storage.vals()->space().bounds();
-      for (size_t k = 0; k < matches.size(); ++k) {
-        if (matches[k] == nullptr) continue;
-        const int level =
-            storage.format().level_of_dim(matches[k]->dims[0]);
-        const Rect1 b =
-            axis_blocks[k][static_cast<size_t>(
-                grid_coord(grid, c, static_cast<int>(k)))];
-        t.lo[level] = std::max(t.lo[level], b.lo);
-        t.hi[level] = std::min(t.hi[level], b.hi);
-      }
-      tiles.push_back(t);
-    }
-    m.partition.vals_part =
-        rt::partition_by_bounds(storage.vals()->space(), tiles);
-    m.mems = color_mems(machine, colors);
-    return m;
+    r.tiles.vals_part = rt::partition_by_bounds(
+        storage.vals()->space(), fmt::dense_tiles(storage, r.colors, cuts));
+    return r;
   }
 
   SPD_CHECK(num_matches <= 1, NotationError,
             "multi-dimensional sparse distributions are not supported: "
                 << dist.str(storage.name()));
-  Materialized m;
   if (num_matches == 0) {
-    m.replicated = true;
-    return m;
+    r.replicated = true;
+    return r;
   }
   int match_machine_dim = 0;
   while (matches[static_cast<size_t>(match_machine_dim)] == nullptr) {
@@ -288,7 +261,6 @@ Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
   }
   const Slot* match_slot = matches[static_cast<size_t>(match_machine_dim)];
 
-  const int axis_pieces = grid.dim(match_machine_dim);
   const bool nz = dist.is_nonzero(match_slot->var);
   int level;
   if (match_slot->dims.size() > 1) {
@@ -308,37 +280,44 @@ Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
   } else {
     level = storage.format().level_of_dim(match_slot->dims[0]);
   }
-
   const fmt::LevelStorage& ls = storage.level(level);
-  const LevelFuncs& funcs = LevelFuncs::get(ls.kind);
-  // Split along the matched grid axis; each block is replicated onto every
-  // processor sharing that axis coordinate (one color per grid point).
-  const std::vector<Rect1> axis = equal_bounds(
-      nz ? ls.positions : ls.extent, axis_pieces);
-  std::vector<Rect1> bounds;
-  bounds.reserve(static_cast<size_t>(colors));
-  for (int c = 0; c < colors; ++c) {
-    bounds.push_back(
-        axis[static_cast<size_t>(grid_coord(grid, c, match_machine_dim))]);
-  }
-  LevelPartitions init;
-  if (nz) {
-    init = funcs.nonzero_partition(trace, storage.name(), level, ls, bounds);
-  } else {
-    init = funcs.universe_partition(trace, storage.name(), level, ls, bounds);
-  }
-  m.partition = fmt::partition_coordinate_tree(trace, storage, level, init);
-  m.mems = color_mems(machine, colors);
+  r.tree = fmt::TreeSpec{
+      level, nz, blocks(match_machine_dim, nz ? ls.positions : ls.extent)};
+  return r;
+}
+
+}  // namespace
+
+Materialized materialize(comp::PlanTrace& trace, const TensorStorage& storage,
+                         const Distribution& dist,
+                         const rt::Machine& machine) {
+  const Resolved r = resolve(storage, dist, machine);
+  Materialized m;
+  m.replicated = r.replicated;
+  if (r.replicated) return m;
+  fmt::TreeBuilder builder(trace);
+  m.partition = r.tree ? builder.build(storage, *r.tree) : r.tiles;
+  m.mems = color_mems(machine, r.colors);
   return m;
 }
 
 void distribute_tensor(comp::PlanTrace& trace, rt::Runtime& runtime,
                        const TensorStorage& storage, const Distribution& dist,
                        const rt::Machine& machine) {
-  Materialized m = materialize(trace, storage, dist, machine);
-  trace.append(comp::PlanOpKind::SetPlacement,
-               strprintf("placement: %s", dist.str(storage.name()).c_str()));
-  if (m.replicated) {
+  fmt::TreeBuilder builder(trace);
+  distribute_tensor(builder, runtime, storage, dist, machine);
+}
+
+void distribute_tensor(fmt::TreeBuilder& builder, rt::Runtime& runtime,
+                       const TensorStorage& storage, const Distribution& dist,
+                       const rt::Machine& machine) {
+  const Resolved r = resolve(storage, dist, machine);
+  const TensorPartition& tp =
+      r.tree ? builder.build(storage, *r.tree) : r.tiles;
+  builder.trace().append(
+      comp::PlanOpKind::SetPlacement,
+      strprintf("placement: %s", dist.str(storage.name()).c_str()));
+  if (r.replicated) {
     runtime.replicate_sys(*storage.vals());
     for (int l = 0; l < storage.num_levels(); ++l) {
       const auto& level = storage.level(l);
@@ -347,22 +326,12 @@ void distribute_tensor(comp::PlanTrace& trace, rt::Runtime& runtime,
     }
     return;
   }
-  runtime.set_placement(*storage.vals(), m.partition.vals_part, m.mems);
-  for (int l = 0; l < storage.num_levels(); ++l) {
-    const auto& level = storage.level(l);
-    if (!level.kind.has_crd()) continue;
-    runtime.set_placement(*level.crd,
-                          m.partition.level_parts[static_cast<size_t>(l)],
-                          m.mems);
-    if (!level.kind.has_pos()) continue;  // Singleton: crd only
-    if (l == 0) {
-      // pos of the top level is indexed by the single root position.
-      runtime.replicate_sys(*level.pos);
+  const std::vector<Mem> mems = color_mems(machine, r.colors);
+  for (const fmt::RegionPart& rp : tp.regions(storage)) {
+    if (rp.part) {
+      runtime.set_placement(*rp.region, *rp.part, mems);
     } else {
-      rt::Partition pos_part = rt::copy_partition(
-          m.partition.level_parts[static_cast<size_t>(l - 1)],
-          level.pos->space());
-      runtime.set_placement(*level.pos, pos_part, m.mems);
+      runtime.replicate_sys(*rp.region);
     }
   }
 }

@@ -10,9 +10,16 @@
 // tensor sharing *no* names at all is replicated onto every processor
 // (Figure 1's ReplDense).
 //
-// materialize() turns a statement into a coordinate-tree partition plus a
-// color -> memory mapping; distribute_tensor() installs it as the region
-// placements of the tensor's storage.
+// A statement takes effect in two steps. It first resolves to what it asks
+// of a tensor: replication, dense tiles (fmt::dense_tiles), or a
+// coordinate-tree spec (fmt::TreeSpec: level, universe or non-zero,
+// per-color bounds). A spec is then built by fmt::TreeBuilder, the builder
+// lowering uses for the launch's partitions. materialize() returns the
+// result with a color -> memory mapping; distribute_tensor() installs it as
+// the region placements of the tensor's storage. Within one instantiate,
+// placement shares the launch's builder, so a statement that resolves to a
+// tree the launch already built installs that tree instead of building it
+// again.
 #pragma once
 
 #include <optional>
@@ -73,7 +80,8 @@ class Distribution {
 Distribution parse_tdn(const std::string& stmt);
 
 // A materialized distribution: the tensor partition and where each color
-// lives. `replicated` means every processor holds the whole tensor.
+// lives. `replicated` means every processor holds the whole tensor. A dense
+// tensor's partition has only vals_part.
 struct Materialized {
   fmt::TensorPartition partition;
   std::vector<rt::Mem> mems;
@@ -84,16 +92,16 @@ Materialized materialize(comp::PlanTrace& trace,
                          const fmt::TensorStorage& storage,
                          const Distribution& dist, const rt::Machine& machine);
 
-// Installs the materialized placement for every region of `storage` into the
-// runtime (the one-time data distribution the paper performs before timing).
+// Installs the placement for every region of `storage` into the runtime
+// (the one-time data distribution the paper performs before timing): each
+// region gets its share of the tree through TensorPartition::regions. A
+// tree comes from `builder`, which returns the tree it already built when
+// the spec matches; the first overload builds with a builder of its own.
 void distribute_tensor(comp::PlanTrace& trace, rt::Runtime& runtime,
                        const fmt::TensorStorage& storage,
                        const Distribution& dist, const rt::Machine& machine);
-
-// Helper used by both TDN materialization and the compiler: the equal
-// per-color coordinate (or position) bounds for splitting [0, n) into
-// `pieces`, trailing pieces absorbing the remainder (matches
-// rt::partition_equal).
-std::vector<rt::Rect1> equal_bounds(rt::Coord n, int pieces);
+void distribute_tensor(fmt::TreeBuilder& builder, rt::Runtime& runtime,
+                       const fmt::TensorStorage& storage,
+                       const Distribution& dist, const rt::Machine& machine);
 
 }  // namespace spdistal::tdn

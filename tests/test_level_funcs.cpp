@@ -12,6 +12,7 @@ using comp::PlanOpKind;
 using comp::PlanTrace;
 using rt::Coord;
 using rt::Rect1;
+using rt::RectN;
 
 Coo paper_coo() {
   Coo coo;
@@ -281,7 +282,8 @@ TEST(SingletonLevelFuncs, Coo3NonZeroChain) {
   EXPECT_TRUE(tp.vals_part.disjoint());
 }
 
-// color_bytes counts Singleton levels as crd-only (no pos bytes).
+// The shared region mapping gives a Singleton level its crd only (no pos),
+// so color_bytes, which sums the mapping, counts no pos bytes for it.
 TEST(SingletonLevelFuncs, ColorBytesCountsCrdOnly) {
   TensorStorage B = pack("B", fmt::coo(2), {4, 4}, paper_coo());
   PlanTrace trace;
@@ -289,12 +291,59 @@ TEST(SingletonLevelFuncs, ColorBytesCountsCrdOnly) {
   LevelPartitions init = LevelFuncs::get(l2.kind).nonzero_partition(
       trace, "B", 1, l2, {Rect1{0, 3}, Rect1{4, 7}});
   TensorPartition tp = partition_coordinate_tree(trace, B, 1, init);
+  // vals, the root's crd and whole pos, then the Singleton's crd alone.
+  using Role = RegionPart::Role;
+  const std::vector<RegionPart> regions = tp.regions(B);
+  ASSERT_EQ(regions.size(), 4u);
+  EXPECT_EQ(regions[0].role, Role::Vals);
+  EXPECT_EQ(regions[1].role, Role::Crd);
+  EXPECT_EQ(regions[2].role, Role::Pos);
+  EXPECT_FALSE(regions[2].part.has_value());
+  EXPECT_EQ(regions[3].role, Role::Crd);
+  EXPECT_EQ(regions[3].level, 1);
   // Per color: 4 vals (8B), 4 root crd (4B), 4 singleton crd (4B), and the
   // root pos region (1 PosRange entry, parent_positions == 1).
   const int64_t expect = 4 * 8 + 4 * 4 + 4 * 4 +
                          static_cast<int64_t>(sizeof(rt::PosRange));
   EXPECT_EQ(tp.color_bytes(B, 0), expect);
   EXPECT_EQ(tp.color_bytes(B, 1), expect);
+}
+
+// Grid(px, py) tiles of a rows x cols dense matrix from the shared tiler:
+// level 0 cut by the row blocks of grid axis 0, level 1 by the column blocks
+// of axis 1, colors row-major (Figure 4c).
+rt::Partition grid_tiles(Coord rows, Coord cols, int px, int py) {
+  Coo coo;
+  coo.dims = {rows, cols};
+  TensorStorage A = pack("A", dense_matrix(), {rows, cols}, std::move(coo));
+  const std::vector<int> shape = {px, py};
+  const std::vector<RectN> tiles = dense_tiles(
+      A, px * py,
+      {LevelCut{0, color_blocks(shape, 0, rt::equal_bounds(rows, px))},
+       LevelCut{1, color_blocks(shape, 1, rt::equal_bounds(cols, py))}});
+  return rt::partition_by_bounds(A.vals()->space(), tiles);
+}
+
+TEST(Grid2, TilesMatrix) {
+  rt::Partition p = grid_tiles(10, 20, 2, 2);
+  ASSERT_EQ(p.num_colors(), 4);
+  for (int c = 0; c < 4; ++c) EXPECT_EQ(p.subset(c).volume(), 50);
+  EXPECT_TRUE(p.disjoint());
+  EXPECT_TRUE(p.complete());
+  // Row-major colors: color 1 is row block 0, column block 1.
+  EXPECT_EQ(p.subset(1).bounds(), RectN::make2(0, 4, 10, 19));
+}
+
+// More row pieces than rows: the empty row blocks give empty tiles, and the
+// tiles still cover the matrix once.
+TEST(Grid2, MorePiecesThanRows) {
+  rt::Partition p = grid_tiles(2, 10, 4, 2);  // 2 rows, 10 cols
+  ASSERT_EQ(p.num_colors(), 8);
+  int64_t total = 0;
+  for (int c = 0; c < 8; ++c) total += p.subset(c).volume();
+  EXPECT_EQ(total, 20);
+  EXPECT_TRUE(p.disjoint());
+  EXPECT_TRUE(p.complete());
 }
 
 // Property: on random CSR tensors, every coordinate-tree partition (row and

@@ -180,28 +180,6 @@ TEST(LiftToDim, RowPartitionOfMatrix) {
   EXPECT_TRUE(p.complete());
 }
 
-TEST(Grid2, TilesMatrix) {
-  IndexSpace matrix(RectN::make2(0, 9, 0, 19));
-  Partition p = partition_grid2(matrix, 2, 2);
-  ASSERT_EQ(p.num_colors(), 4);
-  for (int c = 0; c < 4; ++c) EXPECT_EQ(p.subset(c).volume(), 50);
-  EXPECT_TRUE(p.disjoint());
-  EXPECT_TRUE(p.complete());
-}
-
-// Regression: pieces_x > row extent used to produce a default (1-D) empty
-// rect that tripped the dimension assert in partition_by_bounds.
-TEST(Grid2, MorePiecesThanRows) {
-  IndexSpace matrix(RectN::make2(0, 1, 0, 9));  // 2 rows, 10 cols
-  Partition p = partition_grid2(matrix, 4, 2);
-  ASSERT_EQ(p.num_colors(), 8);
-  int64_t total = 0;
-  for (int c = 0; c < 8; ++c) total += p.subset(c).volume();
-  EXPECT_EQ(total, 20);
-  EXPECT_TRUE(p.disjoint());
-  EXPECT_TRUE(p.complete());
-}
-
 // Regression: overlapping N-D rects double-counted volume, so a partition
 // with a hole could report complete (vol >= parent volume despite row 3
 // being uncovered).
