@@ -1,8 +1,9 @@
-// google-benchmark microbenchmarks for the leaf kernels: specialized kernels
-// vs the general co-iteration engine for SpMV and SpMTTKRP (the
-// specialization gap compilation buys at the leaves) and a CSR-vs-COO
-// comparison on the steady-state launch path (same schedule, different mode
-// formats).
+// google-benchmark microbenchmarks for the leaf kernels: each specialized
+// leaf against the general co-iteration engine on the same statement (SpMV,
+// SpMM, SDDMM, SpTTV, SpMTTKRP and SpAdd3: the specialization gap
+// compilation buys at the leaves, and the measurement a leaf must pass to be
+// kept) and a CSR-vs-COO comparison on the steady-state launch path (same
+// schedule, different mode formats).
 //
 // Besides the stdout table, every finished run is recorded into
 // BENCH_kernels.json (bench_util's shared writer).
@@ -135,6 +136,117 @@ void BM_SpmttkrpCoiter(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmttkrpCoiter)->Arg(100000);
 
+// Times one whole-tensor evaluation per iteration (the output zeroed
+// first); items are B's stored non-zeros. An engine row runs the loop order
+// the compiler hands the engine on a row piece: the statement's.
+template <typename Run>
+void time_whole(benchmark::State& state, Tensor& out, const Tensor& B,
+                Run&& run) {
+  for (auto _ : state) {
+    out.zero();
+    benchmark::DoNotOptimize(run().flops);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * B.storage().nnz());
+}
+
+// SpMM over kSpmmJ dense columns.
+struct SpmmFixture {
+  IndexVar i{"i"}, j{"j"}, k{"k"};
+  Tensor A, B, C;
+  Statement* stmt;
+  explicit SpmmFixture(int64_t nnz) {
+    fmt::Coo coo = data::powerlaw_matrix(nnz / 12, nnz / 12, nnz, 1.1, 7);
+    const rt::Coord J = spdbench::kSpmmJ;
+    A = Tensor("A", {coo.dims[0], J}, fmt::dense_matrix());
+    B = Tensor("B", coo.dims, fmt::csr());
+    C = Tensor("C", {coo.dims[1], J}, fmt::dense_matrix());
+    B.from_coo(std::move(coo));
+    C.init_dense([](const auto& x) { return 1.0 + 0.5 * (x[1] % 3); });
+    stmt = &(A(i, j) = B(i, k) * C(k, j));
+  }
+};
+
+void BM_SpmmRow(benchmark::State& state) {
+  SpmmFixture f(state.range(0));
+  kern::Leaf leaf = kern::make_spmm(f.A, f.B, f.C);
+  time_whole(state, f.A, f.B, [&] { return leaf(kern::PieceBounds{}); });
+}
+BENCHMARK(BM_SpmmRow)->Arg(20000);
+
+void BM_SpmmCoiter(benchmark::State& state) {
+  SpmmFixture f(state.range(0));
+  kern::CoiterEngine engine(*f.stmt);
+  time_whole(state, f.A, f.B, [&] { return engine.run(); });
+}
+BENCHMARK(BM_SpmmCoiter)->Arg(20000);
+
+// SDDMM over kSddmmK inner columns into B's assembled pattern.
+struct SddmmFixture {
+  IndexVar i{"i"}, j{"j"}, k{"k"};
+  Tensor A, B, C, D;
+  Statement* stmt;
+  explicit SddmmFixture(int64_t nnz) {
+    fmt::Coo coo = data::powerlaw_matrix(nnz / 12, nnz / 12, nnz, 1.1, 7);
+    const rt::Coord K = spdbench::kSddmmK;
+    A = Tensor("A", coo.dims, fmt::csr());
+    B = Tensor("B", coo.dims, fmt::csr());
+    C = Tensor("C", {coo.dims[0], K}, fmt::dense_matrix());
+    D = Tensor("D", {K, coo.dims[1]}, fmt::dense_matrix());
+    B.from_coo(std::move(coo));
+    C.init_dense([](const auto& x) { return 1.0 + 0.5 * (x[1] % 3); });
+    D.init_dense([](const auto& x) { return 0.5 + 0.25 * (x[0] % 2); });
+    stmt = &(A(i, j) = B(i, j) * C(i, k) * D(k, j));
+    kern::assemble_output(*stmt);
+  }
+};
+
+void BM_SddmmRow(benchmark::State& state) {
+  SddmmFixture f(state.range(0));
+  kern::Leaf leaf = kern::make_sddmm(f.A, f.B, f.C, f.D);
+  time_whole(state, f.A, f.B, [&] { return leaf(kern::PieceBounds{}); });
+}
+BENCHMARK(BM_SddmmRow)->Arg(20000);
+
+void BM_SddmmCoiter(benchmark::State& state) {
+  SddmmFixture f(state.range(0));
+  kern::CoiterEngine engine(*f.stmt);
+  time_whole(state, f.A, f.B, [&] { return engine.run(); });
+}
+BENCHMARK(BM_SddmmCoiter)->Arg(20000);
+
+// SpTTV on a power-law CSF tensor into the assembled fiber pattern.
+struct SpttvFixture {
+  IndexVar i{"i"}, j{"j"}, k{"k"};
+  Tensor A, B, c;
+  Statement* stmt;
+  explicit SpttvFixture(int64_t nnz) {
+    fmt::Coo coo =
+        data::powerlaw_3tensor(nnz / 77, nnz / 77, 160, nnz, 1.1, 7);
+    A = Tensor("A", {coo.dims[0], coo.dims[1]}, fmt::csr());
+    B = Tensor("B", coo.dims, fmt::csf3());
+    c = Tensor("c", {coo.dims[2]}, fmt::dense_vector());
+    B.from_coo(std::move(coo));
+    c.init_dense([](const auto& x) { return 1.0 + 0.5 * (x[0] % 3); });
+    stmt = &(A(i, j) = B(i, j, k) * c(k));
+    kern::assemble_output(*stmt);
+  }
+};
+
+void BM_SpttvRow(benchmark::State& state) {
+  SpttvFixture f(state.range(0));
+  kern::Leaf leaf = kern::make_spttv(f.A, f.B, f.c);
+  time_whole(state, f.A, f.B, [&] { return leaf(kern::PieceBounds{}); });
+}
+BENCHMARK(BM_SpttvRow)->Arg(100000);
+
+void BM_SpttvCoiter(benchmark::State& state) {
+  SpttvFixture f(state.range(0));
+  kern::CoiterEngine engine(*f.stmt);
+  time_whole(state, f.A, f.B, [&] { return engine.run(); });
+}
+BENCHMARK(BM_SpttvCoiter)->Arg(100000);
+
 // CSR vs COO through the whole steady-state launch path: identical
 // non-zero schedule, warm LaunchPlan (the loop asserts no further plan
 // misses), only the mode format differs.
@@ -163,26 +275,47 @@ void BM_SpmvSteadyState(benchmark::State& state, fmt::Format format) {
 BENCHMARK_CAPTURE(BM_SpmvSteadyState, csr, fmt::csr())->Arg(100000);
 BENCHMARK_CAPTURE(BM_SpmvSteadyState, coo, fmt::coo(2))->Arg(100000);
 
+// SpAdd3 into the assembled union pattern: the fused three-way merge leaf
+// against the engine's three terms.
+struct Spadd3Fixture {
+  IndexVar i{"i"}, j{"j"};
+  Tensor A, B, C, D;
+  Statement* stmt;
+  explicit Spadd3Fixture(int64_t nnz) {
+    fmt::Coo coo = data::powerlaw_matrix(8000, 8000, nnz, 1.1, 8);
+    A = Tensor("A", coo.dims, fmt::csr());
+    B = Tensor("B", coo.dims, fmt::csr());
+    C = Tensor("C", coo.dims, fmt::csr());
+    D = Tensor("D", coo.dims, fmt::csr());
+    B.from_coo(coo);
+    C.from_coo(data::shift_last_dim(coo, 1));
+    D.from_coo(data::shift_last_dim(coo, 2));
+    stmt = &(A(i, j) = B(i, j) + C(i, j) + D(i, j));
+    kern::assemble_output(*stmt);
+  }
+};
+
 void BM_Spadd3Fused(benchmark::State& state) {
-  IndexVar i("i"), j("j");
-  fmt::Coo coo = data::powerlaw_matrix(8000, 8000, state.range(0), 1.1, 8);
-  Tensor A("A", coo.dims, fmt::csr());
-  Tensor B("B", coo.dims, fmt::csr());
-  Tensor C("C", coo.dims, fmt::csr());
-  Tensor D("D", coo.dims, fmt::csr());
-  B.from_coo(coo);
-  C.from_coo(data::shift_last_dim(coo, 1));
-  D.from_coo(data::shift_last_dim(coo, 2));
-  Statement& stmt = (A(i, j) = B(i, j) + C(i, j) + D(i, j));
-  kern::assemble_output(stmt);
-  kern::Leaf leaf = kern::make_spadd3_row(A, B, C, D);
+  Spadd3Fixture f(state.range(0));
+  kern::Leaf leaf = kern::make_spadd3_row(f.A, f.B, f.C, f.D);
   for (auto _ : state) {
-    A.zero();
+    f.A.zero();
     benchmark::DoNotOptimize(leaf(kern::PieceBounds{}).bytes);
   }
-  state.SetItemsProcessed(state.iterations() * 3 * B.storage().nnz());
+  state.SetItemsProcessed(state.iterations() * 3 * f.B.storage().nnz());
 }
 BENCHMARK(BM_Spadd3Fused)->Arg(100000);
+
+void BM_Spadd3Coiter(benchmark::State& state) {
+  Spadd3Fixture f(state.range(0));
+  kern::CoiterEngine engine(*f.stmt);
+  for (auto _ : state) {
+    f.A.zero();
+    benchmark::DoNotOptimize(engine.run().bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * f.B.storage().nnz());
+}
+BENCHMARK(BM_Spadd3Coiter)->Arg(100000);
 
 void BM_Assembly(benchmark::State& state) {
   IndexVar i("i"), j("j");

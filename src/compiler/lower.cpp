@@ -499,9 +499,11 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // Axis 0 iterates equal non-zero blocks; inner universe axes (a non-zero
     // x universe grid) clamp their variable through var_coords above.
     const fmt::TensorStorage& tst = stmt.tensor(split_tensor_).storage();
+    // Blocks cover max(positions, 1): clamp an empty level's [0, 0] away.
+    const rt::Rect1 stored{0, tst.level(split_level_).positions - 1};
     for (int c = 0; c < pieces_; ++c) {
       auto& pb = inst->piece_bounds_[static_cast<size_t>(c)];
-      pb.dist_pos = block_of(c, 0);
+      pb.dist_pos = block_of(c, 0).intersect(stored);
       pb.pos_tensor = split_tensor_;
       pb.pos_level = split_level_;
     }

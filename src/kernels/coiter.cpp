@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernels/leaf_kernels.h"
 #include "kernels/work.h"
 
 namespace spdistal::kern {
@@ -12,6 +13,28 @@ using rt::Coord;
 using tin::IndexVar;
 
 namespace {
+
+// Accessors over one tensor's stored levels, resolved once per evaluation
+// (the kernel ABI's "resolve the redirect once per leaf invocation"
+// contract) so the walks below index raw pointers. Dense levels keep
+// invalid ones.
+struct LevelAccessors {
+  std::array<rt::RegionAccessor<rt::PosRange>, rt::kMaxDim> pos;
+  std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> crd;
+
+  LevelAccessors() = default;
+  explicit LevelAccessors(const TensorStorage& st) {
+    for (size_t l = 0; l < static_cast<size_t>(st.num_levels()); ++l) {
+      const LevelStorage& level = st.level(static_cast<int>(l));
+      if (level.kind.has_pos()) {
+        pos[l] = rt::RegionAccessor<rt::PosRange>(*level.pos, rt::Access::Read);
+      }
+      if (level.kind.has_crd()) {
+        crd[l] = rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
+      }
+    }
+  }
+};
 
 // Binary search for coordinate `c` in crd[seg.lo..seg.hi]; returns position
 // or -1 (crd is sorted within a segment by construction).
@@ -32,562 +55,467 @@ Coord find_in_segment(const rt::RegionAccessor<int32_t>& crd, rt::PosRange seg,
   return -1;
 }
 
-}  // namespace
-
-namespace {
-
-// Generic coordinate-tree locate over pluggable pos/crd lookups (shared by
-// the cold free function below and the engine's hoisted-accessor hot path):
-// descends Dense and Singleton levels directly, binary-searches Compressed
-// segments, and backtracks over a non-unique level's duplicate run (the
-// deeper Singleton coordinates disambiguate).
-template <typename PosAt, typename CrdAt>
-Coord locate_walk(const TensorStorage& st, int l, Coord parent,
-                  const std::array<Coord, rt::kMaxDim>& coords,
-                  const PosAt& pos_at, const CrdAt& crd_at) {
+// The one coordinate-tree locate: descends Dense and Singleton levels
+// directly, binary-searches Compressed segments, and backtracks over a
+// non-unique level's duplicate run (the deeper Singleton coordinates
+// disambiguate).
+Coord locate(const TensorStorage& st, const LevelAccessors& acc, int l,
+             Coord parent, const std::array<Coord, rt::kMaxDim>& coords) {
   if (l == st.num_levels()) return parent;
   const LevelStorage& level = st.level(l);
+  const size_t u = static_cast<size_t>(l);
   const Coord c = coords[static_cast<size_t>(level.dim)];
   if (level.kind.is_dense()) {
-    return locate_walk(st, l + 1, parent * level.extent + c, coords, pos_at,
-                       crd_at);
+    return locate(st, acc, l + 1, parent * level.extent + c, coords);
   }
   if (level.kind.is_singleton()) {
     // One coordinate per position; the position is the parent's.
-    if (crd_at(l, parent) != c) return -1;
-    return locate_walk(st, l + 1, parent, coords, pos_at, crd_at);
+    if (acc.crd[u][parent] != c) return -1;
+    return locate(st, acc, l + 1, parent, coords);
   }
-  const rt::PosRange seg = pos_at(l, parent);
-  if (seg.empty()) return -1;
-  Coord q = -1;
-  {
-    Coord lo = seg.lo;
-    Coord hi = seg.hi;
-    while (lo <= hi) {
-      const Coord mid = lo + (hi - lo) / 2;
-      const Coord v = crd_at(l, mid);
-      if (v == c) {
-        q = mid;
-        break;
-      }
-      if (v < c) {
-        lo = mid + 1;
-      } else {
-        hi = mid - 1;
-      }
-    }
-  }
+  const rt::PosRange seg = acc.pos[u][parent];
+  const Coord q = find_in_segment(acc.crd[u], seg, c);
   if (q < 0) return -1;
-  if (level.kind.unique()) {
-    return locate_walk(st, l + 1, q, coords, pos_at, crd_at);
-  }
+  if (level.kind.unique()) return locate(st, acc, l + 1, q, coords);
   Coord lo = q;
-  while (lo > seg.lo && crd_at(l, lo - 1) == c) --lo;
+  while (lo > seg.lo && acc.crd[u][lo - 1] == c) --lo;
   Coord hi = q;
-  while (hi < seg.hi && crd_at(l, hi + 1) == c) ++hi;
+  while (hi < seg.hi && acc.crd[u][hi + 1] == c) ++hi;
   for (Coord p = lo; p <= hi; ++p) {
-    const Coord r = locate_walk(st, l + 1, p, coords, pos_at, crd_at);
+    const Coord r = locate(st, acc, l + 1, p, coords);
     if (r >= 0) return r;
   }
   return -1;
 }
 
+// Splits a product term into its literal coefficient and its accesses, in
+// product order.
+void gather(const tin::Expr& e, double& coeff,
+            std::vector<tin::Expr>& accesses) {
+  switch (e->kind) {
+    case tin::ExprKind::Literal:
+      coeff *= e->value;
+      break;
+    case tin::ExprKind::Access:
+      accesses.push_back(e);
+      break;
+    case tin::ExprKind::Mul:
+      for (const auto& op : e->operands) gather(op, coeff, accesses);
+      break;
+    case tin::ExprKind::Add:
+      SPD_ASSERT(false, "Add inside product term");
+  }
+}
+
+// A loop's range for one piece; only a restricted loop filters the
+// coordinates its driver yields.
+struct Bound {
+  Coord lo = 0, hi = -1;
+  bool restricted = false;
+};
+
 }  // namespace
 
 Coord locate_position(const TensorStorage& st,
                       const std::array<Coord, rt::kMaxDim>& coords) {
-  // Accessors resolve the reduction-redirect once per level up front, so
-  // the walk's binary-search probes index raw pointers (the kernel ABI
-  // contract).
-  std::array<rt::RegionAccessor<rt::PosRange>, rt::kMaxDim> lpos;
-  std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> lcrd;
-  for (int l = 0; l < st.num_levels(); ++l) {
-    const LevelStorage& level = st.level(l);
-    if (level.kind.has_pos()) {
-      lpos[static_cast<size_t>(l)] =
-          rt::RegionAccessor<rt::PosRange>(*level.pos, rt::Access::Read);
-    }
-    if (level.kind.has_crd()) {
-      lcrd[static_cast<size_t>(l)] =
-          rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
-    }
-  }
-  const auto pos_at = [&](int l, Coord p) {
-    return lpos[static_cast<size_t>(l)][p];
-  };
-  const auto crd_at = [&](int l, Coord q) {
-    return Coord{lcrd[static_cast<size_t>(l)][q]};
-  };
-  return locate_walk(st, 0, 0, coords, pos_at, crd_at);
+  return locate(st, LevelAccessors(st), 0, 0, coords);
 }
+
+// One term's evaluation state: accessors, the coordinate of each loop, the
+// position of each (operand, level) and the piece's bound on each loop.
+struct CoiterEngine::Frame {
+  struct Operand {
+    rt::LinearAccessor<double> vals;
+    LevelAccessors levels;
+  };
+  WorkCounter work;
+  std::vector<Operand> ops;
+  const TensorStorage* out = nullptr;
+  rt::LinearAccessor<double> out_vals;
+  LevelAccessors out_levels;
+  std::vector<Coord> env;
+  std::vector<Coord> at;
+  std::vector<Bound> bound;
+};
 
 CoiterEngine::CoiterEngine(const Statement& stmt,
                            std::vector<IndexVar> var_order)
-    : stmt_(stmt), order_(std::move(var_order)) {
-  if (order_.empty()) order_ = tin::statement_vars(stmt_.assignment);
+    : order_(std::move(var_order)) {
+  const tin::Assignment& asg = stmt.assignment;
+  if (order_.empty()) order_ = tin::statement_vars(asg);
+  // Every access is validated before any term is planned.
+  output_ = operand(stmt, asg.lhs.tensor, asg.lhs.vars);
+  for (const auto& acc : tin::expr_accesses(asg.rhs)) {
+    operand(stmt, acc.tensor, acc.vars);
+  }
+  for (const auto& term : tin::sum_of_products(asg.rhs)) {
+    terms_.push_back(plan_term(stmt, term));
+    const Nest& n = terms_.back().nest;
+    SPD_CHECK(n.fail_at != order_.size(), ScheduleError, n.error);
+  }
+}
 
-  auto resolve = [&](const std::string& name,
-                     const std::vector<IndexVar>& vars) {
-    Access a;
-    const Tensor& t = stmt_.tensor(name);
-    // A sparse output may not be assembled yet at compile time; its storage
-    // is re-resolved at run time (after assembly) by run_term.
-    a.st = t.has_storage() ? &t.storage() : nullptr;
-    a.vars = vars;
-    a.all_dense = t.format().all_dense();
-    for (int l = 0; l < t.format().order(); ++l) {
-      a.level_var_ids.push_back(
-          vars[static_cast<size_t>(t.format().dim_of_level(l))].id());
-    }
-    return a;
-  };
-
-  // Validate: for each (non-all-dense) access, the subsequence of order_
-  // restricted to its level variables must equal its level sequence.
-  auto check = [&](const Access& a, const std::string& name) {
-    if (a.all_dense) return;
-    std::vector<uint32_t> in_order;
+CoiterEngine::Operand CoiterEngine::operand(
+    const Statement& stmt, const std::string& name,
+    const std::vector<IndexVar>& vars) const {
+  const Tensor& t = stmt.tensor(name);
+  Operand o;
+  o.tensor = t;
+  o.all_dense = t.format().all_dense();
+  o.levels = static_cast<size_t>(t.format().order());
+  std::vector<IndexVar> level_vars;
+  for (size_t l = 0; l < o.levels; ++l) {
+    const int level = static_cast<int>(l);
+    const size_t d = static_cast<size_t>(t.format().dim_of_level(level));
+    const auto it = std::find(order_.begin(), order_.end(), vars[d]);
+    // A sparse access missing a loop fails the order check below.
+    SPD_CHECK(it != order_.end() || !o.all_dense, ScheduleError,
+              "index variable " << vars[d].name() << " of " << name
+                                << " is not in the iteration order of "
+                                << stmt.str());
+    level_vars.push_back(vars[d]);
+    o.kind[l] = t.format().mode(level);
+    o.extent[l] = t.dims()[d];
+    o.loop[l] = static_cast<size_t>(it - order_.begin());
+  }
+  // A sparse access's level variables must appear in the loop order as
+  // its levels store them.
+  if (!o.all_dense) {
+    std::vector<IndexVar> in_order;
     for (const auto& v : order_) {
-      for (uint32_t id : a.level_var_ids) {
-        if (id == v.id()) in_order.push_back(id);
+      for (const auto& lv : level_vars) {
+        if (lv == v) in_order.push_back(lv);
       }
     }
-    SPD_CHECK(in_order == a.level_var_ids, ScheduleError,
+    SPD_CHECK(in_order == level_vars, ScheduleError,
               "iteration order is incompatible with the level order of "
-                  << name << " (" << tin::assignment_str(stmt_.assignment)
+                  << name << " (" << stmt.str()
                   << "); reorder loops or change the format");
-  };
-
-  output_ = resolve(stmt_.assignment.lhs.tensor, stmt_.assignment.lhs.vars);
-  check(output_, stmt_.assignment.lhs.tensor);
-  for (const auto& acc : tin::expr_accesses(stmt_.assignment.rhs)) {
-    Access a = resolve(acc.tensor, acc.vars);
-    check(a, acc.tensor);
   }
+  return o;
+}
+
+CoiterEngine::Term CoiterEngine::plan_term(const Statement& stmt,
+                                           const tin::Expr& term) const {
+  Term t;
+  std::vector<tin::Expr> accesses;
+  gather(term, t.coeff, accesses);
+  // A loop's extent comes from the last of the output and the term's
+  // accesses that uses its variable; a loop none uses iterates nothing.
+  t.last.assign(order_.size(), -1);
+  auto note = [&](const std::vector<IndexVar>& vars, const Tensor& tensor) {
+    for (size_t d = 0; d < vars.size(); ++d) {
+      for (size_t k = 0; k < order_.size(); ++k) {
+        if (order_[k] == vars[d]) t.last[k] = tensor.dims()[d] - 1;
+      }
+    }
+  };
+  note(stmt.assignment.lhs.vars, output_.tensor);
+  for (const auto& e : accesses) {
+    note(e->vars, stmt.tensor(e->tensor));
+    t.ops.push_back(operand(stmt, e->tensor, e->vars));
+    t.ops.back().base = t.slots;
+    t.slots += t.ops.back().levels;
+  }
+  t.nest = plan_nest(stmt, t, t.ops.size(), 0, accesses);
+  // A window over level L of an operand whose first L + 1 level variables
+  // are the outermost loops.
+  for (size_t a = 0; a < t.ops.size(); ++a) {
+    for (size_t l = 0; l < t.ops[a].levels && t.ops[a].loop[l] == l; ++l) {
+      t.ops[a].windows.push_back(plan_nest(stmt, t, a, l + 1, accesses));
+    }
+  }
+  return t;
+}
+
+// Replays once the cursor moves every piece would make: each operand's
+// depth advances as its levels are driven or descended. A loop's driver is
+// the first operand whose next level stores the loop's variable and yields
+// coordinates (Compressed or Singleton); a non-unique level takes over,
+// because it cannot be probed. `split` (if an operand) enters through a
+// window over its levels before `first`.
+CoiterEngine::Nest CoiterEngine::plan_nest(
+    const Statement& stmt, const Term& t, size_t split, size_t first,
+    const std::vector<tin::Expr>& accesses) const {
+  Nest n;
+  n.first = first;
+  std::vector<size_t> depth(t.ops.size(), 0);
+  // Descends every sparse operand but `skip` through the levels whose
+  // loops precede `upto`.
+  auto advance = [&](std::vector<Step>& steps, size_t skip, size_t upto) {
+    for (size_t a = 0; a < t.ops.size(); ++a) {
+      const Operand& o = t.ops[a];
+      if (a == skip || o.all_dense) continue;
+      while (depth[a] < o.levels && o.loop[depth[a]] < upto) {
+        steps.push_back(Step{a, depth[a]++});
+      }
+    }
+  };
+  if (split < t.ops.size()) {
+    depth[split] = first;
+    advance(n.entry, split, first);
+  }
+  for (size_t k = first; k < order_.size(); ++k) {
+    Loop& loop = n.loops.emplace_back();
+    bool nonunique = false;
+    for (size_t a = 0; a < t.ops.size(); ++a) {
+      const Operand& o = t.ops[a];
+      const size_t l = depth[a];
+      if (o.all_dense || l == o.levels || o.loop[l] != k ||
+          !o.kind[l].has_crd()) {
+        continue;
+      }
+      const bool nu = !o.kind[l].unique();
+      if (nu && nonunique) {
+        n.fail_at = k;
+        n.error = "cannot co-iterate two non-unique levels over " +
+                  order_[k].name();
+        return n;
+      }
+      if (loop.driver < 0 || (nu && !nonunique)) {
+        loop.driver = static_cast<int>(a);
+        loop.level = l;
+        nonunique = nu;
+      }
+    }
+    const size_t driver = static_cast<size_t>(loop.driver);
+    if (loop.driver >= 0) ++depth[driver];
+    advance(loop.steps, driver, k + 1);
+  }
+  for (size_t a = 0; a < t.ops.size(); ++a) {
+    const Operand& o = t.ops[a];
+    if (o.all_dense || depth[a] == o.levels) continue;
+    n.fail_at = order_.size();
+    n.error = "the loop order never descends level " +
+              std::to_string(depth[a] + 1) + " of " +
+              tin::expr_str(accesses[a]) + " in " + stmt.str() +
+              " (its loop drives the level above); reorder loops or change "
+              "the format";
+    break;
+  }
+  return n;
 }
 
 rt::WorkEstimate CoiterEngine::run(const PieceBounds& piece) const {
   rt::WorkEstimate total;
-  for (const auto& term : tin::sum_of_products(stmt_.assignment.rhs)) {
-    total += run_term(term, piece);
+  for (const Term& t : terms_) {
+    Frame f;
+    for (const Operand& o : t.ops) {
+      const TensorStorage& st = o.tensor.storage();
+      f.ops.push_back(
+          {rt::LinearAccessor<double>(*st.vals(), rt::Access::Read),
+           LevelAccessors(st)});
+    }
+    // The output resolves after assembly re-resolved its storage; its vals
+    // accessor is the one place a reduction redirect can be in effect.
+    f.out = &output_.tensor.storage();
+    f.out_vals = rt::LinearAccessor<double>(*f.out->vals());
+    if (!output_.all_dense) f.out_levels = LevelAccessors(*f.out);
+    f.env.assign(order_.size(), 0);
+    f.at.assign(t.slots, 0);
+    // Piece restriction: the outermost-variable bound of a coordinate piece
+    // plus any var-keyed bound from a multi-axis (grid) distribution.
+    for (size_t k = 0; k < order_.size(); ++k) {
+      Bound& b = f.bound.emplace_back();
+      b.hi = t.last[k];
+      auto restrict = [&b](rt::Rect1 r) {
+        b.lo = std::max(b.lo, r.lo);
+        b.hi = std::min(b.hi, r.hi);
+        b.restricted = true;
+      };
+      if (k == 0 && piece.dist_coords && !piece.dist_pos) {
+        restrict(*piece.dist_coords);
+      }
+      for (const auto& [vid, r] : piece.var_coords) {
+        if (vid == order_[k].id()) restrict(r);
+      }
+    }
+    if (piece.dist_pos) {
+      run_window(t, piece, f);
+    } else {
+      walk(t, t.nest, 0, f);
+    }
+    total += f.work.done();
   }
   return total;
 }
 
-rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
-                                        const PieceBounds& piece) const {
-  WorkCounter work;
-
-  // Resolve term accesses and the literal coefficient. Accessors for every
-  // stored region are constructed here, once per term evaluation — the
-  // kernel ABI's "resolve the redirect once per leaf invocation" contract —
-  // so the iteration loops below index raw pointers.
-  struct TermAccess {
-    const TensorStorage* st;
-    std::vector<uint32_t> level_var_ids;
-    bool all_dense;
-    std::vector<IndexVar> vars;
-    rt::LinearAccessor<double> vals;
-    // Per storage level; default (invalid) for Dense levels.
-    std::vector<rt::RegionAccessor<rt::PosRange>> lpos;
-    std::vector<rt::RegionAccessor<int32_t>> lcrd;
-  };
-  std::vector<TermAccess> accs;
-  double coeff = 1.0;
-  {
-    std::function<void(const tin::Expr&)> gather = [&](const tin::Expr& e) {
-      switch (e->kind) {
-        case tin::ExprKind::Literal:
-          coeff *= e->value;
-          break;
-        case tin::ExprKind::Access: {
-          const Tensor& t = stmt_.tensor(e->tensor);
-          TermAccess a;
-          a.st = &t.storage();
-          a.all_dense = t.format().all_dense();
-          a.vars = e->vars;
-          a.vals = rt::LinearAccessor<double>(*a.st->vals(), rt::Access::Read);
-          for (int l = 0; l < t.format().order(); ++l) {
-            a.level_var_ids.push_back(
-                e->vars[static_cast<size_t>(t.format().dim_of_level(l))].id());
-            const LevelStorage& level = a.st->level(l);
-            a.lpos.emplace_back();
-            a.lcrd.emplace_back();
-            if (level.kind.has_pos()) {
-              a.lpos.back() =
-                  rt::RegionAccessor<rt::PosRange>(*level.pos,
-                                                   rt::Access::Read);
-            }
-            if (level.kind.has_crd()) {
-              a.lcrd.back() =
-                  rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
-            }
-          }
-          accs.push_back(std::move(a));
-          break;
-        }
-        case tin::ExprKind::Mul:
-          for (const auto& op : e->operands) gather(op);
-          break;
-        case tin::ExprKind::Add:
-          SPD_ASSERT(false, "Add inside product term");
-      }
-    };
-    gather(term);
+// Coordinate-position iteration: drive over the stored positions of the
+// split operand's level `pos_level` in the piece's window, reconstruct the
+// fused coordinates bottom-up, then walk the rest of the nest.
+void CoiterEngine::run_window(const Term& t, const PieceBounds& piece,
+                              Frame& f) const {
+  size_t split = t.ops.size();
+  for (size_t a = 0; a < t.ops.size(); ++a) {
+    if (t.ops[a].tensor.name() == piece.pos_tensor) split = a;
   }
-
-  // Variable extents from tensor dims.
-  std::map<uint32_t, Coord> extent;
-  auto note = [&](const std::vector<IndexVar>& vars,
-                  const std::vector<Coord>& dims) {
-    for (size_t d = 0; d < vars.size(); ++d) {
-      extent[vars[d].id()] = dims[d];
-    }
-  };
-  note(output_.vars, stmt_.tensor(stmt_.assignment.lhs.tensor).dims());
-  for (const auto& a : accs) note(a.vars, a.st->dims());
-
-  // Per-access cursor: how many levels consumed and the current parent
-  // position. The output is cursor index accs.size() when not all-dense.
-  struct AccessCursor {
-    int depth = 0;
-    Coord parent = 0;
-  };
-  std::vector<AccessCursor> cur(accs.size());
-
-  // env[k] = coordinate of order_[k].
-  std::vector<Coord> env(order_.size(), 0);
-  auto coord_of = [&](uint32_t var_id) -> Coord {
-    for (size_t k = 0; k < order_.size(); ++k) {
-      if (order_[k].id() == var_id) return env[k];
-    }
-    SPD_ASSERT(false, "variable not in iteration order");
-    return -1;
-  };
-
-  const Tensor& out_tensor = stmt_.tensor(stmt_.assignment.lhs.tensor);
-  fmt::TensorStorage& out_st =
-      const_cast<Tensor&>(out_tensor).storage();
-  // Output accessors: resolved once per term, *after* assembly re-resolved
-  // the storage; the vals accessor is the one place a reduction redirect
-  // can be in effect. The pos/crd tables keep the per-nonzero sparse-output
-  // locate below off the per-element Region paths.
-  const rt::LinearAccessor<double> out_vals(*out_st.vals());
-  std::vector<rt::RegionAccessor<rt::PosRange>> out_lpos;
-  std::vector<rt::RegionAccessor<int32_t>> out_lcrd;
-  if (!output_.all_dense) {
-    for (int l = 0; l < out_st.num_levels(); ++l) {
-      const LevelStorage& level = out_st.level(l);
-      out_lpos.emplace_back();
-      out_lcrd.emplace_back();
-      if (level.kind.has_pos()) {
-        out_lpos.back() =
-            rt::RegionAccessor<rt::PosRange>(*level.pos, rt::Access::Read);
-      }
-      if (level.kind.has_crd()) {
-        out_lcrd.back() =
-            rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
-      }
-    }
-  }
-  // locate_position over the hoisted output tables (same walk as the free
-  // function, reading the per-term accessors).
-  auto locate_out =
-      [&](const std::array<Coord, rt::kMaxDim>& coords) -> Coord {
-    const auto pos_at = [&](int l, Coord p) {
-      return out_lpos[static_cast<size_t>(l)][p];
-    };
-    const auto crd_at = [&](int l, Coord q) {
-      return Coord{out_lcrd[static_cast<size_t>(l)][q]};
-    };
-    return locate_walk(out_st, 0, 0, coords, pos_at, crd_at);
-  };
-  auto emit = [&]() {
-    double v = coeff;
-    for (size_t a = 0; a < accs.size(); ++a) {
-      if (accs[a].all_dense) {
-        // Linearize in storage (level) order.
-        Coord pos = 0;
-        const TensorStorage* st = accs[a].st;
-        for (size_t l = 0; l < accs[a].level_var_ids.size(); ++l) {
-          const Coord c = coord_of(accs[a].level_var_ids[l]);
-          pos = pos * st->level(static_cast<int>(l)).extent + c;
-        }
-        v *= accs[a].vals.at(pos);
-        work.fma_dense();
-      } else {
-        SPD_ASSERT(cur[a].depth ==
-                       static_cast<int>(accs[a].level_var_ids.size()),
-                   "sparse access not fully descended at emit");
-        v *= accs[a].vals.at(cur[a].parent);
-        work.fma_sparse();
-      }
-    }
-    // Write into the output at its coordinates.
-    if (output_.all_dense) {
-      Coord pos = 0;
-      for (size_t l = 0; l < output_.level_var_ids.size(); ++l) {
-        const Coord c = coord_of(output_.level_var_ids[l]);
-        pos = pos * out_st.level(static_cast<int>(l)).extent + c;
-      }
-      out_vals.at(pos) += v;
-    } else {
-      std::array<Coord, rt::kMaxDim> coords{};
-      for (size_t d = 0; d < output_.vars.size(); ++d) {
-        coords[d] = coord_of(output_.vars[d].id());
-      }
-      const Coord pos = locate_out(coords);
-      SPD_ASSERT(pos >= 0,
-                 "sparse output pattern is missing a computed coordinate; "
-                 "run assembly first");
-      out_vals.at(pos) += v;
-      work.stream(1, 12.0);
-    }
-  };
-
-  // Advances access `a`'s cursor through every level whose variable has a
-  // known coordinate in env up to var order position `upto` (exclusive).
-  // Returns false if a Compressed level lacks the coordinate.
-  auto descend = [&](size_t a, size_t upto) -> bool {
-    while (cur[a].depth < static_cast<int>(accs[a].level_var_ids.size())) {
-      const uint32_t vid =
-          accs[a].level_var_ids[static_cast<size_t>(cur[a].depth)];
-      bool known = false;
-      size_t order_pos = 0;
-      for (size_t k = 0; k < upto; ++k) {
-        if (order_[k].id() == vid) {
-          known = true;
-          order_pos = k;
-          break;
-        }
-      }
-      if (!known) break;
-      const LevelStorage& level =
-          accs[a].st->level(cur[a].depth);
-      const Coord c = env[order_pos];
-      if (level.kind.is_dense()) {
-        cur[a].parent = cur[a].parent * level.extent + c;
-      } else if (level.kind.is_singleton()) {
-        // Coordinate-per-position: the cursor's position carries over; the
-        // stored coordinate either matches or this branch is dead.
-        const size_t depth = static_cast<size_t>(cur[a].depth);
-        work.stream(1, 4.0);
-        if (Coord{accs[a].lcrd[depth][cur[a].parent]} != c) return false;
-      } else {
-        // Probing a non-unique Compressed level by binary search would pick
-        // an arbitrary duplicate; such levels must drive their variable.
-        SPD_CHECK(level.kind.unique(), ScheduleError,
-                  "cannot probe the non-unique level of "
-                      << accs[a].st->name()
-                      << "; its variable must be driven by this tensor "
-                         "(reorder loops or change the format)");
-        const size_t depth = static_cast<size_t>(cur[a].depth);
-        const rt::PosRange seg = accs[a].lpos[depth][cur[a].parent];
-        work.segment();
-        if (seg.empty()) return false;
-        const Coord q = find_in_segment(accs[a].lcrd[depth], seg, c);
-        if (q < 0) return false;
-        cur[a].parent = q;
-      }
-      ++cur[a].depth;
-    }
-    return true;
-  };
-
-  // Recursive coordinate-value iteration from var order position `k`,
-  // assuming all cursors are descended through vars < k.
-  std::function<void(size_t)> iterate = [&](size_t k) {
-    if (k == order_.size()) {
-      emit();
-      return;
-    }
-    const IndexVar& v = order_[k];
-    // If no access (and not the output) uses v, it contributes a factor of
-    // extent via plain iteration; usually every var is used.
-    // Find a sparse driver whose next level stores v (Compressed or
-    // Singleton). A non-unique level cannot be probed, so it takes priority
-    // as the driver; two non-unique levels on one variable cannot co-iterate.
-    int driver = -1;
-    bool driver_nonunique = false;
-    for (size_t a = 0; a < accs.size(); ++a) {
-      if (accs[a].all_dense) continue;
-      if (cur[a].depth < static_cast<int>(accs[a].level_var_ids.size()) &&
-          accs[a].level_var_ids[static_cast<size_t>(cur[a].depth)] == v.id() &&
-          accs[a].st->level(cur[a].depth).kind.has_crd()) {
-        const bool nu = !accs[a].st->level(cur[a].depth).kind.unique();
-        SPD_CHECK(!(nu && driver_nonunique), ScheduleError,
-                  "cannot co-iterate two non-unique levels over "
-                      << v.name());
-        if (driver < 0 || (nu && !driver_nonunique)) {
-          driver = static_cast<int>(a);
-          driver_nonunique = nu;
-        }
-      }
-    }
-    // Piece restriction: the legacy outermost-variable bound plus any
-    // var-keyed bound from a multi-axis (grid) distribution.
-    rt::Rect1 bound{0, extent.count(v.id()) ? extent.at(v.id()) - 1 : -1};
-    bool restricted = false;
-    if (k == 0 && piece.dist_coords.has_value()) {
-      bound = bound.intersect(*piece.dist_coords);
-      restricted = true;
-    }
-    for (const auto& [vid, r] : piece.var_coords) {
-      if (vid == v.id()) {
-        bound = bound.intersect(r);
-        restricted = true;
-      }
-    }
-    const bool restrict0 = restricted;
-    const Coord rlo = bound.lo;
-    const Coord rhi = bound.hi;
-    const std::vector<AccessCursor> saved = cur;
-    if (driver >= 0) {
-      const auto& d = accs[static_cast<size_t>(driver)];
-      const size_t ddepth =
-          static_cast<size_t>(cur[static_cast<size_t>(driver)].depth);
-      const LevelStorage& dl = d.st->level(static_cast<int>(ddepth));
-      auto visit = [&](Coord q, Coord c) {
-        env[k] = c;
-        cur = saved;
-        cur[static_cast<size_t>(driver)].parent = q;
-        cur[static_cast<size_t>(driver)].depth += 1;
-        bool alive = true;
-        for (size_t a = 0; a < accs.size() && alive; ++a) {
-          if (static_cast<int>(a) == driver || accs[a].all_dense) continue;
-          alive = descend(a, k + 1);
-        }
-        if (alive) iterate(k + 1);
-      };
-      if (dl.kind.is_singleton()) {
-        // Coordinate-per-position: the level yields exactly one coordinate
-        // for the current position, shared with the parent.
-        const Coord q = saved[static_cast<size_t>(driver)].parent;
-        const Coord c = d.lcrd[ddepth][q];
-        work.stream(1, 4.0);
-        if (!restrict0 || (c >= rlo && c <= rhi)) visit(q, c);
-      } else {
-        const rt::PosRange seg =
-            d.lpos[ddepth][saved[static_cast<size_t>(driver)].parent];
-        work.segment();
-        for (Coord q = seg.lo; q <= seg.hi; ++q) {
-          const Coord c = d.lcrd[ddepth][q];
-          work.stream(1, 4.0);
-          if (restrict0 && (c < rlo || c > rhi)) continue;
-          visit(q, c);
-        }
-      }
-      cur = saved;
-      return;
-    }
-    // Dense loop over the variable's extent.
-    SPD_ASSERT(rhi >= -1, "unknown extent for variable " << v.name());
-    for (Coord c = rlo; c <= rhi; ++c) {
-      env[k] = c;
-      cur = saved;
-      bool alive = true;
-      for (size_t a = 0; a < accs.size() && alive; ++a) {
-        if (accs[a].all_dense) continue;
-        alive = descend(a, k + 1);
-      }
-      if (alive) iterate(k + 1);
-    }
-    cur = saved;
-  };
-
-  if (!piece.dist_pos.has_value()) {
-    // Coordinate-value iteration over the whole ordered loop nest.
-    iterate(0);
-    return work.done();
-  }
-
-  // --- Coordinate-position iteration ----------------------------------------
-  // Drive over stored positions [dist_pos] of the split tensor's level
-  // `pos_level`; reconstruct the fused coordinates, then continue normal
-  // iteration below the split.
-  int split = -1;
-  for (size_t a = 0; a < accs.size(); ++a) {
-    if (accs[a].st->name() == piece.pos_tensor) split = static_cast<int>(a);
-  }
-  SPD_CHECK(split >= 0, ScheduleError,
+  SPD_CHECK(split < t.ops.size(), ScheduleError,
             "position-split tensor " << piece.pos_tensor
                                      << " does not appear in this term");
-  const TermAccess& sa = accs[static_cast<size_t>(split)];
-  const int L = piece.pos_level;
-  SPD_CHECK(L < static_cast<int>(sa.level_var_ids.size()), ScheduleError,
-            "split level out of range");
-  // The first L+1 iteration variables must be the split tensor's leading
-  // level variables.
-  for (int l = 0; l <= L; ++l) {
-    SPD_CHECK(order_[static_cast<size_t>(l)].id() ==
-                  sa.level_var_ids[static_cast<size_t>(l)],
-              ScheduleError,
-              "position-space iteration requires the split tensor's leading "
-              "variables to be outermost");
-  }
-
-  // Owner maps: owner[l][q] = parent position of q at level l (Compressed
-  // levels only; Dense parents are q / extent, Singleton positions are the
-  // parent's own).
-  std::vector<std::vector<Coord>> owner(static_cast<size_t>(L + 1));
-  for (int l = 0; l <= L; ++l) {
-    const LevelStorage& level = sa.st->level(l);
-    if (!level.kind.has_pos()) continue;
-    owner[static_cast<size_t>(l)].assign(
-        static_cast<size_t>(level.positions), 0);
-    for (Coord p = 0; p < level.parent_positions; ++p) {
-      const rt::PosRange seg = sa.lpos[static_cast<size_t>(l)][p];
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        owner[static_cast<size_t>(l)][static_cast<size_t>(q)] = p;
+  const Operand& s = t.ops[split];
+  SPD_CHECK(piece.pos_level >= 0 &&
+                static_cast<size_t>(piece.pos_level) < s.levels,
+            ScheduleError, "split level out of range");
+  const size_t L = static_cast<size_t>(piece.pos_level);
+  SPD_CHECK(L < s.windows.size(), ScheduleError,
+            "position-space iteration requires the split tensor's leading "
+            "variables to be outermost");
+  const Nest& n = s.windows[L];
+  const TensorStorage& st = s.tensor.storage();
+  const LevelAccessors& acc = f.ops[split].levels;
+  // Only stored positions have parents (an empty level has none).
+  const rt::Rect1 window = piece.dist_pos->intersect(
+      rt::Rect1{0, st.level(static_cast<int>(L)).positions - 1});
+  // at[l]: the level-l position of window position q. Positions ascend
+  // with q at every level, so a Compressed level's parent walks forward
+  // from owner_of's answer for the window's first position.
+  std::array<Coord, rt::kMaxDim> at{};
+  std::array<Coord, rt::kMaxDim> owner{};
+  for (Coord q = window.lo; q <= window.hi; ++q) {
+    at[L] = q;
+    for (size_t l = L; l > 0; --l) {
+      if (s.kind[l].is_compressed()) {
+        if (q == window.lo) {
+          owner[l] = owner_of(
+              acc.pos[l], st.level(static_cast<int>(l)).parent_positions,
+              at[l]);
+        }
+        while (acc.pos[l][owner[l]].hi < at[l]) ++owner[l];
+        at[l - 1] = owner[l];
+      } else {
+        at[l - 1] = s.kind[l].is_dense() ? at[l] / s.extent[l] : at[l];
       }
-    }
-  }
-
-  const std::vector<AccessCursor> init = cur;
-  for (Coord q = piece.dist_pos->lo; q <= piece.dist_pos->hi; ++q) {
-    // Reconstruct positions per level from the bottom up.
-    std::array<Coord, rt::kMaxDim> pos_at{};
-    pos_at[static_cast<size_t>(L)] = q;
-    for (int l = L; l > 0; --l) {
-      const LevelStorage& level = sa.st->level(l);
-      const Coord p = pos_at[static_cast<size_t>(l)];
-      pos_at[static_cast<size_t>(l - 1)] =
-          level.kind.is_compressed()
-              ? owner[static_cast<size_t>(l)][static_cast<size_t>(p)]
-              : level.kind.is_singleton() ? p
-                                          : p / level.extent;
     }
     // Coordinates per fused level, clamped mid-chain against any var-keyed
     // piece bounds (inner universe axes of a grid may restrict a fused
     // variable's coordinates).
     bool ok = true;
-    for (int l = 0; l <= L && ok; ++l) {
-      const LevelStorage& level = sa.st->level(l);
-      const Coord p = pos_at[static_cast<size_t>(l)];
-      const Coord c = level.kind.has_crd()
-                          ? Coord{sa.lcrd[static_cast<size_t>(l)][p]}
-                          : p % level.extent;
-      env[static_cast<size_t>(l)] = c;
-      for (const auto& [vid, r] : piece.var_coords) {
-        if (vid == order_[static_cast<size_t>(l)].id() &&
-            (c < r.lo || c > r.hi)) {
-          ok = false;
-        }
-      }
+    for (size_t l = 0; l <= L && ok; ++l) {
+      const Coord c = s.kind[l].has_crd() ? Coord{acc.crd[l][at[l]]}
+                                          : at[l] % s.extent[l];
+      f.env[l] = c;
+      const Bound& b = f.bound[l];
+      ok = !b.restricted || (c >= b.lo && c <= b.hi);
     }
-    work.stream(L + 1, 8.0);
+    f.work.stream(static_cast<int64_t>(L) + 1, 8.0);
     if (!ok) continue;
-    cur = init;
-    cur[static_cast<size_t>(split)].depth = L + 1;
-    cur[static_cast<size_t>(split)].parent = q;
-    bool alive = true;
-    for (size_t a = 0; a < accs.size() && alive; ++a) {
-      if (static_cast<int>(a) == split || accs[a].all_dense) continue;
-      alive = descend(a, static_cast<size_t>(L + 1));
-    }
-    if (alive) iterate(static_cast<size_t>(L + 1));
+    f.at[s.base + L] = q;
+    if (descend(t, n.entry, f)) walk(t, n, L + 1, f);
   }
-  return work.done();
+}
+
+void CoiterEngine::walk(const Term& t, const Nest& n, size_t k,
+                        Frame& f) const {
+  SPD_CHECK(k != n.fail_at, ScheduleError, n.error);
+  if (k == order_.size()) {
+    emit(t, f);
+    return;
+  }
+  const Loop& loop = n.loops[k - n.first];
+  const Bound b = f.bound[k];
+  if (loop.driver < 0) {
+    // Dense loop over the variable's extent.
+    SPD_ASSERT(b.hi >= -1, "unknown extent for variable " << order_[k].name());
+    for (Coord c = b.lo; c <= b.hi; ++c) {
+      f.env[k] = c;
+      if (descend(t, loop.steps, f)) walk(t, n, k + 1, f);
+    }
+    return;
+  }
+  const size_t d = static_cast<size_t>(loop.driver);
+  const size_t l = loop.level;
+  const size_t slot = t.ops[d].base + l;
+  const LevelAccessors& acc = f.ops[d].levels;
+  const Coord parent = l == 0 ? 0 : f.at[slot - 1];
+  // A Singleton level yields one coordinate, at the position it shares
+  // with its parent; a Compressed one yields its parent's segment.
+  const bool singleton = t.ops[d].kind[l].is_singleton();
+  const rt::PosRange seg =
+      singleton ? rt::PosRange{parent, parent} : acc.pos[l][parent];
+  if (!singleton) f.work.segment();
+  for (Coord q = seg.lo; q <= seg.hi; ++q) {
+    const Coord c = acc.crd[l][q];
+    f.work.stream(1, 4.0);
+    if (b.restricted && (c < b.lo || c > b.hi)) continue;
+    f.env[k] = c;
+    f.at[slot] = q;
+    if (descend(t, loop.steps, f)) walk(t, n, k + 1, f);
+  }
+}
+
+// Runs `steps` in order; false as soon as a probed level lacks the
+// coordinate (the branch is dead).
+bool CoiterEngine::descend(const Term& t, const std::vector<Step>& steps,
+                           Frame& f) const {
+  for (const Step& step : steps) {
+    const Operand& o = t.ops[step.op];
+    const LevelAccessors& acc = f.ops[step.op].levels;
+    const size_t l = step.level;
+    const size_t slot = o.base + l;
+    const Coord parent = l == 0 ? 0 : f.at[slot - 1];
+    const Coord c = f.env[o.loop[l]];
+    if (o.kind[l].is_dense()) {
+      f.at[slot] = parent * o.extent[l] + c;
+    } else if (o.kind[l].is_singleton()) {
+      // The position carries over; the stored coordinate either matches or
+      // this branch is dead.
+      f.work.stream(1, 4.0);
+      if (Coord{acc.crd[l][parent]} != c) return false;
+      f.at[slot] = parent;
+    } else {
+      // Probing a non-unique Compressed level by binary search would pick
+      // an arbitrary duplicate; such levels must drive their variable.
+      SPD_CHECK(o.kind[l].unique(), ScheduleError,
+                "cannot probe the non-unique level of "
+                    << o.tensor.name()
+                    << "; its variable must be driven by this tensor "
+                       "(reorder loops or change the format)");
+      const rt::PosRange seg = acc.pos[l][parent];
+      f.work.segment();
+      if (seg.empty()) return false;
+      const Coord q = find_in_segment(acc.crd[l], seg, c);
+      if (q < 0) return false;
+      f.at[slot] = q;
+    }
+  }
+  return true;
+}
+
+void CoiterEngine::emit(const Term& t, Frame& f) const {
+  // Dense operands (and a dense output) linearize in storage (level) order.
+  auto linear = [&f](const Operand& o) {
+    Coord pos = 0;
+    for (size_t l = 0; l < o.levels; ++l) {
+      pos = pos * o.extent[l] + f.env[o.loop[l]];
+    }
+    return pos;
+  };
+  double v = t.coeff;
+  for (size_t a = 0; a < t.ops.size(); ++a) {
+    const Operand& o = t.ops[a];
+    if (o.all_dense) {
+      v *= f.ops[a].vals.at(linear(o));
+      f.work.fma_dense();
+    } else {
+      v *= f.ops[a].vals.at(f.at[o.base + o.levels - 1]);
+      f.work.fma_sparse();
+    }
+  }
+  if (output_.all_dense) {
+    f.out_vals.at(linear(output_)) += v;
+    return;
+  }
+  std::array<Coord, rt::kMaxDim> coords{};
+  for (size_t l = 0; l < output_.levels; ++l) {
+    coords[static_cast<size_t>(f.out->level(static_cast<int>(l)).dim)] =
+        f.env[output_.loop[l]];
+  }
+  const Coord pos = locate(*f.out, f.out_levels, 0, 0, coords);
+  SPD_ASSERT(pos >= 0,
+             "sparse output pattern is missing a computed coordinate; "
+             "run assembly first");
+  f.out_vals.at(pos) += v;
+  f.work.stream(1, 12.0);
 }
 
 }  // namespace spdistal::kern

@@ -126,6 +126,60 @@ TEST(Coiter, TwoNonUniqueOperandsRejected) {
   EXPECT_THROW(eng.run(), ScheduleError);
 }
 
+TEST(Coiter, RejectsAccessLeftUndescended) {
+  // a(i) = B(i,i) * c(i) with COO B: the loop over i drives B's root, and
+  // no later loop consumes the Singleton level below, which stores i too.
+  IndexVar i("i");
+  Tensor a("a", {4}, fmt::dense_vector());
+  Tensor B("B", {4, 4}, fmt::coo(2));
+  Tensor c("c", {4}, fmt::dense_vector());
+  B.from_coo(small_csr_coo());
+  c.init_dense([](const auto& x) { return static_cast<double>(x[0] + 1); });
+  Statement& stmt = (a(i) = B(i, i) * c(i));
+  a.zero();
+  try {
+    CoiterEngine eng(stmt);
+    eng.run();
+    FAIL() << "an access left undescended was accepted";
+  } catch (const ScheduleError& e) {
+    EXPECT_NE(std::string(e.what()).find("B(i,i)"), std::string::npos)
+        << e.what();
+  }
+  // CSR B descends its Dense row level and probes the column level at the
+  // same coordinate: the diagonal.
+  Tensor d("d", {4}, fmt::dense_vector());
+  Tensor D("D", {4, 4}, fmt::csr());
+  D.from_coo(small_csr_coo());
+  Statement& diag = (d(i) = D(i, i) * c(i));
+  CoiterEngine eng(diag);
+  d.zero();
+  eng.run();
+  EXPECT_LE(ref::max_abs_diff(d, ref::eval(diag)), 1e-12);
+  EXPECT_DOUBLE_EQ((*d.storage().vals())[3], 8.0 * 4.0);
+}
+
+TEST(Coiter, ProbingANonUniqueLevelRejected) {
+  // a(i) = D(i,j) * B(i,j) * c(j), D CSR, B COO: a non-zero window over D's
+  // column level fixes i and j by position, so B's non-unique root would
+  // have to be probed, and binary search would pick an arbitrary duplicate.
+  IndexVar i("i"), j("j");
+  Tensor a("a", {4}, fmt::dense_vector());
+  Tensor D("D", {4, 4}, fmt::csr());
+  Tensor B("B", {4, 4}, fmt::coo(2));
+  Tensor c("c", {4}, fmt::dense_vector());
+  D.from_coo(small_csr_coo());
+  B.from_coo(small_csr_coo());
+  c.init_dense([](const auto&) { return 1.0; });
+  Statement& stmt = (a(i) = D(i, j) * B(i, j) * c(j));
+  CoiterEngine eng(stmt, {i, j});
+  PieceBounds piece;
+  piece.dist_pos = rt::Rect1{0, D.storage().level(1).positions - 1};
+  piece.pos_tensor = "D";
+  piece.pos_level = 1;
+  a.zero();
+  EXPECT_THROW(eng.run(piece), ScheduleError);
+}
+
 TEST(Coiter, SpmvMatchesReference) {
   IndexVar i("i"), j("j");
   Tensor a("a", {4}, fmt::dense_vector());

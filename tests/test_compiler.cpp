@@ -344,6 +344,105 @@ TEST_P(DistributionIndependence, SameResultOnGpuMachine) {
 INSTANTIATE_TEST_SUITE_P(AllKernels, DistributionIndependence,
                          ::testing::Range(0, 8));
 
+// An empty operand under a non-zero schedule on 4 nodes: lowering blocks
+// max(positions, 1) positions, so the first of the 4 pieces gets the window
+// [0, 0] of a level that stores none, and every leaf must clamp it to
+// nothing. The output must equal the (all-zero) oracle.
+struct EmptySplitCase {
+  std::string kernel;
+  std::string format_name;
+  fmt::Format format;
+};
+
+std::vector<EmptySplitCase> empty_split_cases() {
+  std::vector<EmptySplitCase> cases;
+  for (const char* kernel : {"spmv", "spmm", "sddmm"}) {
+    cases.push_back({kernel, "csr", fmt::csr()});
+    cases.push_back({kernel, "coo", fmt::coo(2)});
+    cases.push_back({kernel, "dcsr", fmt::dcsr()});
+  }
+  for (const char* kernel : {"spttv", "spmttkrp"}) {
+    cases.push_back({kernel, "csf", fmt::csf3()});
+    cases.push_back({kernel, "ddc", fmt::ddc3()});
+    cases.push_back({kernel, "coo3", fmt::coo(3)});
+  }
+  return cases;
+}
+
+class EmptySplitLevel : public ::testing::TestWithParam<int> {};
+
+TEST_P(EmptySplitLevel, MatchesTheOracle) {
+  const EmptySplitCase ec = empty_split_cases()[static_cast<size_t>(GetParam())];
+  IndexVar i("i"), j("j"), k("k"), l("l"), f("f"), g("g"), fo("fo"),
+      fi("fi");
+  const bool matrix = ec.format.order() == 2;
+  const std::vector<Coord> dims =
+      matrix ? std::vector<Coord>{6, 5} : std::vector<Coord>{6, 5, 4};
+  Tensor B("B", dims, ec.format);
+  fmt::Coo empty;
+  empty.dims = dims;
+  B.from_coo(empty);
+  auto ones = [](const auto&) { return 1.0; };
+  Tensor out;
+  Statement* stmt = nullptr;
+  if (ec.kernel == "spmv") {
+    Tensor a("a", {6}, fmt::dense_vector()), c("c", {5}, fmt::dense_vector());
+    c.init_dense(ones);
+    stmt = &(a(i) = B(i, j) * c(j));
+    out = a;
+  } else if (ec.kernel == "spmm") {
+    Tensor A("A", {6, 3}, fmt::dense_matrix());
+    Tensor C("C", {5, 3}, fmt::dense_matrix());
+    C.init_dense(ones);
+    stmt = &(A(i, j) = B(i, k) * C(k, j));
+    out = A;
+  } else if (ec.kernel == "sddmm") {
+    Tensor A("A", {6, 5}, fmt::csr());
+    Tensor C("C", {6, 3}, fmt::dense_matrix());
+    Tensor D("D", {3, 5}, fmt::dense_matrix());
+    C.init_dense(ones);
+    D.init_dense(ones);
+    stmt = &(A(i, j) = B(i, j) * C(i, k) * D(k, j));
+    out = A;
+  } else if (ec.kernel == "spttv") {
+    Tensor A("A", {6, 5}, fmt::csr()), c("c", {4}, fmt::dense_vector());
+    c.init_dense(ones);
+    stmt = &(A(i, j) = B(i, j, k) * c(k));
+    out = A;
+  } else {
+    Tensor A("A", {6, 3}, fmt::dense_matrix());
+    Tensor C("C", {5, 3}, fmt::dense_matrix());
+    Tensor D("D", {4, 3}, fmt::dense_matrix());
+    C.init_dense(ones);
+    D.init_dense(ones);
+    stmt = &(A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
+    out = A;
+  }
+  // Fuse the split tensor's levels (the second access variable of SpMM is
+  // k) and cut the fused variable into 4 non-zero blocks.
+  const std::vector<IndexVar> fused =
+      fused_level_vars(*stmt, "B", ec.format.order());
+  sched::Schedule& s = out.schedule();
+  s.fuse(fused[0], fused[1], f);
+  if (!matrix) s.fuse(f, fused[2], g);
+  s.divide_pos(matrix ? f : g, fo, fi, 4, "B").distribute(fo);
+  rt::Machine m = cpu_machine(4);
+  rt::Runtime runtime(m);
+  auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
+  inst->run(1);
+  EXPECT_EQ(ref::max_abs_diff(out, ref::eval(*stmt)), 0.0)
+      << ec.kernel << " " << ec.format_name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, EmptySplitLevel,
+    ::testing::Range(0, static_cast<int>(empty_split_cases().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      const EmptySplitCase ec =
+          empty_split_cases()[static_cast<size_t>(info.param)];
+      return ec.kernel + "_" + ec.format_name;
+    });
+
 // Scaling sanity: more nodes => lower simulated time for a compute-heavy
 // kernel; non-zero distribution beats universe distribution on skewed data.
 TEST(Simulation, StrongScalingAndLoadBalance) {
