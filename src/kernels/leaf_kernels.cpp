@@ -4,8 +4,9 @@ namespace spdistal::kern {
 
 using rt::Coord;
 
-Coord owner_of(const rt::RegionAccessor<rt::PosRange>& pos, Coord n,
-               Coord q) {
+template <bool kRecord>
+Coord owner_of(const rt::RegionAccessor<rt::PosRange, 1, kRecord>& pos,
+               Coord n, Coord q) {
   Coord first = 0;
   while (n > 0) {
     const Coord half = n / 2;
@@ -19,19 +20,30 @@ Coord owner_of(const rt::RegionAccessor<rt::PosRange>& pos, Coord n,
   return first;
 }
 
-Window::Window(const PieceBounds& piece, const fmt::TensorStorage& B)
+template Coord owner_of(const rt::RegionAccessor<rt::PosRange, 1, true>&,
+                        Coord, Coord);
+template Coord owner_of(const rt::RegionAccessor<rt::PosRange, 1, false>&,
+                        Coord, Coord);
+
+template <bool kRecord>
+Window::Window(const PieceBounds& piece, const fmt::TensorStorage& B,
+               std::bool_constant<kRecord>)
     : nz(piece.dist_pos.has_value()),
-      rows(piece.dist_coords.value_or(rt::Rect1{0, B.dims()[0] - 1})),
+      rows{0, B.dims()[0] - 1},
       fibers{0, B.level(1).positions - 1},
       pos{0, B.level(B.num_levels() - 1).positions - 1} {
-  if (!nz) return;
+  if (!nz) {
+    if (piece.dist_coords) rows = rows.intersect(*piece.dist_coords);
+    return;
+  }
   pos = pos.intersect(*piece.dist_pos);
   if (pos.empty()) {
     rows = rt::Rect1{};
     return;
   }
   auto owners = [](const fmt::LevelStorage& level, rt::Rect1 children) {
-    const rt::RegionAccessor<rt::PosRange> p(*level.pos, rt::Access::Read);
+    const rt::RegionAccessor<rt::PosRange, 1, kRecord> p(*level.pos,
+                                                         rt::Access::Read);
     return rt::Rect1{owner_of(p, level.parent_positions, children.lo),
                      owner_of(p, level.parent_positions, children.hi)};
   };
@@ -43,5 +55,10 @@ Window::Window(const PieceBounds& piece, const fmt::TensorStorage& B)
              ? owners(mid, fibers)
              : rt::Rect1{fibers.lo / mid.extent, fibers.hi / mid.extent};
 }
+
+template Window::Window(const PieceBounds&, const fmt::TensorStorage&,
+                        std::true_type);
+template Window::Window(const PieceBounds&, const fmt::TensorStorage&,
+                        std::false_type);
 
 }  // namespace spdistal::kern

@@ -25,21 +25,25 @@
 // privilege — which the runtime redirects into per-task scratch buffers
 // folded deterministically in color order.
 //
-// Kernel ABI: regions are read and written through accessor objects
-// (rt::RegionAccessor<T, DIM> / rt::LinearAccessor<T>) constructed at the
-// top of each leaf invocation. The accessor resolves the reduction-redirect
-// indirection (an atomic load + TLS walk) exactly once, so the inner loops
-// are plain pointer arithmetic the compiler can vectorize; a redirected
-// output accessor addresses the point's bounding-box scratch buffer
-// transparently. Accessors must be constructed inside the leaf body (after
-// the executor installed the task's redirects), never captured across
-// invocations. Dense-row inner loops (the SpMM and SpMTTKRP leaves) take
-// RegionAccessor<T, 2>::row(i, cols) once per row or fiber and index the
-// returned pointer; no leaf indexes a Region per element.
+// Kernel ABI: regions are read and written through rt::RegionAccessor
+// objects constructed at the top of each leaf invocation. The accessor
+// resolves the reduction-redirect indirection (an atomic load + TLS walk)
+// exactly once; a redirected output accessor addresses the point's
+// bounding-box scratch buffer transparently. Every leaf body is written
+// once over a touch-recording tag and compiled twice (make_leaf): verify-
+// mode point tasks run it with recording accessors, which test a touch sink
+// on every element access, and every other invocation runs it with plain
+// accessors, so its inner loops are plain pointer arithmetic the compiler
+// can keep in registers and vectorize. Accessors must be constructed inside
+// the leaf body (after the executor installed the task's redirects), never
+// captured across invocations. Dense-row inner loops (the SpMM and SpMTTKRP
+// leaves) take RegionAccessor<T, 2>::row(i, cols) once per row or fiber and
+// index the returned pointer; no leaf indexes a Region per element.
 #pragma once
 
 #include <algorithm>
 #include <functional>
+#include <type_traits>
 
 #include "kernels/coiter.h"
 #include "tensor/tensor.h"
@@ -48,27 +52,57 @@ namespace spdistal::kern {
 
 using Leaf = std::function<rt::WorkEstimate(const PieceBounds&)>;
 
+// The leaf that runs `body(piece, rec)` on each piece it is handed, `rec`
+// being std::true_type on a thread that records touches and std::false_type
+// otherwise (rt::with_touch_recording). The body declares its accessors as
+// rt::RegionAccessor<T, DIM, rec>, so it compiles once with recording
+// accessors and once with plain ones.
+template <typename Body>
+Leaf make_leaf(Body body) {
+  return [body](const PieceBounds& piece) mutable {
+    return rt::with_touch_recording(
+        [&](auto rec) -> rt::WorkEstimate { return body(piece, rec); });
+  };
+}
+
+// Marks a leaf body (the lambda handed to make_leaf, after `mutable`): with
+// GCC each of its two instantiations stays one function of its own, neither
+// inlined into the leaf's std::function invoker nor cloned, so where it
+// lands does not hang on inlining and bench/layout_offsets.py can find and
+// check it. Clang takes GNU attributes only before `mutable`, where GCC
+// rejects them, so it gets none.
+#if defined(__GNUC__) && !defined(__clang__)
+#define SPD_LEAF_BODY __attribute__((noipa))
+#else
+#define SPD_LEAF_BODY
+#endif
+
 // The first of `pos`'s `n` parents whose segment ends at or after child
 // position `q`: the parent storing q. Pack writes an empty segment as
 // {q, q - 1}, q being where the next stored child goes, so segment ends
 // never decrease and an empty parent is never returned for a stored q.
-rt::Coord owner_of(const rt::RegionAccessor<rt::PosRange>& pos, rt::Coord n,
-                   rt::Coord q);
+template <bool kRecord>
+rt::Coord owner_of(const rt::RegionAccessor<rt::PosRange, 1, kRecord>& pos,
+                   rt::Coord n, rt::Coord q);
 
 // What one piece covers of a {Dense, Compressed} matrix or a
 // {Dense, Compressed|Dense, Compressed} 3-tensor B. A row piece takes its
-// rows (`dist_coords`, or all) with their whole segments: `fibers` and `pos`
-// span every position. A non-zero piece covers its `dist_pos` window of the
-// last level; its fibers (level-1 positions of a 3-tensor) and rows run
+// rows (`dist_coords`, or all, clamped to B's rows) with their whole
+// segments: `fibers` and `pos` span every position. A non-zero piece covers
+// its `dist_pos` window of the last level, clamped to the positions that
+// level stores; its fibers (level-1 positions of a 3-tensor) and rows run
 // from the one storing the window's first position to the one storing its
-// last, and clamp() trims the two edge segments to the window.
+// last, and clamp() trims the two edge segments to the window. `rec` picks
+// the accessors the constructor reads pos through, as in make_leaf.
 struct Window {
   bool nz = false;
   rt::Rect1 rows;
   rt::Rect1 fibers;
   rt::Rect1 pos;
 
-  Window(const PieceBounds& piece, const fmt::TensorStorage& B);
+  template <bool kRecord>
+  Window(const PieceBounds& piece, const fmt::TensorStorage& B,
+         std::bool_constant<kRecord> rec);
 
   // The part of `seg` inside `to`.
   static rt::Rect1 clamp(rt::PosRange seg, rt::Rect1 to) {

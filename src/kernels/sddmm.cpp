@@ -10,24 +10,26 @@ using rt::Coord;
 // columns inside the piece's axis-1 tile.
 Leaf make_sddmm(Tensor A, Tensor B, Tensor C, Tensor D,
                 std::optional<uint32_t> col_var) {
-  return [A, B, C, D, col_var](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
+  return make_leaf([A, B, C, D, col_var](const PieceBounds& piece, auto rec)
+                       mutable SPD_LEAF_BODY -> rt::WorkEstimate {
     WorkCounter work;
     const bool clamp = col_var.has_value();
     const rt::Rect1 cols =
         clamp ? piece.var_bound(*col_var, rt::Rect1{0, B.dims()[1] - 1})
               : rt::Rect1{0, B.dims()[1] - 1};
     const auto& Bl = B.storage().level(1);
-    const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
-    const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double> av(*A.storage().vals());
+    const rt::RegionAccessor<rt::PosRange, 1, rec> pos(*Bl.pos,
+                                                       rt::Access::Read);
+    const rt::RegionAccessor<int32_t, 1, rec> crd(*Bl.crd, rt::Access::Read);
+    const rt::RegionAccessor<double, 1, rec> bv(*B.storage().vals(),
+                                                rt::Access::Read);
+    const rt::RegionAccessor<double, 2, rec> cv(*C.storage().vals(),
+                                                rt::Access::Read);
+    const rt::RegionAccessor<double, 2, rec> dv(*D.storage().vals(),
+                                                rt::Access::Read);
+    const rt::RegionAccessor<double, 1, rec> av(*A.storage().vals());
     const Coord K = C.dims()[1];
-    const Window w(piece, B.storage());
+    const Window w(piece, B.storage(), rec);
     for (Coord i = w.rows.lo; i <= w.rows.hi; ++i) {
       const rt::Rect1 seg = Window::clamp(pos[i], w.pos);
       for (Coord q = seg.lo; q <= seg.hi; ++q) {
@@ -46,7 +48,7 @@ Leaf make_sddmm(Tensor A, Tensor B, Tensor C, Tensor D,
       }
     }
     return work.done();
-  };
+  });
 }
 
 }  // namespace spdistal::kern

@@ -9,29 +9,29 @@ using rt::Coord;
 // directly into the assembled output segment — no intermediate sparse
 // matrices or re-assembly between additions (paper §VI-A / §VI-C).
 Leaf make_spadd3_row(Tensor A, Tensor B, Tensor C, Tensor D) {
-  return [A, B, C, D](const PieceBounds& piece) mutable -> rt::WorkEstimate {
+  return make_leaf([A, B, C, D](const PieceBounds& piece, auto rec)
+                       mutable SPD_LEAF_BODY -> rt::WorkEstimate {
     WorkCounter work;
+    using PosAcc = rt::RegionAccessor<rt::PosRange, 1, rec>;
+    using CrdAcc = rt::RegionAccessor<int32_t, 1, rec>;
+    using ValAcc = rt::RegionAccessor<double, 1, rec>;
     struct In {
-      rt::RegionAccessor<rt::PosRange> pos;
-      rt::RegionAccessor<int32_t> crd;
-      rt::RegionAccessor<double> vals;
+      PosAcc pos;
+      CrdAcc crd;
+      ValAcc vals;
     };
     auto input = [](const Tensor& t) {
-      return In{rt::RegionAccessor<rt::PosRange>(*t.storage().level(1).pos,
-                                                 rt::Access::Read),
-                rt::RegionAccessor<int32_t>(*t.storage().level(1).crd,
-                                            rt::Access::Read),
-                rt::RegionAccessor<double>(*t.storage().vals(),
-                                           rt::Access::Read)};
+      return In{PosAcc(*t.storage().level(1).pos, rt::Access::Read),
+                CrdAcc(*t.storage().level(1).crd, rt::Access::Read),
+                ValAcc(*t.storage().vals(), rt::Access::Read)};
     };
     const In ins[3] = {input(B), input(C), input(D)};
-    const rt::RegionAccessor<rt::PosRange> apos(*A.storage().level(1).pos,
-                                                rt::Access::Read);
-    const rt::RegionAccessor<int32_t> acrd(*A.storage().level(1).crd,
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double> avals(*A.storage().vals());
-    const rt::Rect1 rows = piece.dist_coords.value_or(
-        rt::Rect1{0, A.dims()[0] - 1});
+    const PosAcc apos(*A.storage().level(1).pos, rt::Access::Read);
+    const CrdAcc acrd(*A.storage().level(1).crd, rt::Access::Read);
+    const ValAcc avals(*A.storage().vals());
+    // The piece's rows, clamped to A's.
+    const rt::Rect1 all{0, A.dims()[0] - 1};
+    const rt::Rect1 rows = all.intersect(piece.dist_coords.value_or(all));
     for (Coord i = rows.lo; i <= rows.hi; ++i) {
       // Three cursors over this row's segments.
       Coord q[3], hi[3];
@@ -65,7 +65,7 @@ Leaf make_spadd3_row(Tensor A, Tensor B, Tensor C, Tensor D) {
       }
     }
     return work.done();
-  };
+  });
 }
 
 }  // namespace spdistal::kern

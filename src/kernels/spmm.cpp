@@ -7,16 +7,18 @@ using rt::Coord;
 
 Leaf make_spmm(Tensor A, Tensor B, Tensor C,
                std::optional<uint32_t> col_var) {
-  return [A, B, C, col_var](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
+  return make_leaf([A, B, C, col_var](const PieceBounds& piece, auto rec)
+                       mutable SPD_LEAF_BODY -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
-    const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
-    const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
+    const rt::RegionAccessor<rt::PosRange, 1, rec> pos(*Bl.pos,
+                                                       rt::Access::Read);
+    const rt::RegionAccessor<int32_t, 1, rec> crd(*Bl.crd, rt::Access::Read);
+    const rt::RegionAccessor<double, 1, rec> bv(*B.storage().vals(),
+                                                rt::Access::Read);
+    const rt::RegionAccessor<double, 2, rec> cv(*C.storage().vals(),
+                                                rt::Access::Read);
+    const rt::RegionAccessor<double, 2, rec> av(*A.storage().vals());
     const Coord J = A.dims()[1];
     // Axis-1 tile of a grid distribution: this piece owns only a block of
     // the dense output columns.
@@ -24,7 +26,7 @@ Leaf make_spmm(Tensor A, Tensor B, Tensor C,
                                ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
                                : rt::Rect1{0, J - 1};
     if (cols.empty()) return work.done();
-    const Window w(piece, B.storage());
+    const Window w(piece, B.storage(), rec);
     // The Senanayake et al. schedule: loop non-zeros of the row, stream the
     // dense row of C into the dense row of A.
     const Coord n = cols.size();
@@ -43,7 +45,7 @@ Leaf make_spmm(Tensor A, Tensor B, Tensor C,
       }
     }
     return work.done();
-  };
+  });
 }
 
 }  // namespace spdistal::kern

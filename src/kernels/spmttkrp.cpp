@@ -11,28 +11,31 @@ using rt::Coord;
 // resolved once per fiber, and each stored non-zero (k, v) streams D's row
 // k into A's row i.
 Leaf make_spmttkrp(Tensor A, Tensor B, Tensor C, Tensor D) {
-  return [A, B, C, D](const PieceBounds& piece) mutable -> rt::WorkEstimate {
+  return make_leaf([A, B, C, D](const PieceBounds& piece, auto rec)
+                       mutable SPD_LEAF_BODY -> rt::WorkEstimate {
     WorkCounter work;
     const auto& l1 = B.storage().level(1);
     const auto& l2 = B.storage().level(2);
-    const rt::RegionAccessor<rt::PosRange> l2pos(*l2.pos, rt::Access::Read);
-    const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
+    using PosAcc = rt::RegionAccessor<rt::PosRange, 1, rec>;
+    using CrdAcc = rt::RegionAccessor<int32_t, 1, rec>;
+    using RowAcc = rt::RegionAccessor<double, 2, rec>;
+    const PosAcc l2pos(*l2.pos, rt::Access::Read);
+    const CrdAcc l2crd(*l2.crd, rt::Access::Read);
+    const rt::RegionAccessor<double, 1, rec> bv(*B.storage().vals(),
+                                                rt::Access::Read);
+    const RowAcc cv(*C.storage().vals(), rt::Access::Read);
+    const RowAcc dv(*D.storage().vals(), rt::Access::Read);
+    const RowAcc av(*A.storage().vals());
     const bool compressed = l1.kind.is_compressed();
-    rt::RegionAccessor<rt::PosRange> l1pos;
-    rt::RegionAccessor<int32_t> l1crd;
+    PosAcc l1pos;
+    CrdAcc l1crd;
     if (compressed) {
-      l1pos = rt::RegionAccessor<rt::PosRange>(*l1.pos, rt::Access::Read);
-      l1crd = rt::RegionAccessor<int32_t>(*l1.crd, rt::Access::Read);
+      l1pos = PosAcc(*l1.pos, rt::Access::Read);
+      l1crd = CrdAcc(*l1.crd, rt::Access::Read);
     }
     const Coord n = A.dims()[1];
     const rt::Rect1 cols{0, n - 1};  // every column l
-    const Window w(piece, B.storage());
+    const Window w(piece, B.storage(), rec);
     for (Coord i = w.rows.lo; i <= w.rows.hi; ++i) {
       // A row loop reads the pos segment of every row and fiber it visits;
       // a non-zero loop reads none.
@@ -59,7 +62,7 @@ Leaf make_spmttkrp(Tensor A, Tensor B, Tensor C, Tensor D) {
       }
     }
     return work.done();
-  };
+  });
 }
 
 }  // namespace spdistal::kern

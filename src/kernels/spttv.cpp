@@ -10,27 +10,29 @@ using rt::Coord;
 // of B's non-empty fibers; a walking cursor over A's row segment consumes
 // fibers in ascending j order.
 Leaf make_spttv(Tensor A, Tensor B, Tensor c) {
-  return [A, B, c](const PieceBounds& piece) mutable -> rt::WorkEstimate {
+  return make_leaf([A, B, c](const PieceBounds& piece, auto rec)
+                       mutable SPD_LEAF_BODY -> rt::WorkEstimate {
     WorkCounter work;
     const auto& l1 = B.storage().level(1);
     const auto& l2 = B.storage().level(2);
-    const rt::RegionAccessor<rt::PosRange> l2pos(*l2.pos, rt::Access::Read);
-    const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<rt::PosRange> apos(*A.storage().level(1).pos,
-                                                rt::Access::Read);
-    const rt::RegionAccessor<int32_t> acrd(*A.storage().level(1).crd,
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double> avals(*A.storage().vals());
+    using PosAcc = rt::RegionAccessor<rt::PosRange, 1, rec>;
+    using CrdAcc = rt::RegionAccessor<int32_t, 1, rec>;
+    using ValAcc = rt::RegionAccessor<double, 1, rec>;
+    const PosAcc l2pos(*l2.pos, rt::Access::Read);
+    const CrdAcc l2crd(*l2.crd, rt::Access::Read);
+    const ValAcc bv(*B.storage().vals(), rt::Access::Read);
+    const ValAcc cv(*c.storage().vals(), rt::Access::Read);
+    const PosAcc apos(*A.storage().level(1).pos, rt::Access::Read);
+    const CrdAcc acrd(*A.storage().level(1).crd, rt::Access::Read);
+    const ValAcc avals(*A.storage().vals());
     const bool compressed = l1.kind.is_compressed();
-    rt::RegionAccessor<rt::PosRange> l1pos;
-    rt::RegionAccessor<int32_t> l1crd;
+    PosAcc l1pos;
+    CrdAcc l1crd;
     if (compressed) {
-      l1pos = rt::RegionAccessor<rt::PosRange>(*l1.pos, rt::Access::Read);
-      l1crd = rt::RegionAccessor<int32_t>(*l1.crd, rt::Access::Read);
+      l1pos = PosAcc(*l1.pos, rt::Access::Read);
+      l1crd = CrdAcc(*l1.crd, rt::Access::Read);
     }
-    const Window w(piece, B.storage());
+    const Window w(piece, B.storage(), rec);
     for (Coord i = w.rows.lo; i <= w.rows.hi; ++i) {
       if (!w.nz) work.segment();
       const rt::Rect1 fibers = Window::clamp(
@@ -64,7 +66,7 @@ Leaf make_spttv(Tensor A, Tensor B, Tensor c) {
       }
     }
     return work.done();
-  };
+  });
 }
 
 }  // namespace spdistal::kern

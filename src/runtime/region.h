@@ -13,8 +13,9 @@
 // Access paths, fastest first:
 //  * RegionAccessor<T, DIM> / LinearAccessor<T>: the kernel ABI. The
 //    reduction-redirect lookup (atomic load + TLS walk) happens once at
-//    accessor construction, so element access inside leaf inner loops is
-//    plain pointer arithmetic the compiler can vectorize.
+//    accessor construction. A plain RegionAccessor<T, DIM, false> then
+//    indexes a raw pointer; the recording default also tests its touch
+//    sink on every element access (see RegionAccessor).
 //  * Region<T>::operator[] / at2 / at3 / at_linear: per-element access that
 //    re-checks the redirect each call — fine for host-side code and tests,
 //    too slow for kernel inner loops.
@@ -326,7 +327,7 @@ class Region final : public RegionBase {
   }
 
  private:
-  template <typename, int>
+  template <typename, int, bool>
   friend class RegionAccessor;
   template <typename>
   friend class LinearAccessor;
@@ -395,17 +396,36 @@ RegionRef<T> make_region(IndexSpace space, std::string name) {
 
 // --- accessors (the kernel ABI) ----------------------------------------------
 
+// What a recording accessor keeps for the verify-mode touch log; a plain one
+// keeps nothing.
+template <bool kRecord>
+struct AccessorTouch {
+  TouchSink* sink = nullptr;
+  Access intent = Access::ReadWrite;
+};
+template <>
+struct AccessorTouch<false> {};
+
 // Coordinate-addressed accessor of a DIM-dimensional region, resolved once
 // per leaf invocation: the redirect check happens at construction, element
-// access is plain indexing off a raw pointer. Must be constructed *inside*
-// the point-task body (after the executor installed the task's reduction
+// access indexes off a raw pointer. Must be constructed *inside* the
+// point-task body (after the executor installed the task's reduction
 // redirects) and must not outlive it.
+//
+// kRecord selects touch recording at compile time. The recording accessor
+// (the default) records each element it addresses into the thread's touch
+// log in verify mode; outside it, it still tests a null sink on every
+// access, which leaves a call in the loop. The plain accessor holds no sink
+// and tests nothing per element. Leaves get both from one source through
+// rt::with_touch_recording, and a plain accessor constructed on a thread
+// that records touches raises a VerifyError, so no leaf skips verification
+// silently.
 //
 // Writable by design even when constructed from a const reference — leaves
 // receive operand and output tensors through the same storage handles, and
 // const-ness of the underlying data is governed by the launch's privileges,
 // not the C++ type.
-template <typename T, int DIM = 1>
+template <typename T, int DIM = 1, bool kRecord = true>
 class RegionAccessor {
  public:
   RegionAccessor() = default;
@@ -414,8 +434,7 @@ class RegionAccessor {
   // accessors (values, pos, crd); outputs keep the ReadWrite default. The
   // tag has no effect on element access itself.
   explicit RegionAccessor(const Region<T>& region,
-                          Access intent = Access::ReadWrite)
-      : intent_(intent) {
+                          Access intent = Access::ReadWrite) {
     auto& r = const_cast<Region<T>&>(region);
     SPDISTAL_CHECK(r.space().dim() == DIM,
                    DIM << "-D accessor on " << r.space().dim() << "-D region "
@@ -429,9 +448,17 @@ class RegionAccessor {
       stride_[static_cast<size_t>(d)] = stride;
       stride *= box.hi[d] - box.lo[d] + 1;
     }
-    // Verify mode: one relaxed load; off is the only cost the hot path pays.
-    if (touch_logging_enabled()) {
-      if (TouchLog* log = active_touch_log()) sink_ = log->sink(r.id(), DIM);
+    if constexpr (kRecord) {
+      touch_.intent = intent;
+      // One relaxed load when verification is off.
+      if (touch_logging_enabled()) {
+        if (TouchLog* log = active_touch_log()) {
+          touch_.sink = log->sink(r.id(), DIM);
+        }
+      }
+    } else {
+      (void)intent;
+      if (active_touch_log() != nullptr) refuse_unrecorded_access(r.name());
     }
   }
 
@@ -440,13 +467,17 @@ class RegionAccessor {
   T& operator[](Coord i) const
     requires(DIM == 1)
   {
-    if (sink_) sink_->touch1(i, intent_);
+    if constexpr (kRecord) {
+      if (touch_.sink) touch_.sink->touch1(i, touch_.intent);
+    }
     return base_[static_cast<size_t>(i - lo_[0])];
   }
   T& operator()(Coord i, Coord j) const
     requires(DIM == 2)
   {
-    if (sink_) sink_->touch2(i, j, intent_);
+    if constexpr (kRecord) {
+      if (touch_.sink) touch_.sink->touch2(i, j, touch_.intent);
+    }
     return base_[static_cast<size_t>((i - lo_[0]) * stride_[0] +
                                      (j - lo_[1]))];
   }
@@ -457,14 +488,21 @@ class RegionAccessor {
   T* row(Coord i, Rect1 cols) const
     requires(DIM == 2)
   {
-    if (sink_) sink_->touch(RectN::make2(i, i, cols.lo, cols.hi), intent_);
+    if constexpr (kRecord) {
+      if (touch_.sink) {
+        touch_.sink->touch(RectN::make2(i, i, cols.lo, cols.hi),
+                           touch_.intent);
+      }
+    }
     return base_ + static_cast<size_t>((i - lo_[0]) * stride_[0] +
                                        (cols.lo - lo_[1]));
   }
   T& operator()(Coord i, Coord j, Coord k) const
     requires(DIM == 3)
   {
-    if (sink_) sink_->touch3(i, j, k, intent_);
+    if constexpr (kRecord) {
+      if (touch_.sink) touch_.sink->touch3(i, j, k, touch_.intent);
+    }
     return base_[static_cast<size_t>((i - lo_[0]) * stride_[0] +
                                      (j - lo_[1]) * stride_[1] +
                                      (k - lo_[2]))];
@@ -474,8 +512,7 @@ class RegionAccessor {
   T* base_ = nullptr;
   std::array<Coord, DIM> lo_{};
   std::array<Coord, DIM> stride_{};
-  TouchSink* sink_ = nullptr;
-  Access intent_ = Access::ReadWrite;
+  [[no_unique_address]] AccessorTouch<kRecord> touch_;
 };
 
 // Position-addressed accessor: indices are row-major linear offsets within
@@ -497,7 +534,8 @@ class LinearAccessor {
     outer_ = &r.space().bounds();
     box_ = b.box;
     direct_ = (box_ == outer_) || (*box_ == *outer_);
-    // Verify mode: one relaxed load; off is the only cost the hot path pays.
+    // One relaxed load when verification is off; element access still tests
+    // the sink (see RegionAccessor).
     if (touch_logging_enabled()) {
       if (TouchLog* log = active_touch_log()) {
         sink_ = log->sink(r.id(), r.space().dim());

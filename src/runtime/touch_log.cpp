@@ -1,5 +1,7 @@
 #include "runtime/touch_log.h"
 
+#include "common/error.h"
+
 namespace spdistal::rt {
 
 namespace {
@@ -118,5 +120,12 @@ ScopedTouchLog::ScopedTouchLog(TouchLog* log) : prev_(tls_touch_log) {
 ScopedTouchLog::~ScopedTouchLog() { tls_touch_log = prev_; }
 
 TouchLog* active_touch_log() { return tls_touch_log; }
+
+void refuse_unrecorded_access(const std::string& region) {
+  throw VerifyError("verify(touch): a plain accessor over " + region +
+                    " was constructed while this thread records touches; "
+                    "leaves pick the recording accessor through "
+                    "rt::with_touch_recording");
+}
 
 }  // namespace spdistal::rt

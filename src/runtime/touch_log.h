@@ -7,15 +7,23 @@
 // the recorded coordinates against the point's declared RegionReq subsets —
 // an in-house address sanitizer for regions.
 //
-// Cost contract: with verification disabled, touch_logging_enabled() is one
-// relaxed atomic load at accessor construction (the accessor then carries a
-// null sink and element access is unchanged raw pointer math). Recording
-// itself only happens inside verify-mode point tasks.
+// Cost contract: a recording accessor (RegionAccessor's default, which the
+// co-iteration engine and the partitioning operators use) pays one relaxed
+// load of touch_logging_enabled() at construction and, on every element
+// access, a test of its sink, even with verification disabled. That test
+// keeps a call in each inner loop, and the compiler spills the loop's state
+// around it. So each leaf kernel compiles twice from one source through
+// with_touch_recording below: outside verify mode it runs the plain
+// accessors, whose element access is only pointer math, at the price of a
+// thread-local load per leaf invocation and per accessor it constructs.
+// Recording itself only happens inside verify-mode point tasks.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/index_space.h"
@@ -119,5 +127,21 @@ class ScopedTouchLog {
 
 // The calling thread's active log, or nullptr (the common case).
 TouchLog* active_touch_log();
+
+// Runs `body` with std::true_type on a thread that records touches (one with
+// an active TouchLog: a verify-mode point task) and with std::false_type
+// otherwise, and returns its result. A leaf calls this once per invocation
+// and hands the tag to its accessors (RegionAccessor<T, DIM, tag>), so its
+// body compiles twice: the recording instantiation runs in verify mode, the
+// plain one everywhere else. This is the only place that picks between them.
+template <typename Body>
+decltype(auto) with_touch_recording(Body&& body) {
+  if (active_touch_log() != nullptr) return body(std::true_type{});
+  return body(std::false_type{});
+}
+
+// Raises the VerifyError of a plain accessor constructed over `region` on a
+// thread that records touches: its accesses would escape the privilege check.
+[[noreturn]] void refuse_unrecorded_access(const std::string& region);
 
 }  // namespace spdistal::rt

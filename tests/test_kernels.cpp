@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
 
 #include "data/generators.h"
 #include "kernels/assembly.h"
 #include "kernels/leaf_kernels.h"
+#include "runtime/touch_log.h"
 #include "tensor/dense_ref.h"
 
 namespace spdistal::kern {
@@ -44,6 +46,100 @@ std::vector<MatrixCase> matrix_cases() {
   };
 }
 
+void expect_work(const rt::WorkEstimate& w, double flops, double bytes,
+                 double nnz, const std::string& what) {
+  EXPECT_EQ(w.flops, flops) << what;
+  EXPECT_EQ(w.bytes, bytes) << what;
+  EXPECT_EQ(w.nnz, nnz) << what;
+}
+
+// Records touches on this thread for the scope, as a verify-mode point task
+// does, so leaves run their recording instantiation.
+class RecordTouches {
+ public:
+  explicit RecordTouches(rt::TouchLog* log)
+      : was_on_(rt::touch_logging_enabled()), scope_(log) {
+    rt::set_touch_logging(true);
+  }
+  ~RecordTouches() { rt::set_touch_logging(was_on_); }
+
+ private:
+  bool was_on_;
+  rt::ScopedTouchLog scope_;
+};
+
+// Runs `leaf` on `piece` twice from the same output values: with no touch
+// log, as every launch outside verify mode does (the plain instantiation),
+// and under one (the recording instantiation). Both must write the same
+// output bits and report the same work, and the recording run must record
+// the touches of a piece that did work. Returns the work, leaving `out` as
+// one run left it.
+rt::WorkEstimate run_both(Leaf& leaf, const Tensor& out,
+                          const PieceBounds& piece, const std::string& what) {
+  std::vector<double>& vals = out.storage().vals()->data();
+  const std::vector<double> before = vals;
+  const rt::WorkEstimate plain = leaf(piece);
+  const std::vector<double> after = vals;
+  vals = before;
+  rt::TouchLog log;
+  rt::WorkEstimate recorded;
+  {
+    RecordTouches scope(&log);
+    recorded = leaf(piece);
+  }
+  EXPECT_EQ(vals, after) << what << " recording";
+  expect_work(recorded, plain.flops, plain.bytes, plain.nnz,
+              what + " recording");
+  if (plain.flops > 0) {
+    EXPECT_FALSE(log.empty()) << what << " recorded nothing";
+  }
+  return plain;
+}
+
+// Pieces a leaf must clamp to B. An empty window and one past B's last
+// position do nothing. A window that runs from inside B past its last
+// position, and a row range that runs past B's last row, do exactly what
+// their parts inside B do. `positions` counts the positions the leaf's
+// windows index and `rows` B's rows; nullopt skips the windows or row
+// ranges of a leaf that takes none.
+void expect_empty_windows(Leaf& leaf, const Tensor& A,
+                          std::optional<Coord> positions,
+                          std::optional<Coord> rows, const std::string& what) {
+  const std::vector<double> before = A.storage().vals()->data();
+  std::vector<std::pair<PieceBounds, PieceBounds>> straddling;
+  if (positions) {
+    const Coord past = *positions;
+    for (const rt::Rect1 w : {rt::Rect1{1, 0}, rt::Rect1{past, past}}) {
+      PieceBounds piece;
+      piece.dist_pos = w;
+      expect_work(run_both(leaf, A, piece, what + " empty window"), 0, 0, 0,
+                  what + " empty window");
+    }
+    const Coord lo = std::max<Coord>(past - 5, 0);
+    PieceBounds inside, over;
+    inside.dist_pos = rt::Rect1{lo, past - 1};
+    over.dist_pos = rt::Rect1{lo, past + 50};
+    straddling.emplace_back(inside, over);
+  }
+  EXPECT_EQ(A.storage().vals()->data(), before) << what;
+  if (rows) {
+    const Coord lo = std::max<Coord>(*rows - 4, 0);
+    PieceBounds inside, over;
+    inside.dist_coords = rt::Rect1{lo, *rows - 1};
+    over.dist_coords = rt::Rect1{lo, *rows + 56};
+    straddling.emplace_back(inside, over);
+  }
+  for (const auto& [inside, over] : straddling) {
+    A.storage().vals()->fill(0.0);
+    const rt::WorkEstimate w = run_both(leaf, A, inside, what + " inside");
+    const std::vector<double> expect = A.storage().vals()->data();
+    A.storage().vals()->fill(0.0);
+    expect_work(run_both(leaf, A, over, what + " straddling"), w.flops,
+                w.bytes, w.nnz, what + " straddling");
+    EXPECT_EQ(A.storage().vals()->data(), expect) << what << " straddling";
+  }
+}
+
 class SpmvKernels : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpmvKernels, RowAndNzMatchReference) {
@@ -74,10 +170,11 @@ TEST_P(SpmvKernels, RowAndNzMatchReference) {
       if (r.empty()) continue;
       PieceBounds p;
       p.dist_coords = r;
-      row_work.push_back(leaf(p));
+      row_work.push_back(run_both(leaf, a, p, std::string(mc.name) + " row"));
     }
     EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12) << mc.name << " row";
     row_out = a.storage().vals()->data();
+    expect_empty_windows(leaf, a, n, n, std::string(mc.name) + " row");
   }
   {
     // A position split at CSR's Dense row level (level 0) hands the leaf
@@ -92,7 +189,7 @@ TEST_P(SpmvKernels, RowAndNzMatchReference) {
       p.dist_pos = r;
       p.pos_tensor = "B";
       p.pos_level = 0;
-      work.push_back(leaf(p));
+      work.push_back(run_both(leaf, a, p, std::string(mc.name) + " level 0"));
     }
     EXPECT_EQ(a.storage().vals()->data(), row_out) << mc.name << " level 0";
     ASSERT_EQ(work.size(), row_work.size());
@@ -109,9 +206,11 @@ TEST_P(SpmvKernels, RowAndNzMatchReference) {
     PieceBounds p1, p2;
     p1.dist_pos = rt::Rect1{0, nnz / 3};
     p2.dist_pos = rt::Rect1{nnz / 3 + 1, nnz - 1};
-    leaf(p1);
-    if (!p2.dist_pos->empty()) leaf(p2);
-    EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12) << mc.name << " nz";
+    const std::string what = std::string(mc.name) + " nz";
+    run_both(leaf, a, p1, what);
+    if (!p2.dist_pos->empty()) run_both(leaf, a, p2, what);
+    EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12) << what;
+    expect_empty_windows(leaf, a, nnz, std::nullopt, what);
   }
 }
 
@@ -161,8 +260,9 @@ TEST_P(SpAdd3Kernel, FusedUnionMatchesReference) {
   assemble_output(stmt);
   Leaf leaf = make_spadd3_row(A, B, C, D);
   A.zero();
-  leaf(PieceBounds{});
+  run_both(leaf, A, PieceBounds{}, mc.name);
   EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12) << mc.name;
+  expect_empty_windows(leaf, A, std::nullopt, n, mc.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, SpAdd3Kernel, ::testing::Range(0, 6));
@@ -516,26 +616,6 @@ bool borders_empty(const std::vector<Cut>& cuts,
   return false;
 }
 
-void expect_work(const rt::WorkEstimate& w, double flops, double bytes,
-                 double nnz, const std::string& what) {
-  EXPECT_EQ(w.flops, flops) << what;
-  EXPECT_EQ(w.bytes, bytes) << what;
-  EXPECT_EQ(w.nnz, nnz) << what;
-}
-
-// An empty window, and one past B's last position, do nothing.
-void expect_empty_windows(Leaf& leaf, const Tensor& A, size_t positions,
-                          const std::string& what) {
-  const std::vector<double> before = A.storage().vals()->data();
-  const Coord past = static_cast<Coord>(positions);
-  for (const rt::Rect1 w : {rt::Rect1{1, 0}, rt::Rect1{past, past}}) {
-    PieceBounds piece;
-    piece.dist_pos = w;
-    expect_work(leaf(piece), 0, 0, 0, what + " empty window");
-  }
-  EXPECT_EQ(A.storage().vals()->data(), before) << what;
-}
-
 class MatrixLeafWindows : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
@@ -586,7 +666,7 @@ TEST_P(MatrixLeafWindows, Spmm) {
       // nnz non-zeros: 2J flops and 8J+12 bytes each; a row piece also
       // reads one 16-byte pos segment per row.
       const double s = static_cast<double>(c.pos.size());
-      expect_work(leaf(c.piece), 2.0 * J * s,
+      expect_work(run_both(leaf, A, c.piece, what), 2.0 * J * s,
                   (8.0 * J + 12.0) * s + 16.0 * static_cast<double>(c.rows.size()),
                   s, what);
       for (Coord q = c.pos.lo; q <= c.pos.hi; ++q) {
@@ -600,7 +680,7 @@ TEST_P(MatrixLeafWindows, Spmm) {
     EXPECT_EQ(A.storage().vals()->data(), expect) << what;
     EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
   }
-  expect_empty_windows(leaf, A, bvals.size(), mc.name);
+  expect_empty_windows(leaf, A, static_cast<Coord>(bvals.size()), n, mc.name);
 }
 
 TEST_P(MatrixLeafWindows, Sddmm) {
@@ -629,7 +709,8 @@ TEST_P(MatrixLeafWindows, Sddmm) {
       // Both kinds: a K-long dot product and one sparse multiply-add per
       // non-zero, no pos reads.
       const double s = static_cast<double>(c.pos.size());
-      expect_work(leaf(c.piece), (2.0 * K + 2.0) * s, (16.0 * K + 20.0) * s,
+      expect_work(run_both(leaf, A, c.piece, what), (2.0 * K + 2.0) * s,
+                  (16.0 * K + 20.0) * s,
                   s, what);
       for (Coord q = c.pos.lo; q <= c.pos.hi; ++q) {
         const size_t e = static_cast<size_t>(q);
@@ -644,7 +725,7 @@ TEST_P(MatrixLeafWindows, Sddmm) {
     EXPECT_EQ(A.storage().vals()->data(), expect) << what;
     EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
   }
-  expect_empty_windows(leaf, A, bvals.size(), mc.name);
+  expect_empty_windows(leaf, A, static_cast<Coord>(bvals.size()), n, mc.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, MatrixLeafWindows,
@@ -730,7 +811,7 @@ TEST_P(TensorLeafWindows, Spttv) {
       // read in a non-zero piece, its output write in a row piece); a row
       // piece also reads one pos segment per row.
       const double s = static_cast<double>(cut.pos.size());
-      expect_work(leaf(cut.piece), 2.0 * s,
+      expect_work(run_both(leaf, A, cut.piece, what), 2.0 * s,
                   20.0 * s + 16.0 * static_cast<double>(fibers) +
                       16.0 * static_cast<double>(cut.rows.size()),
                   s, what);
@@ -738,7 +819,8 @@ TEST_P(TensorLeafWindows, Spttv) {
     EXPECT_EQ(A.storage().vals()->data(), expect) << what;
     EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-10) << what;
   }
-  expect_empty_windows(leaf, A, bvals.size(), tc.name);
+  expect_empty_windows(leaf, A, static_cast<Coord>(bvals.size()), dims[0],
+                       tc.name);
 }
 
 TEST_P(TensorLeafWindows, Spmttkrp) {
@@ -773,7 +855,8 @@ TEST_P(TensorLeafWindows, Spmttkrp) {
         segments = (*l1.pos)[cut.rows.hi].hi - (*l1.pos)[cut.rows.lo].lo + 1 +
                    cut.rows.size();
       }
-      expect_mttkrp_work(leaf(cut.piece), L, cut.pos.size(), segments, what);
+      expect_mttkrp_work(run_both(leaf, A, cut.piece, what), L,
+                         cut.pos.size(), segments, what);
       for (Coord q = cut.pos.lo; q <= cut.pos.hi; ++q) {
         const size_t e = static_cast<size_t>(q);
         for (Coord col = 0; col < L; ++col) {
@@ -786,7 +869,8 @@ TEST_P(TensorLeafWindows, Spmttkrp) {
     EXPECT_EQ(A.storage().vals()->data(), expect) << what;
     EXPECT_LE(ref::max_abs_diff(A, oracle), 1e-9) << what;
   }
-  expect_empty_windows(leaf, A, bvals.size(), tc.name);
+  expect_empty_windows(leaf, A, static_cast<Coord>(bvals.size()), dims[0],
+                       tc.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, TensorLeafWindows,

@@ -6,8 +6,11 @@
 
 #include "compiler/lower.h"
 #include "data/generators.h"
+#include "kernels/assembly.h"
+#include "kernels/leaf_kernels.h"
 #include "runtime/region.h"
 #include "runtime/runtime.h"
+#include "runtime/touch_log.h"
 #include "verify/lint.h"
 #include "verify/verify.h"
 
@@ -419,6 +422,193 @@ TEST(VerifyResidency, CatchesStaleResidencySlot) {
     EXPECT_NE(what.find("point 0"), std::string::npos) << what;
     EXPECT_NE(what.find("c_vec"), std::string::npos) << what;
   }
+}
+
+// --- leaf kernels in verify mode ---------------------------------------------
+
+// Every region of `t`'s storage: each level's pos and crd, then its vals.
+std::vector<std::shared_ptr<rt::RegionBase>> regions_of(const Tensor& t) {
+  std::vector<std::shared_ptr<rt::RegionBase>> out;
+  const fmt::TensorStorage& st = t.storage();
+  for (int l = 0; l < st.num_levels(); ++l) {
+    if (st.level(l).pos) out.push_back(st.level(l).pos);
+    if (st.level(l).crd) out.push_back(st.level(l).crd);
+  }
+  out.push_back(st.vals());
+  return out;
+}
+
+// A real leaf, the tensors it reads and the one it writes, and the region
+// whose declared subset the test cuts short: the last-level crd of one
+// operand, which a whole piece reads to its last position.
+struct LeafCase {
+  std::string name;
+  kern::Leaf leaf;
+  std::vector<Tensor> operands;
+  Tensor out;
+  std::shared_ptr<rt::RegionBase> cut;
+};
+
+// leaf_cases()' names, in order: the test names, which gtest builds
+// without running the builders.
+constexpr const char* kLeafNames[] = {"spmv_row", "spmv_nz",  "spmm",
+                                      "sddmm",    "spadd3_row", "spttv",
+                                      "spmttkrp"};
+
+std::vector<LeafCase> leaf_cases() {
+  IndexVar i("i"), j("j"), k("k");
+  auto matrix = [](const std::string& name, uint64_t seed) {
+    Tensor t(name, {64, 64}, fmt::csr());
+    t.from_coo(data::uniform_matrix(64, 64, 400, seed));
+    return t;
+  };
+  auto dense = [](const std::string& name, std::vector<Coord> dims) {
+    Tensor t(name, dims,
+             dims.size() == 1 ? fmt::dense_vector() : fmt::dense_matrix());
+    t.init_dense([](const auto& x) {
+      return 1.0 + 0.25 * static_cast<double>(x[0] % 5);
+    });
+    return t;
+  };
+  auto last_crd = [](const Tensor& t) -> std::shared_ptr<rt::RegionBase> {
+    return t.storage().level(t.storage().num_levels() - 1).crd;
+  };
+  std::vector<LeafCase> cases;
+  {
+    Tensor a = dense("a", {64}), B = matrix("B", 7), c = dense("c", {64});
+    cases.push_back({"spmv_row", kern::make_spmv_row(a, B, c), {B, c}, a,
+                     last_crd(B)});
+    cases.push_back({"spmv_nz", kern::make_spmv_nz(a, B, c), {B, c}, a,
+                     last_crd(B)});
+  }
+  {
+    Tensor A = dense("A", {64, 8}), B = matrix("B", 8),
+           C = dense("C", {64, 8});
+    cases.push_back({"spmm", kern::make_spmm(A, B, C), {B, C}, A,
+                     last_crd(B)});
+  }
+  {
+    Tensor A("A", {64, 64}, fmt::csr()), B = matrix("B", 9),
+        C = dense("C", {64, 6}), D = dense("D", {6, 64});
+    kern::assemble_output(A(i, j) = B(i, j) * C(i, k) * D(k, j));
+    cases.push_back({"sddmm", kern::make_sddmm(A, B, C, D), {B, C, D}, A,
+                     last_crd(B)});
+  }
+  {
+    Tensor A("A", {64, 64}, fmt::csr()), B = matrix("B", 10),
+        C = matrix("C", 11), D = matrix("D", 12);
+    kern::assemble_output(A(i, j) = B(i, j) + C(i, j) + D(i, j));
+    cases.push_back({"spadd3_row", kern::make_spadd3_row(A, B, C, D),
+                     {B, C, D}, A, last_crd(D)});
+  }
+  auto tensor3 = [] {
+    Tensor t("B", {20, 15, 25}, fmt::csf3());
+    t.from_coo(data::uniform_3tensor(20, 15, 25, 300, 5));
+    return t;
+  };
+  {
+    Tensor A("A", {20, 15}, fmt::csr()), B = tensor3(), c = dense("c", {25});
+    kern::assemble_output(A(i, j) = B(i, j, k) * c(k));
+    cases.push_back({"spttv", kern::make_spttv(A, B, c), {B, c}, A,
+                     last_crd(B)});
+  }
+  {
+    Tensor A = dense("A", {20, 4}), B = tensor3(), C = dense("C", {15, 4}),
+           D = dense("D", {25, 4});
+    cases.push_back({"spmttkrp", kern::make_spmttkrp(A, B, C, D), {B, C, D},
+                     A, last_crd(B)});
+  }
+  return cases;
+}
+
+// Runs the case's leaf on the whole piece as the body of a one-point
+// verify-mode launch. Every region is declared whole (operands and the
+// output's pattern RO, the output's values RW); with `cut_short`, the cut
+// region's subset ends one position before its last. Returns the launch's
+// VerifyError message, or "" when it ran clean.
+std::string run_verified(const LeafCase& c, bool cut_short) {
+  Runtime rt(cpu_machine(1), 1);
+  const Coord last = c.cut->space().bounds().hi[0];
+  const Partition short_of_last(
+      c.cut->space(), {rt::IndexSubset(RectN::make1(0, last - 1))});
+  IndexLaunch launch;
+  launch.name = c.name;
+  launch.domain = 1;
+  for (const Tensor& t : c.operands) {
+    for (const auto& r : regions_of(t)) {
+      const bool cut = cut_short && r == c.cut;
+      launch.reqs.push_back(
+          RegionReq{r, cut ? &short_of_last : nullptr, Privilege::RO});
+    }
+  }
+  for (const auto& r : regions_of(c.out)) {
+    launch.reqs.push_back(RegionReq{
+        r, nullptr,
+        r == c.out.storage().vals() ? Privilege::RW : Privilege::RO});
+  }
+  launch.body = [&c](const TaskContext&) {
+    return c.leaf(kern::PieceBounds{});
+  };
+  try {
+    rt.execute(launch);
+    rt.flush();
+  } catch (const VerifyError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Verify mode sees every leaf's touches: a leaf run in a verify-mode point
+// task whose declared subset of one operand stops one element short of
+// what the piece reads fails with the privilege checker's error naming
+// that region. A leaf that ran its plain instantiation in verify mode
+// would record nothing, or be refused when it built a plain accessor.
+class VerifyLeafTouches : public ::testing::TestWithParam<int> {};
+
+TEST_P(VerifyLeafTouches, ShortDeclaredSubsetIsCaught) {
+  VerifyGuard guard;
+  const std::vector<LeafCase> cases = leaf_cases();
+  const LeafCase& c = cases.at(static_cast<size_t>(GetParam()));
+  ASSERT_EQ(c.name, kLeafNames[GetParam()]);
+  ASSERT_GT(c.cut->space().volume(), 1) << c.name;
+  EXPECT_EQ(run_verified(c, false), "") << c.name << " with whole subsets";
+  const std::string what = run_verified(c, true);
+  EXPECT_NE(what.find("outside its declared subset"), std::string::npos)
+      << c.name << ": " << what;
+  EXPECT_NE(what.find("accessed " + c.cut->name() + " at"), std::string::npos)
+      << c.name << ": " << what;
+}
+
+INSTANTIATE_TEST_SUITE_P(Leaves, VerifyLeafTouches, ::testing::Range(0, 7),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::string(kLeafNames[info.param]);
+                         });
+
+// A plain accessor (no touch recording) is refused on a thread that records
+// touches, so a leaf cannot skip verification silently; the dispatch hands
+// such a thread the recording instantiation.
+TEST(TouchLog, PlainAccessorRefusedWhileRecording) {
+  auto r = rt::make_region<double>(IndexSpace(8), "plain_target");
+  r->fill(1.0);
+  auto recording = [](auto rec) { return decltype(rec)::value; };
+  EXPECT_FALSE(rt::with_touch_recording(recording));
+  EXPECT_EQ((rt::RegionAccessor<double, 1, false>(*r, rt::Access::Read)[3]),
+            1.0);
+  rt::TouchLog log;
+  {
+    rt::ScopedTouchLog scope(&log);
+    EXPECT_TRUE(rt::with_touch_recording(recording));
+    try {
+      const rt::RegionAccessor<double, 1, false> plain(*r, rt::Access::Read);
+      FAIL() << "a plain accessor was built while recording, valid="
+             << plain.valid();
+    } catch (const VerifyError& e) {
+      EXPECT_NE(std::string(e.what()).find("plain_target"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(rt::RegionAccessor<double>(*r, rt::Access::Read));
+  }
+  EXPECT_FALSE(rt::with_touch_recording(recording));
 }
 
 // --- clean programs and the off switch ---------------------------------------
