@@ -4,9 +4,11 @@
 Host timings of the leaves and of the e2ebench oracle move with the
 alignment of their inner loops, so a change that only adds or deletes cold
 code elsewhere can still move them. This script reads `nm -n` and prints the
-address of `main`, of the e2ebench oracle (`Reference::run`) and of every
-leaf kernel body, each with its offset mod 64. Compare the output of two
-builds to see whether hot code moved.
+address of `main`, of the e2ebench oracle (`Reference::run`), of the
+runtime's per-iteration code (`Runtime::execute` with its point-task and
+retire lambdas, `Runtime::account_launch`, `Runtime::fetch` and
+`Executor::run_node`) and of every leaf kernel body, each with its offset
+mod 64. Compare the output of two builds to see whether hot code moved.
 
 Each leaf body compiles twice (kern::make_leaf): a `recording` body, which
 verify-mode point tasks run, and a `plain` one, which every other launch
@@ -35,7 +37,23 @@ SYMBOL = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]+) )?[tTwW] (.*)$")
 NAMED = {
     "main": "main",
     "spdbench::oracle::Reference::run()": "Reference::run",
+    "spdistal::rt::Runtime::execute(spdistal::rt::IndexLaunch const&)":
+        "Runtime::execute",
+    "spdistal::rt::Runtime::account_launch(spdistal::rt::Runtime::"
+    "LaunchRecord&)": "Runtime::account_launch",
+    "spdistal::rt::Runtime::fetch(spdistal::rt::RegionBase&, "
+    "spdistal::rt::IndexSubset const&, spdistal::rt::Mem const&, double)":
+        "Runtime::fetch",
+    "spdistal::exec::Executor::run_node(unsigned long)": "Executor::run_node",
 }
+# The lambdas Runtime::execute hands the executor, in source order: #1 is
+# verify mode's prehash, #2 a point task, #3 the retirement. Each shows as
+# its operator() or as the std::function invoker it was inlined into.
+EXECUTE_LAMBDA = re.compile(r"spdistal::rt::Runtime::execute\(spdistal::rt::"
+                            r"IndexLaunch const&\)::\{lambda\(\)#([23])\}"
+                            r"(?:::operator\(\)\(\) const|>::_M_invoke)")
+EXECUTE_LAMBDA_LABEL = {"2": "Runtime::execute point task",
+                        "3": "Runtime::execute retire"}
 # Calls a plain body must not make: the verify-mode touch log's entry points.
 RECORDING_CALL = re.compile(r"\b(?:call|jmp)\w*\s+[0-9a-f]+ <[^>]*"
                             r"rt::Touch(?:Sink|Log)\b")
@@ -52,11 +70,19 @@ def symbols(binary):
 
 
 def rows_of(binary):
-    """(label, address, size, plain) for main, the oracle and each leaf."""
+    """(label, address, size, plain) for main, the oracle, the runtime's
+    per-iteration code and each leaf."""
     rows = []
     for addr, size, name in symbols(binary):
         if name in NAMED:
             rows.append((NAMED[name], addr, size, False))
+            continue
+        m = EXECUTE_LAMBDA.search(name)
+        if m:
+            label = EXECUTE_LAMBDA_LABEL[m.group(1)]
+            if m.group(0).endswith("_M_invoke"):
+                label += " (invoker)"
+            rows.append((label, addr, size, False))
             continue
         m = LEAF.search(name)
         if not m:

@@ -200,8 +200,9 @@ CoiterEngine::Term CoiterEngine::plan_term(const Statement& stmt,
   Term t;
   std::vector<tin::Expr> accesses;
   gather(term, t.coeff, accesses);
-  // A loop's extent comes from the last of the output and the term's
-  // accesses that uses its variable; a loop none uses iterates nothing.
+  // A loop's extent comes from the last of the output and the statement's
+  // accesses that uses its variable, so a term that does not use a loop's
+  // variable still runs once per coordinate of that loop.
   t.last.assign(order_.size(), -1);
   auto note = [&](const std::vector<IndexVar>& vars, const Tensor& tensor) {
     for (size_t d = 0; d < vars.size(); ++d) {
@@ -211,8 +212,10 @@ CoiterEngine::Term CoiterEngine::plan_term(const Statement& stmt,
     }
   };
   note(stmt.assignment.lhs.vars, output_.tensor);
+  for (const auto& acc : tin::expr_accesses(stmt.assignment.rhs)) {
+    note(acc.vars, stmt.tensor(acc.tensor));
+  }
   for (const auto& e : accesses) {
-    note(e->vars, stmt.tensor(e->tensor));
     t.ops.push_back(operand(stmt, e->tensor, e->vars));
     t.ops.back().base = t.slots;
     t.slots += t.ops.back().levels;

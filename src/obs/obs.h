@@ -6,12 +6,10 @@
 // Environment knobs:
 //   SPDISTAL_OBS=0|1          force observability off/on (default: on iff a
 //                             sink below is configured)
-//   SPDISTAL_TRACE=f.json     capture a Chrome/Perfetto trace, write at exit
+//   SPDISTAL_TRACE=f.json     capture a Chrome/Perfetto trace (every event,
+//                             kept as a plain record), render and write it
+//                             at exit
 //   SPDISTAL_METRICS=f.json   dump the metrics registry as JSON at exit
-//   SPDISTAL_TRACE_RING=N     keep only the last N events per timeline
-//                             (drop-oldest; constant-memory soak tracing)
-//   SPDISTAL_TRACE_SAMPLE=K   record every Kth launch's spans (counter
-//                             tracks stay always-on)
 //   SPDISTAL_CALIB=f.json     learn measured wall-per-flop/byte leaf rates;
 //                             load at startup, merge + rewrite at exit
 #pragma once

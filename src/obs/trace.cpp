@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 #include "common/json.h"
 #include "common/str_util.h"
@@ -14,34 +13,6 @@ namespace {
 
 // Thread-local host-track id; -1 until assigned by host_tid().
 thread_local int tls_host_tid = -1;
-
-// One trace-event JSON object. Timestamps are rendered with fixed precision
-// so identical inputs always produce identical bytes (the simulated track's
-// bit-identity contract rides on this).
-std::string event_line(int pid, int tid, const char* cat,
-                       const std::string& name, double ts_us, double dur_us,
-                       const std::string& args_json) {
-  std::string line = strprintf(
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, "
-      "\"dur\": %.3f, \"pid\": %d, \"tid\": %d",
-      json_escape(name).c_str(), cat, ts_us, dur_us, pid, tid);
-  if (!args_json.empty()) {
-    line += ", \"args\": " + args_json;
-  }
-  line += "}";
-  return line;
-}
-
-// A flow event (ph "s"/"t"/"f"). Flow ends carry binding point "e" so the
-// arrow terminates at the enclosing slice's end.
-std::string flow_line(int pid, int tid, char ph, uint64_t id, const char* cat,
-                      const std::string& name, double ts_us) {
-  return strprintf(
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"id\": %llu, "
-      "\"ts\": %.3f, \"pid\": %d, \"tid\": %d%s}",
-      json_escape(name).c_str(), cat, ph, static_cast<unsigned long long>(id),
-      ts_us, pid, tid, ph == 'f' ? ", \"bp\": \"e\"" : "");
-}
 
 }  // namespace
 
@@ -61,15 +32,6 @@ TraceRecorder& TraceRecorder::global() {
 
 TraceRecorder::TraceRecorder() {
   wall_us();  // pin the wall-clock epoch
-  if (const char* ring = std::getenv("SPDISTAL_TRACE_RING")) {
-    const long n = std::atol(ring);
-    if (n > 0) ring_.store(static_cast<size_t>(n), std::memory_order_relaxed);
-  }
-  if (const char* every = std::getenv("SPDISTAL_TRACE_SAMPLE")) {
-    const long k = std::atol(every);
-    if (k > 1) sample_every_.store(static_cast<uint64_t>(k),
-                                   std::memory_order_relaxed);
-  }
   if (const char* path = std::getenv("SPDISTAL_TRACE")) {
     if (enabled() && path[0] != '\0') {
       capturing_.store(true, std::memory_order_relaxed);
@@ -92,42 +54,33 @@ void TraceRecorder::start() {
   host_events_.clear();
   meas_events_.clear();
   sim_track_names_.clear();
-  // Flow ids and the sampling sequence restart with the capture, so two
-  // captures of the same program are comparable byte-for-byte on the
-  // deterministic tracks.
+  // Flow ids restart with the capture, so two captures of the same program
+  // are comparable byte-for-byte on the deterministic tracks.
   next_flow_id_.store(1, std::memory_order_relaxed);
-  launch_seq_.store(0, std::memory_order_relaxed);
   capturing_.store(true, std::memory_order_relaxed);
 }
 
-void TraceRecorder::push(Buffer& buf, Event e) {
-  const size_t cap = ring_.load(std::memory_order_relaxed);
+void TraceRecorder::push(std::vector<Event>& timeline, Event e) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (cap > 0) {
-    while (buf.size() >= cap) {
-      buf.pop_front();
-      static Counter& dropped =
-          Metrics::global().counter("obs.dropped_events");
-      dropped.add(1);
-    }
-  }
-  buf.push_back(std::move(e));
+  timeline.push_back(std::move(e));
 }
 
-void TraceRecorder::sim_span(int tid, const char* cat, const std::string& name,
-                             double t0_s, double t1_s,
-                             const std::string& args_json) {
+void TraceRecorder::sim_span(int tid, const char* cat, std::string name,
+                             double t0_s, double t1_s, const SpanArgs& args) {
   if (!active()) return;
   // Virtual seconds -> trace microseconds.
-  push(sim_events_, Event{event_line(kSimPid, tid, cat, name, t0_s * 1e6,
-                                     (t1_s - t0_s) * 1e6, args_json),
-                          0, 0});
+  push(sim_events_, Event{.tid = tid,
+                          .cat = cat,
+                          .name = std::move(name),
+                          .ts_us = t0_s * 1e6,
+                          .dur_us = (t1_s - t0_s) * 1e6,
+                          .args = args});
 }
 
 void TraceRecorder::name_sim_track(int tid, const std::string& name) {
   if (!active()) return;
   std::lock_guard<std::mutex> lk(mu_);
-  sim_track_names_.emplace(tid, name);  // first writer wins
+  sim_track_names_.try_emplace(tid, name);  // first writer wins
 }
 
 int TraceRecorder::host_tid() {
@@ -137,7 +90,7 @@ int TraceRecorder::host_tid() {
     host_thread_names_.emplace(
         tls_host_tid, tls_host_tid == 0
                           ? std::string("main")
-                          : strprintf("thread-%d", tls_host_tid));
+                          : "thread-" + std::to_string(tls_host_tid));
   }
   return tls_host_tid;
 }
@@ -145,33 +98,21 @@ int TraceRecorder::host_tid() {
 void TraceRecorder::host_span(const char* cat, const std::string& name,
                               double ts_us, double dur_us) {
   if (!active()) return;
-  const int tid = host_tid();
-  push(host_events_,
-       Event{event_line(kHostPid, tid, cat, name, ts_us, dur_us, ""), 0, 0});
-}
-
-void TraceRecorder::host_instant(const char* cat, const std::string& name) {
-  if (!active()) return;
-  const int tid = host_tid();
-  push(host_events_,
-       Event{strprintf(
-                 "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", "
-                 "\"ts\": %.3f, \"pid\": %d, \"tid\": %d, \"s\": \"t\"}",
-                 json_escape(name).c_str(), cat, wall_us(), kHostPid, tid),
-             0, 0});
+  push(host_events_, Event{.tid = host_tid(),
+                           .cat = cat,
+                           .name = name,
+                           .ts_us = ts_us,
+                           .dur_us = dur_us});
 }
 
 void TraceRecorder::host_counter(const char* cat, const char* name,
                                  int64_t value) {
   if (!active()) return;
-  push(host_events_,
-       Event{strprintf(
-                 "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"C\", "
-                 "\"ts\": %.3f, \"pid\": %d, \"tid\": 0, \"args\": "
-                 "{\"value\": %lld}}",
-                 name, cat, wall_us(), kHostPid,
-                 static_cast<long long>(value)),
-             0, 0});
+  push(host_events_, Event{.ph = 'C',
+                           .cat = cat,
+                           .name = name,
+                           .ts_us = wall_us(),
+                           .num = value});
 }
 
 void TraceRecorder::name_host_thread(const std::string& name) {
@@ -180,14 +121,17 @@ void TraceRecorder::name_host_thread(const std::string& name) {
   host_thread_names_[tid] = name;
 }
 
-void TraceRecorder::meas_span(const char* cat, const std::string& name,
+void TraceRecorder::meas_leaf(const std::string& kernel, int point,
                               double ts_us, double dur_us,
-                              const std::string& args_json) {
+                              const SpanArgs& args) {
   if (!active()) return;
-  const int tid = host_tid();
-  push(meas_events_,
-       Event{event_line(kMeasPid, tid, cat, name, ts_us, dur_us, args_json),
-             0, 0});
+  push(meas_events_, Event{.tid = host_tid(),
+                           .point = point,
+                           .cat = "leaf",
+                           .name = kernel,
+                           .ts_us = ts_us,
+                           .dur_us = dur_us,
+                           .args = args});
 }
 
 uint64_t TraceRecorder::alloc_flow_ids(uint64_t n) {
@@ -195,26 +139,38 @@ uint64_t TraceRecorder::alloc_flow_ids(uint64_t n) {
 }
 
 void TraceRecorder::host_flow(char ph, uint64_t id, const char* cat,
-                              const std::string& name) {
+                              std::string name) {
   if (!active()) return;
-  const int tid = host_tid();
-  push(host_events_,
-       Event{flow_line(kHostPid, tid, ph, id, cat, name, wall_us()), id, ph});
+  push(host_events_, Event{.ph = ph,
+                           .tid = host_tid(),
+                           .cat = cat,
+                           .name = std::move(name),
+                           .ts_us = wall_us(),
+                           .num = static_cast<int64_t>(id)});
 }
 
 void TraceRecorder::sim_flow_end(uint64_t id, int tid, const char* cat,
-                                 const std::string& name, double t_s) {
+                                 std::string name, double t_s) {
   if (!active()) return;
-  push(sim_events_,
-       Event{flow_line(kSimPid, tid, 'f', id, cat, name, t_s * 1e6), id, 'f'});
+  push(sim_events_, Event{.ph = 'f',
+                          .tid = tid,
+                          .cat = cat,
+                          .name = std::move(name),
+                          .ts_us = t_s * 1e6,
+                          .num = static_cast<int64_t>(id)});
 }
 
 void TraceRecorder::meas_flow_end(uint64_t id, const char* cat,
-                                  const std::string& name, double ts_us) {
+                                  const std::string& kernel, int point,
+                                  double ts_us) {
   if (!active()) return;
-  const int tid = host_tid();
-  push(meas_events_,
-       Event{flow_line(kMeasPid, tid, 'f', id, cat, name, ts_us), id, 'f'});
+  push(meas_events_, Event{.ph = 'f',
+                           .tid = host_tid(),
+                           .point = point,
+                           .cat = cat,
+                           .name = kernel,
+                           .ts_us = ts_us,
+                           .num = static_cast<int64_t>(id)});
 }
 
 size_t TraceRecorder::events() const {
@@ -222,62 +178,99 @@ size_t TraceRecorder::events() const {
   return sim_events_.size() + host_events_.size() + meas_events_.size();
 }
 
+// Timestamps are rendered with fixed precision so identical records always
+// produce identical bytes (the simulated track's bit-identity contract
+// rides on this).
+void TraceRecorder::render(std::string& out, int pid, const Event& e) {
+  const std::string name = json_escape(e.name);
+  out += "{\"name\": \"" + name;
+  if (e.point >= 0) out += strprintf("[%d]", e.point);
+  out += strprintf("\", \"cat\": \"%s\", \"ph\": \"%c\", ", e.cat, e.ph);
+  switch (e.ph) {
+    case 'X':
+      out += strprintf("\"ts\": %.3f, \"dur\": %.3f, \"pid\": %d, \"tid\": %d",
+                       e.ts_us, e.dur_us, pid, e.tid);
+      break;
+    case 'C':
+      out += strprintf(
+          "\"ts\": %.3f, \"pid\": %d, \"tid\": %d, \"args\": {\"value\": "
+          "%lld}",
+          e.ts_us, pid, e.tid, static_cast<long long>(e.num));
+      break;
+    default:  // flow: ends bind to the enclosing slice's end
+      out += strprintf("\"id\": %llu, \"ts\": %.3f, \"pid\": %d, \"tid\": %d%s",
+                       static_cast<unsigned long long>(e.num), e.ts_us, pid,
+                       e.tid, e.ph == 'f' ? ", \"bp\": \"e\"" : "");
+      break;
+  }
+  const SpanArgs& a = e.args;
+  switch (a.kind) {
+    case SpanArgs::kNone:
+      break;
+    case SpanArgs::kLeaf:
+      out += strprintf(
+          ", \"args\": {\"kernel\": \"%s\", \"nnz\": %.0f, \"flops\": %.0f, "
+          "\"bytes\": %.0f, \"sim_s\": %.9g, \"wall_s\": %.9g}",
+          name.c_str(), a.nnz, a.flops, a.bytes, a.sim_s, e.dur_us * 1e-6);
+      break;
+    case SpanArgs::kTransfer:
+      out += strprintf(
+          ", \"args\": {\"bytes\": %.0f, \"src_node\": %d, \"dst_node\": %d}",
+          a.bytes, a.src_node, a.dst_node);
+      break;
+    case SpanArgs::kBroadcast:
+      out += strprintf(
+          ", \"args\": {\"bytes\": %.0f, \"src_node\": %d, \"fanout\": %d}",
+          a.bytes, a.src_node, a.fanout);
+      break;
+  }
+  out += "}";
+}
+
 std::vector<std::string> TraceRecorder::sim_events() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(sim_events_.size());
-  for (const Event& e : sim_events_) out.push_back(e.line);
+  std::vector<std::string> out(sim_events_.size());
+  for (size_t i = 0; i < sim_events_.size(); ++i) {
+    render(out[i], kSimPid, sim_events_[i]);
+  }
   return out;
 }
 
 std::string TraceRecorder::json() const {
   std::lock_guard<std::mutex> lk(mu_);
-  // Drop-oldest may have evicted a flow's "s" start while later steps/ends
-  // survive; a dangling flow reference confuses the UI, so only flows whose
-  // start is still buffered keep their steps and ends.
-  std::set<uint64_t> live_flows;
-  for (const Buffer* buf : {&sim_events_, &host_events_, &meas_events_}) {
-    for (const Event& e : *buf) {
-      if (e.ph == 's') live_flows.insert(e.flow);
-    }
-  }
-  auto keep = [&live_flows](const Event& e) {
-    return e.ph == 0 || e.ph == 's' || live_flows.count(e.flow) > 0;
+  std::string out = "{\"traceEvents\": [";
+  const char* sep = "\n";  // every line after the first follows a comma
+  auto next_line = [&] {
+    out += sep;
+    sep = ",\n";
   };
-  std::string out = "{\"traceEvents\": [\n";
-  std::vector<std::string> lines;
-  lines.reserve(8 + sim_track_names_.size() + 2 * host_thread_names_.size() +
-                sim_events_.size() + host_events_.size() +
-                meas_events_.size());
-  auto meta = [](int pid, int tid, const char* what, const std::string& name) {
-    return strprintf(
-        "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d%s, \"args\": "
-        "{\"name\": \"%s\"}}",
-        what, pid,
-        tid >= 0 ? strprintf(", \"tid\": %d", tid).c_str() : "",
-        json_escape(name).c_str());
+  auto meta = [&](int pid, int tid, const char* what,
+                  const std::string& name) {
+    next_line();
+    out += strprintf("{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d", what,
+                     pid);
+    if (tid >= 0) out += strprintf(", \"tid\": %d", tid);
+    out += ", \"args\": {\"name\": \"" + json_escape(name) + "\"}}";
   };
-  lines.push_back(meta(kSimPid, -1, "process_name", "simulated timeline"));
-  lines.push_back(meta(kHostPid, -1, "process_name", "host timeline"));
-  lines.push_back(meta(kMeasPid, -1, "process_name", "measured timeline"));
+  meta(kSimPid, -1, "process_name", "simulated timeline");
+  meta(kHostPid, -1, "process_name", "host timeline");
+  meta(kMeasPid, -1, "process_name", "measured timeline");
   for (const auto& [tid, name] : sim_track_names_) {
-    lines.push_back(meta(kSimPid, tid, "thread_name", name));
+    meta(kSimPid, tid, "thread_name", name);
   }
   for (const auto& [tid, name] : host_thread_names_) {
-    lines.push_back(meta(kHostPid, tid, "thread_name", name));
+    meta(kHostPid, tid, "thread_name", name);
     // Measured spans live on the same worker threads.
-    lines.push_back(meta(kMeasPid, tid, "thread_name", name));
+    meta(kMeasPid, tid, "thread_name", name);
   }
-  for (const Event& e : sim_events_) {
-    if (keep(e)) lines.push_back(e.line);
+  for (const auto& [pid, timeline] :
+       {std::pair{kSimPid, &sim_events_}, std::pair{kHostPid, &host_events_},
+        std::pair{kMeasPid, &meas_events_}}) {
+    for (const Event& e : *timeline) {
+      next_line();
+      render(out, pid, e);
+    }
   }
-  for (const Event& e : host_events_) {
-    if (keep(e)) lines.push_back(e.line);
-  }
-  for (const Event& e : meas_events_) {
-    if (keep(e)) lines.push_back(e.line);
-  }
-  out += join(lines, ",\n");
   out += "\n]}\n";
   return out;
 }

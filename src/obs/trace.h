@@ -16,11 +16,10 @@
 // plan-build and to its simulated and measured leaf spans, so one click in
 // the Perfetto UI traces a launch end-to-end across the three processes.
 //
-// Long-running processes stay constant-memory: SPDISTAL_TRACE_RING=N keeps
-// only the last N events per timeline (drop-oldest; drops are counted in
-// obs.dropped_events and dangling flow ends are filtered at serialization,
-// so the JSON stays well-formed), and SPDISTAL_TRACE_SAMPLE=K records every
-// Kth launch's spans (counter tracks stay always-on).
+// A capture keeps every event as a plain record (phase, tid, category,
+// name, timestamps, flow id or counter value, numeric args) appended to its
+// timeline's vector under one mutex; the JSON lines are rendered only by
+// json(), write() and sim_events().
 //
 // Sinks: $SPDISTAL_TRACE=out.json starts capture at process start and writes
 // the file at exit; tests drive start()/json() directly. Every record is
@@ -31,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -54,6 +52,23 @@ inline constexpr int kMeasPid = 3;
 inline constexpr int kNicTidBase = 10000;     // NIC of node n -> 10000 + n
 inline constexpr int kNvlinkTidBase = 20000;  // NVLink of node n -> 20000 + n
 
+// A span's args, kept as numbers and rendered to JSON only at write.
+// `kind` picks the fields that render: a leaf span's work and simulated
+// seconds (its launch name and measured duration render as the "kernel"
+// and "wall_s" args), a transfer's bytes and endpoints, or a broadcast's
+// bytes, source and fan-out.
+struct SpanArgs {
+  enum Kind : uint8_t { kNone, kLeaf, kTransfer, kBroadcast };
+  Kind kind = kNone;
+  double bytes = 0;
+  double nnz = 0;    // kLeaf
+  double flops = 0;  // kLeaf
+  double sim_s = 0;  // kLeaf
+  int src_node = 0;  // kTransfer, kBroadcast
+  int dst_node = 0;  // kTransfer
+  int fanout = 0;    // kBroadcast
+};
+
 class TraceRecorder {
  public:
   static TraceRecorder& global();
@@ -63,7 +78,7 @@ class TraceRecorder {
     return capturing_.load(std::memory_order_relaxed) && enabled();
   }
 
-  // Begins a fresh capture (clears all buffers, flow ids, sample counter).
+  // Begins a fresh capture (clears all buffers and flow ids).
   void start();
   void stop() { capturing_.store(false, std::memory_order_relaxed); }
 
@@ -71,8 +86,8 @@ class TraceRecorder {
   // track `tid`. Must only be called from deterministic contexts (the
   // serialized retirement chain, or the host thread with the runtime
   // drained) — the recorded order is part of the bit-identical contract.
-  void sim_span(int tid, const char* cat, const std::string& name,
-                double t0_s, double t1_s, const std::string& args_json = "");
+  void sim_span(int tid, const char* cat, std::string name, double t0_s,
+                double t1_s, const SpanArgs& args = {});
   // Names a simulated track ("node0/CPU", "node2/NIC"). First writer wins.
   void name_sim_track(int tid, const std::string& name);
 
@@ -80,21 +95,19 @@ class TraceRecorder {
   // the calling thread's track.
   void host_span(const char* cat, const std::string& name, double ts_us,
                  double dur_us);
-  // A zero-duration host marker.
-  void host_instant(const char* cat, const std::string& name);
   // A counter-track sample (ph:"C"): Perfetto renders successive samples of
   // the same `name` as a filled line graph (executor queue depth,
   // outstanding tasks). Samples live on host tid 0 so one graph aggregates
-  // values from every thread. Never sampled away and never ring-dropped
-  // preferentially: counters are the always-on signal.
+  // values from every thread.
   void host_counter(const char* cat, const char* name, int64_t value);
   // Names the calling thread's host track ("main", "worker-3").
   void name_host_thread(const std::string& name);
 
-  // A measured-timeline (pid 3) complete span on the calling thread's
-  // track: the wall-clock execution of one leaf point-task body.
-  void meas_span(const char* cat, const std::string& name, double ts_us,
-                 double dur_us, const std::string& args_json = "");
+  // A measured-timeline (pid 3) span on the calling thread's track: the
+  // wall-clock execution of point `point` of launch `kernel`, rendered as
+  // "kernel[point]". `args` is a kLeaf SpanArgs.
+  void meas_leaf(const std::string& kernel, int point, double ts_us,
+                 double dur_us, const SpanArgs& args);
 
   // --- flow events -----------------------------------------------------------
   // Mints `n` consecutive flow ids (>= 1); ids are allocated on the host
@@ -102,43 +115,22 @@ class TraceRecorder {
   uint64_t alloc_flow_ids(uint64_t n);
   // Flow start ("s") / step ("t") at the current wall time on the calling
   // thread's host track.
-  void host_flow(char ph, uint64_t id, const char* cat,
-                 const std::string& name);
+  void host_flow(char ph, uint64_t id, const char* cat, std::string name);
   // Flow end ("f", binding point "e") on simulated track `tid` at virtual
   // time `t_s`. Deterministic-context rules of sim_span apply.
-  void sim_flow_end(uint64_t id, int tid, const char* cat,
-                    const std::string& name, double t_s);
-  // Flow end on the calling thread's measured track at wall time `ts_us`.
-  void meas_flow_end(uint64_t id, const char* cat, const std::string& name,
-                     double ts_us);
-
-  // --- bounded recording -----------------------------------------------------
-  // Keeps only the last `n` events per timeline (0 = unbounded). Dropped
-  // events bump obs.dropped_events; serialization filters flow steps/ends
-  // whose start was dropped, so the JSON stays well-formed.
-  void set_ring(size_t n) { ring_.store(n, std::memory_order_relaxed); }
-  size_t ring() const { return ring_.load(std::memory_order_relaxed); }
-  // Records every `k`th launch's spans (1 = every launch). The decision is
-  // taken once per launch on the submitting thread, in submission order.
-  void set_sample(uint64_t k) {
-    sample_every_.store(k > 0 ? k : 1, std::memory_order_relaxed);
-  }
-  uint64_t sample() const {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-  // True when the next launch should be recorded (advances the counter).
-  bool sample_launch() {
-    const uint64_t k = sample_every_.load(std::memory_order_relaxed);
-    if (k <= 1) return true;
-    return launch_seq_.fetch_add(1, std::memory_order_relaxed) % k == 0;
-  }
+  void sim_flow_end(uint64_t id, int tid, const char* cat, std::string name,
+                    double t_s);
+  // Flow end on the calling thread's measured track at wall time `ts_us`,
+  // named like point `point`'s meas_leaf span.
+  void meas_flow_end(uint64_t id, const char* cat, const std::string& kernel,
+                     int point, double ts_us);
 
   // Total events recorded in the current capture (0 when disabled).
   size_t events() const;
-  // The raw simulated-track event lines, in emission order — the
+  // The rendered simulated-track event lines, in emission order — the
   // byte-identity surface tests compare across worker counts.
   std::vector<std::string> sim_events() const;
-  // Serializes the capture as a Chrome trace-event JSON document (one event
+  // Renders the capture as a Chrome trace-event JSON document (one event
   // per line; simulated events precede host events precede measured events).
   std::string json() const;
   bool write(const std::string& path) const;
@@ -146,30 +138,33 @@ class TraceRecorder {
  private:
   TraceRecorder();
 
-  // One recorded event: the rendered line plus the flow identity needed to
-  // filter dangling flow steps/ends after ring-buffer drops.
+  // One recorded event; its pid is the timeline whose vector holds it.
   struct Event {
-    std::string line;
-    uint64_t flow = 0;  // 0 = not a flow event
-    char ph = 0;        // 's' | 't' | 'f' for flow events
+    char ph = 'X';   // 'X' span, 'C' counter, 's' | 't' | 'f' flow
+    int tid = 0;
+    int point = -1;  // >= 0: a launch point, rendered as "name[point]"
+    const char* cat = "";
+    std::string name;
+    double ts_us = 0;
+    double dur_us = 0;  // 'X'
+    int64_t num = 0;    // a flow's id ('s' | 't' | 'f') or a counter's value
+    SpanArgs args{};    // 'X'
   };
-  using Buffer = std::deque<Event>;
 
-  // Appends to `buf` under mu_, honoring the ring bound.
-  void push(Buffer& buf, Event e);
+  // Appends `e` to `timeline` under mu_.
+  void push(std::vector<Event>& timeline, Event e);
+  // Appends `e`'s JSON object to `out`.
+  static void render(std::string& out, int pid, const Event& e);
 
   // Stable small tid for the calling thread on the host timeline.
   int host_tid();
 
   std::atomic<bool> capturing_{false};
-  std::atomic<size_t> ring_{0};
-  std::atomic<uint64_t> sample_every_{1};
-  std::atomic<uint64_t> launch_seq_{0};
   std::atomic<uint64_t> next_flow_id_{1};
   mutable std::mutex mu_;
-  Buffer sim_events_;
-  Buffer host_events_;
-  Buffer meas_events_;
+  std::vector<Event> sim_events_;
+  std::vector<Event> host_events_;
+  std::vector<Event> meas_events_;
   std::map<int, std::string> sim_track_names_;
   std::map<int, std::string> host_thread_names_;
   int next_host_tid_ = 0;

@@ -11,9 +11,11 @@ namespace spdistal::rt {
 
 namespace {
 
-std::string bytes_args(double bytes, int src_node, int dst_node) {
-  return strprintf("{\"bytes\": %.0f, \"src_node\": %d, \"dst_node\": %d}",
-                   bytes, src_node, dst_node);
+obs::SpanArgs transfer_args(double bytes, int src_node, int dst_node) {
+  return obs::SpanArgs{.kind = obs::SpanArgs::kTransfer,
+                       .bytes = bytes,
+                       .src_node = src_node,
+                       .dst_node = dst_node};
 }
 
 }  // namespace
@@ -32,7 +34,7 @@ double Network::transfer(const Mem& src, const Mem& dst, double bytes,
       const int tid = obs::kNvlinkTidBase + src.node;
       trace_->name_sim_track(tid, strprintf("node%d/NVLink", src.node));
       trace_->sim_span(tid, "xfer", "nvlink copy", ready_time, done,
-                       bytes_args(bytes, src.node, dst.node));
+                       transfer_args(bytes, src.node, dst.node));
     }
     return done;
   }
@@ -59,7 +61,7 @@ double Network::transfer(const Mem& src, const Mem& dst, double bytes,
     const int tid = obs::kNicTidBase + dst.node;
     trace_->name_sim_track(tid, strprintf("node%d/NIC", dst.node));
     trace_->sim_span(tid, "xfer", "net xfer", start, done,
-                     bytes_args(bytes, src.node, dst.node));
+                     transfer_args(bytes, src.node, dst.node));
   }
   return done + extra;
 }
@@ -99,10 +101,12 @@ double Network::broadcast(const Mem& src, const std::vector<int>& dst_nodes,
     // hops are not individually modeled.
     const int tid = obs::kNicTidBase + src.node;
     trace_->name_sim_track(tid, strprintf("node%d/NIC", src.node));
-    trace_->sim_span(
-        tid, "xfer", strprintf("broadcast x%zu", dsts.size()), start, done,
-        strprintf("{\"bytes\": %.0f, \"src_node\": %d, \"fanout\": %zu}",
-                  bytes, src.node, dsts.size()));
+    trace_->sim_span(tid, "xfer", strprintf("broadcast x%zu", dsts.size()),
+                     start, done,
+                     obs::SpanArgs{.kind = obs::SpanArgs::kBroadcast,
+                                   .bytes = bytes,
+                                   .src_node = src.node,
+                                   .fanout = static_cast<int>(dsts.size())});
   }
   return done;
 }

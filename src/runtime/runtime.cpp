@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
 #include "runtime/touch_log.h"
@@ -111,10 +110,10 @@ struct Runtime::LaunchRecord {
   std::vector<WorkEstimate> work;  // per point
   // Tracing/profiling decisions taken once at submission (in submission
   // order, so they are deterministic across worker counts): whether this
-  // launch's spans are recorded (launch sampling), the base of its flow-id
-  // block (2 ids per point: even = sim chain, odd = measured chain; 0 =
-  // none), and whether leaf wall times feed the calibration store.
-  bool sampled = false;
+  // launch's spans are recorded (a capture was live), the base of its
+  // flow-id block (2 ids per point: even = sim chain, odd = measured chain;
+  // 0 = none), and whether leaf wall times feed the calibration store.
+  bool traced = false;
   bool calibrate = false;
   uint64_t flow_base = 0;
   // Verify mode: points check their touches, retire audits residency hits.
@@ -536,16 +535,14 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
 exec::Future Runtime::execute(const IndexLaunch& launch) {
   SPDISTAL_CHECK(launch.domain >= 1, "empty launch domain");
   SPDISTAL_CHECK(launch.body, "launch without body");
-  // Launch sampling: every launch is counted, but spans and flow events are
-  // only recorded for every Kth launch (SPDISTAL_TRACE_SAMPLE). The decision
-  // is taken here, on the submitting thread, so it is deterministic in
-  // submission order regardless of worker count.
+  // Whether this launch's spans and flow events are recorded is decided
+  // here, on the submitting thread, so it is deterministic in submission
+  // order regardless of worker count.
   obs::TraceRecorder& trec = obs::TraceRecorder::global();
-  const bool rec_active = trec.active() && observed_;
-  const bool sampled = rec_active && trec.sample_launch();
+  const bool traced = trec.active() && observed_;
   // Host-timeline span for the enqueue (name only built when recording).
   obs::Span enqueue_span(
-      "runtime", sampled ? "enqueue " + launch.name : std::string());
+      "runtime", traced ? "enqueue " + launch.name : std::string());
   const int P = launch.domain;
   const size_t R = launch.reqs.size();
 
@@ -554,7 +551,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   // (stepping through plan_build on a cold plan), id base+2p+1 links it to
   // point p's measured wall-clock span.
   uint64_t flow_base = 0;
-  if (sampled) {
+  if (traced) {
     flow_base = trec.alloc_flow_ids(static_cast<uint64_t>(2 * P));
     for (int p = 0; p < P; ++p) {
       const uint64_t base = flow_base + 2 * static_cast<uint64_t>(p);
@@ -589,9 +586,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   if (plan == nullptr) {
     {
       obs::Span plan_span(
-          "runtime", sampled ? std::string("plan_build") : std::string());
+          "runtime", traced ? std::string("plan_build") : std::string());
       plan = build_plan(launch);
-      if (flow_base != 0) {
+      if (traced) {
         // Step the first sim arrow through the plan-build span so the trace
         // shows enqueue -> plan_build -> first simulated task on cold plans.
         trec.host_flow('t', flow_base, "launch", launch.name + ":plan");
@@ -646,7 +643,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   rec->plan = plan;
   rec->work.resize(static_cast<size_t>(P));
   rec->scratch.resize(R);
-  rec->sampled = sampled;
+  rec->traced = traced;
   rec->flow_base = flow_base;
   rec->calibrate = observed_ && obs::calibration_enabled();
   rec->verify = verify_;
@@ -729,7 +726,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           // allocation and verify post-checks are runtime overhead, not
           // kernel time).
           const Proc proc = plan.procs[static_cast<size_t>(p)];
-          const bool measure = rec->sampled || rec->calibrate;
+          const bool measure = rec->traced || rec->calibrate;
           const double wall0 = measure ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
           TouchLog tlog;
@@ -744,31 +741,26 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
             if (measure) wall1 = obs::wall_us();
           }
           if (measure) {
-            const double wall_s = (wall1 - wall0) * 1e-6;
             const WorkEstimate& w = rec->work[static_cast<size_t>(p)];
             if (rec->calibrate) {
               obs::Calibration::global().record(
                   rec->launch.name.c_str(), proc_kind_name(proc.kind),
-                  w.flops, w.bytes, wall_s);
+                  w.flops, w.bytes, (wall1 - wall0) * 1e-6);
             }
             obs::TraceRecorder& trec = obs::TraceRecorder::global();
-            if (rec->sampled && trec.active()) {
-              const double sim_s =
-                  sim_.task_duration(proc, w, rec->launch.leaf_threads);
-              const std::string nm =
-                  strprintf("%s[%d]", rec->launch.name.c_str(), p);
-              trec.meas_span(
-                  "leaf", nm, wall0, wall1 - wall0,
-                  strprintf("{\"kernel\": \"%s\", \"nnz\": %.0f, "
-                            "\"flops\": %.0f, \"bytes\": %.0f, "
-                            "\"sim_s\": %.9g, \"wall_s\": %.9g}",
-                            json_escape(rec->launch.name).c_str(), w.nnz,
-                            w.flops, w.bytes, sim_s, wall_s));
-              if (rec->flow_base != 0) {
-                trec.meas_flow_end(
-                    rec->flow_base + 2 * static_cast<uint64_t>(p) + 1,
-                    "launch", nm, wall0);
-              }
+            if (rec->traced && trec.active()) {
+              trec.meas_leaf(
+                  rec->launch.name, p, wall0, wall1 - wall0,
+                  obs::SpanArgs{
+                      .kind = obs::SpanArgs::kLeaf,
+                      .bytes = w.bytes,
+                      .nnz = w.nnz,
+                      .flops = w.flops,
+                      .sim_s = sim_.task_duration(proc, w,
+                                                  rec->launch.leaf_threads)});
+              trec.meas_flow_end(
+                  rec->flow_base + 2 * static_cast<uint64_t>(p) + 1,
+                  "launch", rec->launch.name, p, wall0);
             }
           }
           if (!rec->verify) return;
@@ -911,10 +903,10 @@ void Runtime::account_launch(LaunchRecord& rec) {
   std::vector<PointResult> points(static_cast<size_t>(launch.domain));
 
   // Sim-track labels are built only while a capture is live and the launch
-  // was sampled; the per-kernel row accumulates whenever this runtime is
+  // was traced; the per-kernel row accumulates whenever this runtime is
   // observed.
   const bool tracing =
-      sim_.trace() != nullptr && sim_.trace()->active() && rec.sampled;
+      sim_.trace() != nullptr && sim_.trace()->active() && rec.traced;
   obs::KernelStats* row = observed_ ? &kernel_rows_[launch.name] : nullptr;
   std::string pt_name;
 
@@ -969,9 +961,7 @@ void Runtime::account_launch(LaunchRecord& rec) {
       nm = pt_name.c_str();
     }
     const uint64_t flow =
-        tracing && rec.flow_base != 0
-            ? rec.flow_base + 2 * static_cast<uint64_t>(p)
-            : 0;
+        tracing ? rec.flow_base + 2 * static_cast<uint64_t>(p) : 0;
     const double done =
         sim_.run_task(proc, work, launch.leaf_threads, data_ready, nm, flow);
     if (row != nullptr) {

@@ -81,18 +81,6 @@ void Simulator::reset() {
   tasks_run_ = 0;
 }
 
-double Simulator::total_busy() const {
-  double t = 0;
-  for (double b : busy_) t += b;
-  return t;
-}
-
-double Simulator::max_busy() const {
-  double t = 0;
-  for (double b : busy_) t = std::max(t, b);
-  return t;
-}
-
 double Simulator::imbalance() const {
   double sum = 0;
   double mx = 0;

@@ -84,8 +84,6 @@ class Simulator {
   void reset();
 
   int64_t tasks_run() const { return tasks_run_; }
-  double total_busy() const;
-  double max_busy() const;
   // Ratio max/mean busy time across processors that ran anything; 1.0 means
   // perfect load balance.
   double imbalance() const;

@@ -115,12 +115,6 @@ std::optional<IndexVar> Schedule::distributed_var() const {
   return std::nullopt;
 }
 
-IndexVar Schedule::distributed_source() const {
-  auto dv = distributed_var();
-  SPD_CHECK(dv.has_value(), ScheduleError, "schedule has no distribute()");
-  return distributed_source(*dv);
-}
-
 int Schedule::distributed_pieces() const {
   auto dv = distributed_var();
   SPD_CHECK(dv.has_value(), ScheduleError, "schedule has no distribute()");

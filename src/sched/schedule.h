@@ -99,7 +99,6 @@ class Schedule {
 
   // The first variable named by distribute(), if any.
   std::optional<IndexVar> distributed_var() const;
-  IndexVar distributed_source() const;
   int distributed_pieces() const;
   // True if the first distributed variable came from divide_pos (position
   // space). Position-space distribution is single-axis: lowering rejects

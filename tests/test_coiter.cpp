@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "compiler/lower.h"
 #include "data/generators.h"
 #include "kernels/assembly.h"
 #include "kernels/coiter.h"
@@ -192,6 +193,47 @@ TEST(Coiter, SpmvMatchesReference) {
   a.zero();
   eng.run();
   EXPECT_LE(ref::max_abs_diff(a, ref::eval(stmt)), 1e-12);
+}
+
+// A term that does not use a loop's variable still runs once per
+// coordinate of that loop: d(i) has no j, so the dense oracle adds it once
+// per j, and so must the engine, both run directly and as the leaf of a
+// compiled kernel.
+TEST(Coiter, TermWithoutALoopVariableRunsOverThatLoop) {
+  IndexVar i("i"), j("j"), io("io"), ii("ii");
+  fmt::Coo coo;
+  coo.dims = {3, 3};
+  coo.push({0, 0}, 1.0);
+  coo.push({1, 2}, 2.0);
+  coo.push({2, 1}, 3.0);
+  Tensor a("a", {3}, fmt::dense_vector());
+  Tensor B("B", {3, 3}, fmt::csr());
+  Tensor c("c", {3}, fmt::dense_vector());
+  Tensor d("d", {3}, fmt::dense_vector());
+  B.from_coo(std::move(coo));
+  c.init_dense([](const auto& x) { return 1.0 + static_cast<double>(x[0]); });
+  d.init_dense([](const auto& x) {
+    return 10.0 * (1.0 + static_cast<double>(x[0]));
+  });
+  Statement& stmt = (a(i) = B(i, j) * c(j) + d(i));
+  const ref::DenseTensor expect = ref::eval(stmt);
+  EXPECT_EQ(expect.vals, (std::vector<double>{31, 66, 96}));
+
+  CoiterEngine eng(stmt);
+  a.zero();
+  eng.run();
+  EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12);
+
+  a.zero();
+  a.schedule().divide(i, io, ii, 2).distribute(io);
+  rt::MachineConfig cfg;
+  cfg.nodes = 2;
+  const rt::Machine m(cfg, rt::Grid(2), rt::ProcKind::CPU);
+  comp::CompiledKernel ck = comp::CompiledKernel::compile(stmt, m);
+  EXPECT_EQ(ck.leaf_kernel_name(), "coiter");
+  rt::Runtime runtime(m);
+  ck.instantiate(runtime)->run(1);
+  EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12);
 }
 
 TEST(Coiter, PieceRestrictionComputesPartial) {

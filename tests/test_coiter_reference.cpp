@@ -249,7 +249,9 @@ rt::WorkEstimate ReferenceEngine::run_term(const tin::Expr& term,
     }
   };
   note(output_.vars, stmt_.tensor(stmt_.assignment.lhs.tensor).dims());
-  for (const auto& a : accs) note(a.vars, a.st->dims());
+  for (const auto& acc : tin::expr_accesses(stmt_.assignment.rhs)) {
+    note(acc.vars, stmt_.tensor(acc.tensor).dims());
+  }
 
   // Per-access cursor: how many levels consumed and the current parent
   // position. The output is cursor index accs.size() when not all-dense.
@@ -954,8 +956,8 @@ class Generator {
     return in;
   }
 
-  // Literal coefficients; the last term uses no access over j, so its j
-  // loop has no extent and it contributes nothing.
+  // Literal coefficients; the last term uses no access over j, so it is
+  // added once per coordinate of the j loop, as the dense oracle adds it.
   Instance literals() {
     IndexVar i("i"), j("j");
     const Coord n = dim(), m = dim();

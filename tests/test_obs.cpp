@@ -375,66 +375,6 @@ TEST(Obs, FlowEventIdsResolve) {
   }
 }
 
-TEST(Obs, RingBufferBoundsEventsAndCountsDrops) {
-  const rt::Machine m = cpu_machine(4);
-  ObsGuard guard(true);
-  obs::TraceRecorder& trec = obs::TraceRecorder::global();
-  trec.set_ring(8);
-  {
-    auto [out, stmt] = build_spmv(m.num_procs());
-    rt::Runtime runtime(m, 2);
-    auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
-    inst->run(2);
-    runtime.flush();
-  }
-  const std::string doc = trec.json();
-  trec.set_ring(0);
-  // Tiny bound: the document stays valid JSON, the per-timeline buffers are
-  // capped, and every drop is accounted.
-  EXPECT_TRUE(json::parse(doc).has_value()) << doc.substr(0, 400);
-  EXPECT_LE(trec.sim_events().size(), 8u);
-  EXPECT_GT(obs::Metrics::global().counter("obs.dropped_events").value(), 0);
-  // Dangling-flow filtering: any surviving flow end still resolves.
-  std::set<uint64_t> starts;
-  std::vector<uint64_t> end_ids;
-  for (const std::string& line : doc_lines(doc)) {
-    if (line.find("\"ph\": \"s\"") != std::string::npos) {
-      starts.insert(static_cast<uint64_t>(field(line, "id")));
-    } else if (line.find("\"ph\": \"f\"") != std::string::npos) {
-      end_ids.push_back(static_cast<uint64_t>(field(line, "id")));
-    }
-  }
-  for (uint64_t id : end_ids) {
-    EXPECT_TRUE(starts.count(id))
-        << "flow end " << id << " survived the ring without its start";
-  }
-}
-
-TEST(Obs, LaunchSamplingRecordsEveryKthLaunch) {
-  const rt::Machine m = cpu_machine(4);
-  ObsGuard guard(true);
-  obs::TraceRecorder& trec = obs::TraceRecorder::global();
-  // K larger than the launch count: exactly the first launch records its
-  // spans; counter tracks stay on for every launch.
-  trec.set_sample(1 << 20);
-  {
-    auto [out, stmt] = build_spmv(m.num_procs());
-    rt::Runtime runtime(m, 2);
-    auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
-    inst->run(4);
-    runtime.flush();
-  }
-  const std::string doc = trec.json();
-  trec.set_sample(1);
-  size_t enqueues = 0, counters = 0;
-  for (const std::string& line : doc_lines(doc)) {
-    if (line.find("\"name\": \"enqueue ") != std::string::npos) ++enqueues;
-    if (line.find("\"ph\": \"C\"") != std::string::npos) ++counters;
-  }
-  EXPECT_EQ(enqueues, 1u);
-  EXPECT_GT(counters, 0u);
-}
-
 TEST(Obs, CounterTracksSampleExecutorGauges) {
   const rt::Machine m = cpu_machine(4);
   ObsGuard guard(true);
