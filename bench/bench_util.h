@@ -92,7 +92,8 @@ void print_header(const std::string& title);
 // top-3 kernels by simulated busy time ("[obs] spmv_row: plan hit-rate
 // 85.7% (12/14) | spmv_row 24 tasks 1.2ms ..."). Empty when the report has
 // no plan activity. The spdistal runners print it when obs::enabled(), so
-// plain bench output is unchanged unless SPDISTAL_OBS/TRACE/METRICS is set.
+// plain bench output is unchanged unless SPDISTAL_TRACE or SPDISTAL_METRICS
+// is set.
 std::string obs_summary(const rt::SimReport& rep);
 
 // One-line calibration summary: for each kernel in the report with learned

@@ -6,7 +6,6 @@
 
 #include "autosched/plan_store.h"
 #include "common/str_util.h"
-#include "obs/metrics.h"
 
 namespace spdistal::autosched {
 
@@ -115,10 +114,6 @@ PlanCache& PlanCache::global() {
 }
 
 std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {
-  static obs::Counter& hit_metric =
-      obs::Metrics::global().counter("plan_store.hits");
-  static obs::Counter& miss_metric =
-      obs::Metrics::global().counter("plan_store.misses");
   // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
   // this cache); resolve it before taking the lock.
   const bool store_ok = plan_store_enabled();
@@ -127,12 +122,10 @@ std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {
   auto it = plans_.find(key.exact());
   if (it != plans_.end() && (store_ok || !it->second.from_store)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_metric.add(1);
     return Hit{it->second.recipe, it->second.cost};
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_metric.add(1);
   return std::nullopt;
 }
 
@@ -156,12 +149,7 @@ size_t PlanCache::insert_stored(const std::vector<StoredPlan>& entries) {
       }
     }
   }
-  if (merged > 0) {
-    loaded_.fetch_add(static_cast<int64_t>(merged),
-                      std::memory_order_relaxed);
-    obs::Metrics::global().counter("plan_store.loaded").add(
-        static_cast<int64_t>(merged));
-  }
+  loaded_.fetch_add(static_cast<int64_t>(merged), std::memory_order_relaxed);
   return merged;
 }
 

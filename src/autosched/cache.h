@@ -85,6 +85,8 @@ class PlanCache {
   void clear();
 
   size_t size() const;
+  // Lookup outcomes and stored entries merged in since the last clear():
+  // their one source (the metrics registry does not mirror them).
   int64_t hits() const;
   int64_t misses() const;
   int64_t loaded() const;

@@ -8,6 +8,7 @@
 #include <set>
 #include <utility>
 
+#include "common/config.h"
 #include "common/json.h"
 #include "common/str_util.h"
 #include "obs/persist.h"
@@ -23,12 +24,7 @@ constexpr int kSchemaVersion = 2;
 constexpr int kOldestReadableVersion = 1;
 
 std::atomic<bool> g_enabled{true};
-std::once_flag g_env_once;
-
-std::string& env_path() {
-  static std::string p;
-  return p;
-}
+std::once_flag g_load_once;
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
@@ -81,16 +77,17 @@ bool read_entry(const json::Value& v, StoredPlan* e) {
   return true;
 }
 
-void init_from_env() {
-  const char* p = std::getenv("SPDISTAL_PLAN_STORE");
-  if (p == nullptr || p[0] == '\0') return;
-  env_path() = p;
-  load_plan_store(env_path());  // absent file on cold start is fine
+// Loads the configured store ($SPDISTAL_PLAN_STORE) and registers its
+// exit-time save.
+void load_configured_store() {
+  const std::string& path = config().plan_store;
+  if (path.empty()) return;
+  load_plan_store(path);  // absent file on cold start is fine
   std::atexit([] {
     if (!g_enabled.load(std::memory_order_relaxed)) return;
-    if (!save_plan_store(env_path())) {
+    if (!save_plan_store(config().plan_store)) {
       std::fprintf(stderr, "spdistal: failed to write plan store to %s\n",
-                   env_path().c_str());
+                   config().plan_store.c_str());
     }
   });
 }
@@ -98,12 +95,12 @@ void init_from_env() {
 }  // namespace
 
 bool plan_store_enabled() {
-  std::call_once(g_env_once, init_from_env);
+  std::call_once(g_load_once, load_configured_store);
   return g_enabled.load(std::memory_order_relaxed);
 }
 
 void set_plan_store(bool on) {
-  std::call_once(g_env_once, init_from_env);
+  std::call_once(g_load_once, load_configured_store);
   g_enabled.store(on, std::memory_order_relaxed);
 }
 

@@ -2,7 +2,7 @@
 // PlanCache, so thousands of sibling processes compiling the same handful
 // of (expression, format, machine, sparsity) shapes pay for one search.
 //
-// Env knob:
+// Configured by (common/config.h):
 //   SPDISTAL_PLAN_STORE=path  load the store into the cache at first use
 //                             (entries marked from_store), merge + rewrite
 //                             it atomically at exit. A warm process then
@@ -25,7 +25,7 @@
 namespace spdistal::autosched {
 
 // Process-wide switch for the plan service (stored entries and the
-// exit-time save). Lazily reads the env knob on first call.
+// exit-time save). The first call loads config().plan_store, if set.
 // set_plan_store(false) restores bit-identical searched schedules: only
 // plans searched in this process are served, exactly.
 bool plan_store_enabled();

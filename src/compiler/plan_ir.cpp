@@ -4,24 +4,6 @@
 
 namespace spdistal::comp {
 
-const char* plan_op_kind_name(PlanOpKind kind) {
-  switch (kind) {
-    case PlanOpKind::MakeUniverseColoring: return "MakeUniverseColoring";
-    case PlanOpKind::MakeNonZeroColoring: return "MakeNonZeroColoring";
-    case PlanOpKind::PartitionByBounds: return "PartitionByBounds";
-    case PlanOpKind::PartitionByValueRanges: return "PartitionByValueRanges";
-    case PlanOpKind::Image: return "Image";
-    case PlanOpKind::Preimage: return "Preimage";
-    case PlanOpKind::CopyPartition: return "CopyPartition";
-    case PlanOpKind::ExpandDense: return "ExpandDense";
-    case PlanOpKind::CollapseDense: return "CollapseDense";
-    case PlanOpKind::SetPlacement: return "SetPlacement";
-    case PlanOpKind::DistributedFor: return "DistributedFor";
-    case PlanOpKind::LeafKernel: return "LeafKernel";
-  }
-  return "?";
-}
-
 std::vector<PlanOpKind> PlanTrace::kinds() const {
   std::vector<PlanOpKind> out;
   out.reserve(ops_.size());

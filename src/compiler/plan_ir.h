@@ -33,8 +33,6 @@ enum class PlanOpKind {
   LeafKernel,               // per-point leaf computation
 };
 
-const char* plan_op_kind_name(PlanOpKind kind);
-
 struct PlanOp {
   PlanOpKind kind;
   // Pretty-printed statement, e.g.

@@ -1,8 +1,8 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/config.h"
 #include "common/error.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
@@ -16,18 +16,8 @@ namespace {
 thread_local int tls_worker_index = -1;
 }  // namespace
 
-int default_exec_threads() {
-  if (const char* env = std::getenv("SPDISTAL_EXEC_THREADS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return std::min(n, 64);
-    return 1;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::min(8u, std::max(1u, hw)));
-}
-
 std::shared_ptr<WorkerPool> WorkerPool::shared() {
-  static std::shared_ptr<WorkerPool> pool = create(default_exec_threads());
+  static std::shared_ptr<WorkerPool> pool = create(config().exec_threads);
   return pool;
 }
 
@@ -49,11 +39,6 @@ WorkerPool::~WorkerPool() {
     cv_.notify_all();
   }
   for (auto& t : threads_) t.join();
-}
-
-uint64_t WorkerPool::steals() const {
-  std::lock_guard<std::mutex> lk(const_cast<std::mutex&>(mu_));
-  return steals_;
 }
 
 void WorkerPool::push_locked(Item item) {
@@ -85,12 +70,6 @@ bool WorkerPool::pop_locked(Item& out) {
     if (queues_[q].empty()) continue;
     out = std::move(queues_[q].front());
     queues_[q].pop_front();
-    if (is_worker && q != own) {
-      ++steals_;
-      static obs::Counter& steal_metric =
-          obs::Metrics::global().counter("exec.steals");
-      steal_metric.add(1);
-    }
     return true;
   }
   return false;
@@ -150,10 +129,6 @@ Executor::~Executor() {
 }
 
 TaskId Executor::create(std::string name, std::function<void()> fn) {
-  static obs::Counter& created_metric =
-      obs::Metrics::global().counter("exec.created");
-  static obs::Gauge& outstanding_metric =
-      obs::Metrics::global().gauge("exec.outstanding");
   auto lk = pool_->lock();
   const TaskId id = next_++;
   Node& n = nodes_[id];
@@ -161,17 +136,6 @@ TaskId Executor::create(std::string name, std::function<void()> fn) {
   n.fn = std::move(fn);
   ++outstanding_;
   ++stats_.created;
-  created_metric.add(1);
-  outstanding_metric.set(static_cast<int64_t>(outstanding_));
-  if (obs::TraceRecorder::global().active()) {
-    // Counter-track samples (ph:"C"): queue-depth and outstanding-task
-    // graphs on the host timeline. Pool lock held; the pool->recorder lock
-    // order is one-way, so this cannot deadlock.
-    obs::TraceRecorder::global().host_counter(
-        "exec", "exec.outstanding", static_cast<int64_t>(outstanding_));
-    obs::TraceRecorder::global().host_counter(
-        "exec", "exec.queued", static_cast<int64_t>(pool_->queued_locked()));
-  }
   return id;
 }
 
@@ -213,10 +177,6 @@ void Executor::enqueue_locked(TaskId id) {
 }
 
 void Executor::run_node(TaskId id) {
-  static obs::Counter& retired_metric =
-      obs::Metrics::global().counter("exec.retired");
-  static obs::Gauge& outstanding_metric =
-      obs::Metrics::global().gauge("exec.outstanding");
   const bool tracing = obs::TraceRecorder::global().active();
   std::function<void()> fn;
   std::string label;
@@ -247,8 +207,6 @@ void Executor::run_node(TaskId id) {
     nodes_.erase(it);
     --outstanding_;
     ++stats_.retired;
-    retired_metric.add(1);
-    outstanding_metric.set(static_cast<int64_t>(outstanding_));
     for (TaskId s : succs) {
       auto sit = nodes_.find(s);
       SPDISTAL_DCHECK(sit != nodes_.end(),
@@ -257,13 +215,6 @@ void Executor::run_node(TaskId id) {
       if (--sit->second.pending == 0 && sit->second.committed) {
         enqueue_locked(s);
       }
-    }
-    if (obs::TraceRecorder::global().active()) {
-      obs::TraceRecorder::global().host_counter(
-          "exec", "exec.outstanding", static_cast<int64_t>(outstanding_));
-      obs::TraceRecorder::global().host_counter(
-          "exec", "exec.queued",
-          static_cast<int64_t>(pool_->queued_locked()));
     }
     pool_->notify_locked();
   }

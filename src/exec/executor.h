@@ -39,19 +39,16 @@ namespace spdistal::exec {
 
 using TaskId = uint64_t;
 
-// Number of execution contexts used when a Runtime does not request an
-// explicit count: $SPDISTAL_EXEC_THREADS, else hardware_concurrency clamped
-// to [1, 8]. A value of 1 means fully serial (no worker threads).
-int default_exec_threads();
-
 // A shared pool of worker threads executing opaque items. `contexts` counts
 // execution contexts including the helping submitter: a pool with N contexts
 // spawns N-1 threads.
 class WorkerPool {
  public:
-  // Process-wide pool sized by default_exec_threads(); shared by every
-  // Runtime that does not request a private pool, so nested runtimes (e.g.
-  // auto-scheduler proxy simulations) never multiply threads.
+  // Process-wide pool with config().exec_threads contexts
+  // ($SPDISTAL_EXEC_THREADS, else hardware concurrency clamped to [1, 8];
+  // 1 = fully serial, no worker threads). Shared by every Runtime that does
+  // not request a private pool, so nested runtimes (e.g. auto-scheduler
+  // proxy simulations) never multiply threads.
   static std::shared_ptr<WorkerPool> shared();
   static std::shared_ptr<WorkerPool> create(int contexts);
   ~WorkerPool();
@@ -60,7 +57,6 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int contexts() const { return contexts_; }
-  uint64_t steals() const;
 
   using Item = std::function<void()>;
 
@@ -73,13 +69,6 @@ class WorkerPool {
   // Wakes threads blocked in help_until (call with lock held after changing
   // predicate-visible state).
   void notify_locked() { cv_.notify_all(); }
-  // Items currently queued (inbox + all worker deques); caller holds lock().
-  // Feeds the exec.queued counter track.
-  size_t queued_locked() const {
-    size_t n = 0;
-    for (const auto& q : queues_) n += q.size();
-    return n;
-  }
   // Runs ready items until pred() holds; pred is evaluated under the pool
   // mutex. Blocks (interruptibly) when no item is ready anywhere.
   void help_until(const std::function<bool()>& pred);
@@ -99,7 +88,6 @@ class WorkerPool {
   std::vector<std::thread> threads_;
   bool stop_ = false;
   int contexts_ = 1;
-  uint64_t steals_ = 0;
 };
 
 class Executor;
@@ -156,6 +144,8 @@ class Executor {
   // errors.
   void flush();
 
+  // Task and edge counts since construction: their one source (the
+  // metrics registry does not mirror them).
   struct Stats {
     uint64_t created = 0;
     uint64_t retired = 0;

@@ -10,8 +10,11 @@
 // piece kinds run the same row-walk inner loops. Only the work each leaf
 // charges depends on the kind, because it models the schedule's generated
 // code: a row loop reads one pos segment per row, a non-zero loop does not.
-// SpMV keeps two leaves: its non-zero leaf's per-position owner lookup is
-// branch-free and measured faster than a windowed row walk.
+// SpMV keeps two leaves. Its non-zero leaf looks up each position's owner
+// row without a branch. At the leaf it is not the faster one: a windowed
+// row walk took 85 us against BM_SpmvNz's 115 us (4-core host, Release).
+// It stays because that walk read e2ebench spmv_nz_fetch iter_rel higher
+// in 6 of 6 alternating pairs, for a reason not yet found.
 //
 // All kernels are validated against the general co-iteration engine and the
 // dense reference oracle in tests; the compiler selects them by pattern

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/config.h"
 #include "common/json.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
@@ -24,12 +25,7 @@ constexpr double kClampFactor = 8.0;
 constexpr int kSchemaVersion = 1;
 
 std::atomic<bool> g_enabled{false};
-std::once_flag g_env_once;
-
-std::string& env_path() {
-  static std::string p;
-  return p;
-}
+std::once_flag g_load_once;
 
 // The file's rate set as loaded at startup — the baseline the atexit merge
 // diffs the file against, so a process never re-merges samples it already
@@ -107,19 +103,20 @@ std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
   return out;
 }
 
-void init_from_env() {
-  const char* p = std::getenv("SPDISTAL_CALIB");
-  if (p == nullptr || p[0] == '\0') return;
-  env_path() = p;
+// Loads the configured store ($SPDISTAL_CALIB), turns calibration on and
+// registers the exit-time merge.
+void load_configured_rates() {
+  const std::string& path = config().calib;
+  if (path.empty()) return;
   g_enabled.store(true, std::memory_order_relaxed);
-  Calibration::global().load(env_path());  // absent file on cold start is fine
+  Calibration::global().load(path);  // absent file on cold start is fine
   std::atexit([] {
     // Merge what concurrent writers appended since startup, then rewrite
     // atomically. In the common single-writer case the file is unchanged
     // and this saves exactly the learned state.
     Calibration& c = Calibration::global();
     std::string doc;
-    if (read_text_file(env_path(), &doc)) {
+    if (read_text_file(config().calib, &doc)) {
       const auto& base = startup_snapshot();
       std::map<std::string, CalibRates> deltas;
       for (auto& [key, r] : parse_rates(doc)) {
@@ -131,9 +128,9 @@ void init_from_env() {
       }
       c.merge(deltas);
     }
-    if (!c.save(env_path())) {
+    if (!c.save(config().calib)) {
       std::fprintf(stderr, "spdistal: failed to write calibration to %s\n",
-                   env_path().c_str());
+                   config().calib.c_str());
     }
   });
 }
@@ -141,12 +138,12 @@ void init_from_env() {
 }  // namespace
 
 bool calibration_enabled() {
-  std::call_once(g_env_once, init_from_env);
+  std::call_once(g_load_once, load_configured_rates);
   return g_enabled.load(std::memory_order_relaxed);
 }
 
 void set_calibration(bool on) {
-  std::call_once(g_env_once, init_from_env);
+  std::call_once(g_load_once, load_configured_rates);
   g_enabled.store(on, std::memory_order_relaxed);
 }
 

@@ -35,9 +35,9 @@
 
 namespace spdistal::obs {
 
-// Process-wide calibration switch. Initialized from the environment on
-// first query: on iff $SPDISTAL_CALIB names a file. Tests flip it with
-// set_calibration().
+// Process-wide calibration switch. Resolved on first query: on iff
+// config().calib ($SPDISTAL_CALIB) names a file, which is then loaded.
+// Tests flip it with set_calibration().
 bool calibration_enabled();
 void set_calibration(bool on);
 

@@ -4,25 +4,16 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/json.h"
 
 namespace spdistal::obs {
 
 namespace {
 
-// Resolved once at first use; set_enabled() overrides afterwards.
-std::atomic<bool> g_enabled{false};
-
-bool enabled_from_env() {
-  if (const char* env = std::getenv("SPDISTAL_OBS")) {
-    return std::string(env) != "0";
-  }
-  // Unset: observability is on exactly when a sink asks for output.
-  return std::getenv("SPDISTAL_TRACE") != nullptr ||
-         std::getenv("SPDISTAL_METRICS") != nullptr;
-}
-
-std::atomic<bool> g_enabled_init{false};
+// On exactly when a sink asks for output; set_enabled() overrides.
+std::atomic<bool> g_enabled{!config().trace.empty() ||
+                            !config().metrics.empty()};
 
 // Doubles rendered with enough digits to round-trip, but as plain decimals
 // (python -m json.tool friendly).
@@ -38,18 +29,9 @@ std::string num(double v) {
 
 }  // namespace
 
-bool enabled() {
-  if (!g_enabled_init.load(std::memory_order_acquire)) {
-    g_enabled.store(enabled_from_env(), std::memory_order_relaxed);
-    g_enabled_init.store(true, std::memory_order_release);
-  }
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_enabled(bool on) {
-  enabled();  // ensure env init happened so it cannot overwrite us
-  g_enabled.store(on, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 void Histogram::record(int64_t sample) {
   if (!enabled()) return;
@@ -72,18 +54,14 @@ Metrics& Metrics::global() {
   // the $SPDISTAL_METRICS atexit dump below runs before that point.
   static Metrics* m = [] {
     auto* reg = new Metrics();
-    if (const char* path = std::getenv("SPDISTAL_METRICS")) {
-      if (enabled() && path[0] != '\0') {
-        static std::string out_path;
-        out_path = path;
-        std::atexit([] {
-          std::FILE* f = std::fopen(out_path.c_str(), "w");
-          if (f == nullptr) return;
-          const std::string doc = Metrics::global().json();
-          std::fwrite(doc.data(), 1, doc.size(), f);
-          std::fclose(f);
-        });
-      }
+    if (enabled() && !config().metrics.empty()) {
+      std::atexit([] {
+        std::FILE* f = std::fopen(config().metrics.c_str(), "w");
+        if (f == nullptr) return;
+        const std::string doc = Metrics::global().json();
+        std::fwrite(doc.data(), 1, doc.size(), f);
+        std::fclose(f);
+      });
     }
     return reg;
   }();
@@ -97,20 +75,6 @@ Counter& Metrics::counter(const std::string& name) {
   return *slot;
 }
 
-CounterD& Metrics::counterd(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = counterds_[name];
-  if (slot == nullptr) slot = std::make_unique<CounterD>();
-  return *slot;
-}
-
-Gauge& Metrics::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Metrics::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = histograms_[name];
@@ -121,24 +85,12 @@ Histogram& Metrics::histogram(const std::string& name) {
 std::string Metrics::json() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::ostringstream os;
-  os << "{\n  \"counters\": {";
+  os << "{\n  \"config\": " << config_json(config())
+     << ",\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
     os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
        << "\": " << c->value();
-    first = false;
-  }
-  for (const auto& [name, c] : counterds_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << num(c->value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": {\"value\": " << g->value() << ", \"max\": " << g->max()
-       << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -166,8 +118,6 @@ std::string Metrics::json() const {
 void Metrics::reset() {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, c] : counterds_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

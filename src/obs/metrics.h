@@ -1,4 +1,4 @@
-// Process-wide metrics registry: counters, gauges, and histograms with O(1)
+// Process-wide metrics registry: counters and histograms with O(1)
 // lock-free hot-path updates.
 //
 // Instruments register a metric once (a mutex-guarded name lookup returning
@@ -7,6 +7,11 @@
 // global obs::enabled() flag, so a disabled process records nothing and the
 // hot-path cost is one relaxed load. Snapshots serialize the whole registry
 // as JSON ($SPDISTAL_METRICS=out.json dumps one at process exit).
+//
+// The registry holds only counts no subsystem keeps elsewhere (autosched.*,
+// pack.*, calib.*, leaf.*, kernel_select.*). Executor task counts live in
+// exec::Executor::stats(), verify counts in verify::stats(), plan-cache
+// outcomes in autosched::PlanCache, and simulated totals in SimReport.
 #pragma once
 
 #include <atomic>
@@ -18,14 +23,13 @@
 
 namespace spdistal::obs {
 
-// Master observability switch. Initialized from the environment:
-// SPDISTAL_OBS=0 forces off, SPDISTAL_OBS=1 (or any other value) forces on;
-// unset defaults to on exactly when a sink ($SPDISTAL_TRACE or
-// $SPDISTAL_METRICS) is configured. Tests flip it with set_enabled().
+// Master observability switch: on at start exactly when a sink is
+// configured (config().trace or config().metrics, i.e. $SPDISTAL_TRACE or
+// $SPDISTAL_METRICS). Programs and tests flip it with set_enabled().
 bool enabled();
 void set_enabled(bool on);
 
-// Monotonic event count (additive, e.g. steals, plan hits).
+// Monotonic event count (additive, e.g. plan-cache hits, packed nnz).
 class Counter {
  public:
   void add(int64_t d = 1) {
@@ -36,43 +40,6 @@ class Counter {
 
  private:
   std::atomic<int64_t> v_{0};
-};
-
-// Additive double-valued counter (byte totals priced in doubles).
-class CounterD {
- public:
-  void add(double d) {
-    if (enabled()) v_.fetch_add(d, std::memory_order_relaxed);
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
-// Instantaneous level (queue depth, cache size). set() records the current
-// value and tracks the high-water mark.
-class Gauge {
- public:
-  void set(int64_t v) {
-    if (!enabled()) return;
-    v_.store(v, std::memory_order_relaxed);
-    int64_t prev = max_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  int64_t max() const { return max_.load(std::memory_order_relaxed); }
-  void reset() {
-    v_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<int64_t> v_{0};
-  std::atomic<int64_t> max_{0};
 };
 
 // Power-of-two bucketed histogram of non-negative samples (latencies in
@@ -103,12 +70,11 @@ class Metrics {
   static Metrics& global();
 
   Counter& counter(const std::string& name);
-  CounterD& counterd(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  // JSON snapshot of every registered metric:
-  //   {"counters": {...}, "gauges": {"name": {"value": v, "max": m}},
+  // JSON snapshot of every registered metric, headed by the process's
+  // configuration (config_json in common/config.h):
+  //   {"config": {...}, "counters": {"name": n},
   //    "histograms": {"name": {"count": n, "sum": s, "buckets": [[lo,c]..]}}}
   std::string json() const;
   // Zeroes every value; registered handles stay valid.
@@ -117,8 +83,6 @@ class Metrics {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<CounterD>> counterds_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/config.h"
 #include "common/json.h"
 #include "common/str_util.h"
 
@@ -32,19 +33,15 @@ TraceRecorder& TraceRecorder::global() {
 
 TraceRecorder::TraceRecorder() {
   wall_us();  // pin the wall-clock epoch
-  if (const char* path = std::getenv("SPDISTAL_TRACE")) {
-    if (enabled() && path[0] != '\0') {
-      capturing_.store(true, std::memory_order_relaxed);
-      static std::string out_path;  // read back by the atexit hook
-      out_path = path;
-      std::atexit([] {
-        TraceRecorder& r = TraceRecorder::global();
-        if (!r.write(out_path)) {
-          std::fprintf(stderr, "spdistal: failed to write trace to %s\n",
-                       out_path.c_str());
-        }
-      });
-    }
+  if (enabled() && !config().trace.empty()) {
+    capturing_.store(true, std::memory_order_relaxed);
+    std::atexit([] {
+      const std::string& path = config().trace;
+      if (!TraceRecorder::global().write(path)) {
+        std::fprintf(stderr, "spdistal: failed to write trace to %s\n",
+                     path.c_str());
+      }
+    });
   }
 }
 
@@ -105,16 +102,6 @@ void TraceRecorder::host_span(const char* cat, const std::string& name,
                            .dur_us = dur_us});
 }
 
-void TraceRecorder::host_counter(const char* cat, const char* name,
-                                 int64_t value) {
-  if (!active()) return;
-  push(host_events_, Event{.ph = 'C',
-                           .cat = cat,
-                           .name = name,
-                           .ts_us = wall_us(),
-                           .num = value});
-}
-
 void TraceRecorder::name_host_thread(const std::string& name) {
   const int tid = host_tid();
   std::lock_guard<std::mutex> lk(mu_);
@@ -146,7 +133,7 @@ void TraceRecorder::host_flow(char ph, uint64_t id, const char* cat,
                            .cat = cat,
                            .name = std::move(name),
                            .ts_us = wall_us(),
-                           .num = static_cast<int64_t>(id)});
+                           .flow = id});
 }
 
 void TraceRecorder::sim_flow_end(uint64_t id, int tid, const char* cat,
@@ -157,7 +144,7 @@ void TraceRecorder::sim_flow_end(uint64_t id, int tid, const char* cat,
                           .cat = cat,
                           .name = std::move(name),
                           .ts_us = t_s * 1e6,
-                          .num = static_cast<int64_t>(id)});
+                          .flow = id});
 }
 
 void TraceRecorder::meas_flow_end(uint64_t id, const char* cat,
@@ -170,7 +157,7 @@ void TraceRecorder::meas_flow_end(uint64_t id, const char* cat,
                            .cat = cat,
                            .name = kernel,
                            .ts_us = ts_us,
-                           .num = static_cast<int64_t>(id)});
+                           .flow = id});
 }
 
 size_t TraceRecorder::events() const {
@@ -191,15 +178,9 @@ void TraceRecorder::render(std::string& out, int pid, const Event& e) {
       out += strprintf("\"ts\": %.3f, \"dur\": %.3f, \"pid\": %d, \"tid\": %d",
                        e.ts_us, e.dur_us, pid, e.tid);
       break;
-    case 'C':
-      out += strprintf(
-          "\"ts\": %.3f, \"pid\": %d, \"tid\": %d, \"args\": {\"value\": "
-          "%lld}",
-          e.ts_us, pid, e.tid, static_cast<long long>(e.num));
-      break;
     default:  // flow: ends bind to the enclosing slice's end
       out += strprintf("\"id\": %llu, \"ts\": %.3f, \"pid\": %d, \"tid\": %d%s",
-                       static_cast<unsigned long long>(e.num), e.ts_us, pid,
+                       static_cast<unsigned long long>(e.flow), e.ts_us, pid,
                        e.tid, e.ph == 'f' ? ", \"bp\": \"e\"" : "");
       break;
   }
@@ -271,7 +252,7 @@ std::string TraceRecorder::json() const {
       render(out, pid, e);
     }
   }
-  out += "\n]}\n";
+  out += "\n], \"otherData\": " + config_json(config()) + "}\n";
   return out;
 }
 

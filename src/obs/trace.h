@@ -17,15 +17,17 @@
 // the Perfetto UI traces a launch end-to-end across the three processes.
 //
 // A capture keeps every event as a plain record (phase, tid, category,
-// name, timestamps, flow id or counter value, numeric args) appended to its
-// timeline's vector under one mutex; the JSON lines are rendered only by
-// json(), write() and sim_events().
+// name, timestamps, flow id, numeric args) appended to its timeline's
+// vector under one mutex; the JSON lines are rendered only by json(),
+// write() and sim_events(). The document's top-level "otherData" echoes
+// the process's configuration (common/config.h), never a pid-1 line.
 //
-// Sinks: $SPDISTAL_TRACE=out.json starts capture at process start and writes
-// the file at exit; tests drive start()/json() directly. Every record is
-// gated on obs::enabled() and capture being started — a disabled process
-// pays one relaxed atomic load per instrumentation point and records
-// nothing. Open the output at https://ui.perfetto.dev or chrome://tracing.
+// Sinks: config().trace ($SPDISTAL_TRACE=out.json) starts capture when the
+// recorder is first used and writes the file at exit; tests drive
+// start()/json() directly. Every record is gated on obs::enabled() and
+// capture being started — a disabled process pays one relaxed atomic load
+// per instrumentation point and records nothing. Open the output at
+// https://ui.perfetto.dev or chrome://tracing.
 #pragma once
 
 #include <atomic>
@@ -95,11 +97,6 @@ class TraceRecorder {
   // the calling thread's track.
   void host_span(const char* cat, const std::string& name, double ts_us,
                  double dur_us);
-  // A counter-track sample (ph:"C"): Perfetto renders successive samples of
-  // the same `name` as a filled line graph (executor queue depth,
-  // outstanding tasks). Samples live on host tid 0 so one graph aggregates
-  // values from every thread.
-  void host_counter(const char* cat, const char* name, int64_t value);
   // Names the calling thread's host track ("main", "worker-3").
   void name_host_thread(const std::string& name);
 
@@ -131,7 +128,8 @@ class TraceRecorder {
   // byte-identity surface tests compare across worker counts.
   std::vector<std::string> sim_events() const;
   // Renders the capture as a Chrome trace-event JSON document (one event
-  // per line; simulated events precede host events precede measured events).
+  // per line; simulated events precede host events precede measured
+  // events), with the configuration echo as its top-level "otherData".
   std::string json() const;
   bool write(const std::string& path) const;
 
@@ -140,14 +138,14 @@ class TraceRecorder {
 
   // One recorded event; its pid is the timeline whose vector holds it.
   struct Event {
-    char ph = 'X';   // 'X' span, 'C' counter, 's' | 't' | 'f' flow
+    char ph = 'X';   // 'X' span, 's' | 't' | 'f' flow
     int tid = 0;
     int point = -1;  // >= 0: a launch point, rendered as "name[point]"
     const char* cat = "";
     std::string name;
     double ts_us = 0;
     double dur_us = 0;  // 'X'
-    int64_t num = 0;    // a flow's id ('s' | 't' | 'f') or a counter's value
+    uint64_t flow = 0;  // a flow's id ('s' | 't' | 'f')
     SpanArgs args{};    // 'X'
   };
 

@@ -37,7 +37,6 @@ class MemoryPool {
   void release_all() { used_ = 0; }
 
   void set_allow_oversubscription(bool allow) { allow_oversub_ = allow; }
-  bool allow_oversubscription() const { return allow_oversub_; }
 
  private:
   Mem mem_;

@@ -146,13 +146,6 @@ Runtime::Runtime(Machine machine, int exec_threads)
   verify_ = verify::enabled();
 }
 
-void Runtime::set_verify(bool on) {
-  verify_ = on;
-  // Enabling needs the global accessor touch-logging switch; disabling
-  // leaves it alone — other runtimes in the process may still verify.
-  if (on) verify::set_enabled(true);
-}
-
 void Runtime::evict_to_capacity() {
   while (plan_cache_.size() > kPlanCapacity) {
     plan_cache_.erase(plan_lru_.back().key);
@@ -1025,17 +1018,6 @@ void Runtime::charge_transfer(const Mem& src, const Mem& dst, double bytes) {
   const Proc dst_cpu{dst.node, ProcKind::CPU, 0};
   const double t = net_.transfer(src, dst, bytes, sim_.clock(src_cpu));
   sim_.set_clock(dst_cpu, std::max(sim_.clock(dst_cpu), t));
-}
-
-void Runtime::charge_broadcast(const Mem& src, const std::vector<int>& dst_nodes,
-                               double bytes) {
-  flush();
-  const Proc src_cpu{src.node, ProcKind::CPU, 0};
-  const double t = net_.broadcast(src, dst_nodes, bytes, sim_.clock(src_cpu));
-  for (int n : dst_nodes) {
-    const Proc p{n, ProcKind::CPU, 0};
-    sim_.set_clock(p, std::max(sim_.clock(p), t));
-  }
 }
 
 void Runtime::reset_timing() {

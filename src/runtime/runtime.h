@@ -209,14 +209,12 @@ class Runtime {
     plan_lru_.clear();
   }
 
-  // Verification mode (ISSUE 7). When on, every execute() runs the
-  // dependence-race auditor over the (possibly cached) plan, leaf tasks
-  // record touched bounds for the privilege checker, and read-only operands
-  // are fingerprinted across the launch. Defaults to the process-wide
-  // SPDISTAL_VERIFY setting at construction; enabling here also flips the
-  // global accessor touch-logging switch (disabling leaves the global
-  // switch alone — other runtimes may still be verifying).
-  void set_verify(bool on);
+  // Verification mode. When on, every execute() runs the dependence-race
+  // auditor over the (possibly cached) plan, leaf tasks record touched
+  // bounds for the privilege checker, and read-only operands are
+  // fingerprinted across the launch. Taken from the process-wide
+  // verify::enabled() at construction, so arm the switch before
+  // constructing the runtime.
   bool verify() const { return verify_; }
 
   // Fault injection for the verify fault-injection tests: drains in-flight
@@ -247,8 +245,6 @@ class Runtime {
   // Explicitly charges a data transfer (baselines with hand-rolled comm).
   // Drains in-flight launches first.
   void charge_transfer(const Mem& src, const Mem& dst, double bytes);
-  void charge_broadcast(const Mem& src, const std::vector<int>& dst_nodes,
-                        double bytes);
 
   // Zeroes clocks/traffic for steady-state measurement; placements persist.
   void reset_timing();
@@ -263,7 +259,6 @@ class Runtime {
   // would break the simulated track's bit-identity and pollute process
   // metrics.
   void set_observability(bool on);
-  bool observed() const { return observed_; }
 
   // Maps launch point `p` of a `domain`-point launch onto the machine grid.
   Proc proc_for_point(int p, int domain) const;

@@ -1,12 +1,14 @@
 #include "runtime/touch_log.h"
 
+#include "common/config.h"
 #include "common/error.h"
 
 namespace spdistal::rt {
 
 namespace {
 
-std::atomic<bool> g_touch_logging{false};
+// The verify-mode flag (see touch_logging_enabled in the header).
+std::atomic<bool> g_touch_logging{config().verify};
 
 thread_local TouchLog* tls_touch_log = nullptr;
 

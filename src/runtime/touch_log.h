@@ -32,8 +32,10 @@ namespace spdistal::rt {
 
 using RegionId = uint32_t;
 
-// Process-wide switch consulted by accessor constructors. Set by
-// verify::set_enabled / Runtime::set_verify; one relaxed load.
+// The process-wide verify-mode flag, consulted by accessor constructors and
+// Region's per-element paths: one relaxed load. It starts at
+// config().verify ($SPDISTAL_VERIFY); verify::enabled() reads the same
+// flag, and verify::set_enabled() is the only caller of the setter.
 bool touch_logging_enabled();
 void set_touch_logging(bool on);
 

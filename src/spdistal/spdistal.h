@@ -13,6 +13,7 @@
 #include "baselines/common.h"      // baseline classification helpers
 #include "baselines/ctf_like.h"    // interpretation baseline
 #include "baselines/petsc_like.h"  // library baselines (PETSc/Trilinos)
+#include "common/config.h"         // the SPDISTAL_* configuration, read once
 #include "compiler/lower.h"        // CompiledKernel / Instance
 #include "compiler/plan_ir.h"      // Figure 9b plan traces
 #include "data/datasets.h"         // Table II registry

@@ -184,11 +184,6 @@ const fmt::TensorStorage& Tensor::storage() const {
   return data_->storage;
 }
 
-void Tensor::set_storage(fmt::TensorStorage st) {
-  data_->storage = std::move(st);
-  data_->has_storage = true;
-}
-
 TensorAccess Tensor::operator()(IndexVar i) { return access({i}); }
 TensorAccess Tensor::operator()(IndexVar i, IndexVar j) {
   return access({i, j});

@@ -116,8 +116,6 @@ class Tensor {
   bool has_storage() const;
   fmt::TensorStorage& storage();
   const fmt::TensorStorage& storage() const;
-  // Replaces the storage wholesale (used by packing/assembly utilities).
-  void set_storage(fmt::TensorStorage st);
 
   // --- computation ------------------------------------------------------------
 

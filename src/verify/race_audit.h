@@ -61,7 +61,7 @@ std::vector<std::pair<int, int>> oracle_edges(const AuditInput& in);
 
 // Runs the full audit: staleness check, privatization sanity, then the
 // edge-set diff. Throws VerifyError on races/staleness; warnings are
-// counted. Bumps verify.plans_checked.
+// counted. Bumps verify::stats().plans_checked.
 void audit_launch(const AuditInput& in);
 
 // Raises the stale-residency violation: a warm plan's residency memo

@@ -2,34 +2,20 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <sstream>
 
-#include "obs/metrics.h"
 #include "runtime/touch_log.h"
 
 namespace spdistal::verify {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-std::once_flag g_env_once;
-
 std::atomic<uint64_t> g_plans_checked{0};
 std::atomic<uint64_t> g_tasks_checked{0};
 std::atomic<uint64_t> g_violations{0};
 std::atomic<uint64_t> g_warnings{0};
-
-void init_from_env() {
-  const char* v = std::getenv("SPDISTAL_VERIFY");
-  const bool on = v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  if (on) {
-    g_enabled.store(true, std::memory_order_relaxed);
-    rt::set_touch_logging(true);
-  }
-}
 
 const char* severity_name(Severity s) {
   return s == Severity::Error ? "error" : "warning";
@@ -49,16 +35,9 @@ void log_warning_once(const Violation& v) {
 
 }  // namespace
 
-bool enabled() {
-  std::call_once(g_env_once, init_from_env);
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool enabled() { return rt::touch_logging_enabled(); }
 
-void set_enabled(bool on) {
-  std::call_once(g_env_once, init_from_env);
-  g_enabled.store(on, std::memory_order_relaxed);
-  rt::set_touch_logging(on);
-}
+void set_enabled(bool on) { rt::set_touch_logging(on); }
 
 Stats stats() {
   Stats s;
@@ -83,7 +62,6 @@ void report(const Violation& v) {
     return;
   }
   g_violations.fetch_add(1, std::memory_order_relaxed);
-  obs::Metrics::global().counter("verify.violations").add();
   std::ostringstream os;
   os << "verify(" << v.analysis << "): " << v.message;
   throw VerifyError(os.str());
@@ -91,7 +69,6 @@ void report(const Violation& v) {
 
 void note_plan_checked() {
   g_plans_checked.fetch_add(1, std::memory_order_relaxed);
-  obs::Metrics::global().counter("verify.plans_checked").add();
 }
 
 void note_task_checked() {
@@ -100,7 +77,6 @@ void note_task_checked() {
 
 void note_violation() {
   g_violations.fetch_add(1, std::memory_order_relaxed);
-  obs::Metrics::global().counter("verify.violations").add();
 }
 
 std::string format_report(const std::vector<Violation>& vs) {

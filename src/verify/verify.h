@@ -1,8 +1,9 @@
 // Verification subsystem entry points (ISSUE 7).
 //
-// Three cooperating analyses, all gated behind SPDISTAL_VERIFY=1 (or
-// Runtime::set_verify(true)) so the production hot path stays zero-cost.
-// When armed, they run on every compile and every launch:
+// Three cooperating analyses, all gated behind one process-wide flag
+// (SPDISTAL_VERIFY=1, or set_enabled(true) before a Runtime is constructed)
+// so the production hot path stays zero-cost. When armed, they run on
+// every compile and every launch:
 //
 //  1. Schedule linter (lint.h): runs over sched::Schedule + the statement
 //     before lowering and rejects illegal combinations with a message that
@@ -18,8 +19,8 @@
 //     certifying the plan cache against staleness.
 //
 // Violations raise spdistal::VerifyError (severity Error) or increment the
-// warning counter (severity Warning). Counters are mirrored into
-// obs::Metrics as verify.plans_checked / verify.violations.
+// warning counter (severity Warning). stats() is the one source of the
+// counts; the metrics registry does not mirror them.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,10 @@
 
 namespace spdistal::verify {
 
-// Process-wide verify switch. Initialized from the SPDISTAL_VERIFY
-// environment variable (values "0"/"" = off) on first query; flipping it
-// also toggles rt::set_touch_logging so accessors start/stop recording.
+// The process-wide verify switch: the same flag as
+// rt::touch_logging_enabled(), so flipping it also starts or stops accessor
+// recording. It starts at config().verify ($SPDISTAL_VERIFY=0|1). A Runtime
+// reads it once, when it is constructed.
 bool enabled();
 void set_enabled(bool on);
 
@@ -62,7 +64,7 @@ void reset_stats();
 // Record-and-dispatch: warnings are counted (and logged to stderr once per
 // distinct message); errors are counted and thrown as VerifyError.
 void report(const Violation& v);
-// Bumps verify.plans_checked / tasks_checked.
+// Bumps stats().plans_checked / tasks_checked.
 void note_plan_checked();
 void note_task_checked();
 // Counts an Error-severity finding whose throw path is not VerifyError

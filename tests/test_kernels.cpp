@@ -12,6 +12,7 @@
 #include "kernels/leaf_kernels.h"
 #include "runtime/touch_log.h"
 #include "tensor/dense_ref.h"
+#include "verify/verify.h"
 
 namespace spdistal::kern {
 namespace {
@@ -54,14 +55,15 @@ void expect_work(const rt::WorkEstimate& w, double flops, double bytes,
 }
 
 // Records touches on this thread for the scope, as a verify-mode point task
-// does, so leaves run their recording instantiation.
+// does, so leaves run their recording instantiation. Arms the one verify
+// switch for the scope and restores it after.
 class RecordTouches {
  public:
   explicit RecordTouches(rt::TouchLog* log)
-      : was_on_(rt::touch_logging_enabled()), scope_(log) {
-    rt::set_touch_logging(true);
+      : was_on_(verify::enabled()), scope_(log) {
+    verify::set_enabled(true);
   }
-  ~RecordTouches() { rt::set_touch_logging(was_on_); }
+  ~RecordTouches() { verify::set_enabled(was_on_); }
 
  private:
   bool was_on_;

@@ -2,7 +2,7 @@
 // bit-identical across executor thread counts, emitted JSON is well-formed
 // (the shared json_escape round-trips quotes and control characters),
 // spans on serialized simulated tracks never overlap and host spans nest,
-// the metrics registry counts executor activity, disabled mode records
+// the metrics registry counts leaf dispatches, disabled mode records
 // nothing, the shared_ptr instantiate overload keeps the Runtime alive, and
 // SimReport::diff/kernels isolate per-phase per-kernel costs.
 #include <gtest/gtest.h>
@@ -375,59 +375,24 @@ TEST(Obs, FlowEventIdsResolve) {
   }
 }
 
-TEST(Obs, CounterTracksSampleExecutorGauges) {
-  const rt::Machine m = cpu_machine(4);
-  ObsGuard guard(true);
-  {
-    auto [out, stmt] = build_spmv(m.num_procs());
-    rt::Runtime runtime(m, 2);
-    auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
-    inst->run(2);
-    runtime.flush();
-  }
-  // The executor samples its outstanding-task and ready-queue depths as
-  // Perfetto counter tracks (ph: "C") on every create and retire.
-  const std::string doc = obs::TraceRecorder::global().json();
-  bool outstanding = false, queued = false;
-  size_t at = 0;
-  while ((at = doc.find("\"ph\": \"C\"", at)) != std::string::npos) {
-    const size_t line_start = doc.rfind('\n', at) + 1;
-    const size_t line_end = doc.find('\n', at);
-    const std::string line = doc.substr(line_start, line_end - line_start);
-    at = line_end;
-    EXPECT_NE(line.find("\"args\": {\"value\": "), std::string::npos) << line;
-    EXPECT_GE(field(line, "value"), 0.0) << line;
-    if (line.find("\"name\": \"exec.outstanding\"") != std::string::npos) {
-      outstanding = true;
-    }
-    if (line.find("\"name\": \"exec.queued\"") != std::string::npos) {
-      queued = true;
-    }
-  }
-  EXPECT_TRUE(outstanding) << "no exec.outstanding counter samples";
-  EXPECT_TRUE(queued) << "no exec.queued counter samples";
-}
-
 TEST(Obs, MetricsMatchSimReport) {
   const rt::Machine m = cpu_machine(4);
   ObsGuard guard(true);
   auto [out, stmt] = build_spmv(m.num_procs());
   rt::Runtime runtime(m, 1);
-  auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
+  const CompiledKernel kernel = CompiledKernel::compile(*stmt, m);
+  auto inst = kernel.instantiate(runtime);
   inst->run(3);
   const rt::SimReport rep = inst->report();
   obs::Metrics& reg = obs::Metrics::global();
-  // Executor mirrors and leaf dispatch counts.
-  const auto ex = runtime.executor().stats();
-  EXPECT_EQ(reg.counter("exec.created").value(),
-            static_cast<int64_t>(ex.created));
-  EXPECT_EQ(reg.counter("exec.retired").value(),
-            static_cast<int64_t>(ex.retired));
+  // The leaf dispatch count matches the SimReport's leaf task rows.
   int64_t leaf_total = 0;
   for (const auto& [name, ks] : rep.kernels) {
     leaf_total += ks.tasks;
   }
   EXPECT_GT(leaf_total, 0);
+  const std::string leaf = "leaf." + kernel.leaf_kernel_name();
+  EXPECT_EQ(reg.counter(leaf).value(), leaf_total);
   // The registry snapshot itself is valid JSON.
   EXPECT_TRUE(json::parse(reg.json()).has_value());
 }
@@ -437,14 +402,15 @@ TEST(Obs, DisabledModeRecordsNothing) {
   ObsGuard guard(false);
   auto [out, stmt] = build_spmv(m.num_procs());
   rt::Runtime runtime(m, 2);
-  auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
+  const CompiledKernel kernel = CompiledKernel::compile(*stmt, m);
+  auto inst = kernel.instantiate(runtime);
   inst->run(2);
   const rt::SimReport rep = inst->report();
   EXPECT_GT(rep.tasks, 0);
   EXPECT_EQ(obs::TraceRecorder::global().events(), 0u);
+  // Gated registry counters stay at zero although the leaves ran.
   obs::Metrics& reg = obs::Metrics::global();
-  EXPECT_EQ(reg.counter("exec.created").value(), 0);
-  EXPECT_EQ(reg.gauge("exec.outstanding").max(), 0);
+  EXPECT_EQ(reg.counter("leaf." + kernel.leaf_kernel_name()).value(), 0);
   // The deterministic SimReport surface is independent of the obs switch:
   // kernels rows are still populated.
   EXPECT_FALSE(rep.kernels.empty());
