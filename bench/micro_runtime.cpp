@@ -344,9 +344,13 @@ BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 // Verify-mode cost, and the zero-overhead contract when off: with the
 // verifiers disabled the accessor fast path pays one relaxed load and the
 // checkers record nothing; with them armed every warm launch re-runs the
-// O(P^2) race audit and every point task logs its touched bounds.
+// O(P^2) race audit at enqueue and every point task checks each touch
+// against its declared subsets. `flush` 0 times the enqueue alone (the
+// race audit); `flush` 1 times a launch from enqueue through flush, point
+// tasks and their touch checks included.
 void BM_VerifyOverhead(benchmark::State& state) {
   const bool verify_on = state.range(0) != 0;
+  const bool timed_flush = state.range(1) != 0;
   constexpr int kPieces = 16;
   IndexVar i("i"), j("j"), io("io"), ii("ii");
   fmt::Coo coo = data::powerlaw_matrix(4000, 4000, 120000, 1.1, 9);
@@ -375,9 +379,13 @@ void BM_VerifyOverhead(benchmark::State& state) {
   const verify::Stats before = verify::stats();
   for (auto _ : state) {
     benchmark::DoNotOptimize(inst->run_async(1));
-    state.PauseTiming();
-    runtime.flush();
-    state.ResumeTiming();
+    if (timed_flush) {
+      runtime.flush();
+    } else {
+      state.PauseTiming();
+      runtime.flush();
+      state.ResumeTiming();
+    }
   }
   const verify::Stats after = verify::stats();
   if (verify_on) {
@@ -399,7 +407,10 @@ void BM_VerifyOverhead(benchmark::State& state) {
       static_cast<double>(after.plans_checked - before.plans_checked);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_VerifyOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VerifyOverhead)
+    ->ArgNames({"verify", "flush"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // Profile-guided calibration cost, and the off-mode contract: with
 // calibration enabled (SPDISTAL_CALIB) every leaf body is wall-clock timed

@@ -42,9 +42,10 @@ class ScheduleError : public SpdError {
   explicit ScheduleError(const std::string& what) : SpdError(what) {}
 };
 
-// Raised by the verification subsystem (SPDISTAL_VERIFY=1): a schedule/plan
-// lint rejection, a privilege violation caught by the region access
-// checker, or a dependence-race/staleness finding from the plan auditor.
+// Raised by the verification subsystem (SPDISTAL_VERIFY=1): a privilege
+// violation caught by the region access checker, or a dependence-race/
+// staleness finding from the plan auditor. Schedule errors are
+// ScheduleErrors from CompiledKernel::compile in every mode.
 class VerifyError : public SpdError {
  public:
   explicit VerifyError(const std::string& what) : SpdError(what) {}

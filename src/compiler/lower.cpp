@@ -8,7 +8,6 @@
 #include "kernels/assembly.h"
 #include "obs/obs.h"
 #include "tdn/tdn.h"
-#include "verify/lint.h"
 
 namespace spdistal::comp {
 
@@ -41,11 +40,123 @@ void check_var_extents(const Statement& stmt) {
   for (const auto& a : tin::expr_accesses(stmt.assignment.rhs)) check(a);
 }
 
+// Schedule legality that does not depend on the schedule: a repeated output
+// variable (A(i, i) = ...) would drive two output axes from one loop, and
+// the operands of one product term that are all non-unique at a shared
+// variable have no merge lattice point, since co-iteration deduplicates
+// repeated coordinates on at most one of them. Each term of a sum is
+// co-iterated on its own, so operands of different terms do not meet.
+void check_statement(const Statement& stmt) {
+  check_var_extents(stmt);
+  const tin::Access& lhs = stmt.assignment.lhs;
+  for (size_t d = 0; d < lhs.vars.size(); ++d) {
+    for (size_t e = 0; e < d; ++e) {
+      SPD_CHECK(!(lhs.vars[e] == lhs.vars[d]), ScheduleError,
+                "output access " << lhs.tensor << " repeats index variable "
+                                 << lhs.vars[d].name()
+                                 << "; diagonal outputs are not expressible "
+                                    "— each output axis needs its own "
+                                    "variable");
+    }
+  }
+  const tin::Expr& rhs = stmt.assignment.rhs;
+  const std::vector<tin::Expr> terms =
+      rhs->kind == tin::ExprKind::Add ? rhs->operands
+                                      : std::vector<tin::Expr>{rhs};
+  for (const tin::Expr& term : terms) {
+    // var id -> (name, the term's operands non-unique at it)
+    std::map<uint32_t, std::pair<std::string, std::vector<std::string>>>
+        nonunique;
+    for (const tin::Access& a : tin::expr_accesses(term)) {
+      const fmt::Format& f = stmt.tensor(a.tensor).format();
+      for (size_t d = 0; d < a.vars.size(); ++d) {
+        if (f.mode(f.level_of_dim(static_cast<int>(d))).unique()) continue;
+        auto& [name, operands] = nonunique[a.vars[d].id()];
+        name = a.vars[d].name();
+        operands.push_back(a.tensor);
+      }
+    }
+    for (const auto& [id, at] : nonunique) {
+      const auto& [name, operands] = at;
+      SPD_CHECK(operands.size() < 2, ScheduleError,
+                "operands " << join(operands, ", ")
+                            << " are all non-unique at shared variable "
+                            << name
+                            << "; co-iteration cannot deduplicate repeated "
+                               "coordinates on more than one operand");
+    }
+  }
+}
+
+// Every command must name what the statement binds and what the schedule
+// defines, so each misuse is rejected with a message naming the command
+// rather than failing later inside lowering, co-iteration or a run.
+void check_commands(const Statement& stmt, const sched::Schedule& schedule) {
+  const std::vector<IndexVar> vars = tin::statement_vars(stmt.assignment);
+  const std::vector<IndexVar> dvs = schedule.distributed_vars();
+  for (size_t a = 0; a < dvs.size(); ++a) {
+    const IndexVar src = schedule.distributed_source(dvs[a]);
+    std::vector<IndexVar> roots = schedule.fused_sources(src);
+    // Every inner grid axis blocks one statement variable.
+    SPD_CHECK(a == 0 || roots.empty(), ScheduleError,
+              "distribute(" << dvs[a].name() << "): source variable "
+                            << src.name()
+                            << " comes from fuse(), but only the first "
+                               "distributed axis may be fused");
+    if (roots.empty()) roots.push_back(src);
+    for (const IndexVar& r : roots) {
+      SPD_CHECK(std::find(vars.begin(), vars.end(), r) != vars.end(),
+                ScheduleError,
+                "distribute(" << dvs[a].name() << "): source variable "
+                              << r.name() << " indexes no tensor in `"
+                              << stmt.str() << "`");
+    }
+  }
+  for (const sched::Command& c : schedule.commands()) {
+    if (c.kind == sched::CommandKind::DividePos) {
+      const std::string& tensor = c.tensors[0];
+      const auto it = stmt.bindings.find(tensor);
+      SPD_CHECK(it != stmt.bindings.end(), ScheduleError,
+                "divide_pos targets tensor `" << tensor
+                                              << "` which the statement `"
+                                              << stmt.str()
+                                              << "` does not reference");
+      // The split cuts the position space after the fused chain's last
+      // level, so the chain cannot be deeper than the tensor.
+      const size_t depth =
+          std::max<size_t>(schedule.fused_sources(c.vars[0]).size(), 1);
+      const int order = it->second.format().order();
+      SPD_CHECK(depth <= static_cast<size_t>(order), ScheduleError,
+                "divide_pos(" << c.vars[0].name() << ", ..., \"" << tensor
+                              << "\") fuses " << depth
+                              << " index variables but `" << tensor
+                              << "` has only " << order
+                              << " storage levels; the fused chain cannot "
+                                 "be deeper than the tensor it splits");
+    } else if (c.kind == sched::CommandKind::Parallelize) {
+      SPD_CHECK(std::find(dvs.begin(), dvs.end(), c.vars[0]) == dvs.end(),
+                ScheduleError,
+                "parallelize(" << c.vars[0].name()
+                               << ", ...) targets a distributed variable; "
+                                  "its iterations already run on different "
+                                  "processors — parallelize an inner "
+                                  "variable instead");
+    } else if (c.kind == sched::CommandKind::Communicate) {
+      for (const std::string& t : c.tensors) {
+        SPD_CHECK(stmt.bindings.count(t) != 0, ScheduleError,
+                  "communicate references tensor `"
+                      << t << "` which the statement `" << stmt.str()
+                      << "` does not bind");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 CompiledKernel CompiledKernel::compile(const Statement& stmt,
                                        const rt::Machine& machine) {
-  check_var_extents(stmt);
+  check_statement(stmt);
   const Tensor& out = stmt.tensor(stmt.assignment.lhs.tensor);
   if (out.schedule().commands().empty()) {
     // No schedule was recorded: compile with a searched one. The plan is
@@ -63,12 +174,9 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
 CompiledKernel CompiledKernel::compile(const Statement& stmt,
                                        const sched::Schedule& schedule,
                                        const rt::Machine& machine) {
-  check_var_extents(stmt);
-  // Verify mode: lint the schedule against the statement and machine
-  // before any lowering analysis, so illegal combinations are rejected
-  // with a message naming the offending directive rather than a failure
-  // deep inside co-iteration or partitioning.
-  if (verify::enabled()) verify::lint_or_throw(stmt, schedule, machine);
+  // Every schedule error is raised here, in every mode.
+  check_statement(stmt);
+  check_commands(stmt, schedule);
 
   CompiledKernel ck;
   ck.stmt_ = stmt;
@@ -123,13 +231,8 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
     ck.split_level_ = static_cast<int>(ck.fused_sources_.size()) - 1;
     // Inner universe axes of a non-zero x universe grid: any statement
     // variable not consumed by the position split.
-    const auto vars = tin::statement_vars(stmt.assignment);
     for (size_t a = 1; a < ck.dist_source_vars_.size(); ++a) {
       const IndexVar& u = ck.dist_source_vars_[a];
-      SPD_CHECK(std::find(vars.begin(), vars.end(), u) != vars.end(),
-                ScheduleError, "distributed variable " << u.name()
-                                                       << " is not used in "
-                                                       << stmt.str());
       SPD_CHECK(std::find(ck.fused_sources_.begin(), ck.fused_sources_.end(),
                           u) == ck.fused_sources_.end(),
                 ScheduleError,
@@ -152,10 +255,6 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
                   << ")");
     for (size_t a = 1; a < ck.dist_source_vars_.size(); ++a) {
       const IndexVar& v = ck.dist_source_vars_[a];
-      SPD_CHECK(std::find(vars.begin(), vars.end(), v) != vars.end(),
-                ScheduleError, "distributed variable " << v.name()
-                                                       << " is not used in "
-                                                       << stmt.str());
       for (size_t b = 0; b < a; ++b) {
         SPD_CHECK(!(ck.dist_source_vars_[b] == v), ScheduleError,
                   "variable " << v.name() << " is distributed on two axes");

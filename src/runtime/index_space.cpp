@@ -248,16 +248,27 @@ bool IndexSubset::contains_point(const std::array<Coord, kMaxDim>& p) const {
 }
 
 bool IndexSubset::contains_point1(Coord p) const {
-  // Binary search over a canonical 1-D interval list.
-  if (dim_ == 1 && canonical_ && rects_.size() > 8) {
+  return outside(RectN::make1(p, p)).empty();
+}
+
+IndexSubset IndexSubset::outside(const RectN& r) const {
+  if (canonical_) {
+    // The rectangles ascend with gaps on dimension 0, so only the last one
+    // starting at or before r can hold it, and none is held across a gap.
     auto it = std::upper_bound(
-        rects_.begin(), rects_.end(), p,
-        [](Coord v, const RectN& r) { return v < r.lo[0]; });
-    if (it == rects_.begin()) return false;
-    --it;
-    return p <= it->hi[0];
+        rects_.begin(), rects_.end(), r.lo[0],
+        [](Coord v, const RectN& s) { return v < s.lo[0]; });
+    if (it != rects_.begin() && std::prev(it)->contains(r)) {
+      return IndexSubset(r.dim);
+    }
+  } else {
+    for (const RectN& s : rects_) {
+      if (s.contains(r)) return IndexSubset(r.dim);
+    }
   }
-  return contains_point({p});
+  // No rectangle holds r alone: one point is outside, and a larger r may
+  // be held by several rectangles together.
+  return r.volume() == 1 ? IndexSubset(r) : IndexSubset(r).subtract(*this);
 }
 
 IndexSubset IndexSubset::intersect(const RectN& r) const {

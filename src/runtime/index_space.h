@@ -111,6 +111,11 @@ class IndexSubset {
 
   bool contains_point(const std::array<Coord, kMaxDim>& p) const;
   bool contains_point1(Coord p) const;
+  // The points of `r` outside this subset. When one rectangle holds `r`
+  // (found by a binary search on dimension 0 when canonical, else by a
+  // scan) it returns the empty subset without a set difference; when the
+  // subset is canonical, no other `r` is contained.
+  IndexSubset outside(const RectN& r) const;
 
   // Set intersection with a rectangle / another subset.
   IndexSubset intersect(const RectN& r) const;

@@ -45,14 +45,11 @@ exec::AccessMode to_mode(Privilege p) {
 
 }  // namespace
 
-IndexSubset TaskContext::subset(size_t req) const {
-  SPDISTAL_DCHECK(req < launch_.reqs.size(),
+const IndexSubset& TaskContext::subset(size_t req) const {
+  SPDISTAL_DCHECK(req < subsets_.size(),
                   "req index " << req << " out of range ("
-                              << launch_.reqs.size() << " requirements)");
-  if (subsets_ != nullptr) return (*subsets_)[req];
-  const RegionReq& r = launch_.reqs[req];
-  if (r.partition == nullptr) return r.region->space().as_subset();
-  return r.partition->subset(color_);
+                              << subsets_.size() << " requirements)");
+  return subsets_[req];
 }
 
 // The memoized launch analysis: everything Runtime::execute derives from
@@ -711,9 +708,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                 rec->scratch[r][static_cast<size_t>(p)].get()});
           }
           RegionBase::ScopedRedirects guard(rds.data(), rds.size());
-          TaskContext ctx(*this, rec->launch, p,
-                          plan.procs[static_cast<size_t>(p)],
-                          &plan.subsets[static_cast<size_t>(p)]);
+          const std::vector<IndexSubset>& row =
+              plan.subsets[static_cast<size_t>(p)];
+          TaskContext ctx(p, plan.procs[static_cast<size_t>(p)], row);
           // Leaf wall-clock measurement feeds the measured trace track and
           // the calibration store. The timer brackets only the body (scratch
           // allocation and verify post-checks are runtime overhead, not
@@ -722,16 +719,26 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           const bool measure = rec->traced || rec->calibrate;
           const double wall0 = measure ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
-          TouchLog tlog;
           if (!rec->verify) {
             rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
             if (measure) wall1 = obs::wall_us();
           } else {
-            // Verify mode: record every coordinate the body touches; the
-            // footprint is validated against the declared subsets below.
-            ScopedTouchLog tguard(&tlog);
-            rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
-            if (measure) wall1 = obs::wall_us();
+            // Verify mode: declare the point's subsets, so that every
+            // coordinate the body touches is tested against them as it
+            // happens, then report what escaped.
+            TouchLog tlog;
+            for (size_t r = 0; r < row.size(); ++r) {
+              const RegionReq& req = rec->launch.reqs[r];
+              tlog.declare(req.region->id(), req.region->name(), row[r],
+                           req.priv != Privilege::WO);
+            }
+            {
+              ScopedTouchLog tguard(&tlog);
+              rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
+              if (measure) wall1 = obs::wall_us();
+            }
+            verify::check_task_touches(
+                strprintf("%s[%d]", rec->launch.name.c_str(), p), tlog);
           }
           if (measure) {
             const WorkEstimate& w = rec->work[static_cast<size_t>(p)];
@@ -756,19 +763,6 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                   "launch", rec->launch.name, p, wall0);
             }
           }
-          if (!rec->verify) return;
-          // Validate the recorded footprint against the declared subsets.
-          std::vector<verify::ReqCheckView> views;
-          views.reserve(rec->launch.reqs.size());
-          for (size_t r = 0; r < rec->launch.reqs.size(); ++r) {
-            views.push_back(verify::ReqCheckView{
-                rec->launch.reqs[r].region->id(),
-                rec->launch.reqs[r].region->name(),
-                to_mode(rec->launch.reqs[r].priv),
-                &plan.subsets[static_cast<size_t>(p)][r]});
-          }
-          verify::check_task_touches(
-              strprintf("%s[%d]", rec->launch.name.c_str(), p), tlog, views);
         });
   }
   const exec::TaskId retire =

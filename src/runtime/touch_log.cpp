@@ -1,5 +1,7 @@
 #include "runtime/touch_log.h"
 
+#include <algorithm>
+
 #include "common/config.h"
 #include "common/error.h"
 
@@ -12,31 +14,22 @@ std::atomic<bool> g_touch_logging{config().verify};
 
 thread_local TouchLog* tls_touch_log = nullptr;
 
-// Rect-list cap before a sink collapses to its bounding box. Large enough
-// that structured sparse walks stay exact; small enough that pathological
-// scatter patterns cannot blow up verify-mode memory.
-constexpr size_t kMaxRects = 4096;
-
-// Tries to grow `last` by one point `pt` along a single dimension (the
-// common stride-1 walk). Returns false if pt is not adjacent.
-bool extend(RectN& last, const RectN& pt) {
-  if (last.contains(pt)) return true;
-  int grow_dim = -1;
-  for (int d = 0; d < pt.dim; ++d) {
-    if (pt.lo[d] >= last.lo[d] && pt.hi[d] <= last.hi[d]) continue;
-    if (grow_dim >= 0) return false;  // differs in two dims: not adjacent
-    grow_dim = d;
+// Grows `last` to cover `r` too when their union is a rect: equal in every
+// dimension but one, and touching or overlapping in that one.
+bool merge(RectN& last, const RectN& r) {
+  int grow = -1;
+  for (int d = 0; d < r.dim; ++d) {
+    if (r.lo[d] == last.lo[d] && r.hi[d] == last.hi[d]) continue;
+    if (grow >= 0) return false;
+    grow = d;
   }
-  if (grow_dim < 0) return true;
-  if (pt.lo[grow_dim] == last.hi[grow_dim] + 1) {
-    last.hi[grow_dim] = pt.hi[grow_dim];
-    return true;
+  if (grow < 0) return true;
+  if (r.lo[grow] > last.hi[grow] + 1 || r.hi[grow] + 1 < last.lo[grow]) {
+    return false;
   }
-  if (pt.hi[grow_dim] == last.lo[grow_dim] - 1) {
-    last.lo[grow_dim] = pt.lo[grow_dim];
-    return true;
-  }
-  return false;
+  last.lo[grow] = std::min(last.lo[grow], r.lo[grow]);
+  last.hi[grow] = std::max(last.hi[grow], r.hi[grow]);
+  return true;
 }
 
 }  // namespace
@@ -64,55 +57,72 @@ void TouchSink::touch_linear(const RectN& outer, Coord idx, Access a) {
   touch(pt, a);
 }
 
-namespace {
+TouchSink::TouchSink(const IndexSubset* declared, const IndexSubset* readable)
+    : declared_(declared), readable_(readable) {}
 
-// Shared coalesce-or-collapse step for both rect lists.
-void add_rect(std::vector<RectN>& rects, bool& approximate, int dim,
-              const RectN& pt) {
-  if (!rects.empty() && extend(rects.back(), pt)) return;
-  rects.push_back(pt);
-  if (rects.size() > kMaxRects) {
-    IndexSubset s(dim);
-    for (const RectN& r : rects) s.add(r);
-    s.normalize();
-    if (s.rects().size() > kMaxRects / 2) {
-      RectN box = s.bounds();
-      rects.assign(1, box);
-      approximate = true;
+void TouchSink::keep(Escapes& e, const IndexSubset& part) {
+  if (part.empty()) return;
+  ++e.count;
+  for (const RectN& r : part.rects()) {
+    if (!e.rects.empty() && merge(e.rects.back(), r)) continue;
+    if (e.rects.size() < kKeptEscapes) {
+      e.rects.push_back(r);
     } else {
-      rects.assign(s.rects().begin(), s.rects().end());
+      e.dropped = true;
     }
   }
 }
 
-}  // namespace
-
 void TouchSink::touch(const RectN& pt, Access a) {
-  dim_ = pt.dim;
-  add_rect(rects_, approximate_, dim_, pt);
-  if (a == Access::Read) {
-    add_rect(read_rects_, reads_approximate_, dim_, pt);
+  const IndexSubset escaped =
+      declared_ == nullptr ? IndexSubset(pt) : declared_->outside(pt);
+  keep(escapes_, escaped);
+  if (a != Access::Read || readable_ == nullptr) return;
+  // A read of data the task holds write-only: the part of the touch inside
+  // the declaration but outside every readable subset.
+  const IndexSubset unread = readable_->outside(pt);
+  if (unread.empty()) return;
+  keep(wo_reads_, escaped.empty() ? unread : unread.subtract(escaped));
+}
+
+void TouchLog::declare(RegionId region, const std::string& name,
+                       const IndexSubset& subset, bool readable) {
+  Declared& d = declared_[region];
+  d.name = &name;
+  d.subset = unite(d.subset, subset);
+  if (readable) {
+    d.readable = unite(d.readable, subset);
+  } else {
+    d.write_only = true;
   }
 }
 
-IndexSubset TouchSink::touched() const {
-  IndexSubset s(dim_);
-  for (const RectN& r : rects_) s.add(r);
-  s.normalize();
-  return s;
+const IndexSubset* TouchLog::unite(const IndexSubset* held,
+                                   const IndexSubset& more) {
+  if (held == nullptr) return &more;
+  unions_.push_back(held->unite(more));
+  return &unions_.back();
 }
 
-IndexSubset TouchSink::reads() const {
-  IndexSubset s(dim_);
-  for (const RectN& r : read_rects_) s.add(r);
-  s.normalize();
-  return s;
+const std::string* TouchLog::name(RegionId region) const {
+  const auto it = declared_.find(region);
+  return it == declared_.end() ? nullptr : it->second.name;
 }
 
 TouchSink* TouchLog::sink(RegionId region, int dim) {
   auto it = sinks_.find(region);
-  if (it == sinks_.end()) it = sinks_.emplace(region, TouchSink(dim)).first;
-  return &it->second;
+  if (it != sinks_.end()) return &it->second;
+  const auto d = declared_.find(region);
+  if (d == declared_.end()) {
+    return &sinks_.try_emplace(region, nullptr, nullptr).first->second;
+  }
+  const Declared& decl = d->second;
+  const IndexSubset* readable = decl.write_only ? decl.readable : nullptr;
+  if (decl.write_only && readable == nullptr) {
+    // Held write-only and never readable: every read is of unwritten data.
+    readable = &unions_.emplace_back(dim);
+  }
+  return &sinks_.try_emplace(region, decl.subset, readable).first->second;
 }
 
 ScopedTouchLog::ScopedTouchLog(TouchLog* log) : prev_(tls_touch_log) {

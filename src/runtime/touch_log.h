@@ -1,26 +1,33 @@
-// Touched-bounds recording for the verify subsystem (SPDISTAL_VERIFY=1).
+// Per-touch privilege checks for the verify subsystem (SPDISTAL_VERIFY=1).
 //
 // In verify mode every point task runs with a TouchLog installed on its
-// worker thread; RegionAccessor / LinearAccessor (and the per-element
-// Region paths) record each coordinate they address into the log's
-// per-region sink. After the body returns, the privilege checker validates
-// the recorded coordinates against the point's declared RegionReq subsets —
-// an in-house address sanitizer for regions.
+// worker thread, declared with the subsets its RegionReqs grant before the
+// body runs. RegionAccessor / LinearAccessor (and the per-element Region
+// paths) hand each coordinate they address to the log's per-region sink,
+// which tests it against the declared subset as it happens and keeps only
+// what escapes. After the body returns, the privilege checker reports the
+// escapes — an in-house address sanitizer for regions.
 //
-// Cost contract: a recording accessor (RegionAccessor's default, which the
-// co-iteration engine and the partitioning operators use) pays one relaxed
-// load of touch_logging_enabled() at construction and, on every element
-// access, a test of its sink, even with verification disabled. That test
-// keeps a call in each inner loop, and the compiler spills the loop's state
-// around it. So each leaf kernel compiles twice from one source through
-// with_touch_recording below: outside verify mode it runs the plain
-// accessors, whose element access is only pointer math, at the price of a
-// thread-local load per leaf invocation and per accessor it constructs.
-// Recording itself only happens inside verify-mode point tasks.
+// Cost contract. In verify mode a touch costs one call and a binary search
+// of the declared rects (a scan when they do not ascend with gaps on
+// dimension 0; see IndexSubset::outside), plus a set difference only when
+// no single rect holds a multi-point touch; a sink keeps two counts and at
+// most kKeptEscapes rects of each kind of escape, whatever the footprint. Outside it, a recording
+// accessor (RegionAccessor's default, which the co-iteration engine and
+// the partitioning operators use) pays one relaxed load of
+// touch_logging_enabled() at construction and, on every element access, a
+// test of its null sink. That test keeps a call in each inner loop, and
+// the compiler spills the loop's state around it. So each leaf kernel
+// compiles twice from one source through with_touch_recording below:
+// outside verify mode it runs the plain accessors, whose element access is
+// only pointer math, at the price of a thread-local load per leaf
+// invocation and per accessor it constructs. Touches are only checked
+// inside verify-mode point tasks.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -42,20 +49,28 @@ void set_touch_logging(bool on);
 // Declared direction of an accessor's element accesses. C++ cannot tell a
 // read from a write through a returned T&, so kernels annotate: operand
 // accessors (vals/pos/crd walks) are tagged Read, output accessors stay on
-// the ReadWrite default (`out[i] += ...` both reads and writes). The
-// privilege checker uses the Read-tagged set to flag reads of regions held
-// under write-only privileges.
+// the ReadWrite default (`out[i] += ...` both reads and writes). A sink
+// tests Read-tagged touches against the readable subsets too, to flag
+// reads of regions held under write-only privileges.
 enum class Access : uint8_t { Read, Write, ReadWrite };
 
-// Per-region record of the coordinates one leaf task actually touched.
-// Points are coalesced into a rect list (consecutive accesses extend the
-// last rect — the common row-major walk stays one rect per run); if the
-// list grows past the cap it is collapsed to the bounding box and the sink
-// is marked approximate. Read-tagged touches accumulate into a second rect
-// list so write-only privileges can be checked against actual reads.
+// Touches of one region that broke the declaration: how many, and the
+// first few escaped coordinates (consecutive escapes coalesced).
+struct Escapes {
+  uint64_t count = 0;
+  std::vector<RectN> rects;  // at most kKeptEscapes
+  bool dropped = false;      // some escaped coordinates are not in `rects`
+};
+inline constexpr size_t kKeptEscapes = 8;
+
+// One point task's touches of one region, each tested against what the
+// task declared as it happens. A touch outside `declared` is an escape; a
+// Read-tagged touch inside it but outside `readable` (when set: some
+// requirement holds the region write-only) is a read of uninitialized data.
+// A sink with no declaration counts every touch as an escape.
 class TouchSink {
  public:
-  explicit TouchSink(int dim = 1) : dim_(dim) {}
+  TouchSink(const IndexSubset* declared, const IndexSubset* readable);
 
   void touch1(Coord i, Access a = Access::ReadWrite) {
     RectN r;
@@ -84,32 +99,51 @@ class TouchSink {
 
   void touch(const RectN& pt, Access a = Access::ReadWrite);
 
-  int dim() const { return dim_; }
-  bool approximate() const { return approximate_; }
-  bool reads_approximate() const { return reads_approximate_; }
-  // The touched set, normalized. Exact unless approximate().
-  IndexSubset touched() const;
-  // Coordinates touched by explicitly Read-tagged accesses, normalized.
-  // Exact unless reads_approximate().
-  IndexSubset reads() const;
+  const IndexSubset* declared() const { return declared_; }
+  // Touches outside the declared subset.
+  const Escapes& escapes() const { return escapes_; }
+  // Read-tagged touches inside the declared subset but outside `readable`.
+  const Escapes& write_only_reads() const { return wo_reads_; }
 
  private:
-  int dim_ = 1;
-  std::vector<RectN> rects_;
-  std::vector<RectN> read_rects_;
-  bool approximate_ = false;
-  bool reads_approximate_ = false;
+  static void keep(Escapes& e, const IndexSubset& part);
+
+  const IndexSubset* declared_;
+  const IndexSubset* readable_;
+  Escapes escapes_;
+  Escapes wo_reads_;
 };
 
 // All touches of one leaf task, keyed by region id.
 class TouchLog {
  public:
-  // The sink for `region`, created on first touch.
+  // Declares that the task holds `subset` of `region` (borrowed: it must
+  // outlive the log) under a readable privilege, or a write-only one. Call
+  // once per requirement, before the body runs; a region declared twice is
+  // checked against the union of its subsets.
+  void declare(RegionId region, const std::string& name,
+               const IndexSubset& subset, bool readable);
+  // The name a declaration gave `region`, or nullptr if none did.
+  const std::string* name(RegionId region) const;
+  // The sink for `region`, a `dim`-dimensional region, created on first
+  // touch.
   TouchSink* sink(RegionId region, int dim);
   const std::map<RegionId, TouchSink>& sinks() const { return sinks_; }
   bool empty() const { return sinks_.empty(); }
 
  private:
+  struct Declared {
+    const std::string* name = nullptr;
+    const IndexSubset* subset = nullptr;
+    const IndexSubset* readable = nullptr;  // union of readable subsets
+    bool write_only = false;  // some requirement is write-only
+  };
+  // `held` united with `more`: `more` itself while `held` is null, else a
+  // union the log keeps.
+  const IndexSubset* unite(const IndexSubset* held, const IndexSubset& more);
+
+  std::map<RegionId, Declared> declared_;
+  std::deque<IndexSubset> unions_;
   std::map<RegionId, TouchSink> sinks_;
 };
 

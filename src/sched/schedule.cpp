@@ -1,7 +1,5 @@
 #include "sched/schedule.h"
 
-#include <algorithm>
-
 #include "common/str_util.h"
 
 namespace spdistal::sched {
@@ -64,16 +62,6 @@ Schedule& Schedule::parallelize(IndexVar v, ParallelUnit unit) {
   return *this;
 }
 
-Schedule& Schedule::suppress_lint(std::string rule) {
-  if (!is_lint_suppressed(rule)) suppressed_.push_back(std::move(rule));
-  return *this;
-}
-
-bool Schedule::is_lint_suppressed(const std::string& rule) const {
-  return std::find(suppressed_.begin(), suppressed_.end(), rule) !=
-         suppressed_.end();
-}
-
 const Command* Schedule::producer_of(const IndexVar& v) const {
   for (const auto& c : commands_) {
     if ((c.kind == CommandKind::Divide || c.kind == CommandKind::DividePos) &&
@@ -95,16 +83,18 @@ std::vector<IndexVar> Schedule::distributed_vars() const {
 IndexVar Schedule::distributed_source(const IndexVar& dv) const {
   const Command* p = producer_of(dv);
   SPD_CHECK(p != nullptr, ScheduleError,
-            "distributed variable " << dv.name()
-                                    << " was not produced by divide()");
+            "distribute(" << dv.name()
+                          << "): variable was not produced by "
+                             "divide()/divide_pos()");
   return p->vars[0];
 }
 
 int Schedule::distributed_pieces(const IndexVar& dv) const {
   const Command* p = producer_of(dv);
   SPD_CHECK(p != nullptr, ScheduleError,
-            "distributed variable " << dv.name()
-                                    << " was not produced by divide()");
+            "distribute(" << dv.name()
+                          << "): variable was not produced by "
+                             "divide()/divide_pos()");
   return p->pieces;
 }
 
@@ -113,12 +103,6 @@ std::optional<IndexVar> Schedule::distributed_var() const {
     if (c.kind == CommandKind::Distribute) return c.vars[0];
   }
   return std::nullopt;
-}
-
-int Schedule::distributed_pieces() const {
-  auto dv = distributed_var();
-  SPD_CHECK(dv.has_value(), ScheduleError, "schedule has no distribute()");
-  return distributed_pieces(*dv);
 }
 
 bool Schedule::distributed_is_position_space(const IndexVar& dv) const {

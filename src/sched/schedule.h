@@ -3,8 +3,8 @@
 // transformations (divide/fuse + the position-space divide_pos) with
 // DISTAL's distributed commands (distribute/communicate). Lowering reads
 // every command except communicate(), which stays as the paper's Figure 1
-// spelling and is checked by the linter: lowering derives every transfer
-// from the partitions.
+// spelling: CompiledKernel::compile checks that its tensors are bound, and
+// lowering derives every transfer from the partitions.
 //
 // The compiler consumes a Schedule to decide (a) which index variables are
 // distributed and over how many pieces each — repeated distribute() commands
@@ -62,23 +62,9 @@ class Schedule {
   Schedule& communicate(std::vector<std::string> tensors, IndexVar v);
   Schedule& parallelize(IndexVar v, ParallelUnit unit);
 
-  // Silence one lint rule (by its id from docs/verify_rules.md) for this
-  // schedule. Suppression is per-rule, not per-finding: every finding the
-  // named rule would raise is dropped, warnings and errors alike. Dynamic
-  // analyses (privilege replay, race audit) carry no rule id and cannot be
-  // suppressed — only the static linter consults this list.
-  Schedule& suppress_lint(std::string rule);
-  const std::vector<std::string>& suppressed_lints() const {
-    return suppressed_;
-  }
-  bool is_lint_suppressed(const std::string& rule) const;
-
   const std::vector<Command>& commands() const { return commands_; }
 
   // --- queries used by lowering ---------------------------------------------
-
-  // The divide/divide_pos command whose outer result is `v`, else nullptr.
-  const Command* producer_of(const IndexVar& v) const;
 
   // All variables named by distribute() commands, in command order. Each is
   // one axis of the distributed piece grid: two distribute() commands map the
@@ -99,7 +85,6 @@ class Schedule {
 
   // The first variable named by distribute(), if any.
   std::optional<IndexVar> distributed_var() const;
-  int distributed_pieces() const;
   // True if the first distributed variable came from divide_pos (position
   // space). Position-space distribution is single-axis: lowering rejects
   // schedules mixing divide_pos with additional distribute() commands.
@@ -114,8 +99,10 @@ class Schedule {
   std::string str() const;
 
  private:
+  // The divide/divide_pos command whose outer result is `v`, else nullptr.
+  const Command* producer_of(const IndexVar& v) const;
+
   std::vector<Command> commands_;
-  std::vector<std::string> suppressed_;
 };
 
 }  // namespace spdistal::sched

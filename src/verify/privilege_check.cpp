@@ -1,126 +1,91 @@
 #include "verify/privilege_check.h"
 
 #include <sstream>
+#include <vector>
+
+#include "common/str_util.h"
 
 namespace spdistal::verify {
 
-void check_task_touches(const std::string& task_name, const rt::TouchLog& log,
-                        const std::vector<ReqCheckView>& reqs) {
+namespace {
+
+// The kept escaped rects, with "..." when some were not kept.
+std::string escaped_str(const rt::Escapes& e) {
+  std::vector<std::string> parts;
+  for (const rt::RectN& r : e.rects) parts.push_back(r.str());
+  if (e.dropped) parts.emplace_back("...");
+  return join(parts, ", ");
+}
+
+Violation privilege_error(std::string message) {
+  Violation v;
+  v.analysis = "privilege";
+  v.message = std::move(message);
+  return v;
+}
+
+}  // namespace
+
+void check_task_touches(const std::string& task_name,
+                        const rt::TouchLog& log) {
   note_task_checked();
-  // Collect every escape before reporting, so one VerifyError carries the
-  // complete footprint diagnosis for the task (throwing on the first region
-  // would hide sibling violations of the same root cause).
+  // Collect every region's escapes before reporting, so one VerifyError
+  // carries the complete diagnosis for the task (throwing on the first
+  // region would hide sibling violations of the same root cause).
   std::vector<Violation> found;
   for (const auto& [region, sink] : log.sinks()) {
-    // Union of every declared subset of this region (a task may hold the
-    // same region under several requirements, e.g. RO operand + RW output).
-    rt::IndexSubset declared(sink.dim());
-    bool any_req = false;
-    std::string region_name;
-    for (const ReqCheckView& r : reqs) {
-      if (r.region != region || r.subset == nullptr) continue;
-      any_req = true;
-      region_name = r.region_name;
-      for (const rt::RectN& rect : r.subset->rects()) declared.add(rect);
-    }
-    declared.normalize();
-    if (!any_req) {
-      Violation v;
-      v.analysis = "privilege";
+    const std::string* name = log.name(region);
+    if (name == nullptr) {
+      if (sink.escapes().count == 0) continue;
       std::ostringstream os;
       os << "task `" << task_name << "` touched region id " << region
          << " which no RegionReq of the launch declares";
-      v.message = os.str();
-      found.push_back(std::move(v));
+      found.push_back(privilege_error(os.str()));
       continue;
     }
-    // Read-under-WO: coordinates the body explicitly read (Read-tagged
-    // accessors) inside the declared subsets, minus every subset the task
-    // holds under a readable privilege. Write-only instances are
-    // uninitialized from the reader's point of view, so such reads consume
-    // garbage even though they stay in-subset.
-    rt::IndexSubset readable(sink.dim());
-    bool any_write_only = false;
-    for (const ReqCheckView& r : reqs) {
-      if (r.region != region || r.subset == nullptr) continue;
-      if (r.mode == exec::AccessMode::Write) {
-        any_write_only = true;
+    if (const rt::Escapes& e = sink.write_only_reads(); e.count > 0) {
+      std::ostringstream os;
+      os << "task `" << task_name << "` read " << *name << " at "
+         << escaped_str(e) << " held under write-only privilege; a WO "
+         << "instance is uninitialized until written — declare RW or stop "
+            "reading";
+      found.push_back(privilege_error(os.str()));
+    }
+    if (const rt::Escapes& e = sink.escapes(); e.count > 0) {
+      const rt::IndexSubset& declared = *sink.declared();
+      std::ostringstream os;
+      os << "task `" << task_name << "` accessed " << *name << " at "
+         << escaped_str(e) << " outside its declared subset (";
+      if (declared.empty()) {
+        os << "empty";
       } else {
-        for (const rt::RectN& rect : r.subset->rects()) readable.add(rect);
+        os << declared.rects().size()
+           << (declared.rects().size() == 1 ? " rect" : " rects")
+           << " within " << declared.bounds().str();
       }
+      os << "); " << e.count << (e.count == 1 ? " access" : " accesses")
+         << " escaped — the requirement's partition does not cover the "
+            "access: widen the subset or fix the kernel's bounds";
+      found.push_back(privilege_error(os.str()));
     }
-    if (any_write_only) {
-      readable.normalize();
-      const rt::IndexSubset bad =
-          sink.reads().intersect(declared).subtract(readable);
-      if (!bad.empty()) {
-        Violation v;
-        v.analysis = "privilege";
-        std::ostringstream os;
-        os << "task `" << task_name << "` read " << region_name << " at "
-           << bad.str() << " held under write-only privilege";
-        if (sink.reads_approximate()) {
-          os << " (approximate read footprint: the touch log overflowed to "
-                "a bounding box, so the read may be conservative)";
-          v.severity = Severity::Warning;
-        } else {
-          os << "; a WO instance is uninitialized until written — declare "
-                "RW or stop reading";
-        }
-        v.message = os.str();
-        found.push_back(std::move(v));
-      }
-    }
-    const rt::IndexSubset touched = sink.touched();
-    const rt::IndexSubset escaped = touched.subtract(declared);
-    if (escaped.empty()) continue;
-    Violation v;
-    v.analysis = "privilege";
-    std::ostringstream os;
-    os << "task `" << task_name << "` accessed " << region_name << " at "
-       << escaped.str() << " outside its declared subset " << declared.str();
-    if (sink.approximate()) {
-      os << " (approximate footprint: the touch log overflowed to a "
-            "bounding box, so the escape may be conservative)";
-      v.severity = Severity::Warning;
-    } else {
-      os << "; the requirement's partition does not cover the access — "
-            "widen the subset or fix the kernel's bounds";
-    }
-    v.message = os.str();
-    found.push_back(std::move(v));
   }
-  for (const Violation& v : found) {
-    if (v.severity == Severity::Warning) report(v);
-  }
-  std::vector<Violation> errors;
-  for (Violation& v : found) {
-    if (v.severity == Severity::Error) errors.push_back(std::move(v));
-  }
-  if (!errors.empty() && errors.size() > 1) {
+  if (found.size() == 1) report(found.front());
+  if (found.size() > 1) {
     // One combined report: count each error, then throw with the full list.
-    Violation combined;
-    combined.analysis = "privilege";
-    combined.message = "task `" + task_name + "` escaped " +
-                       std::to_string(errors.size()) +
-                       " declared subsets:\n" + format_report(errors);
-    for (size_t i = 1; i < errors.size(); ++i) note_violation();
-    report(combined);
-  } else if (!errors.empty()) {
-    report(errors.front());
+    for (size_t i = 1; i < found.size(); ++i) note_violation();
+    report(privilege_error("task `" + task_name + "` escaped " +
+                           std::to_string(found.size()) +
+                           " declared subsets:\n" + format_report(found)));
   }
 }
 
 void report_ro_write(const std::string& launch_name,
                      const std::string& region_name) {
-  Violation v;
-  v.analysis = "privilege";
   std::ostringstream os;
   os << "launch `" << launch_name << "` modified region " << region_name
      << " held under read-only privilege (content fingerprint changed "
         "across the launch); declare WO/RW or stop writing";
-  v.message = os.str();
-  report(v);  // Severity::Error always throws
+  report(privilege_error(os.str()));  // Severity::Error always throws
   throw VerifyError("unreachable");
 }
 

@@ -1,13 +1,17 @@
-// Region-privilege checker (verify analysis 2 of 3).
+// Region-privilege checker (verify analysis 1 of 2).
 //
-// In verify mode every leaf task body runs with an rt::TouchLog installed;
-// the accessors (and the per-element Region paths) record each coordinate
-// addressed. After the body returns, check_task_touches validates the
-// recorded footprint against the task's declared RegionReq subsets:
+// In verify mode every point task declares its RegionReq subsets to an
+// rt::TouchLog before its body runs, and the accessors (and the per-element
+// Region paths) test each coordinate they address against them as it
+// happens (see runtime/touch_log.h). After the body returns,
+// check_task_touches reports what escaped:
 //
 //   * touching a region no requirement declares -> VerifyError;
 //   * touching coordinates outside every declared subset of that region
-//     -> VerifyError naming the escaping rectangle and the declared subset.
+//     -> VerifyError naming the first escaped rectangles and the declared
+//     subset's bounds;
+//   * reading (Read-tagged accessors) coordinates of a region held under a
+//     write-only privilege and no readable one -> VerifyError.
 //
 // Writes under read-only privileges cannot be told apart from reads at the
 // accessor level (both return T&); the Runtime catches them by
@@ -15,31 +19,16 @@
 // report_ro_write on a mismatch.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "exec/dep_graph.h"
 #include "runtime/touch_log.h"
 #include "verify/verify.h"
 
 namespace spdistal::verify {
 
-// One declared requirement of the checked point task. `subset` is the
-// point's slice of the requirement (borrowed for the call).
-struct ReqCheckView {
-  uint32_t region = 0;
-  std::string region_name;
-  exec::AccessMode mode = exec::AccessMode::Read;
-  const rt::IndexSubset* subset = nullptr;
-};
-
-// Validates one task's recorded touches against its declared requirements.
-// Throws VerifyError on a violation; approximate footprints (a sink that
-// overflowed to its bounding box) downgrade to a warning. Bumps
+// Reports every escape one task's touch log kept, in one VerifyError. Bumps
 // verify.tasks_checked.
-void check_task_touches(const std::string& task_name, const rt::TouchLog& log,
-                        const std::vector<ReqCheckView>& reqs);
+void check_task_touches(const std::string& task_name, const rt::TouchLog& log);
 
 // Raises the write-under-RO violation (called by the Runtime when a
 // read-only operand's content fingerprint changed across a launch).

@@ -1,4 +1,4 @@
-// Dependence-graph race auditor (verify analysis 3 of 3).
+// Dependence-graph race auditor (verify analysis 2 of 2).
 //
 // Re-derives the happens-before relation among a launch's point tasks from
 // a brute-force O(P^2 * R^2) oracle over the requirement set — the

@@ -1,19 +1,17 @@
-// Verification subsystem entry points (ISSUE 7).
+// Verification subsystem entry points.
 //
-// Three cooperating analyses, all gated behind one process-wide flag
-// (SPDISTAL_VERIFY=1, or set_enabled(true) before a Runtime is constructed)
-// so the production hot path stays zero-cost. When armed, they run on
-// every compile and every launch:
+// Two analyses check at run time what compile cannot see, gated behind one
+// process-wide flag (SPDISTAL_VERIFY=1, or set_enabled(true) before a
+// Runtime is constructed) so the production hot path stays zero-cost.
+// Schedule legality is not among them: CompiledKernel::compile raises every
+// schedule error in every mode. When armed, they run on every launch:
 //
-//  1. Schedule linter (lint.h): runs over sched::Schedule + the statement
-//     before lowering and rejects illegal combinations with a message that
-//     names the offending directive, instead of failing deep inside
-//     co-iteration codegen.
-//  2. Privilege checker (privilege_check.h): validates per-leaf touched
-//     bounds (recorded by rt::TouchLog via the accessors) against each
-//     declared RegionReq subset, and fingerprints read-only operands to
+//  1. Privilege checker (privilege_check.h): each point task declares its
+//     RegionReq subsets to an rt::TouchLog before its body runs, every
+//     accessor touch is tested against them as it happens, and the escapes
+//     are reported after the body; read-only operands are fingerprinted to
 //     catch writes under RO.
-//  3. Dependence race auditor (race_audit.h): re-derives happens-before
+//  2. Dependence race auditor (race_audit.h): re-derives happens-before
 //     from a brute-force O(P^2) oracle over a LaunchPlan's requirements and
 //     diffs it against the memoized conflict edges — on warm memo hits too,
 //     certifying the plan cache against staleness.
@@ -40,14 +38,11 @@ void set_enabled(bool on);
 
 enum class Severity { Warning, Error };
 
-// One finding from any of the three analyses. `rule` is the stable lint
-// rule id (docs/verify_rules.md) used for suppression; empty for the
-// dynamic analyses, whose findings must not be suppressible.
+// One finding from either analysis.
 struct Violation {
   Severity severity = Severity::Error;
-  std::string analysis;  // "lint" | "privilege" | "race_audit"
+  std::string analysis;  // "privilege" | "race_audit"
   std::string message;
-  std::string rule;
 };
 
 // Running totals since process start / last reset_stats(). Always readable
@@ -67,8 +62,8 @@ void report(const Violation& v);
 // Bumps stats().plans_checked / tasks_checked.
 void note_plan_checked();
 void note_task_checked();
-// Counts an Error-severity finding whose throw path is not VerifyError
-// (the linter throws ScheduleError to keep the compile() error contract).
+// Counts an Error-severity finding that is not thrown on its own (one of
+// several the privilege checker combines into one VerifyError).
 void note_violation();
 
 // Formats a violation list into one multi-line report string.

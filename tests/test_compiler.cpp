@@ -8,6 +8,7 @@
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "tensor/dense_ref.h"
+#include "verify/verify.h"
 
 namespace spdistal::comp {
 namespace {
@@ -26,18 +27,18 @@ rt::Machine gpu_machine(int nodes, int gpus) {
   return rt::Machine(cfg, rt::Grid(gpus), rt::ProcKind::GPU);
 }
 
-// The complete Figure 1 program: distributed CPU SpMV.
+// The complete Figure 1 program: distributed CPU SpMV (B in `format`).
 struct SpmvProgram {
   IndexVar i{"i"}, j{"j"}, io{"io"}, ii{"ii"};
   Tensor a, B, c;
   Statement* stmt;
 
-  SpmvProgram(int pieces, fmt::Coo coo) {
+  SpmvProgram(int pieces, fmt::Coo coo, const fmt::Format& format = fmt::csr()) {
     const Coord n = coo.dims[0];
     const Coord m = coo.dims[1];
     a = Tensor("a", {n}, fmt::dense_vector(),
                tdn::parse_tdn("a(x) -> M(x)"));
-    B = Tensor("B", {n, m}, fmt::csr(), tdn::parse_tdn("B(x, y) -> M(x)"));
+    B = Tensor("B", {n, m}, format, tdn::parse_tdn("B(x, y) -> M(x)"));
     c = Tensor("c", {m}, fmt::dense_vector(),
                tdn::parse_tdn("c(x) -> M(y)"));
     B.from_coo(std::move(coo));
@@ -717,6 +718,188 @@ TEST(CompileGrid, RejectsSameVariableOnTwoAxes) {
       .distribute(io2);
   EXPECT_THROW(CompiledKernel::compile(stmt, cpu_machine(4)), ScheduleError);
 }
+
+// --- schedule errors ---------------------------------------------------------
+
+// The message of the ScheduleError compile raises for `stmt` under
+// `schedule` on 2 nodes, or "" when it compiles.
+std::string compile_error(const Statement& stmt,
+                          const sched::Schedule& schedule) {
+  try {
+    CompiledKernel::compile(stmt, schedule, cpu_machine(2));
+  } catch (const ScheduleError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Figure 1's SpMV over a 16x16 B in `format`.
+SpmvProgram small_spmv(const fmt::Format& format = fmt::csr()) {
+  return SpmvProgram(2, data::uniform_matrix(16, 16, 40, 31), format);
+}
+
+// divide(i, io, ii, 2).distribute(io) over p's variables.
+sched::Schedule row_blocks(const SpmvProgram& p) {
+  sched::Schedule s;
+  s.divide(p.i, p.io, p.ii, 2).distribute(p.io);
+  return s;
+}
+
+// A(i, i) = B(i, j) * c(j): one variable drives both output axes.
+std::string repeated_output_var(const fmt::Format& format) {
+  SpmvProgram p = small_spmv();
+  Tensor A("A", {16, 16}, format);
+  return compile_error(A(p.i, p.i) = p.B(p.i, p.j) * p.c(p.j),
+                       row_blocks(p));
+}
+
+// One schedule error compile raises in every mode: a fragment of its
+// message, and the statement and schedule that raise it (returning the
+// message, or "" when they compile).
+struct ScheduleErrorCase {
+  const char* name;
+  const char* error;  // empty: the schedule compiles
+  std::string (*compile)();
+};
+
+const ScheduleErrorCase kScheduleErrors[] = {
+    {"nonunique_pair",
+     "operands B, C are all non-unique at shared variable i",
+     [] {
+       SpmvProgram p = small_spmv(fmt::coo(2));
+       Tensor C("C", {16, 16}, fmt::coo(2));
+       C.from_coo(data::uniform_matrix(16, 16, 40, 32));
+       return compile_error(p.a(p.i) = p.B(p.i, p.j) * C(p.i, p.j) *
+                                       p.c(p.j),
+                            row_blocks(p));
+     }},
+    {"parallelize_distributed",
+     "parallelize(io, ...) targets a distributed variable",
+     [] {
+       SpmvProgram p = small_spmv();
+       sched::Schedule s = row_blocks(p);
+       s.parallelize(p.io, sched::ParallelUnit::CPUThread);
+       return compile_error(*p.stmt, s);
+     }},
+    {"communicate_unbound",
+     "communicate references tensor `no_such_tensor` which the statement",
+     [] {
+       SpmvProgram p = small_spmv();
+       sched::Schedule s = row_blocks(p);
+       s.communicate({"no_such_tensor"}, p.io);
+       return compile_error(*p.stmt, s);
+     }},
+    {"divide_pos_unbound", "divide_pos targets tensor `Q` which the statement",
+     [] {
+       SpmvProgram p = small_spmv();
+       IndexVar f("f"), fo("fo"), fi("fi");
+       sched::Schedule s;
+       s.fuse(p.i, p.j, f).divide_pos(f, fo, fi, 2, "Q").distribute(fo);
+       return compile_error(*p.stmt, s);
+     }},
+    {"distribute_unproduced",
+     "distribute(ii): variable was not produced by divide()/divide_pos()",
+     [] {
+       SpmvProgram p = small_spmv();
+       sched::Schedule s;
+       s.divide(p.i, p.io, p.ii, 2).distribute(p.ii);
+       return compile_error(*p.stmt, s);
+     }},
+    {"distribute_unused_source",
+     "distribute(ko): source variable k indexes no tensor",
+     [] {
+       SpmvProgram p = small_spmv();
+       IndexVar k("k"), ko("ko"), ki("ki");
+       sched::Schedule s;
+       s.divide(k, ko, ki, 2).distribute(ko);
+       return compile_error(*p.stmt, s);
+     }},
+    {"distribute_fused_inner_axis",
+     "distribute(fo): source variable f comes from fuse(), but only the "
+     "first distributed axis may be fused",
+     [] {
+       IndexVar i("i"), j("j"), k("k"), f("f"), fo("fo"), fi("fi"), io("io"),
+           ii("ii");
+       Tensor A("A", {8, 8}, fmt::dense_matrix());
+       Tensor B("B", {8, 8, 8}, fmt::csf3());
+       Tensor c("c", {8}, fmt::dense_vector());
+       B.from_coo(data::uniform_3tensor(8, 8, 8, 40, 34));
+       c.init_dense([](const auto&) { return 1.0; });
+       sched::Schedule s;
+       s.fuse(j, k, f)
+           .divide(i, io, ii, 2)
+           .distribute(io)
+           .divide(f, fo, fi, 2)
+           .distribute(fo);
+       return compile_error(A(i, j) = B(i, j, k) * c(k), s);
+     }},
+    {"divide_pos_deep_chain",
+     "fuses 3 index variables but `B` has only 2 storage levels",
+     [] {
+       IndexVar i("i"), j("j"), k("k"), f("f"), g("g"), go("go"), gi("gi");
+       Tensor A("A", {16, 4}, fmt::dense_matrix());
+       Tensor B("B", {16, 16}, fmt::csr());
+       Tensor C("C", {16, 4}, fmt::dense_matrix());
+       B.from_coo(data::uniform_matrix(16, 16, 40, 33));
+       C.init_dense([](const auto&) { return 1.0; });
+       sched::Schedule s;
+       s.fuse(i, j, f).fuse(f, k, g).divide_pos(g, go, gi, 2, "B").distribute(
+           go);
+       return compile_error(A(i, k) = B(i, j) * C(j, k), s);
+     }},
+    {"output_repeated_var_dense", "output access A repeats index variable i",
+     [] { return repeated_output_var(fmt::dense_matrix()); }},
+    {"output_repeated_var_csr", "output access A repeats index variable i",
+     [] { return repeated_output_var(fmt::csr()); }},
+    // The Figure 1 schedule compiles.
+    {"clean_figure1", "",
+     [] {
+       SpmvProgram p = small_spmv();
+       return compile_error(*p.stmt, p.a.schedule());
+     }},
+    // Each term of a sum is co-iterated on its own, so two non-unique
+    // operands in different terms compile.
+    {"clean_nonunique_sum", "",
+     [] {
+       SpmvProgram p = small_spmv(fmt::coo(2));
+       Tensor A("A", {16, 16}, fmt::dense_matrix());
+       Tensor C("C", {16, 16}, fmt::coo(2));
+       C.from_coo(data::uniform_matrix(16, 16, 40, 32));
+       return compile_error(A(p.i, p.j) = p.B(p.i, p.j) + C(p.i, p.j),
+                            row_blocks(p));
+     }},
+};
+
+class ScheduleErrors : public ::testing::TestWithParam<int> {};
+
+// compile raises each schedule error with the same message whether verify
+// mode is off or on, and verify mode finds nothing more.
+TEST_P(ScheduleErrors, SameErrorWithVerifyOffAndOn) {
+  const ScheduleErrorCase& c = kScheduleErrors[GetParam()];
+  const bool prev = verify::enabled();
+  verify::set_enabled(false);
+  const std::string off = c.compile();
+  verify::set_enabled(true);
+  const verify::Stats before = verify::stats();
+  const std::string on = c.compile();
+  const verify::Stats after = verify::stats();
+  verify::set_enabled(prev);
+  EXPECT_EQ(off, on) << c.name;
+  EXPECT_EQ(after.violations, before.violations) << c.name;
+  EXPECT_EQ(after.warnings, before.warnings) << c.name;
+  if (*c.error == '\0') {
+    EXPECT_EQ(off, "") << c.name;
+  } else {
+    EXPECT_NE(off.find(c.error), std::string::npos) << c.name << ": " << off;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, ScheduleErrors,
+    ::testing::Range(0, static_cast<int>(std::size(kScheduleErrors))),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(kScheduleErrors[info.param].name);
+    });
 
 // Mismatched data and compute distributions still compute correctly but
 // move more data (paper §II-D, last paragraph).

@@ -83,7 +83,7 @@ TEST(Schedule, RecordsAndQueriesCommands) {
       .parallelize(ii, sched::ParallelUnit::CPUThread);
   ASSERT_TRUE(s.distributed_var().has_value());
   EXPECT_EQ(*s.distributed_var(), io);
-  EXPECT_EQ(s.distributed_pieces(), 4);
+  EXPECT_EQ(s.distributed_pieces(io), 4);
   EXPECT_FALSE(s.distributed_is_position_space());
   const sched::Command& comm = s.commands()[2];
   EXPECT_EQ(comm.kind, sched::CommandKind::Communicate);
@@ -116,7 +116,6 @@ TEST(Schedule, MultiAxisDistributionQueries) {
   EXPECT_FALSE(s.distributed_is_position_space(io));
   // The single-var API delegates to axis 0.
   EXPECT_EQ(*s.distributed_var(), io);
-  EXPECT_EQ(s.distributed_pieces(), 4);
   // Per-axis communicate placement, recorded in command order.
   const auto& cmds = s.commands();
   ASSERT_EQ(cmds.size(), 6u);
@@ -134,7 +133,7 @@ TEST(Schedule, PositionSpaceDistribution) {
   s.fuse(i, j, f).divide_pos(f, fo, fi, 8, "B").distribute(fo);
   EXPECT_TRUE(s.distributed_is_position_space());
   EXPECT_EQ(s.position_split_tensor(), "B");
-  EXPECT_EQ(s.distributed_pieces(), 8);
+  EXPECT_EQ(s.distributed_pieces(fo), 8);
   auto srcs = s.fused_sources(f);
   ASSERT_EQ(srcs.size(), 2u);
   EXPECT_EQ(srcs[0], i);
@@ -145,7 +144,7 @@ TEST(Schedule, ErrorsOnUnproducedDistribute) {
   IndexVar q("q");
   sched::Schedule s;
   s.distribute(q);
-  EXPECT_THROW(s.distributed_pieces(), ScheduleError);
+  EXPECT_THROW(s.distributed_pieces(q), ScheduleError);
 }
 
 TEST(DenseRef, SpmvOracle) {

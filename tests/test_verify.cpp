@@ -1,7 +1,8 @@
-// Fault-injection tests for src/verify/: the schedule linter, the privilege
-// checker, and the dependence-race auditor must each catch a deliberately
-// seeded violation with an actionable message — and stay silent (and cheap)
-// on correct programs.
+// Fault-injection tests for src/verify/: the privilege checker and the
+// dependence-race auditor must each catch a deliberately seeded violation
+// with an actionable message — and stay silent (and cheap) on correct
+// programs. Schedule errors are compile's (test_compiler.cpp,
+// ScheduleErrors).
 #include <gtest/gtest.h>
 
 #include "compiler/lower.h"
@@ -11,7 +12,6 @@
 #include "runtime/region.h"
 #include "runtime/runtime.h"
 #include "runtime/touch_log.h"
-#include "verify/lint.h"
 #include "verify/verify.h"
 
 namespace spdistal {
@@ -42,109 +42,6 @@ struct VerifyGuard {
   VerifyGuard() : prev(verify::enabled()) { verify::set_enabled(true); }
   ~VerifyGuard() { verify::set_enabled(prev); }
 };
-
-// The Figure 1 SpMV program, used as the clean baseline and as the carrier
-// for seeded schedule defects.
-struct SpmvProgram {
-  IndexVar i{"i"}, j{"j"}, io{"io"}, ii{"ii"};
-  Tensor a, B, c;
-  Statement* stmt;
-
-  explicit SpmvProgram(int pieces) {
-    fmt::Coo coo = data::uniform_matrix(64, 64, 400, 7);
-    const Coord n = coo.dims[0];
-    const Coord m = coo.dims[1];
-    a = Tensor("a", {n}, fmt::dense_vector(), tdn::parse_tdn("a(x) -> M(x)"));
-    B = Tensor("B", {n, m}, fmt::csr(), tdn::parse_tdn("B(x, y) -> M(x)"));
-    c = Tensor("c", {m}, fmt::dense_vector(), tdn::parse_tdn("c(x) -> M(y)"));
-    B.from_coo(std::move(coo));
-    c.init_dense([](const auto&) { return 1.0; });
-    stmt = &(a(i) = B(i, j) * c(j));
-    a.schedule().divide(i, io, ii, pieces).distribute(io);
-  }
-};
-
-// --- schedule linter ---------------------------------------------------------
-
-TEST(VerifyLint, RejectsParallelizeOfDistributedVariable) {
-  VerifyGuard guard;
-  SpmvProgram prog(2);
-  // Seeded defect: intra-leaf parallelism over the distributed axis.
-  prog.a.schedule().parallelize(prog.io, sched::ParallelUnit::CPUThread);
-  try {
-    comp::CompiledKernel::compile(*prog.stmt, cpu_machine(2));
-    FAIL() << "lint accepted parallelize() of a distributed variable";
-  } catch (const ScheduleError& e) {
-    EXPECT_NE(std::string(e.what()).find("verify(lint)"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("distributed variable"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(VerifyLint, RejectsCommunicateOfUnboundTensor) {
-  VerifyGuard guard;
-  SpmvProgram prog(2);
-  prog.a.schedule().communicate({"no_such_tensor"}, prog.io);
-  try {
-    comp::CompiledKernel::compile(*prog.stmt, cpu_machine(2));
-    FAIL() << "lint accepted communicate() of an unbound tensor";
-  } catch (const ScheduleError& e) {
-    EXPECT_NE(std::string(e.what()).find("no_such_tensor"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("does not bind"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(VerifyLint, RejectsDividePosOfUnreferencedTensor) {
-  VerifyGuard guard;
-  SpmvProgram prog(2);
-  IndexVar f{"f"}, fo{"fo"}, fi{"fi"};
-  sched::Schedule s;
-  s.fuse(prog.i, prog.j, f).divide_pos(f, fo, fi, 2, "Q").distribute(fo);
-  try {
-    comp::CompiledKernel::compile(*prog.stmt, s, cpu_machine(2));
-    FAIL() << "lint accepted divide_pos() of an unreferenced tensor";
-  } catch (const ScheduleError& e) {
-    EXPECT_NE(std::string(e.what()).find("divide_pos targets tensor `Q`"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(VerifyLint, AcceptsTheCleanFigure1Schedule) {
-  VerifyGuard guard;
-  SpmvProgram prog(2);
-  prog.a.schedule()
-      .communicate({"a", "B", "c"}, prog.io)
-      .parallelize(prog.ii, sched::ParallelUnit::CPUThread);
-  const verify::Stats before = verify::stats();
-  EXPECT_NO_THROW(comp::CompiledKernel::compile(*prog.stmt, cpu_machine(2)));
-  EXPECT_EQ(verify::stats().violations, before.violations);
-}
-
-TEST(VerifyLint, SuppressLintSilencesExactlyOneRule) {
-  VerifyGuard guard;
-  // Two seeded warnings from distinct rules: 64 pieces on a 2-processor
-  // machine (grid-oversubscribed) and communicate() at a non-distributed
-  // variable (communicate-misplaced).
-  SpmvProgram prog(64);
-  prog.a.schedule().communicate({"B"}, prog.ii);
-  const Machine m = cpu_machine(2);
-  std::vector<verify::Violation> all =
-      verify::lint_statement(*prog.stmt, prog.a.schedule(), m);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].rule, "grid-oversubscribed");
-  EXPECT_EQ(all[1].rule, "communicate-misplaced");
-  // Suppressing one rule drops exactly that finding; the other survives.
-  prog.a.schedule().suppress_lint("grid-oversubscribed");
-  std::vector<verify::Violation> rest =
-      verify::lint_statement(*prog.stmt, prog.a.schedule(), m);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].rule, "communicate-misplaced");
-}
 
 // --- privilege checker -------------------------------------------------------
 
@@ -299,6 +196,51 @@ TEST(VerifyPrivilege, CatchesInSubsetReadUnderWriteOnly) {
   };
   rt2.execute(ok);
   EXPECT_NO_THROW(rt2.flush());
+}
+
+// A point reads every other element of a 20,000-element region, declared as
+// exactly those 10,000 one-element rects. Every touch is checked against
+// the declaration, however scattered: one extra read between two declared
+// elements is an error naming that element, in a message that does not
+// print the declaration.
+TEST(VerifyPrivilege, ScatteredFootprintIsExact) {
+  VerifyGuard guard;
+  Machine m = cpu_machine(1);
+  auto run = [&](bool stray) {
+    Runtime rt(m, 1);
+    auto r = rt.create_region<double>(IndexSpace(20000), "scattered");
+    r->fill(1.0);
+    rt.flush();
+    rt::IndexSubset evens(1);
+    for (Coord x = 0; x < 20000; x += 2) evens.add(RectN::make1(x, x));
+    const Partition p(r->space(), {evens});
+    IndexLaunch launch;
+    launch.name = "scatter";
+    launch.domain = 1;
+    launch.reqs = {RegionReq{r, &p, Privilege::RO}};
+    launch.body = [r, stray](const TaskContext&) {
+      const rt::RegionAccessor<double> acc(*r, rt::Access::Read);
+      double sum = 0;
+      for (Coord x = 0; x < 20000; x += 2) sum += acc[x];
+      if (stray) sum += acc[9999];
+      return WorkEstimate{sum, 80000};
+    };
+    rt.execute(launch);
+    rt.flush();
+  };
+  const verify::Stats before = verify::stats();
+  EXPECT_NO_THROW(run(false));
+  EXPECT_EQ(verify::stats().violations, before.violations);
+  EXPECT_EQ(verify::stats().warnings, before.warnings);
+  try {
+    run(true);
+    FAIL() << "privilege checker missed a read between declared elements";
+  } catch (const VerifyError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[9999..9999]"), std::string::npos) << what;
+    EXPECT_LT(what.size(), 2048u) << what;
+  }
+  EXPECT_EQ(verify::stats().warnings, before.warnings);
 }
 
 // --- dependence-race auditor -------------------------------------------------
