@@ -39,34 +39,6 @@ std::string obs_summary(const rt::SimReport& rep) {
   return out;
 }
 
-std::string calib_summary(const rt::SimReport& rep,
-                          const rt::Machine& machine) {
-  if (!obs::calibration_enabled() || rep.kernels.empty()) return "";
-  const obs::Calibration& c = obs::Calibration::global();
-  const rt::Proc p0 = machine.proc(0);
-  const char* kind = rt::proc_kind_name(p0.kind);
-  const double static_flop = 1.0 / machine.proc_flops(p0, 1);
-  const double static_byte = 1.0 / machine.proc_mem_bw(p0, 1);
-  std::string out;
-  for (const auto& [name, ks] : rep.kernels) {
-    const auto r = c.lookup(name, kind);
-    if (!r.has_value()) continue;
-    out += strprintf("%s %s:", out.empty() ? "" : " |", name.c_str());
-    if (r->wall_per_flop > 0) {
-      out += strprintf(" %.2e s/flop (%+.0f%% vs static)", r->wall_per_flop,
-                       100.0 * (r->wall_per_flop - static_flop) / static_flop);
-    }
-    if (r->wall_per_byte > 0) {
-      out += strprintf(" %.2e s/B (%+.0f%%)", r->wall_per_byte,
-                       100.0 * (r->wall_per_byte - static_byte) / static_byte);
-    }
-    out += strprintf(", %llu samples",
-                     static_cast<unsigned long long>(r->samples));
-  }
-  if (out.empty()) return "";
-  return "[calib]" + out;
-}
-
 std::string plan_summary() {
   autosched::PlanCache& cache = autosched::PlanCache::global();
   const int64_t hits = cache.hits();
@@ -89,15 +61,11 @@ std::string plan_summary() {
 
 namespace {
 
-void maybe_print_obs(const rt::SimReport& rep, const rt::Machine& machine) {
-  if (obs::enabled()) {
-    const std::string line = obs_summary(rep);
+void maybe_print_obs(const rt::SimReport& rep) {
+  for (const std::string& line :
+       {obs::enabled() ? obs_summary(rep) : std::string(), plan_summary()}) {
     if (!line.empty()) std::printf("%s\n", line.c_str());
   }
-  const std::string calib = calib_summary(rep, machine);
-  if (!calib.empty()) std::printf("%s\n", calib.c_str());
-  const std::string plan = plan_summary();
-  if (!plan.empty()) std::printf("%s\n", plan.c_str());
 }
 
 }  // namespace
@@ -286,7 +254,7 @@ Result run_spdistal(KernelKind kind, const fmt::Coo& coo, bool nz,
     inst->run(kTimedIters);
     const rt::SimReport rep = inst->report();
     r.seconds = rep.sim_time / kTimedIters;
-    maybe_print_obs(rep, machine);
+    maybe_print_obs(rep);
   } catch (const OutOfMemoryError& e) {
     r.dnc = true;
     r.note = e.what();
@@ -315,7 +283,7 @@ Result run_spdistal_autosched(KernelKind kind, const fmt::Coo& coo,
     inst->run(kTimedIters);
     const rt::SimReport rep = inst->report();
     r.seconds = rep.sim_time / kTimedIters;
-    maybe_print_obs(rep, machine);
+    maybe_print_obs(rep);
   } catch (const OutOfMemoryError& e) {
     r.dnc = true;
     r.note = e.what();

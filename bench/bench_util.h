@@ -96,14 +96,6 @@ void print_header(const std::string& title);
 // is set.
 std::string obs_summary(const rt::SimReport& rep);
 
-// One-line calibration summary: for each kernel in the report with learned
-// rates, the measured wall-per-flop/byte and its delta vs the machine
-// model's static table ("[calib] spmv_row: 1.2e-10 s/flop (-18% vs static)
-// ..."). Empty when calibration is off or nothing relevant was learned. The
-// spdistal runners print it alongside the [obs] line.
-std::string calib_summary(const rt::SimReport& rep,
-                          const rt::Machine& machine);
-
 // --- machine-readable bench output -------------------------------------------
 
 // One row per benchmark: wall nanoseconds per operation plus the
@@ -120,7 +112,7 @@ struct BenchRow {
 // "benchmarks": [...]}), where "config" records the build type,
 // __OPTIMIZE__/NDEBUG, the compiler version and the SPDISTAL_* environment
 // that produced the numbers. Written atomically (tmp + rename, like the
-// calibration and plan stores) so CI can diff and upload kernel
+// plan store) so CI can diff and upload kernel
 // trajectories without scraping stdout tables. Returns false on I/O
 // failure.
 bool write_bench_json(const std::string& path,
@@ -130,7 +122,7 @@ bool write_bench_json(const std::string& path,
 // loaded from the persistent store, and how many compiles searched cold vs
 // were served warm ("[plan] cache 66.7% (6 hits / 9 lookups) | store: 3
 // loaded | searches: 3 cold, 6 warm").
-// Empty when the cache saw no lookups. Printed alongside [obs]/[calib].
+// Empty when the cache saw no lookups. Printed alongside [obs].
 std::string plan_summary();
 
 }  // namespace spdbench

@@ -412,60 +412,6 @@ BENCHMARK(BM_VerifyOverhead)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-// Profile-guided calibration cost, and the off-mode contract: with
-// calibration enabled (SPDISTAL_CALIB) every leaf body is wall-clock timed
-// and feeds the EWMA rate store; with it disabled record() never runs and
-// the leaf path pays exactly one relaxed load to find that out.
-void BM_CalibOverhead(benchmark::State& state) {
-  const bool calib_on = state.range(0) != 0;
-  constexpr int kPieces = 16;
-  IndexVar i("i"), j("j"), io("io"), ii("ii");
-  fmt::Coo coo = data::powerlaw_matrix(4000, 4000, 120000, 1.1, 11);
-  const std::vector<Coord> dims = coo.dims;
-  Tensor a("a", {dims[0]}, fmt::dense_vector());
-  Tensor B("B", dims, fmt::csr(), tdn::parse_tdn("B(x, y) -> M(x)"));
-  Tensor c("c", {dims[1]}, fmt::dense_vector(),
-           tdn::parse_tdn("c(x) -> M(q)"));
-  B.from_coo(std::move(coo));
-  c.init_dense([](const auto& x) {
-    return 1.0 + 0.01 * static_cast<double>(x[0] % 17);
-  });
-  Statement& stmt = (a(i) = B(i, j) * c(j));
-  a.schedule().divide(i, io, ii, kPieces).distribute(io);
-
-  rt::MachineConfig cfg;
-  cfg.nodes = kPieces;
-  rt::Machine m(cfg, rt::Grid(kPieces), rt::ProcKind::CPU);
-  rt::Runtime runtime(m, 1);
-  const bool calib_prev = obs::calibration_enabled();
-  obs::set_calibration(calib_on);
-  obs::Calibration::global().clear();
-  auto inst = comp::CompiledKernel::compile(stmt, m).instantiate(runtime);
-  inst->run(1);  // plan build + first-touch communication
-  const uint64_t samples_before = obs::Calibration::global().total_samples();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(inst->run_async(1));
-    state.PauseTiming();
-    runtime.flush();
-    state.ResumeTiming();
-  }
-  const uint64_t samples = obs::Calibration::global().total_samples();
-  if (calib_on) {
-    SPD_ASSERT(samples > samples_before,
-               "BM_CalibOverhead(on) learned no leaf rates");
-  } else {
-    // Disabled-mode contract: the store never sees a sample.
-    SPD_ASSERT(samples == 0 && samples_before == 0,
-               "BM_CalibOverhead(off) recorded " << samples << " samples");
-  }
-  obs::Calibration::global().clear();
-  obs::set_calibration(calib_prev);
-  state.counters["calib_samples"] =
-      static_cast<double>(samples - samples_before);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CalibOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
 // Interval algebra on two subsets of n intervals that alternate along the
 // line. For subtract/unite/intersect each interval of one overlaps one of
 // the other; for overlaps they only touch, so the answer (false) needs the

@@ -22,7 +22,9 @@ int main() {
   // Define the machine M as a 1D grid of processors.
   rt::MachineConfig config;
   config.nodes = pieces;
-  config.time_scale = 8192;  // scaled-dataset timing (see DESIGN.md)
+  // Scaled-dataset timing: data::kScaleFactor and paper_machine_config in
+  // src/data/datasets.h.
+  config.time_scale = 8192;
   config.capacity_scale = 8192;
   rt::Machine M(config, rt::Grid(pieces), rt::ProcKind::CPU);
 

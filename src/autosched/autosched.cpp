@@ -40,18 +40,23 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine) {
   Result result;
 
   const PlanKey key = plan_key(stmt, machine);
-  if (auto cached = PlanCache::global().lookup(key)) {
+  // A stored recipe is outside input: serve it only if the search could have
+  // found it here and it fits this statement; else search and replace it.
+  const auto servable = [&](const Recipe& r) {
+    if (!in_search_space(r, machine)) return false;
     try {
-      result.schedule = materialize(cached->recipe, stmt);
-      result.recipe = cached->recipe;
-      result.from_cache = true;
-      result.best_cost = cached->cost;
-      cache_hits.add(1);
-      return result;
+      result.schedule = materialize(r, stmt);
+      return true;
     } catch (const ScheduleError&) {
-      // A recipe read from a persisted store is outside input and may not
-      // fit this statement; fall through to a real search.
+      return false;
     }
+  };
+  if (auto cached = PlanCache::global().lookup(key, servable)) {
+    result.recipe = cached->recipe;
+    result.from_cache = true;
+    result.best_cost = cached->cost;
+    cache_hits.add(1);
+    return result;
   }
   cache_misses.add(1);
   // Scoped below the cache check on purpose: a warm process serves every

@@ -113,20 +113,22 @@ PlanCache& PlanCache::global() {
   return *cache;
 }
 
-std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {
+std::optional<PlanCache::Hit> PlanCache::lookup(
+    const PlanKey& key, const std::function<bool(const Recipe&)>& servable) {
   // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
   // this cache); resolve it before taking the lock.
   const bool store_ok = plan_store_enabled();
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  std::optional<Hit> hit;
   auto it = plans_.find(key.exact());
   if (it != plans_.end() && (store_ok || !it->second.from_store)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return Hit{it->second.recipe, it->second.cost};
+    hit = Hit{it->second.recipe, it->second.cost};
   }
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  lock.unlock();
+  if (hit.has_value() && !servable(hit->recipe)) hit.reset();
+  (hit.has_value() ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
 void PlanCache::insert(const PlanKey& key, const Recipe& recipe,

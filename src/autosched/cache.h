@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -69,9 +70,12 @@ class PlanCache {
     double cost = 0;
   };
 
-  // Exact-key lookup. Counts a hit or miss. Entries that came from the
-  // persisted store are served only while the plan store is enabled.
-  std::optional<Hit> lookup(const PlanKey& key);
+  // Exact-key lookup. Entries that came from the persisted store are served
+  // only while the plan store is enabled, and an entry is served only if
+  // `servable` accepts its recipe. Counts a hit when an entry is served,
+  // else a miss.
+  std::optional<Hit> lookup(
+      const PlanKey& key, const std::function<bool(const Recipe&)>& servable);
   void insert(const PlanKey& key, const Recipe& recipe, double cost);
 
   // Bulk-inserts entries loaded from a persisted store. Entries already

@@ -6,7 +6,6 @@
 #include "baselines/common.h"
 #include "compiler/lower.h"
 #include "data/generators.h"
-#include "obs/metrics.h"
 
 namespace spdistal::autosched {
 
@@ -19,14 +18,6 @@ AnalyticModel::AnalyticModel(const Statement& stmt,
   const base::Operands ops = base::classify(stmt);
   fpn_ = base::flops_per_nnz(ops);
   bpn_ = base::bytes_per_nnz(ops);
-  // Learned leaf rates for this kernel family (e.g. "SpMV" matches the
-  // profiled "spmv_row"/"spmv_nz" launches), resolved once per model so a
-  // search prices every candidate from the same snapshot.
-  if (obs::calibration_enabled()) {
-    const char* proc = rt::proc_kind_name(machine.proc(0).kind);
-    learned_ = obs::Calibration::global().lookup_family(
-        base::kernel_kind_name(ops.kind), proc);
-  }
 }
 
 const std::vector<int64_t>& AnalyticModel::histogram(
@@ -191,30 +182,10 @@ double AnalyticModel::estimate(const Recipe& recipe) {
 
   // Pieces beyond the processor count serialize on their processors.
   const int rounds = (P + procs - 1) / procs;
-  double t_comp;
-  if (learned_.has_value()) {
-    // Profile-guided path: measured wall seconds per flop/byte at the
-    // profiled leaf configuration, scaled by the machine model's relative
-    // thread speedup for this candidate's parallel unit.
-    static obs::Counter& hits = obs::Metrics::global().counter("calib.hits");
-    hits.add(1);
-    const double fscale =
-        machine_.proc_flops(p0, threads) / machine_.proc_flops(p0, 1);
-    const double bscale =
-        machine_.proc_mem_bw(p0, threads) / machine_.proc_mem_bw(p0, 1);
-    t_comp = rounds *
-        std::max(piece_max_nnz * fpn_ * learned_->wall_per_flop / fscale,
-                 piece_max_nnz * bpn_ * learned_->wall_per_byte / bscale);
-  } else {
-    if (obs::calibration_enabled()) {
-      static obs::Counter& misses =
-          obs::Metrics::global().counter("calib.misses");
-      misses.add(1);
-    }
-    t_comp = rounds *
-        std::max(piece_max_nnz * fpn_ / machine_.proc_flops(p0, threads),
-                 piece_max_nnz * bpn_ / machine_.proc_mem_bw(p0, threads));
-  }
+  const double t_comp =
+      rounds *
+      std::max(piece_max_nnz * fpn_ / machine_.proc_flops(p0, threads),
+               piece_max_nnz * bpn_ / machine_.proc_mem_bw(p0, threads));
   const double overhead = rounds * cfg.task_overhead_s;
   const double net_bw = cfg.net_bw_gbs * 1e9 / cfg.time_scale;
   const double t_comm =
@@ -277,7 +248,7 @@ double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
 
   rt::Runtime scratch(machine);
   // Proxy simulations run concurrently across the pool; detached from the
-  // trace recorder, per-kernel rows and calibration, they can't perturb the
+  // trace recorder and per-kernel rows, they can't perturb the
   // application runtime's deterministic simulated timeline or the process
   // totals.
   scratch.set_observability(false);

@@ -6,15 +6,8 @@
 // load imbalance; equal blocks for non-zero splits), bytes moved per
 // iteration from placement diffs (reduction merges for overlapping output
 // partitions), and task launch overhead. It exists to *rank* candidates so
-// the search only pays for full simulation on the promising ones.
-//
-// When profile-guided calibration is enabled (SPDISTAL_CALIB), the analytic
-// tier prices compute from *measured* leaf wall-per-flop/byte rates for the
-// statement's kernel family instead of the static machine tables, scaled by
-// the machine model's thread-speedup ratio. The calib.hits / calib.misses
-// metric pair counts how often learned rates were available; with
-// obs::set_calibration(false) the static path is bit-identical to a build
-// that never saw a calibration file.
+// the search only pays for full simulation on the promising ones. It uses
+// the machine model's rates, so its estimates are simulated seconds too.
 //
 // The simulation tier is ground truth: the candidate is compiled and
 // instantiated against a scratch rt::Runtime on proxy tensors (exact clones,
@@ -25,12 +18,10 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "autosched/recipe.h"
-#include "obs/calibrate.h"
 #include "runtime/machine.h"
 
 namespace spdistal::autosched {
@@ -54,10 +45,6 @@ class AnalyticModel {
   const rt::Machine& machine_;
   double fpn_ = 2.0;   // flops per stored non-zero of the kernel class
   double bpn_ = 20.0;  // streamed bytes per stored non-zero
-  // Measured wall-time rates for this statement's kernel family, resolved
-  // once per model from the calibration store (empty when calibration is
-  // off or nothing relevant has been learned yet).
-  std::optional<obs::CalibRates> learned_;
   std::map<std::string, std::vector<int64_t>> hists_;  // "name:dim" keyed
 };
 

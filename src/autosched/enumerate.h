@@ -28,10 +28,20 @@ struct Candidate {
   bool simulated = false;
 };
 
+// The search over-decomposes by at most this factor: piece counts are one
+// per processor, or this many per processor.
+constexpr int kOverdecompose = 2;
+
 // Deterministic enumeration order: universe candidates first (communicate
 // before not, piece counts ascending), then position-space candidates per
 // sparse operand in access order, fusion depth ascending.
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
                                             const rt::Machine& machine);
+
+// Whether the search could have emitted `recipe` on `machine`: every piece
+// count is at least 1, their product is at most kOverdecompose times the
+// processor count, and the leaf unit is one the enumerator offers for the
+// machine's processor kind.
+bool in_search_space(const Recipe& recipe, const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

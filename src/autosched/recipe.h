@@ -37,8 +37,11 @@ struct Recipe {
   // many of its leading storage levels are fused before the divide (>= 2).
   std::string split_tensor;
   int fuse_depth = 0;
-  // Universe only: emit communicate({all tensors}, io) — the Figure 1
-  // granularity placement (data moves at distributed-loop granularity).
+  // Universe only: emit communicate({all tensors}, io), the Figure 1
+  // spelling. Lowering ignores communicate(): compile only checks that its
+  // tensors are bound (sched/schedule.h), so each such candidate prices the
+  // same as its twin without it. The field stays only because deleting
+  // those twins raised the search's cost (ROADMAP direction 1).
   bool communicate_all = false;
   // Leaf parallelization unit, if any.
   std::optional<sched::ParallelUnit> unit;

@@ -67,7 +67,6 @@ Config parse_config(const ConfigEnv& env, unsigned hardware_threads,
   }
   parse_path("SPDISTAL_TRACE", env.trace, &cfg.trace, errors);
   parse_path("SPDISTAL_METRICS", env.metrics, &cfg.metrics, errors);
-  parse_path("SPDISTAL_CALIB", env.calib, &cfg.calib, errors);
   parse_path("SPDISTAL_PLAN_STORE", env.plan_store, &cfg.plan_store, errors);
   return cfg;
 }
@@ -79,7 +78,6 @@ const Config& config() {
     env.verify = std::getenv("SPDISTAL_VERIFY");
     env.trace = std::getenv("SPDISTAL_TRACE");
     env.metrics = std::getenv("SPDISTAL_METRICS");
-    env.calib = std::getenv("SPDISTAL_CALIB");
     env.plan_store = std::getenv("SPDISTAL_PLAN_STORE");
     std::vector<std::string> errors;
     Config c = parse_config(env, std::thread::hardware_concurrency(), &errors);
@@ -94,7 +92,6 @@ std::string config_json(const Config& cfg) {
                    cfg.verify ? "true" : "false") +
          "\"trace\": " + json_path(cfg.trace) +
          ", \"metrics\": " + json_path(cfg.metrics) +
-         ", \"calib\": " + json_path(cfg.calib) +
          ", \"plan_store\": " + json_path(cfg.plan_store) + "}";
 }
 

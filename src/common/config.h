@@ -12,8 +12,6 @@
 //                               exit (obs/trace.h)
 //   SPDISTAL_METRICS=f.json     dump the metrics registry at exit
 //                               (obs/metrics.h)
-//   SPDISTAL_CALIB=f.json       load learned leaf rates at startup, merge
-//                               and rewrite at exit (obs/calibrate.h)
 //   SPDISTAL_PLAN_STORE=f.json  load persisted plans at first use, merge
 //                               and rewrite at exit (autosched/plan_store.h)
 //
@@ -35,7 +33,6 @@ struct Config {
   // Sink paths; empty = not configured.
   std::string trace;
   std::string metrics;
-  std::string calib;
   std::string plan_store;
 };
 
@@ -45,7 +42,6 @@ struct ConfigEnv {
   const char* verify = nullptr;
   const char* trace = nullptr;
   const char* metrics = nullptr;
-  const char* calib = nullptr;
   const char* plan_store = nullptr;
 };
 
@@ -60,7 +56,7 @@ Config parse_config(const ConfigEnv& env, unsigned hardware_threads,
 const Config& config();
 
 // `cfg` as one JSON object: {"exec_threads": n, "verify": b, "trace": p,
-// "metrics": p, "calib": p, "plan_store": p}, an unset path as null.
+// "metrics": p, "plan_store": p}, an unset path as null.
 std::string config_json(const Config& cfg);
 
 }  // namespace spdistal

@@ -6,7 +6,7 @@
 // range of double (`1e999`), text after the document, and arrays and
 // objects nested deeper than kMaxDepth, so a hostile document can neither
 // smuggle a non-finite number in nor exhaust the stack. Readers of
-// persisted state (plan store, calibration store) walk the tree; a document
+// persisted state (the plan store) walk the tree; a document
 // that does not parse merges nothing.
 //
 // Writers are hand-formatted on purpose: each is a few strprintf lines over

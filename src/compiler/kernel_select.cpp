@@ -106,7 +106,7 @@ SelectedLeaf select_leaf(const Statement& stmt, bool position_space,
     return true;
   };
   // One leaf serves both piece kinds of a family; the launch keeps the
-  // kind in its name (calibration keys, traces and SimReport rows).
+  // kind in its name (traces and SimReport rows).
   auto family = [&](const char* kernel) {
     return std::string(kernel) + (position_space ? "_nz" : "_row");
   };

@@ -20,7 +20,7 @@ namespace spdistal::kern {
 // Accumulator with convenience methods for common sparse-kernel costs.
 // Alongside the priced flops/bytes it counts the stored non-zeros the leaf
 // processed (one per sparse multiply-add), reported on the measured trace
-// track and used by calibration to contextualize wall-time samples.
+// track beside the leaf's wall time.
 struct WorkCounter {
   double flops = 0;
   double bytes = 0;

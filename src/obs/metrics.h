@@ -9,7 +9,7 @@
 // as JSON ($SPDISTAL_METRICS=out.json dumps one at process exit).
 //
 // The registry holds only counts no subsystem keeps elsewhere (autosched.*,
-// pack.*, calib.*, leaf.*, kernel_select.*). Executor task counts live in
+// pack.*, leaf.*, kernel_select.*). Executor task counts live in
 // exec::Executor::stats(), verify counts in verify::stats(), plan-cache
 // outcomes in autosched::PlanCache, and simulated totals in SimReport.
 #pragma once

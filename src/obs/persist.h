@@ -1,7 +1,7 @@
-// Shared persistence primitives for the process-lifetime stores (the
-// calibration store, the autosched plan store): whole-file reads and
-// atomic tmp+rename rewrites, so concurrent writers to one shared file
-// never observe a torn document — each reader sees some complete version.
+// Persistence primitives for process-lifetime files (the autosched plan
+// store, the benchmark JSON): whole-file reads and atomic tmp+rename
+// rewrites, so concurrent writers to one shared file never observe a torn
+// document — each reader sees some complete version.
 #pragma once
 
 #include <string>

@@ -9,8 +9,8 @@
 // (enqueue, plan build, worker execution, autosched phases, packing) via the
 // OBS_SPAN RAII macro; those naturally differ run to run. The *measured*
 // track (pid 3) records the wall-clock duration of each leaf point-task
-// body with {kernel, nnz, flops, bytes, sim_s, wall_s} args — the profiling
-// signal the calibration store (obs/calibrate.h) learns rates from.
+// body with {kernel, nnz, flops, bytes, sim_s, wall_s} args, so each leaf
+// shows its simulated time beside its measured wall time.
 //
 // Flow events (ph "s"/"t"/"f") link each host enqueue span to its
 // plan-build and to its simulated and measured leaf spans, so one click in

@@ -105,13 +105,12 @@ struct Runtime::LaunchRecord {
   IndexLaunch launch;  // captured copy (keeps regions + body alive)
   std::shared_ptr<const LaunchPlan> plan;
   std::vector<WorkEstimate> work;  // per point
-  // Tracing/profiling decisions taken once at submission (in submission
-  // order, so they are deterministic across worker counts): whether this
-  // launch's spans are recorded (a capture was live), the base of its
-  // flow-id block (2 ids per point: even = sim chain, odd = measured chain;
-  // 0 = none), and whether leaf wall times feed the calibration store.
+  // Tracing decisions taken once at submission (in submission order, so
+  // they are deterministic across worker counts): whether this launch's
+  // spans are recorded (a capture was live), and the base of its flow-id
+  // block (2 ids per point: even = sim chain, odd = measured chain; 0 =
+  // none).
   bool traced = false;
-  bool calibrate = false;
   uint64_t flow_base = 0;
   // Verify mode: points check their touches, retire audits residency hits.
   bool verify = false;
@@ -635,7 +634,6 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   rec->scratch.resize(R);
   rec->traced = traced;
   rec->flow_base = flow_base;
-  rec->calibrate = observed_ && obs::calibration_enabled();
   rec->verify = verify_;
   for (size_t r = 0; r < R; ++r) {
     // Subsets are captured in the plan; the borrowed partition pointer need
@@ -711,17 +709,14 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           const std::vector<IndexSubset>& row =
               plan.subsets[static_cast<size_t>(p)];
           TaskContext ctx(p, plan.procs[static_cast<size_t>(p)], row);
-          // Leaf wall-clock measurement feeds the measured trace track and
-          // the calibration store. The timer brackets only the body (scratch
-          // allocation and verify post-checks are runtime overhead, not
-          // kernel time).
-          const Proc proc = plan.procs[static_cast<size_t>(p)];
-          const bool measure = rec->traced || rec->calibrate;
-          const double wall0 = measure ? obs::wall_us() : 0.0;
+          // A traced launch times each leaf for the measured trace track.
+          // The timer brackets only the body (scratch allocation and verify
+          // post-checks are runtime overhead, not kernel time).
+          const double wall0 = rec->traced ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
           if (!rec->verify) {
             rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
-            if (measure) wall1 = obs::wall_us();
+            if (rec->traced) wall1 = obs::wall_us();
           } else {
             // Verify mode: declare the point's subsets, so that every
             // coordinate the body touches is tested against them as it
@@ -735,33 +730,26 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
             {
               ScopedTouchLog tguard(&tlog);
               rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
-              if (measure) wall1 = obs::wall_us();
+              if (rec->traced) wall1 = obs::wall_us();
             }
             verify::check_task_touches(
                 strprintf("%s[%d]", rec->launch.name.c_str(), p), tlog);
           }
-          if (measure) {
+          if (rec->traced && obs::TraceRecorder::global().active()) {
             const WorkEstimate& w = rec->work[static_cast<size_t>(p)];
-            if (rec->calibrate) {
-              obs::Calibration::global().record(
-                  rec->launch.name.c_str(), proc_kind_name(proc.kind),
-                  w.flops, w.bytes, (wall1 - wall0) * 1e-6);
-            }
             obs::TraceRecorder& trec = obs::TraceRecorder::global();
-            if (rec->traced && trec.active()) {
-              trec.meas_leaf(
-                  rec->launch.name, p, wall0, wall1 - wall0,
-                  obs::SpanArgs{
-                      .kind = obs::SpanArgs::kLeaf,
-                      .bytes = w.bytes,
-                      .nnz = w.nnz,
-                      .flops = w.flops,
-                      .sim_s = sim_.task_duration(proc, w,
-                                                  rec->launch.leaf_threads)});
-              trec.meas_flow_end(
-                  rec->flow_base + 2 * static_cast<uint64_t>(p) + 1,
-                  "launch", rec->launch.name, p, wall0);
-            }
+            trec.meas_leaf(
+                rec->launch.name, p, wall0, wall1 - wall0,
+                obs::SpanArgs{
+                    .kind = obs::SpanArgs::kLeaf,
+                    .bytes = w.bytes,
+                    .nnz = w.nnz,
+                    .flops = w.flops,
+                    .sim_s = sim_.task_duration(ctx.proc(), w,
+                                                rec->launch.leaf_threads)});
+            trec.meas_flow_end(
+                rec->flow_base + 2 * static_cast<uint64_t>(p) + 1, "launch",
+                rec->launch.name, p, wall0);
           }
         });
   }

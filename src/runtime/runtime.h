@@ -248,8 +248,8 @@ class Runtime {
   SimReport report() const;
 
   // Observability attachment. On by default: the simulator and network feed
-  // the global trace recorder, and leaf tasks feed per-kernel rows and
-  // calibration. Scratch runtimes used for proxy simulations (autosched
+  // the global trace recorder, and each retired launch feeds its kernel's
+  // row. Scratch runtimes used for proxy simulations (autosched
   // cost model) must detach — they run concurrently, and their events
   // would break the simulated track's bit-identity and pollute process
   // metrics.

@@ -285,7 +285,7 @@ TEST(Obs, MeasuredSpansCarryArgsAndNestInWorkerSpans) {
     if (line.find("\"pid\": 2,") != std::string::npos) {
       host_by_tid[static_cast<int>(field(line, "tid"))].push_back(s);
     } else if (line.find("\"pid\": 3,") != std::string::npos) {
-      // Every measured span carries the calibration-relevant args.
+      // Every measured span carries the leaf's work and both clocks.
       for (const char* key :
            {"kernel", "nnz", "flops", "bytes", "sim_s", "wall_s"}) {
         EXPECT_NE(line.find(std::string("\"") + key + "\""),

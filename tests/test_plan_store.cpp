@@ -6,7 +6,8 @@
 // a live cache whichever plan-service call came first, concurrent writers
 // sharing one file lose no entries, lookups match the key exactly,
 // concurrent Runtimes sharing one store are race-free, set_plan_store(false)
-// restores bit-identical searched schedules, and files older builds wrote
+// restores bit-identical searched schedules, a stored recipe the search
+// could not have emitted is searched again, and files older builds wrote
 // still load.
 #include <gtest/gtest.h>
 
@@ -492,6 +493,7 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   const Result again = autoschedule_search(*a.stmt, m);
   EXPECT_EQ(again.recipe, base.recipe);
   EXPECT_EQ(again.schedule.str(), base.schedule.str());
+  EXPECT_EQ(again.best_cost, base.best_cost);
 
   // Poison the cache with a *stored* entry for this exact key whose recipe
   // differs from the searched winner.
@@ -533,13 +535,72 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
                       data::fingerprints_str({pattern_fp(1150)})};
   const PlanKey other{"other-structural", key_a.sig};
   cache.insert(key_a, r, 1.0);
-  auto exact = cache.lookup(key_a);
+  const auto any = [](const Recipe&) { return true; };
+  auto exact = cache.lookup(key_a, any);
   ASSERT_TRUE(exact.has_value());
   EXPECT_EQ(exact->recipe, r);
-  EXPECT_FALSE(cache.lookup(key_b).has_value());
-  EXPECT_FALSE(cache.lookup(other).has_value());
+  EXPECT_FALSE(cache.lookup(key_b, any).has_value());
+  EXPECT_FALSE(cache.lookup(other, any).has_value());
   set_plan_store(false);
-  EXPECT_TRUE(cache.lookup(key_a).has_value());
+  EXPECT_TRUE(cache.lookup(key_a, any).has_value());
+}
+
+// --- stored recipes outside the search space ----------------------------------
+
+// Replaces the value of the first `"field": ` in `doc` with `value`.
+std::string with_field(const std::string& doc, const std::string& field,
+                       const std::string& value) {
+  const std::string needle = "\"" + field + "\": ";
+  const size_t at = doc.find(needle);
+  if (at == std::string::npos) return doc;
+  const size_t from = at + needle.size();
+  std::string out = doc;
+  out.replace(from, doc.find_first_of(",}", from) - from, value);
+  return out;
+}
+
+// A stored entry is outside input. One whose recipe the search could not
+// have emitted on this machine (more pieces than kOverdecompose per
+// processor, or a unit the machine's processor kind does not offer) is not
+// served: the search runs, returns the recipe a cold search finds, and
+// replaces the entry, so the next lookup hits.
+TEST(PlanStore, StoredRecipeOutsideSearchSpaceIsSearched) {
+  StoreGuard guard;
+  const rt::Machine m = cpu_machine(4);
+  const std::string path = "test_plan_store_space.json";
+  BuiltStmt a = build_spmv(5);
+  const Result cold = autoschedule_search(*a.stmt, m);
+  ASSERT_FALSE(cold.from_cache);
+  ASSERT_TRUE(in_search_space(cold.recipe, m));
+  const std::string saved = plan_store_json(PlanCache::global().entries());
+
+  for (const auto& [field, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"pieces", "100000000"},
+           {"pieces", "5000"},
+           {"unit", "\"GPUThread\""}}) {
+    const std::string doc = with_field(saved, field, value);
+    ASSERT_NE(doc, saved) << field;
+    write_file(path, doc);
+    PlanCache::global().clear();
+    ASSERT_EQ(load_plan_store(path), 1u) << value;
+    const Recipe stored = PlanCache::global().entries().at(0).plan.recipe;
+    EXPECT_FALSE(in_search_space(stored, m)) << value;
+
+    BuiltStmt b = build_spmv(5);
+    const Result searched = autoschedule_search(*b.stmt, m);
+    EXPECT_FALSE(searched.from_cache) << value;
+    EXPECT_GT(searched.enumerated, 0) << value;
+    EXPECT_EQ(searched.recipe, cold.recipe) << value;
+    EXPECT_EQ(PlanCache::global().hits(), 0) << value;
+    EXPECT_EQ(PlanCache::global().misses(), 1) << value;
+
+    const Result next = autoschedule_search(*b.stmt, m);
+    EXPECT_TRUE(next.from_cache) << value;
+    EXPECT_EQ(next.recipe, cold.recipe) << value;
+    EXPECT_EQ(PlanCache::global().hits(), 1) << value;
+  }
+  std::remove(path.c_str());
 }
 
 // --- schema compatibility -----------------------------------------------------
