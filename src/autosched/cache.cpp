@@ -2,10 +2,9 @@
 
 #include <map>
 #include <sstream>
-#include <utility>
 
-#include "autosched/plan_store.h"
 #include "common/str_util.h"
+#include "data/fingerprint.h"
 
 namespace spdistal::autosched {
 
@@ -31,7 +30,7 @@ void canonical_expr(const tin::Expr& e,
       return;
     }
     case tin::ExprKind::Literal:
-      os << e->value;
+      os << strprintf("%.17g", e->value);
       return;
     case tin::ExprKind::Mul:
     case tin::ExprKind::Add: {
@@ -63,8 +62,7 @@ data::SparsityFingerprint tensor_fingerprint(const std::string& name,
 
 }  // namespace
 
-PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
-  PlanKey key;
+std::string plan_key(const Statement& stmt, const rt::Machine& machine) {
   std::ostringstream os;
 
   // --- expression, variables canonicalized ------------------------------------
@@ -81,7 +79,7 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
   canonical_expr(stmt.assignment.rhs, names, os);
 
   // --- format signature per tensor (dimensions and sparsity live in the
-  // fingerprint half) ----------------------------------------------------------
+  // fingerprints at the end) ---------------------------------------------------
   std::vector<data::SparsityFingerprint> fps;
   for (const auto& [name, t] : stmt.bindings) {
     os << ";" << name << ":" << t.format().str() << ":ord["
@@ -89,95 +87,50 @@ PlanKey plan_key(const Statement& stmt, const rt::Machine& machine) {
     fps.push_back(tensor_fingerprint(name, t, stmt.assignment.lhs.tensor));
   }
 
-  // --- machine signature -------------------------------------------------------
+  // --- machine signature: every MachineConfig field, exactly -------------------
   const rt::MachineConfig& c = machine.config();
   os << ";M:" << rt::proc_kind_name(machine.kind()) << ":grid["
      << join(machine.grid().dims(), ",") << "]"
      << strprintf(":n%d:c%d:s%d:g%d", c.nodes, c.cores_per_node,
-                  c.sockets_per_node, c.gpus_per_node)
-     << strprintf(":%g:%g:%g:%g:%g:%g:%g:%g", c.cpu_core_gflops,
-                  c.cpu_mem_bw_gbs, c.gpu_gflops, c.gpu_mem_bw_gbs,
-                  c.nvlink_bw_gbs, c.net_bw_gbs, c.task_overhead_s,
-                  c.net_latency_s)
-     << strprintf(":cap%g:t%g", c.capacity_scale, c.time_scale);
+                  c.sockets_per_node, c.gpus_per_node);
+  for (double v :
+       {c.cpu_core_gflops, c.cpu_mem_bw_gbs, c.gpu_gflops, c.gpu_mem_bw_gbs,
+        c.nvlink_bw_gbs, c.net_latency_s, c.net_bw_gbs, c.task_overhead_s,
+        c.sysmem_bytes, c.fbmem_bytes, c.capacity_scale, c.time_scale}) {
+    os << strprintf(":%.17g", v);
+  }
 
-  key.structural = os.str();
-  key.sig = data::fingerprints_str(fps);
-  return key;
+  os << ";" << data::fingerprints_str(fps);
+  return os.str();
 }
 
 PlanCache& PlanCache::global() {
-  // Leaked: the plan store's exit-time save reads it, and that handler may
-  // have been registered before the cache was first constructed.
-  static PlanCache* cache = new PlanCache();
-  return *cache;
+  static PlanCache cache;
+  return cache;
 }
 
-std::optional<PlanCache::Hit> PlanCache::lookup(
-    const PlanKey& key, const std::function<bool(const Recipe&)>& servable) {
-  // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
-  // this cache); resolve it before taking the lock.
-  const bool store_ok = plan_store_enabled();
-
-  std::unique_lock<std::mutex> lock(mu_);
-  std::optional<Hit> hit;
-  auto it = plans_.find(key.exact());
-  if (it != plans_.end() && (store_ok || !it->second.from_store)) {
-    hit = Hit{it->second.recipe, it->second.cost};
+std::optional<CachedPlan> PlanCache::lookup(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    ++misses_;
+    return std::nullopt;
   }
-  lock.unlock();
-  if (hit.has_value() && !servable(hit->recipe)) hit.reset();
-  (hit.has_value() ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  return hit;
+  ++hits_;
+  return it->second;
 }
 
-void PlanCache::insert(const PlanKey& key, const Recipe& recipe,
+void PlanCache::insert(const std::string& key, const Recipe& recipe,
                        double cost) {
   std::lock_guard<std::mutex> lock(mu_);
-  plans_[key.exact()] = CachedPlan{recipe, cost, false};
-}
-
-size_t PlanCache::insert_stored(const std::vector<StoredPlan>& entries) {
-  size_t merged = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const StoredPlan& e : entries) {
-      CachedPlan plan = e.plan;
-      plan.from_store = true;
-      if (plans_.emplace(e.structural + PlanKey::kSep + e.sig,
-                         std::move(plan))
-              .second) {
-        ++merged;
-      }
-    }
-  }
-  loaded_.fetch_add(static_cast<int64_t>(merged), std::memory_order_relaxed);
-  return merged;
-}
-
-std::vector<StoredPlan> PlanCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StoredPlan> out;
-  out.reserve(plans_.size());
-  for (const auto& [k, plan] : plans_) {
-    const size_t sep = k.find(PlanKey::kSep);
-    StoredPlan e;
-    e.structural = k.substr(0, sep);
-    e.sig = sep == std::string::npos ? std::string() : k.substr(sep + 1);
-    e.plan = plan;
-    out.push_back(std::move(e));
-  }
-  return out;
+  plans_[key] = CachedPlan{recipe, cost};
 }
 
 void PlanCache::clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    plans_.clear();
-  }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  loaded_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  plans_.clear();
+  hits_ = 0;
+  misses_ = 0;
 }
 
 size_t PlanCache::size() const {
@@ -186,15 +139,13 @@ size_t PlanCache::size() const {
 }
 
 int64_t PlanCache::hits() const {
-  return hits_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return hits_;
 }
 
 int64_t PlanCache::misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-
-int64_t PlanCache::loaded() const {
-  return loaded_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return misses_;
 }
 
 }  // namespace spdistal::autosched

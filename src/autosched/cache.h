@@ -1,63 +1,38 @@
-// The plan cache: schedules found by search, keyed so that repeated
-// compiles of the same logical computation in a serving loop hit in O(1) —
-// and, with the plan service armed (plan_store.h), shared across processes.
+// The plan cache: schedules found by search, kept in memory for the life of
+// the process and keyed so that repeated compiles of the same logical
+// computation in a serving loop hit in O(1).
 //
-// A key has two halves. The *structural* half captures everything a recipe
-// replay requires exactly: the expression (with index variables
+// The key is one string that writes out, exactly, everything a recipe's
+// replay and its price depend on: the expression (with index variables
 // canonicalized by first-appearance order, so two structurally identical
-// statements built from distinct IndexVar objects collide), each tensor's
-// format signature and mode ordering, and the machine signature (processor
-// kind, grid, hardware rates). The *sparsity* half is a per-tensor
-// data::SparsityFingerprint sequence (dimensions, nnz, mass and row-degree
-// sketches). Both halves must match exactly.
+// statements built from distinct IndexVar objects collide, and literals
+// printed with 17 significant digits), each tensor's format signature and
+// mode ordering, every MachineConfig field with the machine's processor
+// kind and grid, and a per-tensor data::SparsityFingerprint (dimensions,
+// nnz, mass and row-degree sketches). Lookups match the whole key.
 //
-// One mutex guards the entry map: each autoschedule_search looks up once,
-// and proxy simulations compile with explicit schedules and never look up,
-// so lookups are too rare to contend.
+// One mutex guards the entry map and the hit and miss counts: each
+// autoschedule_search looks up once, and proxy simulations compile with
+// explicit schedules and never look up, so lookups are too rare to contend.
 #pragma once
 
-#include <atomic>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "autosched/recipe.h"
-#include "data/fingerprint.h"
 #include "runtime/machine.h"
 
 namespace spdistal::autosched {
 
 // Canonical cache key for (statement, machine).
-struct PlanKey {
-  std::string structural;  // expr + formats + machine; must match exactly
-  // Canonical encoding of the per-binding fingerprints, in name order.
-  std::string sig;
-
-  // Map key. The fingerprint encoding never contains the (control
-  // character) separator, so entries() can split a key back into halves.
-  std::string exact() const { return structural + kSep + sig; }
-  static constexpr char kSep = '\x1f';
-};
-
-PlanKey plan_key(const Statement& stmt, const rt::Machine& machine);
+std::string plan_key(const Statement& stmt, const rt::Machine& machine);
 
 struct CachedPlan {
   Recipe recipe;
   double cost = 0;  // proxy-simulated seconds/iteration of the winner
-  // Loaded from a persisted store rather than searched in this process;
-  // only served while plan_store_enabled() (set_plan_store(false) restores
-  // bit-identical searched schedules).
-  bool from_store = false;
-};
-
-// One serializable entry (plan_store.h round-trips these).
-struct StoredPlan {
-  std::string structural;
-  std::string sig;
-  CachedPlan plan;
 };
 
 class PlanCache {
@@ -65,42 +40,25 @@ class PlanCache {
   // Process-wide cache consulted by autoschedule(); thread-safe.
   static PlanCache& global();
 
-  struct Hit {
-    Recipe recipe;
-    double cost = 0;
-  };
-
-  // Exact-key lookup. Entries that came from the persisted store are served
-  // only while the plan store is enabled, and an entry is served only if
-  // `servable` accepts its recipe. Counts a hit when an entry is served,
-  // else a miss.
-  std::optional<Hit> lookup(
-      const PlanKey& key, const std::function<bool(const Recipe&)>& servable);
-  void insert(const PlanKey& key, const Recipe& recipe, double cost);
-
-  // Bulk-inserts entries loaded from a persisted store. Entries already
-  // present (searched in this process) win over stored ones. Returns the
-  // number merged in.
-  size_t insert_stored(const std::vector<StoredPlan>& entries);
-
-  // Snapshot of all entries, for serialization.
-  std::vector<StoredPlan> entries() const;
+  // Exact-key lookup; counts a hit when an entry is found, else a miss.
+  std::optional<CachedPlan> lookup(const std::string& key);
+  void insert(const std::string& key, const Recipe& recipe, double cost);
 
   void clear();
 
   size_t size() const;
-  // Lookup outcomes and stored entries merged in since the last clear():
-  // their one source (the metrics registry does not mirror them).
+  // Lookup outcomes since the last clear(). (autoschedule_search also adds
+  // each outcome to the registry's autosched.cache_hits/cache_misses, which
+  // count only while metrics are on and are never cleared.)
   int64_t hits() const;
   int64_t misses() const;
-  int64_t loaded() const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, CachedPlan> plans_;  // guarded by mu_
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> loaded_{0};
+  // Guarded by mu_.
+  std::map<std::string, CachedPlan> plans_;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
 };
 
 }  // namespace spdistal::autosched

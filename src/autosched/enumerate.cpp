@@ -11,38 +11,17 @@ using rt::Coord;
 using sched::ParallelUnit;
 using tin::IndexVar;
 
-namespace {
-
-// The leaf parallelization units offered on `machine`'s processor kind.
-std::vector<std::optional<ParallelUnit>> leaf_units(
-    const rt::Machine& machine) {
-  if (machine.kind() == rt::ProcKind::CPU) {
-    return {ParallelUnit::CPUThread, std::nullopt};
-  }
-  return {ParallelUnit::GPUThread};
-}
-
-}  // namespace
-
-bool in_search_space(const Recipe& recipe, const rt::Machine& machine) {
-  const int64_t max_pieces =
-      int64_t{kOverdecompose} * std::max(1, machine.num_procs());
-  int64_t product = 1;
-  for (int p : {recipe.pieces, recipe.pieces_y, recipe.pieces_z}) {
-    if (p < 1) return false;
-    product *= p;  // <= max_pieces * INT_MAX: no overflow in int64
-    if (product > max_pieces) return false;
-  }
-  const auto units = leaf_units(machine);
-  return std::find(units.begin(), units.end(), recipe.unit) != units.end();
-}
-
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
                                             const rt::Machine& machine) {
   const int procs = std::max(1, machine.num_procs());
   std::vector<int> piece_counts{procs};
   if (procs > 1) piece_counts.push_back(kOverdecompose * procs);
-  const std::vector<std::optional<ParallelUnit>> units = leaf_units(machine);
+  std::vector<std::optional<ParallelUnit>> units;
+  if (machine.kind() == rt::ProcKind::CPU) {
+    units = {ParallelUnit::CPUThread, std::nullopt};
+  } else {
+    units = {ParallelUnit::GPUThread};
+  }
 
   std::vector<Recipe> recipes;
   auto add = [&](const Recipe& r) {

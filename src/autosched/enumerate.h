@@ -38,10 +38,4 @@ constexpr int kOverdecompose = 2;
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
                                             const rt::Machine& machine);
 
-// Whether the search could have emitted `recipe` on `machine`: every piece
-// count is at least 1, their product is at most kOverdecompose times the
-// processor count, and the leaf unit is one the enumerator offers for the
-// machine's processor kind.
-bool in_search_space(const Recipe& recipe, const rt::Machine& machine);
-
 }  // namespace spdistal::autosched

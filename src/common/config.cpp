@@ -67,7 +67,6 @@ Config parse_config(const ConfigEnv& env, unsigned hardware_threads,
   }
   parse_path("SPDISTAL_TRACE", env.trace, &cfg.trace, errors);
   parse_path("SPDISTAL_METRICS", env.metrics, &cfg.metrics, errors);
-  parse_path("SPDISTAL_PLAN_STORE", env.plan_store, &cfg.plan_store, errors);
   return cfg;
 }
 
@@ -78,7 +77,6 @@ const Config& config() {
     env.verify = std::getenv("SPDISTAL_VERIFY");
     env.trace = std::getenv("SPDISTAL_TRACE");
     env.metrics = std::getenv("SPDISTAL_METRICS");
-    env.plan_store = std::getenv("SPDISTAL_PLAN_STORE");
     std::vector<std::string> errors;
     Config c = parse_config(env, std::thread::hardware_concurrency(), &errors);
     for (const std::string& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
@@ -91,8 +89,7 @@ std::string config_json(const Config& cfg) {
   return strprintf("{\"exec_threads\": %d, \"verify\": %s, ", cfg.exec_threads,
                    cfg.verify ? "true" : "false") +
          "\"trace\": " + json_path(cfg.trace) +
-         ", \"metrics\": " + json_path(cfg.metrics) +
-         ", \"plan_store\": " + json_path(cfg.plan_store) + "}";
+         ", \"metrics\": " + json_path(cfg.metrics) + "}";
 }
 
 }  // namespace spdistal

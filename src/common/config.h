@@ -12,8 +12,6 @@
 //                               exit (obs/trace.h)
 //   SPDISTAL_METRICS=f.json     dump the metrics registry at exit
 //                               (obs/metrics.h)
-//   SPDISTAL_PLAN_STORE=f.json  load persisted plans at first use, merge
-//                               and rewrite at exit (autosched/plan_store.h)
 //
 // A malformed value (a verify switch other than 0 or 1, a width outside
 // [1, 64] or not a number, an empty path) prints one line on stderr that
@@ -33,7 +31,6 @@ struct Config {
   // Sink paths; empty = not configured.
   std::string trace;
   std::string metrics;
-  std::string plan_store;
 };
 
 // The raw value of each variable, nullptr when unset.
@@ -42,7 +39,6 @@ struct ConfigEnv {
   const char* verify = nullptr;
   const char* trace = nullptr;
   const char* metrics = nullptr;
-  const char* plan_store = nullptr;
 };
 
 // Parses `env` strictly; a pure function, so tests can feed it values.
@@ -56,7 +52,7 @@ Config parse_config(const ConfigEnv& env, unsigned hardware_threads,
 const Config& config();
 
 // `cfg` as one JSON object: {"exec_threads": n, "verify": b, "trace": p,
-// "metrics": p, "plan_store": p}, an unset path as null.
+// "metrics": p}, an unset path as null.
 std::string config_json(const Config& cfg);
 
 }  // namespace spdistal

@@ -5,9 +5,9 @@
 // (`nan`, `inf`, `+1`, `01`, `0x10`, trailing commas), a number outside the
 // range of double (`1e999`), text after the document, and arrays and
 // objects nested deeper than kMaxDepth, so a hostile document can neither
-// smuggle a non-finite number in nor exhaust the stack. Readers of
-// persisted state (the plan store) walk the tree; a document
-// that does not parse merges nothing.
+// smuggle a non-finite number in nor exhaust the stack. The library reads
+// no JSON itself: the tests parse every trace and metrics document it
+// writes with json::parse, so each is checked to be strict JSON.
 //
 // Writers are hand-formatted on purpose: each is a few strprintf lines over
 // json_escape, which a writer layer would only lengthen.

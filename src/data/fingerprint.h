@@ -1,23 +1,22 @@
-// Sparsity fingerprints: the sparsity half of a plan-cache key.
+// Sparsity fingerprints: the sparsity part of a plan-cache key
+// (autosched/cache.h).
 //
-// The structural half of a key (expression, formats, machine) decides
-// whether a cached recipe is replayable at all; the *sparsity* half —
-// dimensions, non-zero count, how mass and row degrees are distributed —
-// decides which recipe is fastest. A SparsityFingerprint summarizes a packed
-// tensor's non-zero structure into a fixed-size sketch (dimension sizes,
-// nnz, a 16-bucket mass histogram over the top storage dimension, and a log2
-// row-degree histogram).
+// The rest of a key (expression, formats, machine) decides whether a cached
+// recipe is replayable at all; the sparsity part — dimensions, non-zero
+// count, how mass and row degrees are distributed — decides which recipe is
+// fastest. A SparsityFingerprint summarizes a packed tensor's non-zero
+// structure into a fixed-size sketch (dimension sizes, nnz, a 16-bucket mass
+// histogram over the top storage dimension, and a log2 row-degree
+// histogram). Two patterns with the same sketch share a key, and so a plan.
 //
 // fmt::pack computes a storage's fingerprint in the walk that assembles its
 // levels, one histogram update per run of equal top coordinates, and
-// carries it on the TensorStorage. Fingerprints round-trip through a
-// canonical string, which is how plan-store entries key them across
-// processes (and how a stored entry's key is validated on load).
+// carries it on the TensorStorage. The key writes each fingerprint as its
+// canonical string.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,22 +46,14 @@ struct SparsityFingerprint {
   std::array<int64_t, kDegreeBuckets> degree{};
 
   // Canonical exact encoding, e.g. "d[4096,4096];n163840;h[...];g[...]"
-  // (structural-only fingerprints encode just "d[...]"). Contains no '|',
-  // '=', '"' or control characters, so it can be embedded in cache keys and
-  // JSON values verbatim.
+  // (structural-only fingerprints encode just "d[...]"). Contains no '|'.
   std::string str() const;
-  static std::optional<SparsityFingerprint> parse(const std::string& s);
-
-  bool operator==(const SparsityFingerprint&) const = default;
 };
 
 // Structural-only fingerprint: dimensions, no pattern.
 SparsityFingerprint dense_fingerprint(const std::vector<rt::Coord>& dims);
 
-// Canonical encoding of a per-tensor fingerprint sequence ('|'-joined) and
-// its inverse; parse returns nullopt on any malformed element.
+// Canonical encoding of a per-tensor fingerprint sequence ('|'-joined).
 std::string fingerprints_str(const std::vector<SparsityFingerprint>& fps);
-std::optional<std::vector<SparsityFingerprint>> parse_fingerprints(
-    const std::string& s);
 
 }  // namespace spdistal::data

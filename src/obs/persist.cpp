@@ -4,18 +4,6 @@
 
 namespace spdistal::obs {
 
-bool read_text_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::string doc;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) doc.append(buf, n);
-  std::fclose(f);
-  *out = std::move(doc);
-  return true;
-}
-
 bool write_text_file_atomic(const std::string& path, const std::string& doc) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");

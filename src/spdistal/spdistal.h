@@ -9,7 +9,6 @@
 #pragma once
 
 #include "autosched/autosched.h"   // cost-model-guided schedule search
-#include "autosched/plan_store.h"  // persistent plan service (SPDISTAL_PLAN_STORE)
 #include "baselines/common.h"      // baseline classification helpers
 #include "baselines/ctf_like.h"    // interpretation baseline
 #include "baselines/petsc_like.h"  // library baselines (PETSc/Trilinos)

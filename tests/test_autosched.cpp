@@ -1,15 +1,20 @@
 // Auto-scheduler tests: the enumerator emits only compiler-accepted
 // schedules, searched schedules reproduce the dense oracle exactly, the plan
 // cache is deterministic (hit without re-simulation on identical inputs),
-// and searched plans are at least as good as the paper's hand-written ones.
+// keyed exactly on every machine field and literal, and safe to share
+// between threads, and searched plans are at least as good as the paper's
+// hand-written ones.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <thread>
 
 #include "autosched/autosched.h"
 #include "autosched/cost.h"
+#include "common/str_util.h"
 #include "compiler/lower.h"
 #include "data/datasets.h"
+#include "data/fingerprint.h"
 #include "data/generators.h"
 #include "tensor/dense_ref.h"
 
@@ -275,6 +280,204 @@ TEST(PlanCache, SecondSearchHitsWithoutResimulation) {
   Result r4 = autoschedule_search(*b1.stmt, cpu_machine(8));
   EXPECT_FALSE(r4.from_cache);
   EXPECT_EQ(PlanCache::global().misses(), 3);
+}
+
+// Two cold searches of one statement agree exactly, so a cache hit replays
+// what a search would find.
+TEST(PlanCache, ColdSearchesAgree) {
+  PlanCache::global().clear();
+  const rt::Machine m = cpu_machine(4);
+  BuiltStmt a = build_spmv(7);
+  const Result base = autoschedule_search(*a.stmt, m);
+  EXPECT_FALSE(base.from_cache);
+  PlanCache::global().clear();
+  const Result again = autoschedule_search(*a.stmt, m);
+  EXPECT_FALSE(again.from_cache);
+  EXPECT_EQ(again.recipe, base.recipe);
+  EXPECT_EQ(again.schedule.str(), base.schedule.str());
+  EXPECT_EQ(again.best_cost, base.best_cost);
+}
+
+// A pattern-bearing fingerprint with deterministic sketch content.
+data::SparsityFingerprint pattern_fp(int64_t nnz) {
+  data::SparsityFingerprint fp;
+  fp.dims = {100, 100};
+  fp.has_pattern = true;
+  fp.nnz = nnz;
+  for (int b = 0; b < data::SparsityFingerprint::kHistBuckets; ++b) {
+    fp.hist[static_cast<size_t>(b)] = nnz / 16;
+  }
+  fp.degree[3] = 100;
+  return fp;
+}
+
+// Lookups match the whole key: a nearby fingerprint misses, and so do the
+// same fingerprint after a different statement part and a key's prefix.
+TEST(PlanCache, LookupsMatchTheKeyExactly) {
+  PlanCache& cache = PlanCache::global();
+  cache.clear();
+  Recipe r;
+  r.pieces = 4;
+  const std::string key_a =
+      "same-statement;" + data::fingerprints_str({pattern_fp(1000)});
+  const std::string key_b =
+      "same-statement;" + data::fingerprints_str({pattern_fp(1150)});
+  const std::string other =
+      "other-statement;" + data::fingerprints_str({pattern_fp(1000)});
+  cache.insert(key_a, r, 1.0);
+  const auto exact = cache.lookup(key_a);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->recipe, r);
+  EXPECT_EQ(exact->cost, 1.0);
+  EXPECT_FALSE(cache.lookup(key_b).has_value());
+  EXPECT_FALSE(cache.lookup(other).has_value());
+  EXPECT_FALSE(cache.lookup(key_a.substr(0, key_a.size() - 1)).has_value());
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 3);
+  cache.clear();
+}
+
+TEST(PlanCache, FingerprintEncodingSeparatesShapes) {
+  const auto fp = pattern_fp(1000);
+  // Different dimensionality, or pattern vs structural-only of the same
+  // dims, encode (and therefore key) differently.
+  EXPECT_NE(fp.str(), data::dense_fingerprint({100}).str());
+  EXPECT_NE(fp.str(), data::dense_fingerprint({100, 100}).str());
+}
+
+// The key writes every MachineConfig field and every literal exactly: a
+// machine that differs in one field, even past the sixth significant digit,
+// and a literal that differs in its seventh digit each get a key of their
+// own.
+TEST(PlanCache, KeyCoversEveryMachineFieldAndLiteralExactly) {
+  BuiltStmt b = build_spmv(3);
+  const rt::MachineConfig base = data::paper_machine_config(2);
+  const auto key_on = [&](const rt::MachineConfig& cfg) {
+    return plan_key(*b.stmt, rt::Machine(cfg, rt::Grid(2), rt::ProcKind::CPU));
+  };
+  const std::string base_key = key_on(base);
+  EXPECT_EQ(key_on(base), base_key);
+
+  rt::MachineConfig half_fb = base;
+  half_fb.fbmem_bytes /= 2;
+  EXPECT_NE(key_on(half_fb), base_key);
+  // Each double field times 1 + 1e-9 (net_bw_gbs among them) and each int
+  // field plus one.
+  using C = rt::MachineConfig;
+  for (double C::*field :
+       {&C::cpu_core_gflops, &C::cpu_mem_bw_gbs, &C::gpu_gflops,
+        &C::gpu_mem_bw_gbs, &C::nvlink_bw_gbs, &C::net_latency_s,
+        &C::net_bw_gbs, &C::task_overhead_s, &C::sysmem_bytes,
+        &C::fbmem_bytes, &C::capacity_scale, &C::time_scale}) {
+    C cfg = base;
+    cfg.*field *= 1 + 1e-9;
+    EXPECT_NE(key_on(cfg), base_key) << cfg.*field;
+  }
+  for (int C::*field : {&C::nodes, &C::cores_per_node, &C::sockets_per_node,
+                        &C::gpus_per_node}) {
+    C cfg = base;
+    cfg.*field += 1;
+    EXPECT_NE(key_on(cfg), base_key) << cfg.*field;
+  }
+
+  const rt::Machine m = cpu_machine(2);
+  const auto scaled_key = [&](double scale) {
+    IndexVar i("i"), j("j");
+    Tensor a("a", {8}, fmt::dense_vector());
+    Tensor B("B", {8, 8}, fmt::csr());
+    Tensor c("c", {8}, fmt::dense_vector());
+    B.from_coo(data::powerlaw_matrix(8, 8, 20, 1.3, 1));
+    return plan_key(a(i) = literal(scale) * B(i, j) * c(j), m);
+  };
+  EXPECT_EQ(scaled_key(0.1234567), scaled_key(0.1234567));
+  EXPECT_NE(scaled_key(0.1234567), scaled_key(0.1234568));
+}
+
+// A cached plan is served only to the machine it was searched for. On 2
+// nodes x 8 GPUs the SpMM winner splits B's non-zeros 4 ways and the
+// columns 2 ways; with half the framebuffer that schedule runs out of
+// memory, so the half-memory machine must search again, and its own winner
+// must run.
+TEST(PlanCache, HalfMemoryMachineSearchesItsOwnPlan) {
+  PlanCache::global().clear();
+  IndexVar i("i"), j("j"), k("k");
+  const Coord n = 4000, jdim = 64;
+  Tensor A("A", {n, jdim}, fmt::dense_matrix());
+  Tensor B("B", {n, n}, fmt::csr());
+  Tensor C("C", {n, jdim}, fmt::dense_matrix());
+  B.from_coo(data::powerlaw_matrix(n, n, 40000, 1.3, 3));
+  C.init_dense([](const auto& x) {
+    return 0.5 + 0.01 * static_cast<double>((x[0] + x[1]) % 13);
+  });
+  Statement& stmt = (A(i, j) = B(i, k) * C(k, j));
+
+  rt::MachineConfig half_cfg = data::paper_machine_config(2);
+  half_cfg.fbmem_bytes /= 2;
+  const rt::Machine full(data::paper_machine_config(2), rt::Grid(8),
+                         rt::ProcKind::GPU);
+  const rt::Machine half(half_cfg, rt::Grid(8), rt::ProcKind::GPU);
+  const auto run_once = [&](const sched::Schedule& s, const rt::Machine& m) {
+    rt::Runtime runtime(m);
+    comp::CompiledKernel::compile(stmt, s, m).instantiate(runtime)->run(1);
+  };
+
+  const Result on_full = autoschedule_search(stmt, full);
+  EXPECT_FALSE(on_full.from_cache);
+  EXPECT_NO_THROW(run_once(on_full.schedule, full));
+  EXPECT_THROW(run_once(on_full.schedule, half), OutOfMemoryError);
+
+  const Result on_half = autoschedule_search(stmt, half);
+  EXPECT_FALSE(on_half.from_cache);
+  EXPECT_NE(on_half.recipe, on_full.recipe);
+  EXPECT_NO_THROW(run_once(on_half.schedule, half));
+  EXPECT_EQ(PlanCache::global().misses(), 2);
+  EXPECT_EQ(PlanCache::global().size(), 2u);
+}
+
+// Concurrent searches in one process share the global cache: threads
+// compile and run a seeded shape (every search a hit) while they insert
+// synthetic keys. Run under TSan in CI; values checked here.
+TEST(PlanCache, ConcurrentSearchesShareOneCache) {
+  PlanCache& cache = PlanCache::global();
+  cache.clear();
+  const rt::Machine m = cpu_machine(2);
+  BuiltStmt seed = build_spmv(11);
+  const Result cold = autoschedule_search(*seed.stmt, m);
+  ASSERT_FALSE(cold.from_cache);
+  cache.clear();
+  cache.insert(plan_key(*seed.stmt, m), cold.recipe, cold.best_cost);
+
+  constexpr int kThreads = 4;
+  constexpr int kIters = 3;
+  std::vector<std::thread> workers;
+  std::vector<int> warm_hits(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int it = 0; it < kIters; ++it) {
+        // Each iteration: its own Runtime compiling the shared shape.
+        BuiltStmt b = build_spmv(11);
+        const Result r = autoschedule_search(*b.stmt, m);
+        if (r.from_cache) ++warm_hits[static_cast<size_t>(t)];
+        rt::Runtime runtime(m);
+        auto inst = comp::CompiledKernel::compile(*b.stmt, r.schedule, m)
+                        .instantiate(runtime);
+        inst->run(1);
+        EXPECT_LE(ref::max_abs_diff(b.out, ref::eval(*b.stmt)), 1e-10);
+        Recipe synth;
+        synth.pieces = 2 + t;
+        cache.insert(strprintf("synthetic-%d-%d", t, it), synth, 1.0);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(warm_hits[static_cast<size_t>(t)], kIters) << "thread " << t;
+  }
+  EXPECT_EQ(cache.hits(), kThreads * kIters);
+  EXPECT_EQ(cache.misses(), 0);
+  EXPECT_EQ(cache.size(), 1u + kThreads * kIters);
+  BuiltStmt check = build_spmv(11);
+  EXPECT_EQ(autoschedule_search(*check.stmt, m).recipe, cold.recipe);
 }
 
 // The acceptance bound: for each paper kernel, on a CPU and a GPU machine

@@ -38,7 +38,6 @@ TEST(Config, UnsetVariablesKeepTheDefaults) {
   EXPECT_FALSE(cfg.verify);
   EXPECT_TRUE(cfg.trace.empty());
   EXPECT_TRUE(cfg.metrics.empty());
-  EXPECT_TRUE(cfg.plan_store.empty());
 }
 
 TEST(Config, DefaultExecWidthIsHardwareClampedToOneThroughEight) {
@@ -95,23 +94,19 @@ TEST(Config, SinkPathsMustBeNonEmpty) {
   ConfigEnv env;
   env.trace = "t.json";
   env.metrics = "dir/m.json";
-  env.plan_store = "plans.json";
   auto [cfg, errors] = parse(env);
   EXPECT_TRUE(errors.empty());
   EXPECT_EQ(cfg.trace, "t.json");
   EXPECT_EQ(cfg.metrics, "dir/m.json");
-  EXPECT_EQ(cfg.plan_store, "plans.json");
 
   // Each empty path is reported once, by name, and stays unset.
-  env.trace = env.metrics = env.plan_store = "";
+  env.trace = env.metrics = "";
   std::tie(cfg, errors) = parse(env);
   EXPECT_TRUE(cfg.trace.empty());
   EXPECT_TRUE(cfg.metrics.empty());
-  EXPECT_TRUE(cfg.plan_store.empty());
-  ASSERT_EQ(errors.size(), 3u);
+  ASSERT_EQ(errors.size(), 2u);
   EXPECT_TRUE(names(errors[0], "SPDISTAL_TRACE")) << errors[0];
   EXPECT_TRUE(names(errors[1], "SPDISTAL_METRICS")) << errors[1];
-  EXPECT_TRUE(names(errors[2], "SPDISTAL_PLAN_STORE")) << errors[2];
 }
 
 TEST(Config, OneMalformedValueLeavesTheOthersParsed) {
@@ -131,7 +126,6 @@ TEST(Config, JsonEchoRoundTrips) {
   cfg.exec_threads = 3;
   cfg.verify = true;
   cfg.trace = "a \"quoted\"\\path.json";
-  cfg.plan_store = "plans.json";
   const auto doc = json::parse(config_json(cfg));
   ASSERT_TRUE(doc.has_value()) << config_json(cfg);
   // The echo holds each setting exactly once, and nothing else.
@@ -139,12 +133,11 @@ TEST(Config, JsonEchoRoundTrips) {
   std::vector<std::string> keys;
   for (const auto& [key, value] : *doc->members()) keys.push_back(key);
   EXPECT_EQ(keys, (std::vector<std::string>{"exec_threads", "verify", "trace",
-                                            "metrics", "plan_store"}));
+                                            "metrics"}));
   EXPECT_EQ(doc->find("exec_threads")->integer(1, 64), 3);
   EXPECT_EQ(doc->find("verify")->boolean(), true);
   ASSERT_NE(doc->find("trace")->string(), nullptr);
   EXPECT_EQ(*doc->find("trace")->string(), cfg.trace);
-  EXPECT_EQ(*doc->find("plan_store")->string(), "plans.json");
   // Unset paths echo as null.
   EXPECT_EQ(doc->find("metrics")->type(), json::Value::Type::Null);
 }
@@ -155,7 +148,7 @@ void expect_process_config(const json::Value* v) {
   ASSERT_NE(v->members(), nullptr);
   EXPECT_EQ(v->find("exec_threads")->integer(1, 64), config().exec_threads);
   EXPECT_EQ(v->find("verify")->boolean(), config().verify);
-  for (const char* sink : {"trace", "metrics", "plan_store"}) {
+  for (const char* sink : {"trace", "metrics"}) {
     EXPECT_NE(v->find(sink), nullptr) << sink;
   }
 }
