@@ -217,21 +217,17 @@ void BM_DeferredSpmmLaunch(benchmark::State& state) {
 BENCHMARK(BM_DeferredSpmmLaunch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Steady-state enqueue latency of a reduction-bearing launch: warm (the
-// memoized LaunchPlan — enqueue walks the cached plan, zero overlap scans)
-// vs cold (memo disabled — full subset capture + O(P^2) analysis per
-// enqueue). Arg: 1 = warm, 0 = cold. Only the deferred run_async enqueue is
-// timed; the drain happens with the clock paused (exec_threads = 1, so the
-// serial pool runs nothing until flush).
-void BM_ExecuteSteadyState(benchmark::State& state) {
-  const bool memo = state.range(0) != 0;
-  constexpr int kPieces = 16;
+// The launch the warm-launch rows time: SpMV split by non-zeros into 16
+// pieces, one per node, over a 4000x4000 power-law matrix. Piece boundaries
+// straddle rows, so the output carries overlapping REDUCE subsets: the
+// points accumulate into private scratches that the retire folds, and the
+// cold path's per-requirement pairwise overlap scans meet their worst case.
+constexpr int kSpmvNzPieces = 16;
+
+std::pair<Tensor, Statement*> spmv_nz_statement() {
   IndexVar i("i"), j("j"), f("f"), fo("fo"), fi("fi");
   fmt::Coo coo = data::powerlaw_matrix(4000, 4000, 120000, 1.1, 7);
   const std::vector<Coord> dims = coo.dims;
-  // Non-zero split SpMV: piece boundaries straddle rows, so the output
-  // carries overlapping REDUCE subsets — the worst case for the cold
-  // path's per-requirement pairwise overlap scans.
   Tensor a("a", {dims[0]}, fmt::dense_vector());
   Tensor B("B", dims, fmt::csr(),
            tdn::parse_tdn("B(x, y) fuse(x, y -> g) -> M(~g)"));
@@ -241,16 +237,31 @@ void BM_ExecuteSteadyState(benchmark::State& state) {
   c.init_dense([](const auto& x) {
     return 1.0 + 0.01 * static_cast<double>(x[0] % 17);
   });
-  Statement& stmt = (a(i) = B(i, j) * c(j));
-  a.schedule().fuse(i, j, f).divide_pos(f, fo, fi, kPieces, "B")
+  Statement* stmt = &(a(i) = B(i, j) * c(j));
+  a.schedule().fuse(i, j, f).divide_pos(f, fo, fi, kSpmvNzPieces, "B")
       .distribute(fo);
+  return {a, stmt};
+}
 
+rt::Machine spmv_nz_machine() {
   rt::MachineConfig cfg;
-  cfg.nodes = kPieces;
-  rt::Machine m(cfg, rt::Grid(kPieces), rt::ProcKind::CPU);
+  cfg.nodes = kSpmvNzPieces;
+  return rt::Machine(cfg, rt::Grid(kSpmvNzPieces), rt::ProcKind::CPU);
+}
+
+// Steady-state enqueue latency of the SpMV-nz launch: warm (the memoized
+// LaunchPlan — enqueue walks the cached plan, zero overlap scans) vs cold
+// (memo disabled — full subset capture + O(P^2) analysis per enqueue).
+// Arg: 1 = warm, 0 = cold. Only the deferred run_async enqueue is timed;
+// the drain happens with the clock paused (exec_threads = 1, so the serial
+// pool runs nothing until flush).
+void BM_ExecuteSteadyState(benchmark::State& state) {
+  const bool memo = state.range(0) != 0;
+  const auto [a, stmt] = spmv_nz_statement();
+  const rt::Machine m = spmv_nz_machine();
   rt::Runtime runtime(m, 1);
   runtime.set_plan_memo(memo);
-  auto inst = comp::CompiledKernel::compile(stmt, m).instantiate(runtime);
+  auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
   inst->run(1);  // plan build + first-touch communication
   const rt::SimReport warmup = inst->report();
   for (auto _ : state) {
@@ -277,6 +288,31 @@ void BM_ExecuteSteadyState(benchmark::State& state) {
 BENCHMARK(BM_ExecuteSteadyState)->Arg(1)->Arg(0)
     ->Unit(benchmark::kMicrosecond);
 
+// A warm SpMV-nz launch from enqueue through retire: run_async and flush
+// both inside the clock. With exec_threads = 1 the flush runs the output's
+// zeroing host task, the point tasks and the retire (scratch fold,
+// simulated accounting, write-back) on this thread, so unlike
+// BM_ExecuteSteadyState this row moves with the retire.
+void BM_LaunchWarmRetire(benchmark::State& state) {
+  const auto [a, stmt] = spmv_nz_statement();
+  const rt::Machine m = spmv_nz_machine();
+  rt::Runtime runtime(m, 1);
+  auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
+  inst->run(1);  // plan build + first-touch communication
+  const rt::SimReport warmup = inst->report();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(inst->run_async(1));
+    runtime.flush();
+  }
+  const rt::SimReport rep = inst->report();
+  SPD_ASSERT(rep.plan_misses == warmup.plan_misses,
+             "warm BM_LaunchWarmRetire rebuilt a plan ("
+                 << warmup.plan_misses << " -> " << rep.plan_misses
+                 << " misses)");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LaunchWarmRetire)->Unit(benchmark::kMicrosecond);
+
 // Observability overhead guard: the warm enqueue path of
 // BM_ExecuteSteadyState with observability off (Arg 0) vs on with live
 // trace capture (Arg 1). The disabled mode asserts that nothing was
@@ -288,31 +324,13 @@ BENCHMARK(BM_ExecuteSteadyState)->Arg(1)->Arg(0)
 // iteration, and memory stays bounded whatever the iteration count.
 void BM_TraceOverhead(benchmark::State& state) {
   const bool obs_on = state.range(0) != 0;
-  constexpr int kPieces = 16;
-  IndexVar i("i"), j("j"), f("f"), fo("fo"), fi("fi");
-  fmt::Coo coo = data::powerlaw_matrix(4000, 4000, 120000, 1.1, 7);
-  const std::vector<Coord> dims = coo.dims;
-  Tensor a("a", {dims[0]}, fmt::dense_vector());
-  Tensor B("B", dims, fmt::csr(),
-           tdn::parse_tdn("B(x, y) fuse(x, y -> g) -> M(~g)"));
-  Tensor c("c", {dims[1]}, fmt::dense_vector(),
-           tdn::parse_tdn("c(x) -> M(q)"));
-  B.from_coo(std::move(coo));
-  c.init_dense([](const auto& x) {
-    return 1.0 + 0.01 * static_cast<double>(x[0] % 17);
-  });
-  Statement& stmt = (a(i) = B(i, j) * c(j));
-  a.schedule().fuse(i, j, f).divide_pos(f, fo, fi, kPieces, "B")
-      .distribute(fo);
-
-  rt::MachineConfig cfg;
-  cfg.nodes = kPieces;
-  rt::Machine m(cfg, rt::Grid(kPieces), rt::ProcKind::CPU);
+  const auto [a, stmt] = spmv_nz_statement();
+  const rt::Machine m = spmv_nz_machine();
   rt::Runtime runtime(m, 1);
   obs::set_enabled(obs_on);
   obs::TraceRecorder::global().start();  // clears any prior capture
   if (!obs_on) obs::TraceRecorder::global().stop();
-  auto inst = comp::CompiledKernel::compile(stmt, m).instantiate(runtime);
+  auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
   inst->run(1);  // plan build + first-touch communication
   const size_t warmup_events = obs::TraceRecorder::global().events();
   if (obs_on) obs::TraceRecorder::global().start();

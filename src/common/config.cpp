@@ -32,7 +32,14 @@ void parse_path(const char* name, const char* raw, std::string* out,
 }
 
 std::string json_path(const std::string& p) {
-  return p.empty() ? "null" : "\"" + json_escape(p) + "\"";
+  if (p.empty()) return "null";
+  // Built with append: GCC 12 at -O3 misreads `"\"" + s + "\""` as an
+  // overlapping memcpy and warns (-Wrestrict).
+  const std::string escaped = json_escape(p);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.append(1, '"').append(escaped).append(1, '"');
+  return out;
 }
 
 }  // namespace

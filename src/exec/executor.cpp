@@ -195,7 +195,7 @@ void Executor::run_node(TaskId id) {
     err = std::current_exception();
   }
   fn = nullptr;
-  if (tracing) {
+  if (tracing && !label.empty()) {
     obs::TraceRecorder::global().host_span("exec", label, t0,
                                            obs::wall_us() - t0);
   }

@@ -128,7 +128,8 @@ class Executor {
   // Two-phase submission: create() mints the id (so dependence trackers can
   // reference tasks before they are eligible), add_dep() wires edges, and
   // commit() makes the task runnable. A dep that already retired is counted
-  // as satisfied.
+  // as satisfied. While a trace capture is live, a task with a non-empty
+  // name records a span on the host track.
   TaskId create(std::string name, std::function<void()> fn);
   void add_dep(TaskId task, TaskId dep);
   void commit(TaskId task);

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -51,10 +52,20 @@ struct PosRange {
 // `box` — the bounding box of the point's REDUCE subset, not the whole
 // region — so very large outputs do not cost a full-region copy per point.
 // Accessors (and the per-element Region paths) address the buffer relative
-// to box; fold_scratch translates back to region coordinates.
+// to box; the fold's runs translate back to region coordinates.
 struct ScratchHeader {
   RectN box;             // region-coordinate bounding box this buffer covers
   void* base = nullptr;  // typed element base (T*), null when box is empty
+};
+
+// One linear run of a scratch fold: region element dst + k accumulates
+// scratch element src + k for k in [0, len). Both offsets are row-major, in
+// the region's bounds and the scratch box respectively; the LaunchPlan
+// lists a point's runs once (rt::fold_script).
+struct FoldRun {
+  int64_t dst = 0;
+  int64_t src = 0;
+  int64_t len = 0;
 };
 
 // Type-erased base so the Runtime can own heterogeneous regions.
@@ -96,12 +107,12 @@ class RegionBase {
     (void)box;
     return nullptr;
   }
-  // data += scratch over `subset` (which must lie inside scratch->box).
-  virtual void fold_scratch(const ScratchHeader* scratch,
-                            const IndexSubset& subset) {
+  // data += scratch over each run, in order.
+  virtual void fold_runs(const ScratchHeader* scratch,
+                         std::span<const FoldRun> runs) {
     (void)scratch;
-    (void)subset;
-    SPD_ASSERT(false, "fold_scratch on non-privatizable region " << name_);
+    (void)runs;
+    SPD_ASSERT(false, "fold_runs on non-privatizable region " << name_);
   }
 
   // Verify-mode content fingerprint of the elements inside `subset` (FNV-1a
@@ -258,39 +269,16 @@ class Region final : public RegionBase {
     }
   }
 
-  void fold_scratch(const ScratchHeader* scratch,
-                    const IndexSubset& subset) override {
+  void fold_runs(const ScratchHeader* scratch,
+                 std::span<const FoldRun> runs) override {
     if constexpr (std::is_arithmetic_v<T>) {
       const T* s = static_cast<const T*>(scratch->base);
-      const RectN& box = scratch->box;
-      const RectN& b = space().bounds();
-      for (const RectN& rect : subset.rects()) {
-        const RectN r = rect.intersect(b);
-        if (r.empty()) continue;
-        SPD_ASSERT(box.contains(r),
-                   "fold_scratch: subset escapes scratch box on " << name());
-        // Row-major odometer over the rectangle; the innermost dimension is
-        // contiguous in both the region and the scratch box.
-        std::array<Coord, kMaxDim> p{};
-        for (int d = 0; d < r.dim; ++d) p[static_cast<size_t>(d)] = r.lo[d];
-        while (true) {
-          const int64_t dst = linearize(b, p);
-          const int64_t src = linearize(box, p);
-          const int64_t run = r.hi[r.dim - 1] - r.lo[r.dim - 1] + 1;
-          for (int64_t k = 0; k < run; ++k) {
-            data_[static_cast<size_t>(dst + k)] +=
-                s[static_cast<size_t>(src + k)];
-          }
-          int d = r.dim - 2;
-          for (; d >= 0; --d) {
-            if (++p[static_cast<size_t>(d)] <= r.hi[d]) break;
-            p[static_cast<size_t>(d)] = r.lo[d];
-          }
-          if (d < 0) break;
-        }
+      T* d = data_.data();
+      for (const FoldRun& run : runs) {
+        for (int64_t k = 0; k < run.len; ++k) d[run.dst + k] += s[run.src + k];
       }
     } else {
-      RegionBase::fold_scratch(scratch, subset);
+      RegionBase::fold_runs(scratch, runs);
     }
   }
 

@@ -1,6 +1,8 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
+#include <cstring>
+#include <mutex>
 #include <set>
 
 #include "common/error.h"
@@ -52,12 +54,74 @@ const IndexSubset& TaskContext::subset(size_t req) const {
   return subsets_[req];
 }
 
+std::vector<FoldRun> fold_script(const RectN& bounds, const RectN& box,
+                                 const IndexSubset& subset) {
+  std::vector<FoldRun> runs;
+  for (const RectN& rect : subset.rects()) {
+    const RectN r = rect.intersect(bounds);
+    if (r.empty()) continue;
+    SPD_ASSERT(box.contains(r), "fold_script: subset rect "
+                                    << r.str() << " escapes scratch box "
+                                    << box.str());
+    // Row-major odometer over the rectangle; the innermost dimension is
+    // contiguous in both the region and the scratch box.
+    const int64_t len = r.hi[r.dim - 1] - r.lo[r.dim - 1] + 1;
+    std::array<Coord, kMaxDim> p{};
+    for (int d = 0; d < r.dim; ++d) p[static_cast<size_t>(d)] = r.lo[d];
+    while (true) {
+      const int64_t dst = linearize(bounds, p);
+      const int64_t src = linearize(box, p);
+      if (!runs.empty() && runs.back().dst + runs.back().len == dst &&
+          runs.back().src + runs.back().len == src) {
+        runs.back().len += len;
+      } else {
+        runs.push_back(FoldRun{dst, src, len});
+      }
+      int d = r.dim - 2;
+      for (; d >= 0; --d) {
+        if (++p[static_cast<size_t>(d)] <= r.hi[d]) break;
+        p[static_cast<size_t>(d)] = r.lo[d];
+      }
+      if (d < 0) break;
+    }
+  }
+  return runs;
+}
+
+WriteBackScript write_back_script(
+    const std::vector<std::vector<IndexSubset>>& subsets, size_t r,
+    const std::vector<Mem>& mems, size_t elem_size) {
+  WriteBackScript wb;
+  std::map<Mem, IndexSubset> valid;
+  const double elem = static_cast<double>(elem_size);
+  for (size_t p = 0; p < subsets.size(); ++p) {
+    const IndexSubset& s = subsets[p][r];
+    if (s.empty()) continue;
+    const auto it = valid.find(mems[p]);
+    const int64_t fresh =
+        it == valid.end() ? s.volume() : s.subtract(it->second).volume();
+    wb.writers.push_back(WriteBackScript::Writer{
+        static_cast<int>(p), mems[p], static_cast<double>(fresh) * elem});
+    if (it == valid.end()) {
+      valid.emplace(mems[p], s);
+    } else {
+      it->second = it->second.unite(s);
+    }
+  }
+  wb.valid.reserve(valid.size());
+  for (auto& [mem, u] : valid) {
+    wb.valid.emplace_back(mem,
+                          std::make_shared<const IndexSubset>(std::move(u)));
+  }
+  return wb;
+}
+
 // The memoized launch analysis: everything Runtime::execute derives from
 // the launch's structure (subsets, partitions, privileges) and nothing it
 // derives from accounting state. The analysis fields are immutable once
 // built and shared by every execution that hits the cache, so warm and
-// cold executions are bit-identical by construction; the residency memo at
-// the end is the plan's only mutable state.
+// cold executions are bit-identical by construction; the residency memo and
+// the spare scratches at the end are the plan's only mutable state.
 struct Runtime::LaunchPlan {
   std::vector<Proc> procs;  // per point
   // [point] -> per-requirement subset row.
@@ -83,6 +147,15 @@ struct Runtime::LaunchPlan {
     IndexSubset overlap;
   };
   std::vector<std::vector<ReducePair>> reduce_pairs;  // per requirement
+  // Fold script per privatized requirement (empty otherwise): point p's
+  // scratch folds by replaying runs[begin[p], begin[p + 1]).
+  struct FoldScript {
+    std::vector<FoldRun> runs;
+    std::vector<size_t> begin;
+  };
+  std::vector<FoldScript> fold;
+  // Write-back script per written requirement (empty for RO ones).
+  std::vector<WriteBackScript> write_back;
   // Dependence-analysis access descriptors per point, plus the requirement
   // indices recorded under the point task (direct) vs the launch's
   // retirement/fold task (privatized) — an index split, so each subset is
@@ -96,6 +169,35 @@ struct Runtime::LaunchPlan {
   // chain, which serializes every read and write; point tasks and the
   // enqueue path never touch it.
   mutable std::vector<uint64_t> resident;
+
+  // Reduction scratch buffers, [requirement][point]; only privatized
+  // requirements have a row.
+  using ScratchSet = std::vector<std::vector<std::shared_ptr<ScratchHeader>>>;
+  ScratchSet empty_scratch() const {
+    ScratchSet set(privatized.size());
+    for (size_t r : folded_reqs) set[r].resize(procs.size());
+    return set;
+  }
+  // One spare buffer per slot, kept across launches: a point takes its
+  // slots' spares when it runs (allocating where a slot has none) and its
+  // launch's retire puts the buffers back after the fold, keeping one per
+  // slot. A warm launch whose predecessor retired before its points ran
+  // reuses that launch's buffers, and two in-flight launches never share
+  // one.
+  void take_spares(ScratchSet& set, size_t p) const {
+    std::lock_guard<std::mutex> lk(spare_mu);
+    for (size_t r : folded_reqs) set[r][p] = std::move(spare[r][p]);
+  }
+  void put_spares(ScratchSet& set) const {
+    std::lock_guard<std::mutex> lk(spare_mu);
+    for (size_t r : folded_reqs) {
+      for (size_t p = 0; p < set[r].size(); ++p) {
+        if (spare[r][p] == nullptr) spare[r][p] = std::move(set[r][p]);
+      }
+    }
+  }
+  mutable std::mutex spare_mu;
+  mutable ScratchSet spare;
 };
 
 // Everything one deferred launch needs after submission. Point tasks fill
@@ -115,8 +217,9 @@ struct Runtime::LaunchRecord {
   // Verify mode: points check their touches, retire audits residency hits.
   bool verify = false;
   // Reduction privatization, per requirement: scratch[r][p] is point p's
-  // private accumulator (empty when the requirement is not privatized).
-  std::vector<std::vector<std::shared_ptr<ScratchHeader>>> scratch;
+  // private accumulator (empty when the requirement is not privatized),
+  // taken from the plan's spares by the point and put back by the retire.
+  LaunchPlan::ScratchSet scratch;
 
   // Verify mode only: read-only operand fingerprinting across the launch.
   // A prehash task (ordered before every point) fills `before`; retirement
@@ -251,13 +354,17 @@ void Runtime::set_placement(RegionBase& region, const Partition& part,
     const Mem& m = mems[static_cast<size_t>(c)];
     const double bytes = static_cast<double>(s.volume()) * elem;
     // Newly valid bytes only (colors may overlap within one memory).
-    IndexSubset fresh = pl.valid.count(m) ? s.subtract(pl.valid[m]) : s;
+    const auto it = pl.valid.find(m);
+    const bool had = it != pl.valid.end();
+    IndexSubset fresh = had ? s.subtract(*it->second) : s;
     const double fresh_bytes = static_cast<double>(fresh.volume()) * elem;
     if (fresh_bytes > 0) {
       mems_.pool(m).allocate(fresh_bytes, region.name());
       pl.alloc_bytes[m] += fresh_bytes;
     }
-    pl.valid[m] = pl.valid.count(m) ? pl.valid[m].unite(s) : s;
+    auto grown = std::make_shared<const IndexSubset>(
+        had ? it->second->unite(s) : s);
+    pl.valid[m] = std::move(grown);
     // One-time scatter from the root node where data was loaded.
     const double done = net_.transfer(root, m, bytes, 0.0);
     double& rdy = pl.ready[m];
@@ -274,11 +381,13 @@ void Runtime::replicate_sys(RegionBase& region) {
   std::vector<int> nodes;
   for (int n = 0; n < machine_.config().nodes; ++n) nodes.push_back(n);
   const double done = net_.broadcast(root, nodes, bytes, 0.0);
+  const auto whole =
+      std::make_shared<const IndexSubset>(region.space().as_subset());
   for (int n = 0; n < machine_.config().nodes; ++n) {
     const Mem m = machine_.sys_mem(n);
     mems_.pool(m).allocate(bytes, region.name());
     pl.alloc_bytes[m] += bytes;
-    pl.valid[m] = region.space().as_subset();
+    pl.valid[m] = whole;
     pl.ready[m] = (n == 0) ? 0.0 : done;
   }
 }
@@ -297,7 +406,8 @@ void Runtime::install_whole(RegionBase& region, Mem mem) {
   const double bytes = static_cast<double>(region.size_bytes());
   mems_.pool(mem).allocate(bytes, region.name());
   pl.alloc_bytes[mem] = bytes;
-  pl.valid[mem] = region.space().as_subset();
+  pl.valid[mem] =
+      std::make_shared<const IndexSubset>(region.space().as_subset());
   pl.ready[mem] = 0.0;
 }
 
@@ -317,7 +427,7 @@ double Runtime::fetch(RegionBase& region, const IndexSubset& subset,
   double arrival = ready_time;
   IndexSubset missing;
   if (auto it = pl.valid.find(mem); it != pl.valid.end()) {
-    missing = subset.subtract(it->second);
+    missing = subset.subtract(*it->second);
     arrival = std::max(arrival, pl.ready[mem]);
     if (missing.empty()) return arrival;
   } else {
@@ -331,7 +441,7 @@ double Runtime::fetch(RegionBase& region, const IndexSubset& subset,
       if (src == mem) continue;
       const bool same_node = src.node == mem.node;
       if ((pass == 0) != same_node) continue;
-      IndexSubset part = missing.intersect(valid_src);
+      IndexSubset part = missing.intersect(*valid_src);
       if (part.empty()) continue;
       const double bytes = static_cast<double>(part.volume()) * elem;
       const double t =
@@ -357,8 +467,10 @@ double Runtime::fetch(RegionBase& region, const IndexSubset& subset,
       pl.alloc_bytes[mem] += bytes;
     }
   }
-  pl.valid[mem] =
-      pl.valid.count(mem) ? pl.valid[mem].unite(subset) : subset;
+  const auto it = pl.valid.find(mem);
+  auto grown = std::make_shared<const IndexSubset>(
+      it != pl.valid.end() ? it->second->unite(subset) : subset);
+  pl.valid[mem] = std::move(grown);
   double& rdy = pl.ready[mem];
   rdy = std::max(rdy, arrival);
   return arrival;
@@ -518,6 +630,37 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
       }
     }
   }
+
+  // The rest of the retire that depends on the plan alone: how each
+  // privatized point's scratch folds (runs over the region bounds and the
+  // box make_scratch clips), and what each write-back leaves valid where.
+  plan->spare = plan->empty_scratch();
+  plan->fold.resize(R);
+  for (size_t r : plan->folded_reqs) {
+    const RectN& bounds = launch.reqs[r].region->space().bounds();
+    LaunchPlan::FoldScript& fold = plan->fold[r];
+    fold.begin.reserve(static_cast<size_t>(P) + 1);
+    for (int p = 0; p < P; ++p) {
+      fold.begin.push_back(fold.runs.size());
+      const RectN box =
+          plan->scratch_box[r][static_cast<size_t>(p)].intersect(bounds);
+      const std::vector<FoldRun> runs = fold_script(
+          bounds, box, plan->subsets[static_cast<size_t>(p)][r]);
+      fold.runs.insert(fold.runs.end(), runs.begin(), runs.end());
+    }
+    fold.begin.push_back(fold.runs.size());
+  }
+  std::vector<Mem> mems(static_cast<size_t>(P));
+  for (int p = 0; p < P; ++p) {
+    mems[static_cast<size_t>(p)] =
+        machine_.proc_mem(plan->procs[static_cast<size_t>(p)]);
+  }
+  plan->write_back.resize(R);
+  for (size_t r = 0; r < R; ++r) {
+    if (launch.reqs[r].priv == Privilege::RO) continue;
+    plan->write_back[r] = write_back_script(
+        plan->subsets, r, mems, launch.reqs[r].region->elem_size());
+  }
   return plan;
 }
 
@@ -529,6 +672,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   // order regardless of worker count.
   obs::TraceRecorder& trec = obs::TraceRecorder::global();
   const bool traced = trec.active() && observed_;
+  // Tasks are named only while a capture is live: the executor records a
+  // span for a named task only.
+  const bool named = trec.active();
   // Host-timeline span for the enqueue (name only built when recording).
   obs::Span enqueue_span(
       "runtime", traced ? "enqueue " + launch.name : std::string());
@@ -631,18 +777,15 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   rec->launch = launch;
   rec->plan = plan;
   rec->work.resize(static_cast<size_t>(P));
-  rec->scratch.resize(R);
+  if (!plan->folded_reqs.empty()) rec->scratch = plan->empty_scratch();
   rec->traced = traced;
   rec->flow_base = flow_base;
   rec->verify = verify_;
-  for (size_t r = 0; r < R; ++r) {
-    // Subsets are captured in the plan; the borrowed partition pointer need
-    // not outlive the submission.
-    rec->launch.reqs[r].partition = nullptr;
-    if (plan->privatized[r]) {
-      rec->scratch[r].resize(static_cast<size_t>(P));
-      launch.reqs[r].region->begin_redirect_epoch();
-    }
+  // Subsets are captured in the plan; the borrowed partition pointers need
+  // not outlive the submission.
+  for (RegionReq& req : rec->launch.reqs) req.partition = nullptr;
+  for (size_t r : plan->folded_reqs) {
+    launch.reqs[r].region->begin_redirect_epoch();
   }
 
   // Read-only operand fingerprinting (verify mode): RO requirements whose
@@ -674,13 +817,14 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
     if (!vs->hash_reqs.empty()) {
       vs->before.resize(vs->hash_reqs.size());
       rec->vstate = std::move(vs);
-      prehash = ex_->create(launch.name + ":verify_prehash", [rec] {
-        auto& st = *rec->vstate;
-        for (size_t i = 0; i < st.hash_reqs.size(); ++i) {
-          st.before[i] = rec->launch.reqs[st.hash_reqs[i]]
-                             .region->content_hash(st.hash_subsets[i]);
-        }
-      });
+      prehash = ex_->create(
+          named ? launch.name + ":verify_prehash" : std::string(), [rec] {
+            auto& st = *rec->vstate;
+            for (size_t i = 0; i < st.hash_reqs.size(); ++i) {
+              st.before[i] = rec->launch.reqs[st.hash_reqs[i]]
+                                 .region->content_hash(st.hash_subsets[i]);
+            }
+          });
     }
   }
 
@@ -688,22 +832,34 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   std::vector<exec::TaskId> ids(static_cast<size_t>(P));
   for (int p = 0; p < P; ++p) {
     ids[static_cast<size_t>(p)] = ex_->create(
-        strprintf("%s[%d]", launch.name.c_str(), p), [this, rec, p] {
-          // Allocate this point's reduction scratches (zeroing a private
-          // buffer is per-point work; doing it here parallelizes it) and
-          // install the redirects for the body's duration. Each task only
-          // touches its own scratch slot; the retirement task reads the
-          // slots after every point completed (ordered by its edges).
+        named ? strprintf("%s[%d]", launch.name.c_str(), p) : std::string(),
+        [this, rec, p] {
+          // Take this point's reduction scratches from the plan's spares
+          // and zero them, allocating where there is none (per-point work;
+          // doing it here parallelizes it), and install the redirects for
+          // the body's duration. Each task only touches its own scratch
+          // slot; the retirement task reads the slots after every point
+          // completed (ordered by its edges).
           const LaunchPlan& plan = *rec->plan;
           std::vector<RegionBase::Redirect> rds;
-          for (size_t r = 0; r < plan.privatized.size(); ++r) {
-            if (!plan.privatized[r]) continue;
-            rec->scratch[r][static_cast<size_t>(p)] =
-                rec->launch.reqs[r].region->make_scratch(
-                    plan.scratch_box[r][static_cast<size_t>(p)]);
-            rds.push_back(RegionBase::Redirect{
-                rec->launch.reqs[r].region->id(),
-                rec->scratch[r][static_cast<size_t>(p)].get()});
+          if (!plan.folded_reqs.empty()) {
+            plan.take_spares(rec->scratch, static_cast<size_t>(p));
+          }
+          for (size_t r : plan.folded_reqs) {
+            RegionBase& region = *rec->launch.reqs[r].region;
+            std::shared_ptr<ScratchHeader>& scratch =
+                rec->scratch[r][static_cast<size_t>(p)];
+            if (scratch == nullptr) {
+              scratch = region.make_scratch(
+                  plan.scratch_box[r][static_cast<size_t>(p)]);
+            } else if (scratch->base != nullptr) {
+              // Privatized element types are arithmetic: all-zero bytes
+              // are the zero make_scratch fills with.
+              std::memset(scratch->base, 0,
+                          static_cast<size_t>(scratch->box.volume()) *
+                              region.elem_size());
+            }
+            rds.push_back(RegionBase::Redirect{region.id(), scratch.get()});
           }
           RegionBase::ScopedRedirects guard(rds.data(), rds.size());
           const std::vector<IndexSubset>& row =
@@ -753,24 +909,28 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           }
         });
   }
-  const exec::TaskId retire =
-      ex_->create(launch.name + ":retire", [this, rec] {
-        // Fold privatized reductions in color order, close their redirect
-        // epochs, then replay the simulated cost accounting.
+  const exec::TaskId retire = ex_->create(
+      named ? launch.name + ":retire" : std::string(), [this, rec] {
+        // Fold privatized reductions in color order by replaying the
+        // plan's runs, close their redirect epochs, put the scratches back
+        // as the plan's spares, then replay the simulated cost accounting.
         const LaunchPlan& plan = *rec->plan;
-        for (size_t r = 0; r < plan.privatized.size(); ++r) {
-          if (!plan.privatized[r]) continue;
+        for (size_t r : plan.folded_reqs) {
           RegionBase& region = *rec->launch.reqs[r].region;
-          for (int p = 0; p < rec->launch.domain; ++p) {
+          const LaunchPlan::FoldScript& fold = plan.fold[r];
+          for (size_t p = 0; p < plan.procs.size(); ++p) {
             // A point that failed before allocating (e.g. scratch
             // bad_alloc, surfaced as a deferred error) leaves a null slot.
-            const auto& scratch = rec->scratch[r][static_cast<size_t>(p)];
+            const auto& scratch = rec->scratch[r][p];
             if (scratch == nullptr) continue;
-            region.fold_scratch(scratch.get(),
-                                plan.subsets[static_cast<size_t>(p)][r]);
+            region.fold_runs(
+                scratch.get(),
+                std::span<const FoldRun>(fold.runs).subspan(
+                    fold.begin[p], fold.begin[p + 1] - fold.begin[p]));
           }
           region.end_redirect_epoch();
         }
+        if (!plan.folded_reqs.empty()) plan.put_spares(rec->scratch);
         account_launch(*rec);
         if (rec->vstate != nullptr) {
           // Re-fingerprint the RO operands now that every point retired; a
@@ -911,7 +1071,7 @@ void Runtime::account_launch(LaunchRecord& rec) {
           if (rec.verify) {
             const auto it = pl.valid.find(target);
             const IndexSubset missing =
-                it == pl.valid.end() ? s : s.subtract(it->second);
+                it == pl.valid.end() ? s : s.subtract(*it->second);
             if (!missing.empty()) {
               verify::report_stale_residency(launch.name, p,
                                              req.region->name(), missing);
@@ -950,6 +1110,9 @@ void Runtime::account_launch(LaunchRecord& rec) {
   }
 
   // Write-back pass: writes re-home the region to the writers' memories.
+  // The placement is empty after the drop, so what each writer newly makes
+  // valid, and the valid sets that result, come from the plan's script:
+  // allocate in color order, take the ready maxima, install the unions.
   for (size_t r = 0; r < R; ++r) {
     const RegionReq& req = launch.reqs[r];
     if (req.priv == Privilege::RO) continue;
@@ -957,19 +1120,17 @@ void Runtime::account_launch(LaunchRecord& rec) {
     drop_placement(region);
     PlacementInfo& pl = placement(region);
     const double elem = static_cast<double>(region.elem_size());
-    for (int p = 0; p < launch.domain; ++p) {
-      const IndexSubset& s = plan.subsets[static_cast<size_t>(p)][r];
-      if (s.empty()) continue;
-      const Mem m = machine_.proc_mem(points[static_cast<size_t>(p)].proc);
-      IndexSubset fresh = pl.valid.count(m) ? s.subtract(pl.valid[m]) : s;
-      const double fresh_bytes = static_cast<double>(fresh.volume()) * elem;
-      if (fresh_bytes > 0) {
-        mems_.pool(m).allocate(fresh_bytes, region.name());
-        pl.alloc_bytes[m] += fresh_bytes;
+    const WriteBackScript& wb = plan.write_back[r];
+    for (const WriteBackScript::Writer& w : wb.writers) {
+      if (w.fresh_bytes > 0) {
+        mems_.pool(w.mem).allocate(w.fresh_bytes, region.name());
+        pl.alloc_bytes[w.mem] += w.fresh_bytes;
       }
-      pl.valid[m] = pl.valid.count(m) ? pl.valid[m].unite(s) : s;
-      double& rdy = pl.ready[m];
-      rdy = std::max(rdy, points[static_cast<size_t>(p)].completion);
+      double& rdy = pl.ready[w.mem];
+      rdy = std::max(rdy, points[static_cast<size_t>(w.point)].completion);
+    }
+    for (const auto& [mem, u] : wb.valid) {
+      pl.valid.emplace_hint(pl.valid.end(), mem, u);
     }
     // Partial results on overlapping subsets are combined at the
     // lowest-colored owner: transfer + add for each pairwise overlap,

@@ -95,6 +95,40 @@ struct IndexLaunch {
   std::function<WorkEstimate(const TaskContext&)> body;
 };
 
+// --- Retire scripts ----------------------------------------------------------
+// What a launch's retire derives from its plan alone, computed once by
+// build_plan and replayed by every retire of the plan. Exposed so that tests
+// can check them against the subset walks they replace.
+
+// The runs that fold a scratch covering `box` (already clipped to `bounds`)
+// into a region with `bounds` over `subset`: each rect clipped to `bounds`,
+// in the subset's order, row by row in row-major order, a run merged into
+// the previous one where it continues it in both the region and the
+// scratch. Every clipped rect must lie inside `box`.
+std::vector<FoldRun> fold_script(const RectN& bounds, const RectN& box,
+                                 const IndexSubset& subset);
+
+// The write-back of one written requirement onto the placement that
+// drop_placement has just emptied.
+struct WriteBackScript {
+  struct Writer {
+    int point = 0;
+    Mem mem;
+    // Bytes this point newly makes valid in `mem` (not yet valid there from
+    // an earlier writer); the retire allocates them in color order.
+    double fresh_bytes = 0;
+  };
+  std::vector<Writer> writers;  // points with a non-empty subset, color order
+  // Per memory, ascending: the union of its writers' subsets, which becomes
+  // the memory's valid set (shared with the placement, never copied).
+  std::vector<std::pair<Mem, std::shared_ptr<const IndexSubset>>> valid;
+};
+// `subsets[p][r]` is point p's subset of the requirement, `mems[p]` the
+// memory it writes to, `elem_size` the region's element size.
+WriteBackScript write_back_script(
+    const std::vector<std::vector<IndexSubset>>& subsets, size_t r,
+    const std::vector<Mem>& mems, size_t elem_size);
+
 // A host-side access of run_host_task (whole-region granularity).
 struct HostAccess {
   std::shared_ptr<RegionBase> region;
@@ -180,19 +214,22 @@ class Runtime {
   //
   // Steady-state fast path: the launch analysis — per-point subset capture,
   // the per-requirement O(P^2) overlap classification, privatization
-  // decisions, intra-launch conflict edges, the reduction-combine replay
-  // script, and scratch-buffer shapes — is memoized in an immutable
-  // LaunchPlan keyed by the launch's region ids, partition uids, privileges
-  // and domain shape. Re-executing the same launch (what Instance::run does
-  // every iteration) walks the cached plan; repartitioning or swapping a
-  // region's backing storage changes the key, so a fresh plan is built
-  // automatically. Warm and cold paths are bit-identical by construction:
-  // the analysis fields hold *results*, never accounting state. The plan's
-  // one piece of mutable state is its residency memo: per (point, read
+  // decisions, intra-launch conflict edges, scratch-buffer shapes and the
+  // retire's scripts (reduction combines, scratch folds, write-backs) — is
+  // memoized in an immutable LaunchPlan keyed by the launch's region ids,
+  // partition uids, privileges and domain shape. Re-executing the same
+  // launch (what Instance::run does every iteration) walks the cached plan;
+  // repartitioning or swapping a region's backing storage changes the key,
+  // so a fresh plan is built automatically. Warm and cold paths are
+  // bit-identical by construction: the analysis fields hold *results*, never
+  // accounting state. The plan's mutable state is its residency memo and
+  // its spare reduction scratches. The memo holds, per (point, read
   // requirement), the placement epoch at which a retire left that subset
   // valid in the point's memory. Only the serialized retire chain reads or
   // writes it; a slot that still equals its region's epoch lets the retire
-  // skip fetch, which would find nothing missing.
+  // skip fetch, which would find nothing missing. A privatized point takes
+  // its scratch from the spares and the retire puts it back, so warm
+  // launches reuse the buffers.
   exec::Future execute(const IndexLaunch& launch);
 
   // LaunchPlan memo control: disabling forces every execute() onto the
@@ -267,8 +304,10 @@ class Runtime {
     // Valid subsets per memory and bytes allocated there for this region.
     // Valid sets shrink only in drop_placement (set_placement,
     // replicate_sys, place_whole, invalidate and the write-back all go
-    // through it); everything else only unites into them.
-    std::map<Mem, IndexSubset> valid;
+    // through it); everything else only unites into them. A valid set is
+    // immutable and may be shared (the write-back installs its plan's
+    // unions): growing one swaps in a new set.
+    std::map<Mem, std::shared_ptr<const IndexSubset>> valid;
     std::map<Mem, double> alloc_bytes;
     // Simulated time at which the instance in a memory becomes usable.
     std::map<Mem, double> ready;

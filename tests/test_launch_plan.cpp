@@ -9,7 +9,9 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <map>
 
+#include "common/rng.h"
 #include "compiler/lower.h"
 #include "data/generators.h"
 #include "tensor/dense_ref.h"
@@ -534,7 +536,8 @@ TEST(LaunchPlan, LruHitRefreshesRecency) {
 // --- bounding-box scratches ---------------------------------------------------
 
 // make_scratch sizes the buffer to the requested box, not the region, and
-// fold_scratch translates between box-relative and region-relative layouts.
+// the fold's runs translate between box-relative and region-relative
+// layouts.
 TEST(LaunchPlan, ScratchCoversBoundingBoxOnly) {
   rt::Region<double> r(rt::IndexSpace(1000), "big");
   r.fill(0.0);
@@ -546,7 +549,8 @@ TEST(LaunchPlan, ScratchCoversBoundingBoxOnly) {
   double* base = static_cast<double*>(scratch->base);
   for (int k = 0; k < 10; ++k) base[k] = 1.0 + k;
   rt::IndexSubset subset(rt::RectN::make1(902, 904));
-  r.fold_scratch(scratch.get(), subset);
+  r.fold_runs(scratch.get(),
+              rt::fold_script(r.space().bounds(), scratch->box, subset));
   EXPECT_DOUBLE_EQ(r[901], 0.0);  // outside the folded subset
   EXPECT_DOUBLE_EQ(r[902], 3.0);
   EXPECT_DOUBLE_EQ(r[903], 4.0);
@@ -554,8 +558,8 @@ TEST(LaunchPlan, ScratchCoversBoundingBoxOnly) {
   EXPECT_DOUBLE_EQ(r[905], 0.0);
 }
 
-// A 2-D region's scratch box: fold translates row strides between the
-// scratch tile and the full matrix.
+// A 2-D region's scratch box: the fold's runs translate row strides between
+// the scratch tile and the full matrix.
 TEST(LaunchPlan, ScratchFoldTranslates2dStrides) {
   rt::Region<double> r(rt::IndexSpace(rt::RectN::make2(0, 9, 0, 9)), "mat");
   r.fill(0.0);
@@ -565,7 +569,8 @@ TEST(LaunchPlan, ScratchFoldTranslates2dStrides) {
   double* base = static_cast<double*>(scratch->base);
   for (int k = 0; k < 16; ++k) base[k] = static_cast<double>(k);
   rt::IndexSubset subset(box);
-  r.fold_scratch(scratch.get(), subset);
+  r.fold_runs(scratch.get(),
+              rt::fold_script(r.space().bounds(), scratch->box, subset));
   // Element (i, j) of the tile holds (i - 4) * 4 + (j - 2).
   EXPECT_DOUBLE_EQ(r.at2(4, 2), 0.0);
   EXPECT_DOUBLE_EQ(r.at2(4, 5), 3.0);
@@ -573,6 +578,309 @@ TEST(LaunchPlan, ScratchFoldTranslates2dStrides) {
   EXPECT_DOUBLE_EQ(r.at2(7, 5), 15.0);
   EXPECT_DOUBLE_EQ(r.at2(3, 2), 0.0);  // outside the box
   EXPECT_DOUBLE_EQ(r.at2(8, 5), 0.0);
+}
+
+// --- pipelined launches of one plan ------------------------------------------
+
+// Two back-to-back executes of one privatized launch with no write between
+// them: their points commute, so the second launch's points may run before
+// the first retire folds. Each in-flight launch must own its scratches: the
+// two bodies add different values, so a shared buffer would fold the second
+// launch's partials twice and change the output. The flush between rounds
+// leaves the plan's spare scratches in place for the next round's first
+// launch, while its second launch must allocate its own.
+TEST(LaunchPlan, PipelinedLaunchesKeepPrivateScratches) {
+  auto run = [](int threads, bool memo) {
+    rt::Runtime rt(cpu_machine(2, rt::Grid(2)), threads);
+    rt.set_plan_memo(memo);
+    auto r = rt.create_region<double>(
+        rt::IndexSpace(rt::RectN::make2(0, 23, 0, 7)), "acc");
+    r->fill(0.0);
+    std::vector<rt::RectN> rows;
+    for (int p = 0; p < 6; ++p) {
+      rows.push_back(rt::RectN::make2(3 * p, std::min(3 * p + 6, 23), 0, 7));
+    }
+    rt::Partition part = rt::partition_by_bounds(r->space(), rows);
+    auto launch_adding = [&](double scale) {
+      rt::IndexLaunch launch;
+      launch.name = "pipelined";
+      launch.domain = part.num_colors();
+      launch.reqs = {rt::RegionReq{r, &part, rt::Privilege::REDUCE}};
+      launch.body = [r, scale](const rt::TaskContext& ctx) {
+        for (const auto& rect : ctx.subset(0).rects()) {
+          for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
+            for (Coord j = rect.lo[1]; j <= rect.hi[1]; ++j) {
+              r->at2(i, j) += scale * (0.1 + static_cast<double>(
+                                                 ctx.color() * 8 + i + j));
+            }
+          }
+        }
+        return rt::WorkEstimate{24, 192};
+      };
+      return launch;
+    };
+    for (int it = 0; it < 3; ++it) {
+      rt.execute(launch_adding(1.0));
+      rt.execute(launch_adding(1.0 / 3.0));
+      rt.flush();
+    }
+    return std::make_pair(r->data(), rt.report());
+  };
+  const auto [ref_vals, ref_rep] = run(1, false);
+  EXPECT_EQ(ref_rep.plan_hits, 0);
+  for (int threads : {1, 4}) {
+    const std::string cfg = " @" + std::to_string(threads) + " ctx";
+    const auto [vals, rep] = run(threads, true);
+    EXPECT_EQ(rep.plan_misses, 1) << cfg;
+    EXPECT_EQ(rep.plan_hits, 5) << cfg;
+    ASSERT_EQ(vals.size(), ref_vals.size());
+    EXPECT_EQ(std::memcmp(vals.data(), ref_vals.data(),
+                          vals.size() * sizeof(double)),
+              0)
+        << "memo on vs off" << cfg;
+    expect_sim_identical(rep, ref_rep, "memo on vs off" + cfg);
+    const auto [cold_vals, cold_rep] = run(threads, false);
+    EXPECT_EQ(std::memcmp(cold_vals.data(), ref_vals.data(),
+                          vals.size() * sizeof(double)),
+              0)
+        << "memo off" << cfg;
+    expect_sim_identical(cold_rep, ref_rep, "memo off" + cfg);
+  }
+}
+
+// --- retire scripts against the subset walks they replace --------------------
+
+// The write-back loop a retire ran before the plan carried scripts: onto an
+// emptied placement, each point in color order allocates what its memory
+// does not hold yet and unites its subset into that memory's valid set.
+struct ReferenceWriteBack {
+  std::vector<double> fresh_bytes;  // per point; 0 for an empty subset
+  std::map<rt::Mem, rt::IndexSubset> valid;
+};
+
+ReferenceWriteBack reference_write_back(
+    const std::vector<rt::IndexSubset>& subsets,
+    const std::vector<rt::Mem>& mems, size_t elem_size) {
+  ReferenceWriteBack ref;
+  ref.fresh_bytes.assign(subsets.size(), 0.0);
+  const double elem = static_cast<double>(elem_size);
+  for (size_t p = 0; p < subsets.size(); ++p) {
+    const rt::IndexSubset& s = subsets[p];
+    if (s.empty()) continue;
+    const rt::Mem m = mems[p];
+    rt::IndexSubset fresh = ref.valid.count(m) ? s.subtract(ref.valid[m]) : s;
+    ref.fresh_bytes[p] = static_cast<double>(fresh.volume()) * elem;
+    ref.valid[m] = ref.valid.count(m) ? ref.valid[m].unite(s) : s;
+  }
+  return ref;
+}
+
+// What differs between a write-back script and the reference; empty when
+// nothing does. The writers must be exactly the non-empty points in color
+// order, with their memories and bit-equal fresh bytes, and the unions must
+// hold the reference's rectangles in the reference's order.
+std::string write_back_mismatch(const rt::WriteBackScript& wb,
+                                const ReferenceWriteBack& ref,
+                                const std::vector<rt::IndexSubset>& subsets,
+                                const std::vector<rt::Mem>& mems) {
+  size_t k = 0;
+  for (size_t p = 0; p < subsets.size(); ++p) {
+    if (subsets[p].empty()) continue;
+    if (k == wb.writers.size() ||
+        wb.writers[k].point != static_cast<int>(p)) {
+      return "writer " + std::to_string(k) + " is not point " +
+             std::to_string(p);
+    }
+    if (!(wb.writers[k].mem == mems[p])) {
+      return "point " + std::to_string(p) + " writes the wrong memory";
+    }
+    if (bits(wb.writers[k].fresh_bytes) != bits(ref.fresh_bytes[p])) {
+      return "point " + std::to_string(p) + " fresh bytes " +
+             std::to_string(wb.writers[k].fresh_bytes) + " != " +
+             std::to_string(ref.fresh_bytes[p]);
+    }
+    ++k;
+  }
+  if (k != wb.writers.size()) return "extra writers";
+  if (wb.valid.size() != ref.valid.size()) return "memory count differs";
+  auto it = ref.valid.begin();
+  for (const auto& [mem, u] : wb.valid) {
+    if (!(mem == it->first)) return "memories differ";
+    if (u == nullptr || u->dim() != it->second.dim() ||
+        u->rects() != it->second.rects()) {
+      return "union of node " + std::to_string(mem.node) + " " +
+             (u ? u->str() : "null") + " != " + it->second.str();
+    }
+    ++it;
+  }
+  return "";
+}
+
+// The subset-walking fold a retire ran before the plan carried fold runs:
+// each rect clipped to the region bounds, row by row.
+void reference_fold(rt::Region<double>& region,
+                    const rt::ScratchHeader& scratch,
+                    const rt::IndexSubset& subset) {
+  const double* s = static_cast<const double*>(scratch.base);
+  const rt::RectN& box = scratch.box;
+  const rt::RectN& b = region.space().bounds();
+  std::vector<double>& data = region.data();
+  for (const rt::RectN& rect : subset.rects()) {
+    const rt::RectN r = rect.intersect(b);
+    if (r.empty()) continue;
+    ASSERT_TRUE(box.contains(r));
+    std::array<Coord, rt::kMaxDim> p{};
+    for (int d = 0; d < r.dim; ++d) p[static_cast<size_t>(d)] = r.lo[d];
+    while (true) {
+      const int64_t dst = rt::linearize(b, p);
+      const int64_t src = rt::linearize(box, p);
+      const int64_t run = r.hi[r.dim - 1] - r.lo[r.dim - 1] + 1;
+      for (int64_t k = 0; k < run; ++k) {
+        data[static_cast<size_t>(dst + k)] += s[static_cast<size_t>(src + k)];
+      }
+      int d = r.dim - 2;
+      for (; d >= 0; --d) {
+        if (++p[static_cast<size_t>(d)] <= r.hi[d]) break;
+        p[static_cast<size_t>(d)] = r.lo[d];
+      }
+      if (d < 0) break;
+    }
+  }
+}
+
+// A generated retire: a region, and per point a subset (fragmented,
+// overlapping other points' and its own rects, reaching past the region
+// bounds, or empty) and the memory it writes to (several points share one).
+struct RetireCase {
+  rt::RectN bounds;
+  std::vector<rt::IndexSubset> subsets;
+  std::vector<rt::Mem> mems;
+};
+
+RetireCase generate_retire_case(Rng& rng) {
+  RetireCase c;
+  const int dim = static_cast<int>(rng.next_range(1, 3));
+  c.bounds.dim = dim;
+  for (int d = 0; d < dim; ++d) {
+    const size_t u = static_cast<size_t>(d);
+    const bool offset = rng.next_below(2) == 1;
+    c.bounds.lo[u] = offset ? rng.next_range(1, 9) : 0;
+    const Coord extent =
+        dim == 1 ? rng.next_range(1, 160) : rng.next_range(1, 12);
+    c.bounds.hi[u] = c.bounds.lo[u] + extent - 1;
+  }
+  const int points = static_cast<int>(rng.next_range(1, 8));
+  const int memories = static_cast<int>(rng.next_range(1, 3));
+  for (int p = 0; p < points; ++p) {
+    c.mems.push_back(rt::Mem{static_cast<int>(rng.next_below(
+                                 static_cast<uint64_t>(memories))),
+                             rt::MemKind::SYS, 0});
+    rt::IndexSubset s(dim);
+    const int rects =
+        rng.next_below(6) == 0 ? 0 : static_cast<int>(rng.next_range(1, 12));
+    for (int k = 0; k < rects; ++k) {
+      rt::RectN r;
+      r.dim = dim;
+      for (int d = 0; d < dim; ++d) {
+        const size_t u = static_cast<size_t>(d);
+        const Coord lo = rng.next_range(c.bounds.lo[u] - 2, c.bounds.hi[u] + 1);
+        const Coord len = rng.next_range(1, dim == 1 ? 20 : 5);
+        r.lo[u] = lo;
+        r.hi[u] = lo + len - 1;
+      }
+      s.add(r);
+    }
+    s.normalize();
+    c.subsets.push_back(std::move(s));
+  }
+  return c;
+}
+
+// Each retire script replays what the subset walk it replaced computed:
+// equal fresh bytes per point and equal per-memory unions for the
+// write-back, bit-equal values for the fold. Memo-off runs build the same
+// scripts, so the warm-vs-cold tests cannot catch a wrong one; this test
+// keeps the old walks as its oracle and checks that it notices a
+// corrupted script.
+TEST(LaunchPlan, RetireScriptReference) {
+  Rng rng(20221113);
+  int dims_seen[4] = {0, 0, 0, 0};
+  int corrupt_writebacks = 0, corrupt_folds = 0, clipped = 0, shared_mems = 0;
+  for (int n = 0; n < 600; ++n) {
+    const RetireCase c = generate_retire_case(rng);
+    const std::string what = "case " + std::to_string(n);
+    ++dims_seen[c.bounds.dim];
+
+    // Write-back.
+    std::vector<std::vector<rt::IndexSubset>> table;
+    for (const rt::IndexSubset& s : c.subsets) table.push_back({s});
+    const rt::WriteBackScript wb =
+        rt::write_back_script(table, 0, c.mems, sizeof(double));
+    const ReferenceWriteBack ref =
+        reference_write_back(c.subsets, c.mems, sizeof(double));
+    EXPECT_EQ(write_back_mismatch(wb, ref, c.subsets, c.mems), "") << what;
+    if (wb.writers.size() > ref.valid.size()) ++shared_mems;
+    if (!wb.writers.empty()) {
+      rt::WriteBackScript bad = wb;
+      bad.writers.back().fresh_bytes += sizeof(double);
+      EXPECT_NE(write_back_mismatch(bad, ref, c.subsets, c.mems), "") << what;
+      bad = wb;
+      const rt::IndexSubset& last = c.subsets[static_cast<size_t>(
+          wb.writers.back().point)];
+      bad.valid.front().second = std::make_shared<const rt::IndexSubset>(
+          last.subtract(rt::IndexSubset(last.rects().front())));
+      EXPECT_NE(write_back_mismatch(bad, ref, c.subsets, c.mems), "") << what;
+      ++corrupt_writebacks;
+    }
+
+    // Fold, in color order, into two copies of one region.
+    rt::Region<double> via_ref{rt::IndexSpace(c.bounds), "ref"};
+    for (double& v : via_ref.data()) v = rng.next_double(-1.0, 1.0);
+    rt::Region<double> via_script{rt::IndexSpace(c.bounds), "script"};
+    via_script.data() = via_ref.data();
+    rt::Region<double> via_bad{rt::IndexSpace(c.bounds), "bad"};
+    via_bad.data() = via_ref.data();
+    bool corrupted = false;
+    for (const rt::IndexSubset& s : c.subsets) {
+      if (s.empty()) continue;
+      // The plan's box: the subset's bounds, which make_scratch clips.
+      auto scratch = via_ref.make_scratch(s.bounds());
+      if (!c.bounds.contains(s.bounds())) ++clipped;
+      double* base = static_cast<double*>(scratch->base);
+      for (int64_t k = 0; k < scratch->box.volume(); ++k) {
+        base[k] = rng.next_double(0.5, 1.5);
+      }
+      reference_fold(via_ref, *scratch, s);
+      std::vector<rt::FoldRun> runs =
+          rt::fold_script(c.bounds, scratch->box, s);
+      via_script.fold_runs(scratch.get(), runs);
+      if (!corrupted && !runs.empty()) {
+        runs.pop_back();
+        corrupted = true;
+      }
+      via_bad.fold_runs(scratch.get(), runs);
+    }
+    const size_t bytes = via_ref.data().size() * sizeof(double);
+    EXPECT_EQ(std::memcmp(via_ref.data().data(), via_script.data().data(),
+                          bytes),
+              0)
+        << what << ": folded values differ";
+    if (corrupted) {
+      EXPECT_NE(std::memcmp(via_ref.data().data(), via_bad.data().data(),
+                            bytes),
+                0)
+          << what << ": a fold missing a run went unnoticed";
+      ++corrupt_folds;
+    }
+  }
+  // The generator reached every shape the test claims to cover.
+  EXPECT_GT(dims_seen[1], 100);
+  EXPECT_GT(dims_seen[2], 100);
+  EXPECT_GT(dims_seen[3], 100);
+  EXPECT_GT(corrupt_writebacks, 300);
+  EXPECT_GT(corrupt_folds, 300);
+  EXPECT_GT(clipped, 100);
+  EXPECT_GT(shared_mems, 100);
 }
 
 }  // namespace
