@@ -37,8 +37,8 @@ SYMBOL = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]+) )?[tTwW] (.*)$")
 NAMED = {
     "main": "main",
     "spdbench::oracle::Reference::run()": "Reference::run",
-    "spdistal::rt::Runtime::execute(spdistal::rt::IndexLaunch const&)":
-        "Runtime::execute",
+    "spdistal::rt::Runtime::execute(std::shared_ptr<spdistal::rt::"
+    "PreparedLaunch const> const&)": "Runtime::execute",
     "spdistal::rt::Runtime::account_launch(spdistal::rt::Runtime::"
     "LaunchRecord&)": "Runtime::account_launch",
     "spdistal::rt::Runtime::fetch(spdistal::rt::RegionBase&, "
@@ -49,8 +49,9 @@ NAMED = {
 # The lambdas Runtime::execute hands the executor, in source order: #1 is
 # verify mode's prehash, #2 a point task, #3 the retirement. Each shows as
 # its operator() or as the std::function invoker it was inlined into.
-EXECUTE_LAMBDA = re.compile(r"spdistal::rt::Runtime::execute\(spdistal::rt::"
-                            r"IndexLaunch const&\)::\{lambda\(\)#([23])\}"
+EXECUTE_LAMBDA = re.compile(r"spdistal::rt::Runtime::execute\(std::shared_ptr<"
+                            r"spdistal::rt::PreparedLaunch const> const&\)::"
+                            r"\{lambda\(\)#([23])\}"
                             r"(?:::operator\(\)\(\) const|>::_M_invoke)")
 EXECUTE_LAMBDA_LABEL = {"2": "Runtime::execute point task",
                         "3": "Runtime::execute retire"}

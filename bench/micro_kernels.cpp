@@ -248,8 +248,8 @@ void BM_SpttvCoiter(benchmark::State& state) {
 BENCHMARK(BM_SpttvCoiter)->Arg(100000);
 
 // CSR vs COO through the whole steady-state launch path: identical
-// non-zero schedule, warm LaunchPlan (the loop asserts no further plan
-// misses), only the mode format differs.
+// non-zero schedule, the instance's prepared plan replayed (the loop asserts
+// no further plan misses), only the mode format differs.
 void BM_SpmvSteadyState(benchmark::State& state, fmt::Format format) {
   SpmvFixture f(state.range(0), std::move(format));
   IndexVar fu("f"), fo("fo"), fi("fi");
@@ -262,13 +262,13 @@ void BM_SpmvSteadyState(benchmark::State& state, fmt::Format format) {
   rt::Runtime runtime(machine, 1);
   auto inst =
       comp::CompiledKernel::compile(*f.stmt, machine).instantiate(runtime);
-  inst->run(1);  // warm the plan memo
+  inst->run(1);  // prepares the launch
   const int64_t misses = runtime.report().plan_misses;
   for (auto _ : state) {
     inst->run(1);
   }
   if (runtime.report().plan_misses != misses) {
-    state.SkipWithError("steady-state iteration missed the plan memo");
+    state.SkipWithError("steady-state iteration rebuilt its plan");
   }
   state.SetItemsProcessed(state.iterations() * f.B.storage().nnz());
 }

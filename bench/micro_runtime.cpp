@@ -249,31 +249,35 @@ rt::Machine spmv_nz_machine() {
   return rt::Machine(cfg, rt::Grid(kSpmvNzPieces), rt::ProcKind::CPU);
 }
 
-// Steady-state enqueue latency of the SpMV-nz launch: warm (the memoized
-// LaunchPlan — enqueue walks the cached plan, zero overlap scans) vs cold
-// (memo disabled — full subset capture + O(P^2) analysis per enqueue).
-// Arg: 1 = warm, 0 = cold. Only the deferred run_async enqueue is timed;
-// the drain happens with the clock paused (exec_threads = 1, so the serial
-// pool runs nothing until flush).
+// Steady-state enqueue latency of the SpMV-nz launch: warm (the instance's
+// prepared launch — enqueue replays its plan, zero overlap scans) vs cold
+// (one-shot executes of the instance's launch — full subset capture +
+// O(P^2) analysis per enqueue, and no zeroing task). Arg: 1 = warm, 0 =
+// cold. Only the enqueue is timed; the drain happens with the clock paused
+// (exec_threads = 1, so the serial pool runs nothing until flush).
 void BM_ExecuteSteadyState(benchmark::State& state) {
-  const bool memo = state.range(0) != 0;
+  const bool warm = state.range(0) != 0;
   const auto [a, stmt] = spmv_nz_statement();
   const rt::Machine m = spmv_nz_machine();
   rt::Runtime runtime(m, 1);
-  runtime.set_plan_memo(memo);
   auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
   inst->run(1);  // plan build + first-touch communication
   const rt::SimReport warmup = inst->report();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(inst->run_async(1));
+    if (warm) {
+      benchmark::DoNotOptimize(inst->run_async(1));
+    } else {
+      benchmark::DoNotOptimize(runtime.execute(inst->launch()));
+    }
     state.PauseTiming();
     runtime.flush();
     state.ResumeTiming();
   }
   const rt::SimReport rep = inst->report();
-  if (memo) {
-    // Acceptance guard: every measured enqueue must have walked the cached
-    // plan — a miss means an overlap scan ran on the steady-state path.
+  if (warm) {
+    // Acceptance guard: every measured enqueue must have replayed the
+    // prepared plan — a miss means an overlap scan ran on the steady-state
+    // path.
     SPD_ASSERT(rep.plan_misses == warmup.plan_misses,
                "warm BM_ExecuteSteadyState rebuilt a plan ("
                    << warmup.plan_misses << " -> " << rep.plan_misses

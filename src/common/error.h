@@ -44,7 +44,7 @@ class ScheduleError : public SpdError {
 
 // Raised by the verification subsystem (SPDISTAL_VERIFY=1): a privilege
 // violation caught by the region access checker, or a dependence-race/
-// staleness finding from the plan auditor. Schedule errors are
+// stale-residency finding from the plan auditor. Schedule errors are
 // ScheduleErrors from CompiledKernel::compile in every mode.
 class VerifyError : public SpdError {
  public:

@@ -96,7 +96,8 @@ class CompiledKernel {
 };
 
 // An instantiated kernel: owns partitions, the reusable distributed launch,
-// and the plan trace. run() executes timed iterations.
+// and the plan trace. run() executes timed iterations; the first prepares
+// the launch (Runtime::prepare) and every later one replays that plan.
 class Instance {
  public:
   // Launch bodies enqueued by run/run_async reference this Instance's piece
@@ -120,6 +121,8 @@ class Instance {
   rt::SimReport report() const { return runtime_->report(); }
   rt::Runtime& runtime() { return *runtime_; }
   int pieces() const { return launch_.domain; }
+  // The distributed launch run() executes, its partitions owned here.
+  const rt::IndexLaunch& launch() const { return launch_; }
 
  private:
   friend class CompiledKernel;
@@ -132,6 +135,8 @@ class Instance {
   // Owned partitions referenced by launch_.reqs (stable addresses).
   std::vector<std::unique_ptr<rt::Partition>> parts_;
   rt::IndexLaunch launch_;
+  // launch_ prepared on the first run_async.
+  std::shared_ptr<const rt::PreparedLaunch> prepared_;
   std::vector<kern::PieceBounds> piece_bounds_;
   Tensor output_;
 };

@@ -1,4 +1,5 @@
 #include "compiler/lower.h"
+#include "obs/trace.h"
 
 namespace spdistal::comp {
 
@@ -30,11 +31,14 @@ exec::Future Instance::run_async(int iters) {
     // task with write privilege, so it orders after the previous
     // iteration's reductions and before this iteration's leaves without
     // joining the pipeline.
-    runtime_->run_host_task(
-        "zero " + output_.name(),
-        {rt::HostAccess{vals, rt::Privilege::WO}},
-        [vals] { vals->fill(0.0); });
-    last = runtime_->execute(launch_);
+    // Named only while a capture is live, as the runtime names its tasks.
+    runtime_->run_host_task(obs::TraceRecorder::global().active()
+                                ? "zero " + output_.name()
+                                : std::string(),
+                            {rt::HostAccess{vals, rt::Privilege::WO}},
+                            [vals] { vals->fill(0.0); });
+    if (prepared_ == nullptr) prepared_ = runtime_->prepare(launch_);
+    last = runtime_->execute(prepared_);
   }
   return last;
 }

@@ -61,8 +61,8 @@ class DepTracker {
   // conflicting access waits on: the point task itself, or the launch's
   // retirement (fold) task for privatized reductions. When `owner` is
   // given, it keeps `accesses` alive and the history shares their subsets
-  // instead of copying them (a memoized launch plan owns the accesses of
-  // every launch that hits it).
+  // instead of copying them (a prepared launch's plan owns the accesses of
+  // every execution of it).
   void record(TaskId completion, const std::vector<RegionAccess>& accesses,
               const std::shared_ptr<const void>& owner = nullptr);
   // Records only accesses[i] for i in `which` — lets a caller holding one

@@ -97,7 +97,11 @@ std::string Format::str() const {
                               modes_[static_cast<size_t>(l)].str().c_str(),
                               dim_of_level(l) + 1));
   }
-  return "{" + join(parts, ", ") + "}";
+  // Built with append: GCC 12 at -O3 misreads `"{" + s + "}"` as an
+  // overlapping memcpy and warns (-Wrestrict).
+  std::string out = "{";
+  out.append(join(parts, ", ")).append(1, '}');
+  return out;
 }
 
 Format dense_vector() { return Format({ModeFormat::Dense()}); }

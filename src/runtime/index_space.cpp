@@ -488,7 +488,11 @@ std::string IndexSubset::str() const {
   std::vector<std::string> parts;
   parts.reserve(rects_.size());
   for (const auto& r : rects_) parts.push_back(r.str());
-  return "{" + join(parts, ", ") + "}";
+  // Built with append: GCC 12 at -O3 misreads `"{" + s + "}"` as an
+  // overlapping memcpy and warns (-Wrestrict).
+  std::string out = "{";
+  out.append(join(parts, ", ")).append(1, '}');
+  return out;
 }
 
 int64_t linearize(const RectN& bounds, const std::array<Coord, kMaxDim>& p) {

@@ -1,18 +1,12 @@
 #include "runtime/partition.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/error.h"
 #include "common/str_util.h"
 
 namespace spdistal::rt {
-
-uint64_t Partition::next_uid() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 bool Partition::disjoint() const {
   for (size_t a = 0; a < subsets_.size(); ++a) {

@@ -10,7 +10,6 @@
 // partition_by_bounds over fmt::dense_tiles (format/level_format.h).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,41 +18,15 @@
 
 namespace spdistal::rt {
 
+// Immutable after construction. A launch reads a partition's subsets when
+// it is prepared (Runtime::prepare) and never again, so a partition need not
+// outlive the launches prepared over it.
 class Partition {
  public:
-  Partition() : uid_(next_uid()) {}
+  Partition() = default;
   Partition(IndexSpace parent, std::vector<IndexSubset> subsets)
-      : parent_(parent), subsets_(std::move(subsets)), uid_(next_uid()) {}
+      : parent_(parent), subsets_(std::move(subsets)) {}
 
-  // Partitions are immutable after construction, so a process-global uid
-  // identifies their contents for the Runtime's LaunchPlan memo. Copies get
-  // a fresh uid (two objects, two identities); moves transfer it (same
-  // partition, new home — what Instance ownership transfers do) and re-mint
-  // the source's uid, so a moved-from partition can never impersonate the
-  // plans cached under its old identity.
-  Partition(const Partition& o)
-      : parent_(o.parent_), subsets_(o.subsets_), uid_(next_uid()) {}
-  Partition(Partition&& o) noexcept
-      : parent_(std::move(o.parent_)),
-        subsets_(std::move(o.subsets_)),
-        uid_(o.uid_) {
-    o.uid_ = next_uid();
-  }
-  Partition& operator=(const Partition& o) {
-    parent_ = o.parent_;
-    subsets_ = o.subsets_;
-    uid_ = next_uid();
-    return *this;
-  }
-  Partition& operator=(Partition&& o) noexcept {
-    parent_ = std::move(o.parent_);
-    subsets_ = std::move(o.subsets_);
-    uid_ = o.uid_;
-    o.uid_ = next_uid();
-    return *this;
-  }
-
-  uint64_t uid() const { return uid_; }
   const IndexSpace& parent() const { return parent_; }
   int num_colors() const { return static_cast<int>(subsets_.size()); }
   const IndexSubset& subset(int color) const {
@@ -69,11 +42,8 @@ class Partition {
   std::string str() const;
 
  private:
-  static uint64_t next_uid();
-
   IndexSpace parent_;
   std::vector<IndexSubset> subsets_;
-  uint64_t uid_ = 0;
 };
 
 // --- Direct partitioning ---------------------------------------------------

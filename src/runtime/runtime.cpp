@@ -116,18 +116,19 @@ WriteBackScript write_back_script(
   return wb;
 }
 
-// The memoized launch analysis: everything Runtime::execute derives from
-// the launch's structure (subsets, partitions, privileges) and nothing it
-// derives from accounting state. The analysis fields are immutable once
-// built and shared by every execution that hits the cache, so warm and
-// cold executions are bit-identical by construction; the residency memo and
-// the spare scratches at the end are the plan's only mutable state.
+// The launch analysis Runtime::prepare runs once: everything an execution
+// derives from the launch's structure (subsets, partitions, privileges) and
+// nothing it derives from accounting state. The analysis fields are
+// immutable once built and shared by every execution of the prepared
+// launch, so repeated and one-shot executions are bit-identical by
+// construction; the residency memo and the spare scratches at the end are
+// the plan's only mutable state.
 struct Runtime::LaunchPlan {
   std::vector<Proc> procs;  // per point
   // [point] -> per-requirement subset row.
   std::vector<std::vector<IndexSubset>> subsets;
   // Whether each requirement carried a partition (the borrowed Partition*
-  // itself is not retained — it need not outlive the submission).
+  // itself is not retained — it need not outlive prepare()).
   std::vector<bool> partitioned;
   // Per-requirement overlap classification and privatization decision.
   std::vector<bool> req_overlapping;
@@ -200,12 +201,21 @@ struct Runtime::LaunchPlan {
   mutable ScratchSet spare;
 };
 
+struct PreparedLaunch {
+  IndexLaunch launch;  // partition pointers cleared: the plan holds subsets
+  std::shared_ptr<const Runtime::LaunchPlan> plan;
+  // Whose placement epochs the plan's residency slots hold.
+  const Runtime* runtime = nullptr;
+  // Set by the first execute(); each later one counts as a plan hit.
+  mutable bool executed = false;
+};
+
 // Everything one deferred launch needs after submission. Point tasks fill
 // work[]; the retirement task folds reduction scratches and replays the
 // simulated cost accounting.
 struct Runtime::LaunchRecord {
-  IndexLaunch launch;  // captured copy (keeps regions + body alive)
-  std::shared_ptr<const LaunchPlan> plan;
+  // Keeps the launch's regions, body and plan alive.
+  std::shared_ptr<const PreparedLaunch> prepared;
   std::vector<WorkEstimate> work;  // per point
   // Tracing decisions taken once at submission (in submission order, so
   // they are deterministic across worker counts): whether this launch's
@@ -245,22 +255,14 @@ Runtime::Runtime(Machine machine, int exec_threads)
   verify_ = verify::enabled();
 }
 
-void Runtime::evict_to_capacity() {
-  while (plan_cache_.size() > kPlanCapacity) {
-    plan_cache_.erase(plan_lru_.back().key);
-    plan_lru_.pop_back();
-    ++plan_evictions_;
-  }
-}
-
-bool Runtime::inject_plan_fault(PlanFault fault) {
-  if (plan_lru_.empty()) return false;
+bool Runtime::inject_plan_fault(
+    const std::shared_ptr<const PreparedLaunch>& prepared, PlanFault fault) {
   flush();  // in-flight retires read the plan; they own its residency memo
-  // Deliberately break the most-recently-used cached plan so the verify
+  // Deliberately break the prepared launch's plan so the verify
   // fault-injection tests can prove the verifiers catch it. The const_cast
-  // is confined to this test hook; no production path mutates a memoized
-  // plan's analysis fields.
-  auto plan = std::const_pointer_cast<LaunchPlan>(plan_lru_.front().plan);
+  // is confined to this test hook; no production path mutates a plan's
+  // analysis fields.
+  auto plan = std::const_pointer_cast<LaunchPlan>(prepared->plan);
   switch (fault) {
     case PlanFault::DropConflictEdge:
       if (plan->conflict_edges.empty()) return false;
@@ -282,10 +284,9 @@ bool Runtime::inject_plan_fault(PlanFault fault) {
       return false;
     }
     case PlanFault::StaleResidency: {
-      const auto& reqs = plan_lru_.front().key.reqs;
+      const auto& reqs = prepared->launch.reqs;
       for (size_t i = 0; i < plan->resident.size(); ++i) {
-        plan->resident[i] =
-            placements_[std::get<0>(reqs[i % reqs.size()])].epoch;
+        plan->resident[i] = placement(*reqs[i % reqs.size()].region).epoch;
       }
       return true;
     }
@@ -306,16 +307,11 @@ Runtime::~Runtime() {
   ex_.reset();
 }
 
-Proc Runtime::proc_for_point(int p, int domain) const {
-  (void)domain;
-  return machine_.proc(p % machine_.num_procs());
-}
-
 Proc Runtime::proc_for_point(int p, const IndexLaunch& launch) const {
   const Grid& g = machine_.grid();
   const auto& shape = launch.domain_shape;
   if (static_cast<int>(shape.size()) != g.ndims() || g.ndims() <= 1) {
-    return proc_for_point(p, launch.domain);
+    return machine_.proc(p % machine_.num_procs());
   }
   // Row-major decomposition of the point, wrapped per grid axis.
   std::vector<int> pt(shape.size());
@@ -476,10 +472,10 @@ double Runtime::fetch(RegionBase& region, const IndexSubset& subset,
   return arrival;
 }
 
-// Cold path: the full launch analysis. Everything computed here depends
-// only on the launch's structure (subsets, partitions, privileges, domain
-// shape) — never on placements, clocks, or region data — which is what
-// makes the resulting plan safely reusable across iterations.
+// The full launch analysis, run once per prepare(). Everything computed
+// here depends only on the launch's structure (subsets, partitions,
+// privileges, domain shape) — never on placements, clocks, or region data —
+// which is what makes the resulting plan safely reusable across executions.
 std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
     const IndexLaunch& launch) {
   auto plan = std::make_shared<LaunchPlan>();
@@ -664,9 +660,38 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
   return plan;
 }
 
-exec::Future Runtime::execute(const IndexLaunch& launch) {
+std::shared_ptr<const PreparedLaunch> Runtime::prepare(
+    const IndexLaunch& launch) {
   SPDISTAL_CHECK(launch.domain >= 1, "empty launch domain");
   SPDISTAL_CHECK(launch.body, "launch without body");
+  auto prepared = std::make_shared<PreparedLaunch>();
+  {
+    const bool traced = obs::TraceRecorder::global().active() && observed_;
+    obs::Span plan_span("runtime",
+                        traced ? std::string("plan_build") : std::string());
+    prepared->plan = build_plan(launch);
+  }
+  prepared->launch = launch;
+  // Subsets are captured in the plan; the borrowed partition pointers need
+  // not outlive this call.
+  for (RegionReq& req : prepared->launch.reqs) req.partition = nullptr;
+  prepared->runtime = this;
+  ++plan_misses_;
+  return prepared;
+}
+
+exec::Future Runtime::execute(
+    const std::shared_ptr<const PreparedLaunch>& prepared) {
+  SPD_CHECK(prepared->runtime == this, SpdError,
+            "execute: launch `" << prepared->launch.name
+                                << "` was prepared by another Runtime");
+  const IndexLaunch& launch = prepared->launch;
+  const std::shared_ptr<const LaunchPlan>& plan = prepared->plan;
+  if (prepared->executed) {
+    ++plan_hits_;
+  } else {
+    prepared->executed = true;
+  }
   // Whether this launch's spans and flow events are recorded is decided
   // here, on the submitting thread, so it is deterministic in submission
   // order regardless of worker count.
@@ -682,9 +707,8 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   const size_t R = launch.reqs.size();
 
   // Mint a flow-id block for this launch and start every arrow inside the
-  // enqueue span: id base+2p links the enqueue to point p's simulated span
-  // (stepping through plan_build on a cold plan), id base+2p+1 links it to
-  // point p's measured wall-clock span.
+  // enqueue span: id base+2p links the enqueue to point p's simulated span,
+  // id base+2p+1 links it to point p's measured wall-clock span.
   uint64_t flow_base = 0;
   if (traced) {
     flow_base = trec.alloc_flow_ids(static_cast<uint64_t>(2 * P));
@@ -695,56 +719,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
     }
   }
 
-  // Plan lookup: the launch's identity is its region ids, partition uids,
-  // privileges and domain shape. Repartitioning or swapping a region's
-  // backing storage mints new uids/ids, so stale plans can never be hit.
-  PlanKey key;
-  key.domain = P;
-  key.domain_shape = launch.domain_shape;
-  key.reqs.reserve(R);
-  for (const RegionReq& req : launch.reqs) {
-    key.reqs.emplace_back(req.region->id(),
-                          req.partition ? req.partition->uid() : 0,
-                          static_cast<int>(req.priv));
-  }
-  std::shared_ptr<const LaunchPlan> plan;
-  bool warm_hit = false;
-  if (plan_memo_) {
-    if (auto it = plan_cache_.find(key); it != plan_cache_.end()) {
-      // Refresh recency: a hit moves the entry to the front of the LRU.
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-      plan = it->second->plan;
-      warm_hit = true;
-      ++plan_hits_;
-    }
-  }
-  if (plan == nullptr) {
-    {
-      obs::Span plan_span(
-          "runtime", traced ? std::string("plan_build") : std::string());
-      plan = build_plan(launch);
-      if (traced) {
-        // Step the first sim arrow through the plan-build span so the trace
-        // shows enqueue -> plan_build -> first simulated task on cold plans.
-        trec.host_flow('t', flow_base, "launch", launch.name + ":plan");
-      }
-    }
-    ++plan_misses_;
-    if (plan_memo_) {
-      plan_lru_.push_front(PlanEntry{key, plan});
-      plan_cache_.emplace(std::move(key), plan_lru_.begin());
-      // Capacity bound against programs that churn through partitions:
-      // evict only the least-recently-used plans, so the handful of live
-      // launch shapes a real program cycles through always stay warm.
-      evict_to_capacity();
-    }
-  }
-
-  // Dependence-race audit (verify mode): diff the plan's memoized conflict
-  // edges against the brute-force oracle, and — on warm memo hits — the
-  // memoized per-point subsets against the live partitions, before the
-  // borrowed partition pointers are dropped below. Throws VerifyError at
-  // the enqueue site on a race or a stale cache entry.
+  // Dependence-race audit (verify mode): diff the plan's conflict edges
+  // against the brute-force oracle. Throws VerifyError at the enqueue site
+  // on a race.
   if (verify_) {
     verify::AuditInput in;
     in.launch_name = launch.name;
@@ -755,35 +732,18 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           launch.reqs[r].region->id(), launch.reqs[r].region->name(),
           to_mode(launch.reqs[r].priv), plan->privatized[r]});
     }
-    in.memo_subsets = &plan->subsets;
-    in.memo_edges = &plan->conflict_edges;
-    std::vector<std::vector<IndexSubset>> fresh;
-    if (warm_hit) {
-      fresh.resize(static_cast<size_t>(P));
-      for (int p = 0; p < P; ++p) {
-        auto& subs = fresh[static_cast<size_t>(p)];
-        subs.reserve(R);
-        for (const RegionReq& req : launch.reqs) {
-          subs.push_back(req.partition ? req.partition->subset(p)
-                                       : req.region->space().as_subset());
-        }
-      }
-      in.fresh_subsets = &fresh;
-    }
+    in.subsets = &plan->subsets;
+    in.edges = &plan->conflict_edges;
     verify::audit_launch(in);
   }
 
   auto rec = std::make_shared<LaunchRecord>();
-  rec->launch = launch;
-  rec->plan = plan;
+  rec->prepared = prepared;
   rec->work.resize(static_cast<size_t>(P));
   if (!plan->folded_reqs.empty()) rec->scratch = plan->empty_scratch();
   rec->traced = traced;
   rec->flow_base = flow_base;
   rec->verify = verify_;
-  // Subsets are captured in the plan; the borrowed partition pointers need
-  // not outlive the submission.
-  for (RegionReq& req : rec->launch.reqs) req.partition = nullptr;
   for (size_t r : plan->folded_reqs) {
     launch.reqs[r].region->begin_redirect_epoch();
   }
@@ -821,7 +781,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           named ? launch.name + ":verify_prehash" : std::string(), [rec] {
             auto& st = *rec->vstate;
             for (size_t i = 0; i < st.hash_reqs.size(); ++i) {
-              st.before[i] = rec->launch.reqs[st.hash_reqs[i]]
+              st.before[i] = rec->prepared->launch.reqs[st.hash_reqs[i]]
                                  .region->content_hash(st.hash_subsets[i]);
             }
           });
@@ -840,13 +800,14 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           // the body's duration. Each task only touches its own scratch
           // slot; the retirement task reads the slots after every point
           // completed (ordered by its edges).
-          const LaunchPlan& plan = *rec->plan;
+          const IndexLaunch& launch = rec->prepared->launch;
+          const LaunchPlan& plan = *rec->prepared->plan;
           std::vector<RegionBase::Redirect> rds;
           if (!plan.folded_reqs.empty()) {
             plan.take_spares(rec->scratch, static_cast<size_t>(p));
           }
           for (size_t r : plan.folded_reqs) {
-            RegionBase& region = *rec->launch.reqs[r].region;
+            RegionBase& region = *launch.reqs[r].region;
             std::shared_ptr<ScratchHeader>& scratch =
                 rec->scratch[r][static_cast<size_t>(p)];
             if (scratch == nullptr) {
@@ -871,7 +832,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           const double wall0 = rec->traced ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
           if (!rec->verify) {
-            rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
+            rec->work[static_cast<size_t>(p)] = launch.body(ctx);
             if (rec->traced) wall1 = obs::wall_us();
           } else {
             // Verify mode: declare the point's subsets, so that every
@@ -879,33 +840,33 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
             // happens, then report what escaped.
             TouchLog tlog;
             for (size_t r = 0; r < row.size(); ++r) {
-              const RegionReq& req = rec->launch.reqs[r];
+              const RegionReq& req = launch.reqs[r];
               tlog.declare(req.region->id(), req.region->name(), row[r],
                            req.priv != Privilege::WO);
             }
             {
               ScopedTouchLog tguard(&tlog);
-              rec->work[static_cast<size_t>(p)] = rec->launch.body(ctx);
+              rec->work[static_cast<size_t>(p)] = launch.body(ctx);
               if (rec->traced) wall1 = obs::wall_us();
             }
             verify::check_task_touches(
-                strprintf("%s[%d]", rec->launch.name.c_str(), p), tlog);
+                strprintf("%s[%d]", launch.name.c_str(), p), tlog);
           }
           if (rec->traced && obs::TraceRecorder::global().active()) {
             const WorkEstimate& w = rec->work[static_cast<size_t>(p)];
             obs::TraceRecorder& trec = obs::TraceRecorder::global();
             trec.meas_leaf(
-                rec->launch.name, p, wall0, wall1 - wall0,
+                launch.name, p, wall0, wall1 - wall0,
                 obs::SpanArgs{
                     .kind = obs::SpanArgs::kLeaf,
                     .bytes = w.bytes,
                     .nnz = w.nnz,
                     .flops = w.flops,
                     .sim_s = sim_.task_duration(ctx.proc(), w,
-                                                rec->launch.leaf_threads)});
+                                                launch.leaf_threads)});
             trec.meas_flow_end(
                 rec->flow_base + 2 * static_cast<uint64_t>(p) + 1, "launch",
-                rec->launch.name, p, wall0);
+                launch.name, p, wall0);
           }
         });
   }
@@ -914,9 +875,10 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
         // Fold privatized reductions in color order by replaying the
         // plan's runs, close their redirect epochs, put the scratches back
         // as the plan's spares, then replay the simulated cost accounting.
-        const LaunchPlan& plan = *rec->plan;
+        const IndexLaunch& launch = rec->prepared->launch;
+        const LaunchPlan& plan = *rec->prepared->plan;
         for (size_t r : plan.folded_reqs) {
-          RegionBase& region = *rec->launch.reqs[r].region;
+          RegionBase& region = *launch.reqs[r].region;
           const LaunchPlan::FoldScript& fold = plan.fold[r];
           for (size_t p = 0; p < plan.procs.size(); ++p) {
             // A point that failed before allocating (e.g. scratch
@@ -938,9 +900,9 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           // on. Throws — surfaced as a deferred error at wait()/flush().
           const auto& st = *rec->vstate;
           for (size_t i = 0; i < st.hash_reqs.size(); ++i) {
-            RegionBase& region = *rec->launch.reqs[st.hash_reqs[i]].region;
+            RegionBase& region = *launch.reqs[st.hash_reqs[i]].region;
             if (region.content_hash(st.hash_subsets[i]) != st.before[i]) {
-              verify::report_ro_write(rec->launch.name, region.name());
+              verify::report_ro_write(launch.name, region.name());
             }
           }
         }
@@ -1029,8 +991,8 @@ void Runtime::barrier() {
 }
 
 void Runtime::account_launch(LaunchRecord& rec) {
-  const IndexLaunch& launch = rec.launch;
-  const LaunchPlan& plan = *rec.plan;
+  const IndexLaunch& launch = rec.prepared->launch;
+  const LaunchPlan& plan = *rec.prepared->plan;
   struct PointResult {
     Proc proc;
     double completion = 0;
@@ -1187,7 +1149,6 @@ SimReport Runtime::report() const {
   rep.peak_fbmem = mems_.peak(MemKind::FB);
   rep.plan_hits = plan_hits_;
   rep.plan_misses = plan_misses_;
-  rep.plan_evictions = plan_evictions_;
   rep.kernels = kernel_rows_;
   return rep;
 }

@@ -27,11 +27,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "exec/dep_graph.h"
@@ -51,8 +49,8 @@ enum class Privilege { RO, WO, RW, REDUCE };
 
 // One region requirement of an index launch. With a partition, point p
 // accesses partition.subset(p); without, the whole region. The partition is
-// borrowed and must stay alive for the duration of the execute() call (its
-// subsets are captured at submission; it is not consulted afterwards).
+// borrowed and must stay alive for the duration of the prepare() call (its
+// subsets are captured in the plan; it is not consulted afterwards).
 struct RegionReq {
   std::shared_ptr<RegionBase> region;
   const Partition* partition = nullptr;  // borrowed; see above
@@ -62,8 +60,8 @@ struct RegionReq {
 // Handed to each point task body.
 class TaskContext {
  public:
-  // `subsets` is the point's row of per-requirement subsets, captured at
-  // submission.
+  // `subsets` is the point's row of per-requirement subsets, captured when
+  // the launch was prepared.
   TaskContext(int color, Proc proc, const std::vector<IndexSubset>& subsets)
       : color_(color), proc_(proc), subsets_(subsets) {}
 
@@ -129,6 +127,11 @@ WriteBackScript write_back_script(
     const std::vector<std::vector<IndexSubset>>& subsets, size_t r,
     const std::vector<Mem>& mems, size_t elem_size);
 
+// A launch that Runtime::prepare analysed once, for Runtime::execute to
+// replay: the launch (partition pointers cleared) and its plan. Opaque; only
+// the Runtime that prepared it may execute it.
+struct PreparedLaunch;
+
 // A host-side access of run_host_task (whole-region granularity).
 struct HostAccess {
   std::shared_ptr<RegionBase> region;
@@ -145,12 +148,14 @@ struct SimReport {
   double imbalance = 1.0;        // max/mean processor busy time
   double peak_sysmem = 0;
   double peak_fbmem = 0;
-  // LaunchPlan memo effectiveness over the runtime's lifetime (not zeroed
-  // by reset_timing — a cache hit-rate, not a clock). A hit means the
-  // enqueue skipped subset capture and every O(P^2) overlap scan; an
-  // eviction means the LRU cache was full and dropped its coldest plan.
+  // Plan reuse over the runtime's lifetime (not zeroed by reset_timing — a
+  // hit rate, not a clock). A miss is a prepare(), which captures subsets
+  // and runs every O(P^2) overlap scan; a hit is an execute() of a prepared
+  // launch that an earlier execute() already ran.
   int64_t plan_hits = 0;
   int64_t plan_misses = 0;
+  // Always 0: no plan is evicted. Kept because deleting the field moves the
+  // code e2ebench links (its cold copies of SimReport land ahead of main).
   int64_t plan_evictions = 0;
   // Per-kernel breakdown keyed by launch name: leaf point tasks only
   // (reduction combines and host tasks are excluded). Accounted in the
@@ -205,60 +210,57 @@ class Runtime {
 
   // --- Execution -------------------------------------------------------------
 
-  // Enqueues an index launch: point bodies run concurrently on the worker
+  // Runs the launch analysis once and returns the prepared launch, which
+  // execute() replays any number of times: per-point subset capture, the
+  // per-requirement O(P^2) overlap classification, privatization
+  // decisions, intra-launch conflict edges, scratch-buffer shapes and the
+  // retire's scripts (reduction combines, scratch folds, write-backs). The
+  // plan depends only on the launch's structure — the analysis fields hold
+  // *results*, never accounting state — so every execution of it is
+  // bit-identical to a fresh prepare. The partitions are read here and
+  // never again; the prepared launch keeps the regions and the body alive.
+  // Its mutable state is the residency memo and the spare reduction
+  // scratches. The memo holds, per (point, read requirement), the placement
+  // epoch at which a retire left that subset valid in the point's memory.
+  // Only the serialized retire chain reads or writes it; a slot that still
+  // equals its region's epoch lets the retire skip fetch, which would find
+  // nothing missing. A privatized point takes its scratch from the spares
+  // and the retire puts it back, so repeated executions reuse the buffers.
+  std::shared_ptr<const PreparedLaunch> prepare(const IndexLaunch& launch);
+
+  // Enqueues a prepared launch: point bodies run concurrently on the worker
   // pool under dependence edges derived from the requirements; the
   // simulated costs (communication inference, task pricing, write-back)
   // are accounted in exact submission order when the launch retires.
   // Returns a Future for the launch's retirement; errors (e.g. simulated
-  // OutOfMemoryError) surface at the next wait()/flush().
-  //
-  // Steady-state fast path: the launch analysis — per-point subset capture,
-  // the per-requirement O(P^2) overlap classification, privatization
-  // decisions, intra-launch conflict edges, scratch-buffer shapes and the
-  // retire's scripts (reduction combines, scratch folds, write-backs) — is
-  // memoized in an immutable LaunchPlan keyed by the launch's region ids,
-  // partition uids, privileges and domain shape. Re-executing the same
-  // launch (what Instance::run does every iteration) walks the cached plan;
-  // repartitioning or swapping a region's backing storage changes the key,
-  // so a fresh plan is built automatically. Warm and cold paths are
-  // bit-identical by construction: the analysis fields hold *results*, never
-  // accounting state. The plan's mutable state is its residency memo and
-  // its spare reduction scratches. The memo holds, per (point, read
-  // requirement), the placement epoch at which a retire left that subset
-  // valid in the point's memory. Only the serialized retire chain reads or
-  // writes it; a slot that still equals its region's epoch lets the retire
-  // skip fetch, which would find nothing missing. A privatized point takes
-  // its scratch from the spares and the retire puts it back, so warm
-  // launches reuse the buffers.
-  exec::Future execute(const IndexLaunch& launch);
-
-  // LaunchPlan memo control: disabling forces every execute() onto the
-  // cold path (used by tests/benches to compare warm vs cold), clearing
-  // explicitly invalidates all cached plans.
-  void set_plan_memo(bool enabled) { plan_memo_ = enabled; }
-  void invalidate_plans() {
-    plan_cache_.clear();
-    plan_lru_.clear();
+  // OutOfMemoryError) surface at the next wait()/flush(). Throws SpdError
+  // for a launch another Runtime prepared: its residency slots hold that
+  // runtime's placement epochs.
+  exec::Future execute(const std::shared_ptr<const PreparedLaunch>& prepared);
+  // One-shot: prepares `launch` and executes it once (the cold path tests
+  // compare prepared launches against).
+  exec::Future execute(const IndexLaunch& launch) {
+    return execute(prepare(launch));
   }
 
   // Verification mode. When on, every execute() runs the dependence-race
-  // auditor over the (possibly cached) plan, leaf tasks record touched
-  // bounds for the privilege checker, and read-only operands are
-  // fingerprinted across the launch. Taken from the process-wide
-  // verify::enabled() at construction, so arm the switch before
-  // constructing the runtime.
+  // auditor over the prepared plan, leaf tasks record touched bounds for
+  // the privilege checker, and read-only operands are fingerprinted across
+  // the launch. Taken from the process-wide verify::enabled() at
+  // construction, so arm the switch before constructing the runtime.
   bool verify() const { return verify_; }
 
   // Fault injection for the verify fault-injection tests: drains in-flight
-  // launches, then corrupts the most-recently-used cached plan in place.
-  // Returns false when there is no cached plan (or no edge) to corrupt.
+  // launches, then corrupts the prepared launch's plan in place. Returns
+  // false when there is no edge to corrupt.
   enum class PlanFault {
-    DropConflictEdge,  // delete one memoized happens-before edge (a race)
+    DropConflictEdge,  // delete one planned happens-before edge (a race)
     AddSpuriousEdge,   // add an unjustified edge (lost parallelism)
     StaleResidency,    // stamp every residency slot with the current
                        // epochs, whatever is valid (drains first)
   };
-  bool inject_plan_fault(PlanFault fault);
+  bool inject_plan_fault(const std::shared_ptr<const PreparedLaunch>& prepared,
+                         PlanFault fault);
 
   // Enqueues a host-side callback ordered against launches through
   // whole-region accesses (e.g. zeroing an output between iterations). No
@@ -292,11 +294,10 @@ class Runtime {
   // metrics.
   void set_observability(bool on);
 
-  // Maps launch point `p` of a `domain`-point launch onto the machine grid.
-  Proc proc_for_point(int p, int domain) const;
-  // Grid-aware mapping honoring the launch's domain shape: point (x, y) of
-  // a 2-D launch runs on grid processor (x mod gx, y mod gy) instead of a
-  // flat modulo, keeping row-neighbors on the same node.
+  // Maps launch point `p` onto the machine grid, honoring the launch's
+  // domain shape: point (x, y) of a 2-D launch runs on grid processor
+  // (x mod gx, y mod gy), keeping row-neighbors on the same node; a launch
+  // whose shape does not match the grid's rank maps by a flat modulo.
   Proc proc_for_point(int p, const IndexLaunch& launch) const;
 
  private:
@@ -318,26 +319,17 @@ class Runtime {
     uint64_t epoch = 1;
   };
 
-  // The memoized launch analysis (shared by every execution that hits it;
-  // immutable once built except for the retire chain's residency memo).
+  friend struct PreparedLaunch;
+  // The launch analysis prepare() runs (shared by every execution of the
+  // prepared launch; immutable once built except for the retire chain's
+  // residency memo and the spare scratches).
   struct LaunchPlan;
-  // Identity of a launch for plan lookup.
-  struct PlanKey {
-    int domain = 1;
-    std::vector<int> domain_shape;
-    // (region id, partition uid or 0, privilege) per requirement.
-    std::vector<std::tuple<RegionId, uint64_t, int>> reqs;
-    bool operator<(const PlanKey& o) const {
-      return std::tie(domain, domain_shape, reqs) <
-             std::tie(o.domain, o.domain_shape, o.reqs);
-    }
-  };
-  // Everything one deferred launch needs after submission: the captured
-  // launch (keeps regions + body alive), the plan, per-point work
+  // Everything one deferred launch needs after submission: the prepared
+  // launch (keeps regions, body and plan alive), per-point work
   // measurements, and reduction scratch buffers.
   struct LaunchRecord;
 
-  // Cold path: runs the full launch analysis.
+  // The full launch analysis.
   std::shared_ptr<const LaunchPlan> build_plan(const IndexLaunch& launch);
 
   // Replays the launch's simulated cost accounting (fetches, task pricing,
@@ -364,31 +356,15 @@ class Runtime {
     return placements_[region.id()];  // creates lazily for foreign regions
   }
 
-  // LRU-ordered plan store: most-recently-used entries at the front, the
-  // index map points into the list. Bounded at kPlanCapacity plans with
-  // true LRU eviction (only the coldest plan is dropped, never the whole
-  // cache; counted in SimReport::plan_evictions).
-  struct PlanEntry {
-    PlanKey key;
-    std::shared_ptr<const LaunchPlan> plan;
-  };
-  static constexpr size_t kPlanCapacity = 256;
-  // Drops the coldest plans until size <= kPlanCapacity.
-  void evict_to_capacity();
-
   Machine machine_;
   Simulator sim_;
   Network net_;
   MemorySystem mems_;
   std::map<RegionId, PlacementInfo> placements_;
   uint64_t placement_epoch_ = 1;  // the last epoch drop_placement handed out
-  std::list<PlanEntry> plan_lru_;
-  std::map<PlanKey, std::list<PlanEntry>::iterator> plan_cache_;
-  bool plan_memo_ = true;
   bool verify_ = false;
   int64_t plan_hits_ = 0;
   int64_t plan_misses_ = 0;
-  int64_t plan_evictions_ = 0;
   bool observed_ = false;
   // Per-launch-name leaf-task stats (SimReport::kernels). Plain data:
   // updated only from the serialized retirement chain.

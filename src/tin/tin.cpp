@@ -182,7 +182,11 @@ std::string expr_str(const Expr& e) {
     case ExprKind::Add: {
       std::vector<std::string> parts;
       for (const auto& op : e->operands) parts.push_back(expr_str(op));
-      return "(" + join(parts, " + ") + ")";
+      // Built with append: GCC 12 at -O3 misreads `"(" + s + ")"` as an
+      // overlapping memcpy and warns (-Wrestrict).
+      std::string out = "(";
+      out.append(join(parts, " + ")).append(1, ')');
+      return out;
     }
   }
   return "?";

@@ -20,21 +20,10 @@ const char* mode_name(exec::AccessMode m) {
   return "?";
 }
 
-// Exact set equality via mutual containment (IndexSubset has no operator==;
-// rect lists for the same point set may differ in shape).
-bool same_subset(const rt::IndexSubset& a, const rt::IndexSubset& b) {
-  return a.contains(b) && b.contains(a);
-}
-
-const std::vector<std::vector<rt::IndexSubset>>& subsets_of(
-    const AuditInput& in) {
-  return in.fresh_subsets != nullptr ? *in.fresh_subsets : *in.memo_subsets;
-}
-
 }  // namespace
 
 std::vector<std::pair<int, int>> oracle_edges(const AuditInput& in) {
-  const auto& subsets = subsets_of(in);
+  const auto& subsets = *in.subsets;
   const size_t nreqs = in.reqs.size();
   std::vector<std::pair<int, int>> edges;
   for (int p = 0; p < in.points; ++p) {
@@ -78,37 +67,14 @@ void audit_launch(const AuditInput& in) {
     }
   }
 
-  // 2. Staleness: a warm plan whose memoized per-point subsets no longer
-  //    match the live partitions would launch with yesterday's footprints.
-  if (in.fresh_subsets != nullptr && in.memo_subsets != nullptr &&
-      in.fresh_subsets != in.memo_subsets) {
-    for (int p = 0; p < in.points; ++p) {
-      for (size_t r = 0; r < in.reqs.size(); ++r) {
-        const auto& memo = (*in.memo_subsets)[static_cast<size_t>(p)][r];
-        const auto& fresh = (*in.fresh_subsets)[static_cast<size_t>(p)][r];
-        if (same_subset(memo, fresh)) continue;
-        Violation v;
-        v.analysis = "race_audit";
-        std::ostringstream os;
-        os << "launch `" << in.launch_name << "` point " << p
-           << " requirement " << r << " (" << in.reqs[r].region_name
-           << "): memoized plan subset " << memo.str()
-           << " is stale, live partition yields " << fresh.str()
-           << " — the plan cache served an invalid entry";
-        v.message = os.str();
-        report(v);
-      }
-    }
-  }
-
-  // 3. Edge diff against the brute-force oracle.
+  // 2. Edge diff against the brute-force oracle.
   const std::vector<std::pair<int, int>> oracle = oracle_edges(in);
-  std::set<std::pair<int, int>> memo;
-  if (in.memo_edges != nullptr) {
-    memo.insert(in.memo_edges->begin(), in.memo_edges->end());
+  std::set<std::pair<int, int>> planned;
+  if (in.edges != nullptr) {
+    planned.insert(in.edges->begin(), in.edges->end());
   }
   for (const auto& e : oracle) {
-    if (memo.count(e) != 0) continue;
+    if (planned.count(e) != 0) continue;
     Violation v;
     v.analysis = "race_audit";
     std::ostringstream os;
@@ -121,7 +87,7 @@ void audit_launch(const AuditInput& in) {
     report(v);  // throws (Error)
   }
   std::set<std::pair<int, int>> oracle_set(oracle.begin(), oracle.end());
-  for (const auto& e : memo) {
+  for (const auto& e : planned) {
     if (oracle_set.count(e) != 0) continue;
     Violation v;
     v.severity = Severity::Warning;

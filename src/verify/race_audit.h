@@ -3,20 +3,19 @@
 // Re-derives the happens-before relation among a launch's point tasks from
 // a brute-force O(P^2 * R^2) oracle over the requirement set — the
 // privilege semantics of exec::modes_conflict applied to every point pair
-// and region pair directly — and diffs it against the conflict-edge set the
-// LaunchPlan memoized:
+// and region pair directly — and diffs it against the conflict-edge set of
+// the prepared launch's plan, on every execution:
 //
 //   * an edge the oracle derives but the plan lacks is a RACE (two point
 //     tasks may touch conflicting data unordered) -> VerifyError;
 //   * an edge the plan carries but the oracle cannot justify is LOST
 //     PARALLELISM (spurious serialization) -> warning.
 //
-// The audit also cross-checks memoized per-point subsets against freshly
-// recomputed ones, so a warm plan-memo hit whose partitions drifted (LRU
-// staleness, PR 4/5) is caught before the stale plan launches anything.
-// The plan's residency memo is certified the same way: on every memo hit
-// the Runtime's retire still diffs the point's subset against the valid
-// set and raises report_stale_residency if anything is missing.
+// A plan's subsets cannot go stale: prepare() captures them and the
+// prepared launch owns them. Its residency memo is certified at
+// retirement: on every memo hit the Runtime's retire still diffs the
+// point's subset against the valid set and raises report_stale_residency
+// if anything is missing.
 #pragma once
 
 #include <cstdint>
@@ -39,29 +38,25 @@ struct ReqView {
   bool privatized = false;
 };
 
-// Everything the auditor needs about one launch. `memo_*` members come from
-// the (possibly cached) LaunchPlan; `fresh_subsets` are recomputed from the
-// live partitions at enqueue time. All pointers are borrowed for the call.
+// Everything the auditor needs about one launch, from its plan. All
+// pointers are borrowed for the call.
 struct AuditInput {
   std::string launch_name;
   int points = 0;
   std::vector<ReqView> reqs;
-  // [point][req] — what the plan memoized when it was built.
-  const std::vector<std::vector<rt::IndexSubset>>* memo_subsets = nullptr;
+  // [point][req] — the subsets the plan captured.
+  const std::vector<std::vector<rt::IndexSubset>>* subsets = nullptr;
   // Plan's conflict edges, each {p, q} with p < q.
-  const std::vector<std::pair<int, int>>* memo_edges = nullptr;
-  // [point][req] — recomputed now; null means "use memo_subsets" (cold
-  // builds, where the two are the same object).
-  const std::vector<std::vector<rt::IndexSubset>>* fresh_subsets = nullptr;
+  const std::vector<std::pair<int, int>>* edges = nullptr;
 };
 
 // The oracle's edge set for `in` (pairs {p, q}, p < q), independent of the
 // plan's own derivation. Exposed for tests.
 std::vector<std::pair<int, int>> oracle_edges(const AuditInput& in);
 
-// Runs the full audit: staleness check, privatization sanity, then the
-// edge-set diff. Throws VerifyError on races/staleness; warnings are
-// counted. Bumps verify::stats().plans_checked.
+// Runs the full audit: privatization sanity, then the edge-set diff.
+// Throws VerifyError on races; warnings are counted. Bumps
+// verify::stats().plans_checked.
 void audit_launch(const AuditInput& in);
 
 // Raises the stale-residency violation: a warm plan's residency memo

@@ -13,8 +13,7 @@
 //     catch writes under RO.
 //  2. Dependence race auditor (race_audit.h): re-derives happens-before
 //     from a brute-force O(P^2) oracle over a LaunchPlan's requirements and
-//     diffs it against the memoized conflict edges — on warm memo hits too,
-//     certifying the plan cache against staleness.
+//     diffs it against the plan's conflict edges on every execution.
 //
 // Violations raise spdistal::VerifyError (severity Error) or increment the
 // warning counter (severity Warning). stats() is the one source of the

@@ -579,13 +579,13 @@ TEST(ExecStress, RandomLaunchSequenceBitIdenticalAcrossThreadCounts) {
   expect_stress_identical(run_stress(1), run_stress(4), "stress");
 }
 
-// A seeded 200-step sequence over a fixed pool of launches (fixed
-// partitions, so every re-execution hits its warm plan and residency memo),
-// interleaved with the placement calls that drop valid sets.
-StressResult run_reuse_stress(int threads, bool memo) {
+// A seeded 200-step sequence over a fixed pool of launches, interleaved
+// with the placement calls that drop valid sets. Each pool launch is either
+// prepared once, so every re-execution replays its plan and residency memo,
+// or executed one-shot, on a fresh plan every time.
+StressResult run_reuse_stress(int threads, bool prepared_once) {
   const rt::Machine m = cpu_machine(2, rt::Grid(2));
   rt::Runtime rt(m, threads);
-  rt.set_plan_memo(memo);
   const std::vector<rt::RegionRef<double>> regions = stress_regions(rt);
   std::vector<std::unique_ptr<rt::Partition>> parts;
   Rng rng(0x5EED5);
@@ -597,10 +597,21 @@ StressResult run_reuse_stress(int threads, bool memo) {
                                  regions, parts));
     for (const auto& req : pool.back().reqs) privs.insert(req.priv);
   }
+  std::vector<std::shared_ptr<const rt::PreparedLaunch>> prepared;
+  if (prepared_once) {
+    for (const rt::IndexLaunch& launch : pool) {
+      prepared.push_back(rt.prepare(launch));
+    }
+  }
   const int nodes = m.config().nodes;
   for (int step = 0; step < 200; ++step) {
     if (rng.next_below(4) != 0) {
-      rt.execute(pool[rng.next_below(pool.size())]);
+      const size_t k = rng.next_below(pool.size());
+      if (prepared_once) {
+        rt.execute(prepared[k]);
+      } else {
+        rt.execute(pool[k]);
+      }
       continue;
     }
     rt::RegionBase& region = *regions[rng.next_below(regions.size())];
@@ -634,12 +645,12 @@ TEST(ExecStress, ReusedPlansWithPlacementChurnBitIdentical) {
   const StressResult base = run_reuse_stress(1, true);
   EXPECT_GT(base.report.plan_hits, 0);
   for (int threads : {1, 4}) {
-    for (bool memo : {true, false}) {
-      if (threads == 1 && memo) continue;
+    for (bool prepared_once : {true, false}) {
+      if (threads == 1 && prepared_once) continue;
       expect_stress_identical(
-          base, run_reuse_stress(threads, memo),
-          "reuse @" + std::to_string(threads) + " ctx, memo " +
-              (memo ? "on" : "off"));
+          base, run_reuse_stress(threads, prepared_once),
+          "reuse @" + std::to_string(threads) + " ctx, " +
+              (prepared_once ? "prepared once" : "one-shot"));
     }
   }
 }

@@ -1,16 +1,18 @@
-// Tests for the Runtime's LaunchPlan memo: steady-state executes walk a
-// cached plan (no subset capture, no O(P^2) overlap scans) and must be
-// bit-identical — output values and SimReport — to the cold path, for any
-// executor thread count. Any change of launch identity (repartitioning,
-// swapping a region's backing storage) must produce a fresh plan, never a
-// stale hit.
+// Tests for prepared launches: Runtime::prepare runs the launch analysis
+// once, and every execute of the prepared launch replays its plan (no
+// subset capture, no O(P^2) overlap scans). Replays must be bit-identical —
+// output values and SimReport — to one-shot executes, which build a fresh
+// plan every time, for any executor thread count.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <functional>
 #include <map>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "compiler/lower.h"
 #include "data/generators.h"
@@ -32,8 +34,8 @@ rt::Machine cpu_machine(int nodes, rt::Grid grid) {
 uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 // Bit-identity of the simulated fields. Plan hit/miss counters are compared
-// by the callers that expect them to match — warm and cold runs differ in
-// them by construction.
+// by the callers that expect them to match — prepared and one-shot runs
+// differ in them by construction.
 void expect_sim_identical(const rt::SimReport& a, const rt::SimReport& b,
                           const std::string& what) {
   EXPECT_EQ(bits(a.sim_time), bits(b.sim_time)) << what;
@@ -51,16 +53,33 @@ struct ProgramRun {
   rt::SimReport report;
 };
 
-// Builds the program fresh and runs `iters` iterations with the plan memo
-// on (warm: iterations 2..n hit the cache) or off (every enqueue cold).
+// One iteration as Instance::run enqueues it, but with the instance's
+// launch executed one-shot: the output's zeroing host task, then a launch
+// on a fresh plan.
+void run_one_shot(rt::Runtime& runtime, const comp::Instance& inst,
+                  const Tensor& out) {
+  auto vals = out.storage().vals();
+  runtime.run_host_task("zero " + out.name(),
+                        {rt::HostAccess{vals, rt::Privilege::WO}},
+                        [vals] { vals->fill(0.0); });
+  runtime.execute(inst.launch());
+}
+
+// Builds the program fresh and runs `iters` iterations, either through
+// Instance::run (warm: it prepares the launch once and iterations 2..n
+// replay the plan) or as one-shot executes (cold: a fresh plan each).
 template <typename Builder>
 ProgramRun run_program(const Builder& build, const rt::Machine& m,
-                       int threads, int iters, bool memo) {
+                       int threads, int iters, bool warm) {
   auto [out, stmt] = build();
   rt::Runtime runtime(m, threads);
-  runtime.set_plan_memo(memo);
   auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
-  inst->run(iters);
+  if (warm) {
+    inst->run(iters);
+  } else {
+    for (int it = 0; it < iters; ++it) run_one_shot(runtime, *inst, out);
+    runtime.flush();
+  }
   ProgramRun r;
   r.out_vals = out.storage().vals()->data();
   r.report = inst->report();
@@ -78,7 +97,7 @@ void expect_bit_identical_runs(const ProgramRun& a, const ProgramRun& b,
   expect_sim_identical(a.report, b.report, what);
 }
 
-// Warm (memoized) executions must be indistinguishable from cold ones under
+// Warm (replayed) executions must be indistinguishable from cold ones under
 // every executor configuration the CI matrix runs.
 template <typename Builder>
 void expect_warm_matches_cold(const Builder& build, const rt::Machine& m,
@@ -89,8 +108,9 @@ void expect_warm_matches_cold(const Builder& build, const rt::Machine& m,
     const std::string cfg = what + " @" + std::to_string(threads) + " ctx";
     const ProgramRun warm = run_program(build, m, threads, 4, true);
     const ProgramRun cold = run_program(build, m, threads, 4, false);
-    // The warm run re-enqueued the same launch: 1 miss, then hits. The cold
-    // run never consulted the cache.
+    // The warm run re-executed one prepared launch: 1 miss, then hits. The
+    // cold run prepared every launch afresh.
+    EXPECT_EQ(warm.report.plan_misses, 1) << cfg;
     EXPECT_GT(warm.report.plan_hits, 0) << cfg;
     EXPECT_EQ(cold.report.plan_hits, 0) << cfg;
     expect_bit_identical_runs(warm, cold, cfg + " warm vs cold");
@@ -227,7 +247,7 @@ double moved_bytes(const rt::SimReport& r) {
 
 // Every call that can drop a valid point of c bumps c's placement epoch, so
 // the next warm retire runs fetch again. Each iteration's report diff must
-// match the memo-off run's bit for bit, and each change but replicate_sys
+// match the one-shot run's bit for bit, and each change but replicate_sys
 // (which leaves c valid everywhere) must move more bytes than a steady
 // iteration, whose only traffic is the reduction combines.
 TEST(LaunchPlan, PlacementChangesForceRefetch) {
@@ -278,16 +298,19 @@ TEST(LaunchPlan, PlacementChangesForceRefetch) {
   const rt::Machine m = cpu_machine(4, rt::Grid(4));
   // Per-iteration report diffs: first, steady, then (changed, steady) per
   // change; plus the final output values.
-  auto run_sequence = [&](int threads, bool memo) {
+  auto run_sequence = [&](int threads, bool warm) {
     auto [out, stmt] = block_c_spmv_nz();
     rt::Runtime runtime(m, threads);
-    runtime.set_plan_memo(memo);
     auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
     const rt::RegionRef<double> c = stmt->tensor("c").storage().vals();
     std::vector<rt::SimReport> diffs;
     auto iterate = [&] {
       const rt::SimReport before = runtime.report();
-      inst->run(1);
+      if (warm) {
+        inst->run(1);
+      } else {
+        run_one_shot(runtime, *inst, out);
+      }
       diffs.push_back(runtime.report().diff(before));
     };
     iterate();
@@ -341,7 +364,7 @@ TEST(LaunchPlan, PlacementChangesForceRefetch) {
   }
 }
 
-// --- invalidation: launch identity changes must build fresh plans -------------
+// --- prepared launches -------------------------------------------------------
 
 // A 2-point overlapping REDUCE launch over `part`; each point adds 1.0 to
 // every element of its subset.
@@ -367,8 +390,10 @@ TEST(LaunchPlan, SteadyStateHitsAndCounters) {
   r->fill(0.0);
   rt::Partition p = rt::partition_by_bounds(
       r->space(), {rt::RectN::make1(0, 60), rt::RectN::make1(40, 99)});
-  const rt::IndexLaunch launch = reduce_launch(r, &p);
-  for (int it = 0; it < 5; ++it) rt.execute(launch);
+  const auto prepared = rt.prepare(reduce_launch(r, &p));
+  EXPECT_EQ(rt.report().plan_misses, 1);
+  EXPECT_EQ(rt.report().plan_hits, 0);
+  for (int it = 0; it < 5; ++it) rt.execute(prepared);
   rt.flush();
   const rt::SimReport rep = rt.report();
   EXPECT_EQ(rep.plan_misses, 1);
@@ -379,158 +404,74 @@ TEST(LaunchPlan, SteadyStateHitsAndCounters) {
   EXPECT_DOUBLE_EQ((*r)[99], 5.0);
 }
 
-TEST(LaunchPlan, RepartitionBuildsFreshPlan) {
-  auto run_sequence = [](bool memo) {
-    rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-    rt.set_plan_memo(memo);
-    auto r = rt.create_region<double>(rt::IndexSpace(120), "acc");
+// prepare() reads the partitions and never again: a prepared launch whose
+// Partition is gone replays exactly what one-shot executes over the live
+// partition do. Under ASan a read of the destroyed partition would fail.
+TEST(LaunchPlan, PreparedLaunchOutlivesItsPartitions) {
+  auto run = [](int threads, bool prepared_once) {
+    rt::Runtime rt(cpu_machine(2, rt::Grid(2)), threads);
+    auto r = rt.create_region<double>(
+        rt::IndexSpace(rt::RectN::make2(0, 15, 0, 5)), "acc");
     r->fill(0.0);
-    rt::Partition p1 = rt::partition_by_bounds(
-        r->space(), {rt::RectN::make1(0, 70), rt::RectN::make1(50, 119)});
-    const rt::IndexLaunch l1 = reduce_launch(r, &p1);
-    for (int it = 0; it < 3; ++it) rt.execute(l1);
-    // Repartition: new Partition object => new uid => fresh plan, new
-    // overlap classification and combine script.
-    rt::Partition p2 = rt::partition_by_bounds(
-        r->space(), {rt::RectN::make1(0, 59), rt::RectN::make1(60, 119)});
-    const rt::IndexLaunch l2 = reduce_launch(r, &p2);
-    for (int it = 0; it < 2; ++it) rt.execute(l2);
+    auto part = std::make_unique<rt::Partition>(rt::partition_by_bounds(
+        r->space(),
+        {rt::RectN::make2(0, 9, 0, 5), rt::RectN::make2(4, 12, 0, 5),
+         rt::RectN::make2(8, 15, 0, 5)}));
+    rt::IndexLaunch launch;
+    launch.name = "outlive";
+    launch.domain = part->num_colors();
+    launch.reqs = {rt::RegionReq{r, part.get(), rt::Privilege::REDUCE}};
+    launch.body = [r](const rt::TaskContext& ctx) {
+      for (const auto& rect : ctx.subset(0).rects()) {
+        for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
+          for (Coord j = rect.lo[1]; j <= rect.hi[1]; ++j) {
+            r->at2(i, j) += 0.1 + static_cast<double>(ctx.color() * 7 + i * j);
+          }
+        }
+      }
+      return rt::WorkEstimate{30, 240};
+    };
+    if (prepared_once) {
+      const auto prepared = rt.prepare(launch);
+      part.reset();
+      for (int it = 0; it < 3; ++it) rt.execute(prepared);
+    } else {
+      for (int it = 0; it < 3; ++it) rt.execute(launch);
+    }
     rt.flush();
     return std::make_pair(r->data(), rt.report());
   };
-  const auto [vals_memo, rep_memo] = run_sequence(true);
-  const auto [vals_cold, rep_cold] = run_sequence(false);
-  EXPECT_EQ(rep_memo.plan_misses, 2);  // one per distinct partition
-  EXPECT_EQ(rep_memo.plan_hits, 3);
-  EXPECT_EQ(rep_cold.plan_hits, 0);
-  EXPECT_EQ(vals_memo, vals_cold);
-  expect_sim_identical(rep_memo, rep_cold, "repartition memo vs cold");
-  // p1 overlaps on [50, 70] (x3); p2 is disjoint (x2).
-  EXPECT_DOUBLE_EQ(vals_memo[60], 3.0 * 2.0 + 2.0);
-  EXPECT_DOUBLE_EQ(vals_memo[0], 5.0);
-}
-
-TEST(LaunchPlan, SwapBackingStorageBuildsFreshPlan) {
-  auto run_sequence = [](bool memo) {
-    rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-    rt.set_plan_memo(memo);
-    auto r1 = rt.create_region<double>(rt::IndexSpace(80), "acc1");
-    r1->fill(0.0);
-    rt::Partition p = rt::partition_by_bounds(
-        r1->space(), {rt::RectN::make1(0, 49), rt::RectN::make1(30, 79)});
-    for (int it = 0; it < 3; ++it) rt.execute(reduce_launch(r1, &p));
-    // Swap the launch's backing storage: a fresh region (new RegionId) with
-    // the same shape must not hit r1's plan.
-    auto r2 = rt.create_region<double>(rt::IndexSpace(80), "acc2");
-    r2->fill(0.0);
-    for (int it = 0; it < 2; ++it) rt.execute(reduce_launch(r2, &p));
-    rt.flush();
-    auto vals = r1->data();
-    vals.insert(vals.end(), r2->data().begin(), r2->data().end());
-    return std::make_pair(vals, rt.report());
-  };
-  const auto [vals_memo, rep_memo] = run_sequence(true);
-  const auto [vals_cold, rep_cold] = run_sequence(false);
-  EXPECT_EQ(rep_memo.plan_misses, 2);  // one per backing region
-  EXPECT_EQ(rep_memo.plan_hits, 3);
-  EXPECT_EQ(vals_memo, vals_cold);
-  expect_sim_identical(rep_memo, rep_cold, "storage swap memo vs cold");
-  // Both regions reduced over the same overlapping partition.
-  EXPECT_DOUBLE_EQ(vals_memo[40], 6.0);        // r1: overlap x3 launches
-  EXPECT_DOUBLE_EQ(vals_memo[80 + 40], 4.0);   // r2: overlap x2 launches
-}
-
-TEST(LaunchPlan, ExplicitInvalidationForcesRebuild) {
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  auto r = rt.create_region<double>(rt::IndexSpace(64), "acc");
-  r->fill(0.0);
-  rt::Partition p = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 39), rt::RectN::make1(24, 63)});
-  const rt::IndexLaunch launch = reduce_launch(r, &p);
-  rt.execute(launch);
-  rt.execute(launch);
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 1);
-  rt.invalidate_plans();
-  rt.execute(launch);
-  rt.flush();
-  const rt::SimReport rep = rt.report();
-  EXPECT_EQ(rep.plan_hits, 1);
-  EXPECT_EQ(rep.plan_misses, 2);
-}
-
-// --- LRU eviction --------------------------------------------------------------
-
-// The plan cache is capacity-bounded with true LRU eviction: churning
-// through more launch identities than the capacity evicts only the coldest
-// plans, recently-used identities stay warm, and SimReport surfaces the
-// eviction count next to hits/misses.
-TEST(LaunchPlan, LruEvictsColdestPlanOnly) {
-  constexpr int kCapacity = 256;  // Runtime::kPlanCapacity
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");
-  r->fill(0.0);
-  auto fresh_partition = [&](Coord mid) {
-    return rt::partition_by_bounds(
-        r->space(),
-        {rt::RectN::make1(0, mid), rt::RectN::make1(mid - 10, 199)});
-  };
-  // Two identities; refresh A so B becomes the LRU.
-  rt::Partition pa = fresh_partition(100);
-  rt::Partition pb = fresh_partition(120);
-  rt.execute(reduce_launch(r, &pa));
-  rt.execute(reduce_launch(r, &pb));
-  rt.execute(reduce_launch(r, &pa));
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_misses, 2);
-  EXPECT_EQ(rt.report().plan_hits, 1);
-  EXPECT_EQ(rt.report().plan_evictions, 0);
-  // Churn kCapacity - 1 fresh identities: exactly one insert overflows the
-  // capacity, evicting the LRU (B) — never clearing the whole cache.
-  for (int k = 0; k < kCapacity - 1; ++k) {
-    rt::Partition p = fresh_partition(30 + (k % 140));
-    rt.execute(reduce_launch(r, &p));
-    rt.flush();
+  for (int threads : {1, 4}) {
+    const std::string cfg = " @" + std::to_string(threads) + " ctx";
+    const auto [vals, rep] = run(threads, true);
+    const auto [ref_vals, ref_rep] = run(threads, false);
+    EXPECT_EQ(rep.plan_misses, 1) << cfg;
+    EXPECT_EQ(rep.plan_hits, 2) << cfg;
+    EXPECT_EQ(ref_rep.plan_misses, 3) << cfg;
+    EXPECT_EQ(ref_rep.plan_hits, 0) << cfg;
+    ASSERT_EQ(vals.size(), ref_vals.size());
+    EXPECT_EQ(std::memcmp(vals.data(), ref_vals.data(),
+                          vals.size() * sizeof(double)),
+              0)
+        << "prepared vs one-shot" << cfg;
+    expect_sim_identical(rep, ref_rep, "prepared vs one-shot" + cfg);
   }
-  rt::SimReport rep = rt.report();
-  EXPECT_EQ(rep.plan_misses, 2 + kCapacity - 1);
-  EXPECT_EQ(rep.plan_evictions, 1);
-  // A survived the churn (it was refreshed before), B did not.
-  rt.execute(reduce_launch(r, &pa));
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 2);
-  rt.execute(reduce_launch(r, &pb));
-  rt.flush();
-  rep = rt.report();
-  EXPECT_EQ(rep.plan_hits, 2);
-  EXPECT_EQ(rep.plan_misses, 2 + kCapacity);
-  // Re-inserting B at capacity evicted the then-coldest entry.
-  EXPECT_EQ(rep.plan_evictions, 2);
 }
 
-TEST(LaunchPlan, LruHitRefreshesRecency) {
-  constexpr int kCapacity = 256;
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");
+// A prepared launch's residency slots hold its runtime's placement epochs,
+// so another runtime must not execute it.
+TEST(LaunchPlan, ExecuteRejectsAnotherRuntimesLaunch) {
+  rt::Runtime a(cpu_machine(2, rt::Grid(2)), 1);
+  rt::Runtime b(cpu_machine(2, rt::Grid(2)), 1);
+  auto r = a.create_region<double>(rt::IndexSpace(100), "acc");
   r->fill(0.0);
-  rt::Partition pa = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 99), rt::RectN::make1(90, 199)});
-  rt.execute(reduce_launch(r, &pa));
-  rt.flush();
-  // Keep touching A while churning enough fresh identities to evict an
-  // untouched entry many times over: A must never be evicted.
-  for (int k = 0; k < kCapacity + 40; ++k) {
-    rt::Partition p = rt::partition_by_bounds(
-        r->space(),
-        {rt::RectN::make1(0, 20 + (k % 150)), rt::RectN::make1(10, 199)});
-    rt.execute(reduce_launch(r, &p));
-    rt.execute(reduce_launch(r, &pa));
-    rt.flush();
-  }
-  const rt::SimReport rep = rt.report();
-  EXPECT_EQ(rep.plan_misses, 1 + kCapacity + 40);
-  EXPECT_EQ(rep.plan_hits, kCapacity + 40);  // every A re-execution hit
-  EXPECT_GT(rep.plan_evictions, 0);
+  rt::Partition p = rt::partition_equal(r->space(), 2);
+  const auto prepared = a.prepare(reduce_launch(r, &p));
+  EXPECT_THROW(b.execute(prepared), SpdError);
+  a.execute(prepared);
+  a.flush();
+  EXPECT_DOUBLE_EQ((*r)[0], 1.0);
+  EXPECT_EQ(b.report().plan_misses, 0);
 }
 
 // --- bounding-box scratches ---------------------------------------------------
@@ -582,17 +523,18 @@ TEST(LaunchPlan, ScratchFoldTranslates2dStrides) {
 
 // --- pipelined launches of one plan ------------------------------------------
 
-// Two back-to-back executes of one privatized launch with no write between
-// them: their points commute, so the second launch's points may run before
-// the first retire folds. Each in-flight launch must own its scratches: the
-// two bodies add different values, so a shared buffer would fold the second
-// launch's partials twice and change the output. The flush between rounds
-// leaves the plan's spare scratches in place for the next round's first
-// launch, while its second launch must allocate its own.
+// Two back-to-back executes of one prepared, privatized launch with no
+// write between them: their points commute, so the second launch's points
+// may run before the first retire folds. Each in-flight launch must own its
+// scratches. A point adds its values at full weight on its first run of a
+// round and at half weight on its second, so a shared buffer would fold one
+// launch's partials twice and change the output; the values are dyadic, so
+// every sum is exact whichever launch's point runs first. The flush between
+// rounds leaves the plan's spare scratches in place for the next round's
+// first launch, while its second launch must allocate its own.
 TEST(LaunchPlan, PipelinedLaunchesKeepPrivateScratches) {
-  auto run = [](int threads, bool memo) {
+  auto run = [](int threads, bool prepared_once) {
     rt::Runtime rt(cpu_machine(2, rt::Grid(2)), threads);
-    rt.set_plan_memo(memo);
     auto r = rt.create_region<double>(
         rt::IndexSpace(rt::RectN::make2(0, 23, 0, 7)), "acc");
     r->fill(0.0);
@@ -601,27 +543,34 @@ TEST(LaunchPlan, PipelinedLaunchesKeepPrivateScratches) {
       rows.push_back(rt::RectN::make2(3 * p, std::min(3 * p + 6, 23), 0, 7));
     }
     rt::Partition part = rt::partition_by_bounds(r->space(), rows);
-    auto launch_adding = [&](double scale) {
-      rt::IndexLaunch launch;
-      launch.name = "pipelined";
-      launch.domain = part.num_colors();
-      launch.reqs = {rt::RegionReq{r, &part, rt::Privilege::REDUCE}};
-      launch.body = [r, scale](const rt::TaskContext& ctx) {
-        for (const auto& rect : ctx.subset(0).rects()) {
-          for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
-            for (Coord j = rect.lo[1]; j <= rect.hi[1]; ++j) {
-              r->at2(i, j) += scale * (0.1 + static_cast<double>(
-                                                 ctx.color() * 8 + i + j));
-            }
+    // Per point, how many times its body has run.
+    auto runs = std::make_shared<std::array<std::atomic<int>, 6>>();
+    rt::IndexLaunch launch;
+    launch.name = "pipelined";
+    launch.domain = part.num_colors();
+    launch.reqs = {rt::RegionReq{r, &part, rt::Privilege::REDUCE}};
+    launch.body = [r, runs](const rt::TaskContext& ctx) {
+      const int n = (*runs)[static_cast<size_t>(ctx.color())]++;
+      const double scale = n % 2 == 0 ? 1.0 : 0.5;
+      for (const auto& rect : ctx.subset(0).rects()) {
+        for (Coord i = rect.lo[0]; i <= rect.hi[0]; ++i) {
+          for (Coord j = rect.lo[1]; j <= rect.hi[1]; ++j) {
+            r->at2(i, j) += scale * (0.25 + static_cast<double>(
+                                                ctx.color() * 8 + i + j));
           }
         }
-        return rt::WorkEstimate{24, 192};
-      };
-      return launch;
+      }
+      return rt::WorkEstimate{24, 192};
     };
+    const auto prepared = prepared_once ? rt.prepare(launch) : nullptr;
     for (int it = 0; it < 3; ++it) {
-      rt.execute(launch_adding(1.0));
-      rt.execute(launch_adding(1.0 / 3.0));
+      for (int k = 0; k < 2; ++k) {
+        if (prepared_once) {
+          rt.execute(prepared);
+        } else {
+          rt.execute(launch);
+        }
+      }
       rt.flush();
     }
     return std::make_pair(r->data(), rt.report());
@@ -637,14 +586,14 @@ TEST(LaunchPlan, PipelinedLaunchesKeepPrivateScratches) {
     EXPECT_EQ(std::memcmp(vals.data(), ref_vals.data(),
                           vals.size() * sizeof(double)),
               0)
-        << "memo on vs off" << cfg;
-    expect_sim_identical(rep, ref_rep, "memo on vs off" + cfg);
+        << "prepared vs one-shot" << cfg;
+    expect_sim_identical(rep, ref_rep, "prepared vs one-shot" + cfg);
     const auto [cold_vals, cold_rep] = run(threads, false);
     EXPECT_EQ(std::memcmp(cold_vals.data(), ref_vals.data(),
                           vals.size() * sizeof(double)),
               0)
-        << "memo off" << cfg;
-    expect_sim_identical(cold_rep, ref_rep, "memo off" + cfg);
+        << "one-shot" << cfg;
+    expect_sim_identical(cold_rep, ref_rep, "one-shot" + cfg);
   }
 }
 

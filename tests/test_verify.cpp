@@ -271,12 +271,13 @@ TEST(VerifyRace, CatchesDroppedConflictEdge) {
   r->fill(0.0);
   Partition p = rt::partition_by_bounds(
       r->space(), {RectN::make1(0, 50), RectN::make1(50, 99)});
-  IndexLaunch launch = overlapping_rw(r, p);
-  rt.execute(launch);  // memoizes the plan, audit passes
+  const auto prepared = rt.prepare(overlapping_rw(r, p));
+  rt.execute(prepared);  // audit passes
   rt.flush();
-  ASSERT_TRUE(rt.inject_plan_fault(Runtime::PlanFault::DropConflictEdge));
+  ASSERT_TRUE(
+      rt.inject_plan_fault(prepared, Runtime::PlanFault::DropConflictEdge));
   try {
-    rt.execute(launch);  // warm hit on the corrupted plan
+    rt.execute(prepared);  // replays the corrupted plan
     FAIL() << "race auditor missed a dropped conflict edge";
   } catch (const VerifyError& e) {
     EXPECT_NE(std::string(e.what()).find("RACE"), std::string::npos)
@@ -296,11 +297,14 @@ TEST(VerifyRace, WarnsOnSpuriousConflictEdge) {
   Partition p = rt::partition_equal(r->space(), 2);
   IndexLaunch launch = overlapping_rw(r, p);
   launch.name = "disjoint_rw";
-  rt.execute(launch);
+  const auto prepared = rt.prepare(launch);
+  rt.execute(prepared);
   rt.flush();
-  ASSERT_TRUE(rt.inject_plan_fault(Runtime::PlanFault::AddSpuriousEdge));
+  ASSERT_TRUE(
+      rt.inject_plan_fault(prepared, Runtime::PlanFault::AddSpuriousEdge));
   const verify::Stats before = verify::stats();
-  EXPECT_NO_THROW(rt.execute(launch));  // lost parallelism: warn, don't fail
+  // Lost parallelism: warn, don't fail.
+  EXPECT_NO_THROW(rt.execute(prepared));
   rt.flush();
   const verify::Stats after = verify::stats();
   EXPECT_GT(after.warnings, before.warnings);
@@ -340,14 +344,15 @@ TEST(VerifyResidency, CatchesStaleResidencySlot) {
     auto c = rt.create_region<double>(IndexSpace(100), "c_vec");
     c->fill(1.0);
     Partition p = rt::partition_equal(c->space(), 2);
-    IndexLaunch launch = halves_reader(c, p);
-    rt.execute(launch);  // stamps both points' residency slots
+    const auto prepared = rt.prepare(halves_reader(c, p));
+    rt.execute(prepared);  // stamps both points' residency slots
     rt.flush();
     rt.invalidate(*c);
     if (inject) {
-      EXPECT_TRUE(rt.inject_plan_fault(Runtime::PlanFault::StaleResidency));
+      EXPECT_TRUE(
+          rt.inject_plan_fault(prepared, Runtime::PlanFault::StaleResidency));
     }
-    rt.execute(launch);  // warm plan hit
+    rt.execute(prepared);  // replays the plan
     rt.flush();
   };
   // Control: without the fault the dropped placement misses the memo.
@@ -565,13 +570,14 @@ TEST(Verify, CleanLaunchesStaySilent) {
   const verify::Stats before = verify::stats();
   IndexLaunch launch = overlapping_rw(r, p);
   launch.name = "clean";
-  rt.execute(launch);
-  rt.execute(launch);
+  const auto prepared = rt.prepare(launch);
+  rt.execute(prepared);
+  rt.execute(prepared);
   rt.flush();
   const verify::Stats after = verify::stats();
   EXPECT_EQ(after.violations, before.violations);
-  // Every launch is audited, the warm plan-memo hit too: 2 launches of 2
-  // points each.
+  // Every execution is audited, the replay too: 2 launches of 2 points
+  // each.
   EXPECT_EQ(after.plans_checked - before.plans_checked, 2u);
   EXPECT_EQ(after.tasks_checked - before.tasks_checked, 4u);
 }
